@@ -80,9 +80,9 @@ class EventStream:
     Columns are stored as separate arrays (t: u64, x: u16, y: u16,
     p: i8 with values +1/-1). Validation happens once at construction;
     the arrays are marked read-only so streams can be shared across
-    threads. tolerance_us relaxes the monotonicity check for sources
-    with slightly out-of-order timestamps; slicing then treats the
-    stream as approximately sorted.
+    threads. tolerance_us admits sources with slightly out-of-order
+    timestamps: a regression of at most tolerance_us is accepted and the
+    events are then stably sorted by time, so a stream is always sorted.
     """
 
     geometry: SensorGeometry
@@ -96,12 +96,13 @@ class EventStream:
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise TruncatedRecord("column lengths differ")
-        object.__setattr__(self, "t", _as_readonly(self.t.astype(np.uint64, copy=False)))
-        object.__setattr__(self, "x", _as_readonly(self.x.astype(np.uint16, copy=False)))
-        object.__setattr__(self, "y", _as_readonly(self.y.astype(np.uint16, copy=False)))
-        object.__setattr__(self, "p", _as_readonly(self.p.astype(np.int8, copy=False)))
-        validate_columns(self.geometry, self.t, self.x, self.y, self.p,
-                         tolerance_us=self.tolerance_us)
+        cols = (self.t.astype(np.uint64, copy=False), self.x.astype(np.uint16, copy=False),
+                self.y.astype(np.uint16, copy=False), self.p.astype(np.int8, copy=False))
+        if not validate_columns(self.geometry, *cols, tolerance_us=self.tolerance_us):
+            order = np.argsort(cols[0], kind="stable")
+            cols = tuple(c[order] for c in cols)
+        for name, col in zip("txyp", cols):
+            object.__setattr__(self, name, _as_readonly(col))
 
     @classmethod
     def empty(cls, geometry: SensorGeometry) -> "EventStream":
@@ -131,8 +132,9 @@ class EventStream:
                            self.y[i0:i1], self.p[i0:i1], self.tolerance_us)
 
 
-def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> None:
-    """Raise if the column arrays violate the stream contract."""
+def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> bool:
+    """Raise if the column arrays violate the stream contract; return
+    whether t is sorted (False when it regresses within tolerance_us)."""
     if np.any(x >= geometry.width) or np.any(y >= geometry.height):
         bad = int(np.argmax((x >= geometry.width) | (y >= geometry.height)))
         raise OutOfBounds(
@@ -142,20 +144,16 @@ def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> None:
     if not np.all((p == 1) | (p == -1)):
         bad = int(np.argmax((p != 1) & (p != -1)))
         raise OutOfBounds(f"event {bad} has polarity {int(p[bad])}, expected +1/-1")
-    if len(t) > 1:
-        prev, nxt = t[:-1], t[1:]
-        regressed = nxt < prev
-        if np.any(regressed):
-            # uint64-safe: subtract only where the earlier value is larger
-            drop = np.zeros(len(t) - 1, dtype=np.uint64)
-            drop[regressed] = prev[regressed] - nxt[regressed]
-            beyond = drop > np.uint64(tolerance_us)
-            if np.any(beyond):
-                bad = int(np.argmax(beyond))
-                raise NonMonotonic(
-                    f"timestamp regresses by {int(drop[bad])}us at record {bad + 1} "
-                    f"(tolerance {tolerance_us}us)"
-                )
+    regressed = t[1:] < t[:-1]
+    if not np.any(regressed):
+        return True
+    drop = np.where(regressed, t[:-1] - t[1:], np.uint64(0))  # wrapped values unused
+    beyond = drop > np.uint64(tolerance_us)
+    if np.any(beyond):
+        bad = int(np.argmax(beyond))
+        raise NonMonotonic(f"timestamp regresses by {int(drop[bad])}us at record {bad + 1} "
+                           f"(tolerance {tolerance_us}us)")
+    return False
 
 
 # -- EVT1 binary format --------------------------------------------------------
@@ -165,7 +163,8 @@ def parse_stream(blob: bytes, tolerance_us: int = 0) -> EventStream:
     """Parse an EVT1 blob into a validated EventStream.
 
     Raises BadMagic, TruncatedRecord, OutOfBounds or NonMonotonic. Event
-    order is preserved from the file.
+    order is preserved from the file only when the file is sorted by time;
+    records that regress within tolerance_us are stably sorted.
     """
     if len(blob) < HEADER_SIZE or blob[:4] != EVT1_MAGIC:
         raise BadMagic("not an EVT1 blob")

@@ -13,8 +13,10 @@ so a just-fired pixel reads 1, anything older than tau reads 0, and a
 pixel that never fired reads exactly 0 in all channels. Values are
 computed in float64 and stored as float32.
 
-Channel layout of the materialized volume: channels [0, K) hold positive
-polarity, [K, 2K) negative, ordered newest first within each polarity.
+The FIFO is stored in the layout of the materialized volume: channels
+[0, K) hold positive polarity, [K, 2K) negative, ordered newest first
+within each polarity. A slot that was never filled holds EMPTY_SLOT
+(2^64 - 1), which reads as infinitely old and so decays to exactly 0.
 
 Three baselines used for comparisons are also provided: per-polarity
 count frames, signed voxel grids, and per-polarity time surfaces.
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import events
 from .errors import (
     BadMagic,
     GeometryMismatch,
@@ -44,7 +47,24 @@ DEFAULT_K = 4
 DEFAULT_TAU_US = 5_000_000  # retain history up to five seconds
 DEFAULT_VOXEL_BINS = 4
 
+# Content of a never-filled FIFO slot. The timestamp 2^64 - 1 is reserved
+# for it: the FIFO refuses events that carry it.
+EMPTY_SLOT = 2**64 - 1
+
 _POL_INDEX = {1: 0, -1: 1}
+
+
+def _decay(delta: np.ndarray, tau_us) -> np.ndarray:
+    """Log-age transform of float64 ages, in place; returns `delta`."""
+    if tau_us <= 1:
+        raise InvalidTau(f"tau_us must exceed 1us, got {tau_us}")
+    np.maximum(delta, 1.0, out=delta)
+    np.log(delta, out=delta)
+    np.divide(delta, math.log(tau_us), out=delta)
+    np.subtract(1.0, delta, out=delta)
+    np.clip(delta, 0.0, 0.7, out=delta)
+    np.divide(delta, 0.7, out=delta)
+    return delta
 
 
 def decay_value(delta_us, tau_us):
@@ -53,11 +73,7 @@ def decay_value(delta_us, tau_us):
     Ages at or beyond tau_us map to exactly 0; ages at or below the 1us
     floor map to exactly 1; the saturation edge sits at tau_us**0.3.
     """
-    if tau_us <= 1:
-        raise InvalidTau(f"tau_us must exceed 1us, got {tau_us}")
-    delta = np.maximum(np.asarray(delta_us, dtype=np.float64), 1.0)
-    v = np.log(delta)
-    vp = np.clip(1.0 - v / math.log(tau_us), 0.0, 0.7) / 0.7
+    vp = _decay(np.array(delta_us, dtype=np.float64), tau_us)
     return vp if vp.shape else float(vp)
 
 
@@ -65,16 +81,16 @@ def decay_value(delta_us, tau_us):
 class ToreState:
     """Per-pixel, per-polarity FIFO queues of absolute event timestamps.
 
-    Single-writer: ingest order is the event order. The fifo array has
-    shape (2, H, W, K) with slot 0 the newest timestamp; fill counts how
-    many slots are valid. Timestamps of unused slots are meaningless.
+    Single-writer: ingest order is the event order. The fifo array is
+    uint64 in the volume's own layout, shape (2K, H, W): channel p*K + slot
+    holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp.
+    Slots that were never filled hold EMPTY_SLOT.
     """
 
     geometry: SensorGeometry
     k: int = DEFAULT_K
     tau_us: int = DEFAULT_TAU_US
     fifo: np.ndarray = field(default=None, repr=False)
-    fill: np.ndarray = field(default=None, repr=False)
     last_t: int = 0
 
     def __post_init__(self):
@@ -82,11 +98,9 @@ class ToreState:
             raise InvalidTau(f"K must be positive, got {self.k}")
         if self.tau_us <= 1:
             raise InvalidTau(f"tau_us must exceed 1us, got {self.tau_us}")
-        h, w = self.geometry.height, self.geometry.width
         if self.fifo is None:
-            self.fifo = np.zeros((2, h, w, self.k), dtype=np.uint64)
-        if self.fill is None:
-            self.fill = np.zeros((2, h, w), dtype=np.uint8)
+            self.fifo = np.full((2 * self.k, self.geometry.height, self.geometry.width),
+                                EMPTY_SLOT, dtype=np.uint64)
 
     @property
     def num_channels(self) -> int:
@@ -98,15 +112,14 @@ class ToreState:
             raise OutOfBounds(f"event at ({e.x},{e.y}) outside geometry")
         if e.polarity not in _POL_INDEX:
             raise OutOfBounds(f"polarity {e.polarity} not in (+1, -1)")
+        if e.t >= EMPTY_SLOT:
+            raise OutOfBounds(f"timestamp {e.t}us is reserved for empty FIFO slots")
         if e.t < self.last_t:
             raise TimeRegression(f"event at {e.t}us precedes latest {self.last_t}us")
-        pi = _POL_INDEX[e.polarity]
-        row = self.fifo[pi, e.y, e.x]
-        shifted = row[:-1].copy()
-        row[0] = e.t
-        row[1:] = shifted
-        if self.fill[pi, e.y, e.x] < self.k:
-            self.fill[pi, e.y, e.x] += 1
+        c0 = _POL_INDEX[e.polarity] * self.k
+        column = self.fifo[c0:c0 + self.k, e.y, e.x]
+        column[1:] = column[:-1].copy()
+        column[0] = e.t
         self.last_t = int(e.t)
         return self
 
@@ -114,8 +127,9 @@ class ToreState:
         """Bulk ingest of a whole stream; equivalent to per-event ingest.
 
         Runs in O(N log N): a stable sort groups events by pixel and
-        polarity while preserving time order, then the newest <=K
-        timestamps of each group land in the FIFO slots directly.
+        polarity while preserving time order, then each FIFO slot takes
+        either one of its group's newest <=K timestamps or the entry that
+        these push down from an older slot.
         """
         if s.geometry != self.geometry:
             raise GeometryMismatch(f"stream is {s.geometry}, state is {self.geometry}")
@@ -125,50 +139,37 @@ class ToreState:
         if int(s.t[0]) < self.last_t:
             raise TimeRegression(
                 f"stream starts at {int(s.t[0])}us, before latest {self.last_t}us")
-        h, w = self.geometry.height, self.geometry.width
+        if s.t[-1] == EMPTY_SLOT:
+            raise OutOfBounds(f"timestamp {int(s.t[-1])}us is reserved for empty FIFO slots")
+        hw = self.geometry.num_pixels
         pol_idx = (s.p < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
-        keys = (pol_idx * h + s.y.astype(np.int64)) * w + s.x.astype(np.int64)
+        keys = pol_idx * hw + s.y.astype(np.int64) * self.geometry.width + s.x
         order = np.argsort(keys, kind="stable")
         skeys = keys[order]
         st = s.t[order]
         group_end = np.nonzero(np.concatenate((skeys[1:] != skeys[:-1], [True])))[0]
         group_keys = skeys[group_end]
-        group_start = np.concatenate(([0], group_end[:-1] + 1))
-        counts = group_end - group_start + 1
+        counts = np.diff(group_end, prepend=-1)
 
-        fifo_flat = self.fifo.reshape(-1, self.k)
-        fill_flat = self.fill.reshape(-1)
-        old = fifo_flat[group_keys].copy()
-        old_fill = fill_flat[group_keys].astype(np.int64)
-        for slot in range(self.k):
-            # newest incoming first, then surviving pre-existing entries
-            from_new = counts > slot
-            fifo_flat[group_keys[from_new], slot] = st[group_end[from_new] - slot]
-            old_slot = slot - counts
-            carry = (old_slot >= 0) & (old_slot < old_fill)
-            if np.any(carry):
-                fifo_flat[group_keys[carry], slot] = old[carry, old_slot[carry]]
-        fill_flat[group_keys] = np.minimum(counts + old_fill, self.k).astype(np.uint8)
+        fifo = self.fifo.reshape(2, self.k, hw)
+        pol, pix = np.divmod(group_keys, hw)
+        # oldest slot first, so every entry is read before it is overwritten
+        for slot in range(self.k - 1, -1, -1):
+            src = slot - counts
+            kept = src >= 0
+            fifo[pol[kept], slot, pix[kept]] = fifo[pol[kept], src[kept], pix[kept]]
+            fifo[pol[~kept], slot, pix[~kept]] = st[group_end[~kept] - slot]
         self.last_t = int(s.t[-1])
         return self
 
     def materialize(self, t_query: int) -> "ToreVolume":
         """Dense 2K-channel volume of decay values at t_query."""
-        if self.tau_us <= 1:
-            raise InvalidTau(f"tau_us must exceed 1us, got {self.tau_us}")
         if t_query < self.last_t:
             raise TimeRegression(
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
-        delta = (np.uint64(t_query) - self.fifo).astype(np.float64)
-        np.maximum(delta, 1.0, out=delta)
-        vp = np.clip(1.0 - np.log(delta) / math.log(self.tau_us), 0.0, 0.7) / 0.7
-        valid = np.arange(self.k, dtype=np.uint8) < self.fill[..., None]
-        vp[~valid] = 0.0
-        # (2, H, W, K) -> (2, K, H, W) -> (2K, H, W)
-        h, w = self.geometry.height, self.geometry.width
-        data = np.transpose(vp, (0, 3, 1, 2)).reshape(2 * self.k, h, w)
+        delta = np.where(self.fifo == EMPTY_SLOT, np.inf, np.uint64(t_query) - self.fifo)
         return ToreVolume(geometry=self.geometry,
-                          data=np.ascontiguousarray(data, dtype=np.float32),
+                          data=_decay(delta, self.tau_us).astype(np.float32),
                           query_time_us=int(t_query))
 
 
@@ -176,6 +177,19 @@ def tore_from_stream(s: EventStream, k: int = DEFAULT_K,
                      tau_us: int = DEFAULT_TAU_US) -> ToreState:
     state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
     return state.ingest_stream(s)
+
+
+def window_volumes(s: EventStream, k: int, tau_us: int, window_us: int,
+                   origin_us: int = 0):
+    """Yield the volume at the end of each window of slice_constant_time.
+
+    One state ingests the windows in order; window i is materialized at
+    origin_us + (i + 1) * window_us.
+    """
+    state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
+    for i, window in enumerate(events.slice_constant_time(s, window_us, origin_us)):
+        state.ingest_stream(window)
+        yield state.materialize(origin_us + (i + 1) * window_us)
 
 
 @dataclass(frozen=True)

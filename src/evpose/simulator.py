@@ -234,7 +234,11 @@ def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
         level = ref.reshape(-1)[pix_rep] + sign * j * theta
         lp = l_prev.reshape(-1)[pix_rep]
         ln_ = l_new.reshape(-1)[pix_rep]
-        frac = np.clip((level - lp) / (ln_ - lp), 0.0, 1.0)
+        # a still pixel (span 0) that rounding left one threshold off its
+        # reference still crosses; its event falls at t0
+        span = ln_ - lp
+        frac = np.clip(np.divide(level - lp, span, out=np.zeros_like(span), where=span != 0),
+                       0.0, 1.0)
         ts_parts.append(t0 + frac * (t1 - t0))
         x_parts.append((pix_rep % w).astype(np.uint16))
         y_parts.append((pix_rep // w).astype(np.uint16))

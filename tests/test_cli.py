@@ -351,7 +351,7 @@ class TestBenchCommand:
                             report["events"] / (report["parse_s"] + report["ingest_s"]),
                             rel_tol=1e-9)
         assert math.isclose(report["windows_per_s"],
-                            report["windows"] / report["materialize_s"], rel_tol=1e-9)
+                            report["windows"] / report["windows_s"], rel_tol=1e-9)
 
     def test_fixture_deterministic(self, tmp_path):
         reports = []

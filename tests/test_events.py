@@ -161,6 +161,13 @@ class TestSliceConstantTime:
     def test_empty_stream(self, small_geometry):
         assert ev.slice_constant_time(ev.EventStream.empty(small_geometry), 100) == []
 
+    def test_regression_within_tolerance_is_sorted_first(self, small_geometry):
+        s = ev.EventStream.from_arrays(small_geometry, [100, 90], [0, 1], [0, 1], [1, 1],
+                                       tolerance_us=20)
+        assert list(s.t) == [90, 100] and list(s.x) == [1, 0]
+        windows = ev.slice_constant_time(s, 50, 0)
+        assert [list(w.t) for w in windows] == [[], [90], [100]]
+
     def test_one_second_uniform(self, small_geometry, rng):
         s = random_stream(rng, small_geometry, 20_000, duration_us=1_000_000)
         windows = ev.slice_constant_time(s, 20_000, 0)

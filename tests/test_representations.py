@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import representations as rep
 from evpose.errors import (
     BadMagic,
     InvalidTau,
+    NonMonotonic,
     OutOfBounds,
     TimeRegression,
     TruncatedRecord,
     ZeroBins,
     ZeroWindow,
 )
-from evpose.events import Event, EventStream
+from evpose.events import Event, EventStream, SensorGeometry
 
 from oracles import fifo_replay, random_stream, tore_brute_force
 
@@ -27,9 +30,10 @@ class TestIngest:
     def test_single_event(self, small_geometry):
         state = rep.ToreState(geometry=small_geometry)
         state.ingest(Event(t=100, x=3, y=2, polarity=1))
-        assert state.fill[0, 2, 3] == 1
-        assert state.fifo[0, 2, 3, 0] == 100
-        assert state.fill.sum() == 1
+        filled = state.fifo != rep.EMPTY_SLOT
+        assert filled[:state.k, 2, 3].sum() == 1
+        assert state.fifo[0, 2, 3] == 100
+        assert filled.sum() == 1
 
     def test_fifo_overflow_drops_oldest(self, small_geometry):
         k = 4
@@ -37,8 +41,9 @@ class TestIngest:
         ts = [10, 20, 30, 40, 50]
         for t in ts:
             state.ingest(Event(t=t, x=0, y=0, polarity=-1))
-        assert state.fill[1, 0, 0] == k
-        assert list(state.fifo[1, 0, 0]) == [50, 40, 30, 20]
+        negative = state.fifo[k:, 0, 0]
+        assert (negative != rep.EMPTY_SLOT).sum() == k
+        assert list(negative) == [50, 40, 30, 20]
 
     def test_random_stream_matches_replay(self, small_geometry, rng):
         k = 3
@@ -47,10 +52,12 @@ class TestIngest:
         expected = fifo_replay(s, k)
         for (x, y, p), stamps in expected.items():
             pi = 0 if p > 0 else 1
-            assert state.fill[pi, y, x] == len(stamps)
-            assert list(state.fifo[pi, y, x][: len(stamps)]) == stamps
+            column = state.fifo[pi * k:(pi + 1) * k, y, x]
+            assert (column != rep.EMPTY_SLOT).sum() == len(stamps)
+            assert list(column[: len(stamps)]) == stamps
         touched = sum(len(v) > 0 for v in expected.values())
-        assert int((state.fill > 0).sum()) == touched
+        filled = (state.fifo != rep.EMPTY_SLOT).reshape(2, k, -1).any(axis=1)
+        assert int(filled.sum()) == touched
 
     def test_out_of_bounds(self, small_geometry):
         state = rep.ToreState(geometry=small_geometry)
@@ -75,6 +82,16 @@ class TestIngest:
         with pytest.raises(TimeRegression):
             state.ingest_stream(one_pixel_stream(small_geometry, [1, 2]))
 
+    def test_reserved_timestamp_rejected(self, small_geometry):
+        state = rep.ToreState(geometry=small_geometry)
+        with pytest.raises(OutOfBounds):
+            state.ingest(Event(t=rep.EMPTY_SLOT, x=0, y=0, polarity=1))
+        with pytest.raises(OutOfBounds):
+            state.ingest_stream(one_pixel_stream(
+                small_geometry, np.array([5, rep.EMPTY_SLOT], dtype=np.uint64)))
+        assert np.all(state.fifo == rep.EMPTY_SLOT)
+        assert state.last_t == 0
+
 
 class TestMaterialize:
     def test_untouched_pixels_are_zero(self, small_geometry):
@@ -83,6 +100,18 @@ class TestMaterialize:
         vol = state.materialize(60)
         nz = np.nonzero(vol.data)
         assert set(zip(*nz)) == {(0, 1, 1)}
+
+    @pytest.mark.parametrize("t_query", [0, TAU // 2, 2**64 - 1])
+    def test_empty_state_reads_zero(self, small_geometry, t_query):
+        state = rep.ToreState(geometry=small_geometry, k=3, tau_us=TAU)
+        assert not state.materialize(t_query).data.any()
+
+    def test_query_at_top_of_range(self, small_geometry):
+        state = rep.ToreState(geometry=small_geometry, k=2, tau_us=TAU)
+        state.ingest(Event(t=2**64 - 2, x=1, y=1, polarity=-1))
+        vol = state.materialize(2**64 - 1)
+        assert set(zip(*np.nonzero(vol.data))) == {(2, 1, 1)}
+        assert vol.data[2, 1, 1] == 1.0
 
     def test_boundary_constants(self):
         assert rep.decay_value(1, TAU) == 1.0
@@ -180,6 +209,80 @@ class TestOracleEquivalence:
             vol = rep.tore_from_stream(s, k=k, tau_us=TAU).materialize(t_query)
             expected = tore_brute_force(s, k, TAU, t_query)
             assert np.array_equal(vol.data, expected)
+        # FIFO depths past 255 with one pixel firing more than K times,
+        # ingested in two chunks so older entries are carried down
+        for k in (255, 256, 300):
+            extra = random_stream(rng, small_geometry, 2000)
+            t = np.concatenate((extra.t, np.arange(300, dtype=np.uint64) * 1000))
+            order = np.argsort(t, kind="stable")
+            s = EventStream.from_arrays(
+                small_geometry, t[order],
+                np.concatenate((extra.x, np.full(300, 3)))[order],
+                np.concatenate((extra.y, np.full(300, 2)))[order],
+                np.concatenate((extra.p, np.ones(300)))[order])
+            state = rep.ToreState(geometry=small_geometry, k=k, tau_us=TAU)
+            state.ingest_stream(s.restrict(0, 150_000)).ingest_stream(s.restrict(150_000, 2**63))
+            t_query = int(s.t[-1]) + 1000
+            vol = state.materialize(t_query)
+            expected = tore_brute_force(s, k, TAU, t_query)
+            assert np.array_equal(vol.data, expected)
+            assert np.count_nonzero(vol.data[:k, 2, 3]) == min(k, 300)
+
+
+class TestOutOfOrderStream:
+    """Events (t=100 at (0,0)) then (t=90 at (1,1)) within a 20us tolerance."""
+
+    @staticmethod
+    def stream(geometry):
+        return EventStream.from_arrays(geometry, [100, 90], [0, 1], [0, 1], [1, 1],
+                                       tolerance_us=20)
+
+    def test_per_event_and_bulk_agree(self, small_geometry):
+        s = self.stream(small_geometry)
+        per_event = rep.ToreState(geometry=small_geometry, k=2, tau_us=TAU)
+        for e in s:
+            per_event.ingest(e)
+        bulk = rep.tore_from_stream(s, k=2, tau_us=TAU)
+        assert per_event.last_t == bulk.last_t == 100
+        assert np.array_equal(per_event.materialize(100).data, bulk.materialize(100).data)
+
+    def test_query_before_newest_event_rejected(self, small_geometry):
+        state = rep.tore_from_stream(self.stream(small_geometry), k=2, tau_us=TAU)
+        with pytest.raises(TimeRegression):
+            state.materialize(95)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_per_event_and_bulk_agree_or_both_raise(self, data):
+        geometry = SensorGeometry(4, 3)
+        n = data.draw(st.integers(0, 12))
+        try:
+            s = EventStream.from_arrays(
+                geometry,
+                data.draw(st.lists(st.integers(0, 100), min_size=n, max_size=n)),
+                data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+                tolerance_us=data.draw(st.integers(0, 100)))
+        except NonMonotonic:
+            return
+        k = data.draw(st.integers(1, 3))
+        prior = Event(t=data.draw(st.integers(0, 100)), x=0, y=0, polarity=1)
+        per_event = rep.ToreState(geometry=geometry, k=k, tau_us=TAU).ingest(prior)
+        bulk = rep.ToreState(geometry=geometry, k=k, tau_us=TAU).ingest(prior)
+        outcomes = []
+        for ingest in (lambda: [per_event.ingest(e) for e in s],
+                       lambda: bulk.ingest_stream(s)):
+            try:
+                ingest()
+                outcomes.append("ok")
+            except TimeRegression:
+                outcomes.append("raised")
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] == "ok":
+            t_query = bulk.last_t + data.draw(st.integers(0, 1000))
+            assert np.array_equal(per_event.materialize(t_query).data,
+                                  bulk.materialize(t_query).data)
 
 
 class TestDecayOrdering:

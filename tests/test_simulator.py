@@ -242,6 +242,16 @@ class TestFramesToEvents:
         assert stream.t.min(initial=0) >= 0
         assert stream.t.max(initial=0) <= f.frame_time_us(7)
 
+    def test_still_pixel_one_threshold_off_gets_finite_time(self):
+        # float rounding leaves this pixel exactly one threshold from its
+        # reference while it holds still between the last two frames
+        geometry = SensorGeometry(1, 1)
+        levels = np.array([174, 219, 187, 115, 109, 120, 174, 174]) / 255.0
+        f = sim.FrameSequence(geometry, 100.0, levels[:, None, None])
+        stream = sim.frames_to_events(f, sim.PixelModelParams())
+        assert stream.t.max() <= f.frame_time_us(len(f) - 1)
+        assert int(stream.t[5]) == f.frame_time_us(6)
+
     def test_single_frame_rejected(self):
         with pytest.raises(EmptySequence):
             sim.frames_to_events(const_frames(0.5, 1), quiet_params())
