@@ -256,65 +256,35 @@ FILTER_PARAMS = [
 ]
 
 
-class ExternalMaskBackend:
-    """Backend serving precomputed per-window masks.
-
-    The plan for a query volume starts at the window whose end time
-    matches the volume's query timestamp; masks past the end of the
-    stack repeat the last mask. Score rows come from an optional CSV
-    (one row per frame, horizon columns), defaulting to 1.0.
-    """
-
-    def __init__(self, masks: np.ndarray, window_us: int, origin_us: int,
-                 horizon: int, scores: np.ndarray | None = None):
-        if horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {horizon}")
-        self.masks = np.asarray(masks).astype(bool)
-        self.window_us = window_us
-        self.origin_us = origin_us
-        self.horizon = horizon
-        if scores is None:
-            scores = np.ones((self.masks.shape[0], horizon))
-        self.scores = np.asarray(scores, dtype=np.float64)
-        if self.scores.shape != (self.masks.shape[0], horizon):
-            raise ConfigError(
-                f"scores must be ({self.masks.shape[0]}, {horizon}), "
-                f"got {self.scores.shape}")
-
-    def predict(self, vol: rep.ToreVolume) -> gating.MaskPlan:
-        k = (vol.query_time_us - self.origin_us) // self.window_us - 1
-        if not 0 <= k < self.masks.shape[0]:
-            raise DataError(f"no external mask for window {k}")
-        idx = np.minimum(np.arange(k, k + self.horizon), self.masks.shape[0] - 1)
-        return gating.MaskPlan(masks=self.masks[idx], scores=self.scores[k])
-
-
 def cmd_filter(args) -> int:
     config = _resolve(FILTER_PARAMS, args)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = ev.read_stream(config["events"])
-    volumes = list(rep.window_volumes(stream, config["k"], config["tau_us"],
-                                      config["window_us"], config["origin_us"]))
     if "external_masks" in config:
         _, masks = gating.read_masks(config["external_masks"])
         scores = None
         if "external_scores" in config:
             scores = np.loadtxt(config["external_scores"], delimiter=",", ndmin=2)
-        backend = ExternalMaskBackend(masks, config["window_us"], config["origin_us"],
-                                      config["horizon"], scores)
+        backend = gating.ExternalMaskBackend(masks, config["window_us"],
+                                             config["origin_us"], config["horizon"], scores)
     else:
         backend = gating.ReferenceMaskBackend(gating.ReferenceBackendParams(
             horizon=config["horizon"],
             activity_percentile=config["activity_percentile"]))
-    result = gating.schedule_masks(volumes, backend, config["beta"])
-    for i, vol in enumerate(volumes):
-        masked = gating.apply_mask(vol, result.masks[i])
-        rep.write_tensor(out_dir / f"masked_{i:05d}.tore", masked.data)
-    gating.write_schedule_csv(out_dir / "schedule.csv", result.entries)
-    if volumes:
-        gating.write_masks(out_dir / "masks.msk1", stream.geometry, result.masks)
-    print(f"{len(volumes)} window(s), {result.backend_calls} backend call(s)")
+    volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
+                                 config["window_us"], config["origin_us"])
+    calls = 0
+    with open(out_dir / "schedule.csv", "w") as schedule, \
+            gating.MaskStackWriter(out_dir / "masks.msk1", stream.geometry) as masks_out:
+        schedule.write(gating.SCHEDULE_HEADER)
+        for vol, entry, mask in gating.iter_schedule(volumes, backend, config["beta"]):
+            masked = gating.apply_mask(vol, mask)
+            rep.write_tensor(out_dir / f"masked_{entry.frame:05d}.tore", masked.data)
+            schedule.write(gating.schedule_row(entry))
+            masks_out.append(mask)
+            calls += entry.recompute
+    print(f"{masks_out.count} window(s), {calls} backend call(s)")
     _emit_manifest(config, args, out_dir)
     return 0
 

@@ -68,7 +68,8 @@ DAVIS346 = SensorGeometry(width=346, height=260)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """Read-only contiguous view; the caller's own array keeps its flags."""
+    a = np.ascontiguousarray(a).view()
     a.setflags(write=False)
     return a
 
@@ -215,8 +216,8 @@ def write_csv(fp, s: EventStream) -> None:
     out = open(fp, "w") if own else fp
     try:
         out.write(CSV_HEADER + "\n")
-        for i in range(len(s)):
-            out.write(f"{int(s.t[i])},{int(s.x[i])},{int(s.y[i])},{int(s.p[i])}\n")
+        out.write("".join(map("{},{},{},{}\n".format, s.t.tolist(), s.x.tolist(),
+                              s.y.tolist(), s.p.tolist())))
     finally:
         if own:
             out.close()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy import ndimage
@@ -27,6 +27,7 @@ from scipy import ndimage
 from .errors import (
     BadMagic,
     ConfigError,
+    DataError,
     EmptyPlan,
     GeometryMismatch,
     ProbabilityOutOfRange,
@@ -126,54 +127,67 @@ class ScheduleResult:
     backend_calls: int = 0
 
 
-def schedule_masks(frames: Sequence[ToreVolume], backend: MaskPredictorBackend,
-                   beta: float) -> ScheduleResult:
-    """Run the early-exit mask schedule over a frame sequence.
+def iter_schedule(frames: Iterable[ToreVolume], backend: MaskPredictorBackend,
+                  beta: float) -> Iterator[tuple[ToreVolume, ScheduleEntry, np.ndarray]]:
+    """Run the early-exit mask schedule over frames, one frame at a time.
 
     Frame 0 always invokes the backend. Frame k reuses the most recent
     plan's mask for k when that mask's score is >= beta; otherwise the
     backend runs on frame k's volume and starts a new plan. Only the
-    newest plan is retained.
+    newest plan is retained. Yields (volume, entry, mask) per frame and
+    draws the next frame only after the caller has taken the last one.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
-    entries: list[ScheduleEntry] = []
-    masks = []
     plan: MaskPlan | None = None
-    calls = 0
     for k, vol in enumerate(frames):
         offset = k - plan.issued_at if plan is not None else None
-        if plan is not None and offset < plan.horizon and plan.scores[offset] >= beta:
-            entries.append(ScheduleEntry(frame=k, recompute=False,
-                                         score_used=float(plan.scores[offset])))
-            masks.append(plan.masks[offset])
-            continue
-        new_plan = backend.predict(vol)
-        if new_plan is None or new_plan.horizon < 1:
-            raise EmptyPlan("backend returned an empty plan")
-        if new_plan.masks.shape[1:] != (vol.geometry.height, vol.geometry.width):
-            raise GeometryMismatch("backend plan does not match volume geometry")
-        plan = replace(new_plan, issued_at=k)
-        calls += 1
-        entries.append(ScheduleEntry(frame=k, recompute=True,
-                                     score_used=float(plan.scores[0])))
-        masks.append(plan.masks[0])
+        reuse = plan is not None and offset < plan.horizon and plan.scores[offset] >= beta
+        if not reuse:
+            new_plan = backend.predict(vol)
+            if new_plan is None or new_plan.horizon < 1:
+                raise EmptyPlan("backend returned an empty plan")
+            if new_plan.masks.shape[1:] != (vol.geometry.height, vol.geometry.width):
+                raise GeometryMismatch("backend plan does not match volume geometry")
+            plan = replace(new_plan, issued_at=k)
+            offset = 0
+        entry = ScheduleEntry(frame=k, recompute=not reuse,
+                              score_used=float(plan.scores[offset]))
+        yield vol, entry, plan.masks[offset]
+
+
+def schedule_masks(frames: Sequence[ToreVolume], backend: MaskPredictorBackend,
+                   beta: float) -> ScheduleResult:
+    """Collect iter_schedule over a frame sequence into one result."""
+    entries: list[ScheduleEntry] = []
+    masks = []
+    for _, entry, mask in iter_schedule(frames, backend, beta):
+        entries.append(entry)
+        masks.append(mask)
     stack = np.stack(masks) if masks else np.zeros((0, 0, 0), dtype=bool)
-    return ScheduleResult(entries=entries, masks=stack, backend_calls=calls)
+    return ScheduleResult(entries=entries, masks=stack,
+                          backend_calls=sum(e.recompute for e in entries))
+
+
+SCHEDULE_HEADER = "frame,recompute,score_used\n"
+
+
+def schedule_row(e: ScheduleEntry) -> str:
+    """One schedule.csv line; the score's repr round-trips exactly."""
+    return f"{e.frame},{int(e.recompute)},{e.score_used!r}\n"
 
 
 def write_schedule_csv(path, entries: Sequence[ScheduleEntry]) -> None:
     with open(path, "w") as f:
-        f.write("frame,recompute,score_used\n")
-        for e in entries:
-            f.write(f"{e.frame},{int(e.recompute)},{e.score_used!r}\n")
+        f.write(SCHEDULE_HEADER)
+        f.writelines(map(schedule_row, entries))
 
 
 def read_schedule_csv(path) -> list[ScheduleEntry]:
     out = []
     with open(path) as f:
         header = f.readline().strip()
-        if header != "frame,recompute,score_used":
+        if header != SCHEDULE_HEADER.strip():
             raise ConfigError(f"unexpected schedule header: {header!r}")
         for line in f:
             line = line.strip()
@@ -267,6 +281,39 @@ def reference_mask_backend(vol: ToreVolume,
     return ReferenceMaskBackend(params).predict(vol)
 
 
+class ExternalMaskBackend:
+    """Backend serving precomputed per-window masks.
+
+    The plan for a query volume starts at the window whose end time
+    matches the volume's query timestamp; masks past the end of the
+    stack repeat the last mask. Score rows come from an optional CSV
+    (one row per frame, horizon columns), defaulting to 1.0.
+    """
+
+    def __init__(self, masks: np.ndarray, window_us: int, origin_us: int,
+                 horizon: int, scores: np.ndarray | None = None):
+        if horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {horizon}")
+        self.masks = np.asarray(masks).astype(bool)
+        self.window_us = window_us
+        self.origin_us = origin_us
+        self.horizon = horizon
+        if scores is None:
+            scores = np.ones((self.masks.shape[0], horizon))
+        self.scores = np.asarray(scores, dtype=np.float64)
+        if self.scores.shape != (self.masks.shape[0], horizon):
+            raise ConfigError(
+                f"scores must be ({self.masks.shape[0]}, {horizon}), "
+                f"got {self.scores.shape}")
+
+    def predict(self, vol: ToreVolume) -> MaskPlan:
+        k = (vol.query_time_us - self.origin_us) // self.window_us - 1
+        if not 0 <= k < self.masks.shape[0]:
+            raise DataError(f"no external mask for window {k}")
+        idx = np.minimum(np.arange(k, k + self.horizon), self.masks.shape[0] - 1)
+        return MaskPlan(masks=self.masks[idx], scores=self.scores[k])
+
+
 # -- MSK1 mask stack format -------------------------------------------------------
 # Same header shape as EVT1: magic, version u16, width u16, height u16,
 # count u64; then count masks, each ceil(W*H/8) bytes, bit-packed row-major.
@@ -276,13 +323,17 @@ MSK1_VERSION = 1
 _MSK_HEADER = struct.Struct("<4sHHHQ")
 
 
+def _msk1_header(geometry: SensorGeometry, count: int) -> bytes:
+    return _MSK_HEADER.pack(MSK1_MAGIC, MSK1_VERSION, geometry.width,
+                            geometry.height, count)
+
+
 def serialize_masks(geometry: SensorGeometry, masks: np.ndarray) -> bytes:
     m = np.ascontiguousarray(masks).astype(bool)
     if m.ndim != 3 or m.shape[1:] != (geometry.height, geometry.width):
         raise GeometryMismatch(f"masks {m.shape} do not match geometry {geometry}")
-    header = _MSK_HEADER.pack(MSK1_MAGIC, MSK1_VERSION, geometry.width,
-                              geometry.height, m.shape[0])
-    return header + np.packbits(m.reshape(m.shape[0], -1), axis=1).tobytes()
+    return (_msk1_header(geometry, m.shape[0])
+            + np.packbits(m.reshape(m.shape[0], -1), axis=1).tobytes())
 
 
 def parse_masks(blob: bytes) -> tuple[SensorGeometry, np.ndarray]:
@@ -310,3 +361,43 @@ def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:
 def read_masks(path) -> tuple[SensorGeometry, np.ndarray]:
     with open(path, "rb") as f:
         return parse_masks(f.read())
+
+
+class MaskStackWriter:
+    """MSK1 file written one mask at a time, as a context manager.
+
+    The file is created at the first `append`, with a header count of 0;
+    the real count goes in only when the `with` block exits without an
+    exception. A run that fails partway therefore leaves either no file
+    or one whose payload disagrees with its count, which `parse_masks`
+    rejects. A completed file is byte-identical to `serialize_masks`.
+    """
+
+    def __init__(self, path, geometry: SensorGeometry):
+        self.path = path
+        self.geometry = geometry
+        self.count = 0
+        self._f = None
+
+    def append(self, mask: np.ndarray) -> None:
+        m = np.asarray(mask).astype(bool, copy=False)
+        if m.shape != (self.geometry.height, self.geometry.width):
+            raise GeometryMismatch(f"mask {m.shape} does not match geometry {self.geometry}")
+        if self._f is None:
+            self._f = open(self.path, "wb")
+            self._f.write(_msk1_header(self.geometry, 0))
+        self._f.write(np.packbits(m.reshape(-1)).tobytes())
+        self.count += 1
+
+    def __enter__(self) -> "MaskStackWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._f is None:
+            return
+        try:
+            if exc_type is None:
+                self._f.seek(0)
+                self._f.write(_msk1_header(self.geometry, self.count))
+        finally:
+            self._f.close()

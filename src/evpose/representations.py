@@ -85,6 +85,11 @@ class ToreState:
     uint64 in the volume's own layout, shape (2K, H, W): channel p*K + slot
     holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp.
     Slots that were never filled hold EMPTY_SLOT.
+
+    `materialize` works in scratch buffers the state owns (allocated at the
+    first call and reused after), so it must not be called concurrently on
+    one state. The volumes it returns are fresh arrays and never share
+    memory with the state or with each other.
     """
 
     geometry: SensorGeometry
@@ -92,6 +97,8 @@ class ToreState:
     tau_us: int = DEFAULT_TAU_US
     fifo: np.ndarray = field(default=None, repr=False)
     last_t: int = 0
+    _age: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _empty: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k <= 0:
@@ -167,9 +174,16 @@ class ToreState:
         if t_query < self.last_t:
             raise TimeRegression(
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
-        delta = np.where(self.fifo == EMPTY_SLOT, np.inf, np.uint64(t_query) - self.fifo)
+        if self._age is None:
+            self._age = np.empty(self.fifo.shape, dtype=np.float64)
+            self._empty = np.empty(self.fifo.shape, dtype=bool)
+        # ages are exact in the uint64 subtraction and rounded once into
+        # float64; empty slots wrap there and are overwritten with inf
+        np.subtract(np.uint64(t_query), self.fifo, out=self._age, casting="unsafe")
+        np.equal(self.fifo, EMPTY_SLOT, out=self._empty)
+        np.copyto(self._age, np.inf, where=self._empty)
         return ToreVolume(geometry=self.geometry,
-                          data=_decay(delta, self.tau_us).astype(np.float32),
+                          data=_decay(self._age, self.tau_us).astype(np.float32),
                           query_time_us=int(t_query))
 
 
@@ -316,13 +330,16 @@ TENSOR_MAGIC = b"TORE"
 _TENSOR_HEADER = struct.Struct("<4sIII")
 
 
+def _tensor_header(a: np.ndarray) -> bytes:
+    if a.ndim != 3:
+        raise TruncatedRecord(f"tensor must be 3D, got shape {a.shape}")
+    return _TENSOR_HEADER.pack(TENSOR_MAGIC, *a.shape)
+
+
 def serialize_tensor(data: np.ndarray) -> bytes:
     """Flat binary tensor: magic, dims C,H,W as u32, float32 row-major."""
     a = np.ascontiguousarray(data, dtype=np.float32)
-    if a.ndim != 3:
-        raise TruncatedRecord(f"tensor must be 3D, got shape {a.shape}")
-    c, h, w = a.shape
-    return _TENSOR_HEADER.pack(TENSOR_MAGIC, c, h, w) + a.tobytes()
+    return _tensor_header(a) + a.tobytes()
 
 
 def parse_tensor(blob: bytes) -> np.ndarray:
@@ -338,8 +355,13 @@ def parse_tensor(blob: bytes) -> np.ndarray:
 
 
 def write_tensor(path, data: np.ndarray) -> None:
+    """Write the bytes of serialize_tensor straight from the array's buffer,
+    without building a copy of the payload."""
+    a = np.ascontiguousarray(data, dtype=np.float32)
+    header = _tensor_header(a)
     with open(path, "wb") as f:
-        f.write(serialize_tensor(data))
+        f.write(header)
+        f.write(a)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -354,8 +376,8 @@ def write_tensor_text(path, data: np.ndarray) -> None:
     c, h, w = a.shape
     with open(path, "w") as f:
         f.write(f"tore-text {c} {h} {w}\n")
-        for v in a.reshape(-1):
-            f.write(f"{v:.8e}\n")
+        for channel in a:
+            f.write("".join(map("{:.8e}\n".format, channel.reshape(-1).tolist())))
 
 
 def read_tensor_text(path) -> np.ndarray:

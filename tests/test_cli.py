@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from evpose import gating
 from evpose import pose_math as pm
 from evpose import representations as rep
 from evpose import simulator as sim
-from evpose.errors import ConfigError
+from evpose.errors import ConfigError, DataError
 
 from oracles import random_stream, tore_brute_force
 
@@ -269,6 +270,96 @@ class TestFilterCommand:
         # scores default to 1.0, so beta=1 still reuses: plan masks line up
         # with the externally supplied stack
         assert np.array_equal(used, masks)
+
+
+class TestFilterStreaming:
+    GEO = ev.SensorGeometry(16, 12)
+
+    def _events(self, tmp_path, rng):
+        stream = random_stream(rng, self.GEO, 3000, duration_us=99_999)
+        path = tmp_path / "events.evt1"
+        ev.write_stream(path, stream)
+        return stream, path
+
+    def _sparse_davis_peak(self, tmp_path, rng, windows):
+        n = 40 * windows
+        t = np.sort(rng.integers(0, windows * 20_000, n)).astype(np.uint64)
+        t[-1] = windows * 20_000 - 1
+        stream = ev.EventStream.from_arrays(
+            ev.DAVIS346, t, rng.integers(0, 346, n), rng.integers(0, 260, n),
+            rng.choice(np.array([-1, 1]), n))
+        path = tmp_path / f"events_{windows}.evt1"
+        ev.write_stream(path, stream)
+        out = tmp_path / f"out_{windows}"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["filter", "--events", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(list(out.glob("masked_*.tore"))) == windows
+        return peak
+
+    def test_peak_memory_flat_in_window_count(self, tmp_path, rng):
+        volume_bytes = 2 * rep.DEFAULT_K * ev.DAVIS346.num_pixels * 4
+        short = self._sparse_davis_peak(tmp_path, rng, 10)
+        long = self._sparse_davis_peak(tmp_path, rng, 40)
+        assert long - short < volume_bytes
+
+    @pytest.mark.parametrize("backend", ["reference", "external"])
+    def test_matches_collect_then_write(self, tmp_path, rng, backend):
+        stream, path = self._events(tmp_path, rng)
+        argv = ["filter", "--events", str(path), "--out", str(tmp_path / "out"),
+                "--window-us", "10000", "--beta", "0.85"]
+        if backend == "external":
+            masks = rng.random((10, 12, 16)) > 0.5
+            scores = rng.random((10, 4))
+            gating.write_masks(tmp_path / "ext.msk1", self.GEO, masks)
+            np.savetxt(tmp_path / "ext.csv", scores, delimiter=",")
+            argv += ["--external-masks", str(tmp_path / "ext.msk1"),
+                     "--external-scores", str(tmp_path / "ext.csv")]
+            ref_backend = gating.ExternalMaskBackend(masks, 10_000, 0, 4, scores)
+        else:
+            ref_backend = gating.ReferenceMaskBackend()
+        assert cli.main(argv) == 0
+
+        volumes = list(rep.window_volumes(stream, rep.DEFAULT_K, rep.DEFAULT_TAU_US,
+                                          10_000, 0))
+        result = gating.schedule_masks(volumes, ref_backend, 0.85)
+        out = tmp_path / "out"
+        assert len(list(out.glob("masked_*.tore"))) == len(volumes) == 10
+        for i, vol in enumerate(volumes):
+            masked = gating.apply_mask(vol, result.masks[i])
+            assert (out / f"masked_{i:05d}.tore").read_bytes() == \
+                rep.serialize_tensor(masked.data)
+        gating.write_schedule_csv(tmp_path / "ref.csv", result.entries)
+        assert (out / "schedule.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (out / "masks.msk1").read_bytes() == \
+            gating.serialize_masks(self.GEO, result.masks)
+
+    def test_empty_stream_writes_no_masks(self, tmp_path):
+        path = tmp_path / "events.evt1"
+        ev.write_stream(path, ev.EventStream.empty(self.GEO))
+        out = tmp_path / "out"
+        assert cli.main(["filter", "--events", str(path), "--out", str(out)]) == 0
+        assert (out / "schedule.csv").read_text() == gating.SCHEDULE_HEADER
+        assert not (out / "masks.msk1").exists()
+        assert list(out.glob("masked_*.tore")) == []
+
+    def test_failure_partway_leaves_no_valid_masks(self, tmp_path, rng, capsys):
+        _, path = self._events(tmp_path, rng)
+        mask_path = tmp_path / "short.msk1"
+        gating.write_masks(mask_path, self.GEO, rng.random((6, 12, 16)) > 0.5)
+        out = tmp_path / "out"
+        rc = cli.main(["filter", "--events", str(path), "--out", str(out),
+                       "--window-us", "10000", "--external-masks", str(mask_path)])
+        assert rc == 3
+        assert "no external mask for window 8" in capsys.readouterr().err
+        # frames 0-7 were written before the backend ran out at frame 8
+        assert len(list(out.glob("masked_*.tore"))) == 8
+        with pytest.raises(DataError):
+            gating.read_masks(out / "masks.msk1")
 
 
 class TestEvalCommand:

@@ -149,6 +149,15 @@ class TestCsv:
         with pytest.raises(BadMagic):
             ev.read_csv(io.StringIO("a,b,c\n"), small_geometry)
 
+    def test_matches_per_event_format(self, small_geometry, rng):
+        s = random_stream(rng, small_geometry, 300, t_start=2**62)
+        buf = io.StringIO()
+        ev.write_csv(buf, s)
+        expect = ev.CSV_HEADER + "\n" + "".join(
+            f"{int(s.t[i])},{int(s.x[i])},{int(s.y[i])},{int(s.p[i])}\n"
+            for i in range(len(s)))
+        assert buf.getvalue() == expect
+
 
 class TestSliceConstantTime:
     def test_example_buckets(self, small_geometry):
@@ -233,6 +242,16 @@ class TestStreamValidation:
         s = ev.EventStream.from_arrays(small_geometry, [1], [0], [0], [1])
         with pytest.raises(ValueError):
             s.t[0] = 5
+
+    def test_caller_arrays_stay_writeable(self, small_geometry):
+        t = np.array([1, 2, 3], dtype=np.uint64)
+        x = np.array([0, 1, 2], dtype=np.uint16)
+        y = np.array([2, 1, 0], dtype=np.uint16)
+        p = np.array([1, -1, 1], dtype=np.int8)
+        s = ev.EventStream.from_arrays(small_geometry, t, x, y, p)
+        for mine, stored in zip((t, x, y, p), (s.t, s.x, s.y, s.p)):
+            assert mine.flags.writeable
+            assert not stored.flags.writeable
 
     def test_bounds_checked_on_construction(self, small_geometry):
         with pytest.raises(OutOfBounds):

@@ -171,6 +171,25 @@ class TestMaterialize:
             rep.decay_value(10, 1)
 
 
+class TestMaterializeBuffers:
+    def test_volumes_do_not_alias(self, small_geometry, rng):
+        state = rep.tore_from_stream(random_stream(rng, small_geometry, 500,
+                                                   duration_us=10_000), k=2, tau_us=TAU)
+        first = state.materialize(10_000)
+        kept = first.data.copy()
+        second = state.materialize(2_000_000)
+        assert np.array_equal(first.data, kept)
+        assert not np.array_equal(second.data, kept)
+        assert not np.shares_memory(first.data, second.data)
+
+    def test_high_timestamps_match_replay(self, small_geometry, rng):
+        s = random_stream(rng, small_geometry, 2000, duration_us=3_000_000, t_start=2**62)
+        state = rep.tore_from_stream(s, k=3, tau_us=TAU)
+        for t_query in (int(s.t[-1]), 2**62 + 4_000_000, 2**62 + 9_000_000):
+            assert np.array_equal(state.materialize(t_query).data,
+                                  tore_brute_force(s, 3, TAU, t_query))
+
+
 class TestStreamingBatchEquivalence:
     def test_bitwise_equal_volumes(self, small_geometry, rng):
         for trial in range(10):
@@ -371,6 +390,12 @@ class TestTensorContainer:
         rep.write_tensor(path, data)
         assert np.array_equal(rep.read_tensor(path), data)
 
+    def test_write_matches_serialize(self, rng, tmp_path):
+        data = rng.random((5, 7, 3)).transpose(2, 0, 1)  # float64, not contiguous
+        path = tmp_path / "t.tore"
+        rep.write_tensor(path, data)
+        assert path.read_bytes() == rep.serialize_tensor(data)
+
     def test_header_contents(self):
         blob = rep.serialize_tensor(np.zeros((2, 3, 4), dtype=np.float32))
         assert blob[:4] == b"TORE"
@@ -384,6 +409,14 @@ class TestTensorContainer:
         blob = rep.serialize_tensor(np.zeros((1, 2, 2), dtype=np.float32))
         with pytest.raises(TruncatedRecord):
             rep.parse_tensor(blob[:-4])
+
+    def test_text_matches_per_value_format(self, rng, tmp_path):
+        data = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        data[0, 0, :4] = [-0.0, 1e-45, 1.0, np.float32(2.0) ** -126]
+        path = tmp_path / "t.txt"
+        rep.write_tensor_text(path, data)
+        expect = "tore-text 3 4 5\n" + "".join(f"{v:.8e}\n" for v in data.reshape(-1))
+        assert path.read_text() == expect
 
     def test_text_round_trip(self, rng, tmp_path):
         data = rng.random((3, 4, 4)).astype(np.float32)
