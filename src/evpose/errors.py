@@ -6,6 +6,8 @@ InvariantError (an internal contract was violated; always a bug). The CLI
 maps these to exit codes 2, 3 and 4 respectively.
 """
 
+from contextlib import contextmanager
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""
@@ -21,6 +23,16 @@ class DataError(ToolkitError):
 
 class InvariantError(ToolkitError):
     """Internal invariant violated; indicates a bug, not bad input."""
+
+
+@contextmanager
+def from_file(path):
+    """Re-raise a DataError from the block as the same type, its message
+    prefixed with the path of the file the data came from."""
+    try:
+        yield
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 # -- event stream / binary format --------------------------------------------

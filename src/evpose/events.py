@@ -30,6 +30,7 @@ from .errors import (
     TruncatedRecord,
     ZeroCount,
     ZeroWindow,
+    from_file,
 )
 
 EVT1_MAGIC = b"EVT1"
@@ -139,12 +140,12 @@ def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> bool:
     if np.any(x >= geometry.width) or np.any(y >= geometry.height):
         bad = int(np.argmax((x >= geometry.width) | (y >= geometry.height)))
         raise OutOfBounds(
-            f"event {bad} at ({int(x[bad])},{int(y[bad])}) outside "
+            f"record {bad} at ({int(x[bad])},{int(y[bad])}) outside "
             f"{geometry.width}x{geometry.height}"
         )
     if not np.all((p == 1) | (p == -1)):
         bad = int(np.argmax((p != 1) & (p != -1)))
-        raise OutOfBounds(f"event {bad} has polarity {int(p[bad])}, expected +1/-1")
+        raise OutOfBounds(f"record {bad} has polarity {int(p[bad])}, expected +1/-1")
     regressed = t[1:] < t[:-1]
     if not np.any(regressed):
         return True
@@ -198,7 +199,9 @@ def serialize_stream(s: EventStream) -> bytes:
 
 def read_stream(path) -> EventStream:
     with open(path, "rb") as f:
-        return parse_stream(f.read())
+        blob = f.read()
+    with from_file(path):
+        return parse_stream(blob)
 
 
 def write_stream(path, s: EventStream) -> None:

@@ -32,6 +32,7 @@ from .errors import (
     GeometryMismatch,
     ProbabilityOutOfRange,
     TruncatedRecord,
+    from_file,
 )
 from .events import SensorGeometry
 from .representations import ToreVolume
@@ -360,7 +361,9 @@ def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:
 
 def read_masks(path) -> tuple[SensorGeometry, np.ndarray]:
     with open(path, "rb") as f:
-        return parse_masks(f.read())
+        blob = f.read()
+    with from_file(path):
+        return parse_masks(blob)
 
 
 class MaskStackWriter:

@@ -51,6 +51,10 @@ DEFAULT_VOXEL_BINS = 4
 # for it: the FIFO refuses events that carry it.
 EMPTY_SLOT = 2**64 - 1
 
+# Most events `ToreState.ingest_stream` sorts at once; it bounds the
+# composite sort key (see `_push_sorted`).
+INGEST_PIECE_EVENTS = 2**20
+
 _POL_INDEX = {1: 0, -1: 1}
 
 
@@ -85,11 +89,6 @@ class ToreState:
     uint64 in the volume's own layout, shape (2K, H, W): channel p*K + slot
     holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp.
     Slots that were never filled hold EMPTY_SLOT.
-
-    `materialize` works in scratch buffers the state owns (allocated at the
-    first call and reused after), so it must not be called concurrently on
-    one state. The volumes it returns are fresh arrays and never share
-    memory with the state or with each other.
     """
 
     geometry: SensorGeometry
@@ -97,8 +96,6 @@ class ToreState:
     tau_us: int = DEFAULT_TAU_US
     fifo: np.ndarray = field(default=None, repr=False)
     last_t: int = 0
-    _age: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _empty: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k <= 0:
@@ -133,8 +130,10 @@ class ToreState:
     def ingest_stream(self, s: EventStream) -> "ToreState":
         """Bulk ingest of a whole stream; equivalent to per-event ingest.
 
-        Runs in O(N log N): a stable sort groups events by pixel and
-        polarity while preserving time order, then each FIFO slot takes
+        Runs in O(N log N) over consecutive pieces of at most
+        INGEST_PIECE_EVENTS events. Within a piece of n events, one sort of
+        the unique key `(polarity, pixel) * n + arrival index` groups events
+        by pixel and polarity in time order; then each FIFO slot takes
         either one of its group's newest <=K timestamps or the entry that
         these push down from an older slot.
         """
@@ -148,43 +147,52 @@ class ToreState:
                 f"stream starts at {int(s.t[0])}us, before latest {self.last_t}us")
         if s.t[-1] == EMPTY_SLOT:
             raise OutOfBounds(f"timestamp {int(s.t[-1])}us is reserved for empty FIFO slots")
-        hw = self.geometry.num_pixels
-        pol_idx = (s.p < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
-        keys = pol_idx * hw + s.y.astype(np.int64) * self.geometry.width + s.x
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        st = s.t[order]
-        group_end = np.nonzero(np.concatenate((skeys[1:] != skeys[:-1], [True])))[0]
-        group_keys = skeys[group_end]
-        counts = np.diff(group_end, prepend=-1)
-
-        fifo = self.fifo.reshape(2, self.k, hw)
-        pol, pix = np.divmod(group_keys, hw)
-        # oldest slot first, so every entry is read before it is overwritten
-        for slot in range(self.k - 1, -1, -1):
-            src = slot - counts
-            kept = src >= 0
-            fifo[pol[kept], slot, pix[kept]] = fifo[pol[kept], src[kept], pix[kept]]
-            fifo[pol[~kept], slot, pix[~kept]] = st[group_end[~kept] - slot]
+        for i0 in range(0, n, INGEST_PIECE_EVENTS):
+            i1 = i0 + INGEST_PIECE_EVENTS
+            self._push_sorted(s.t[i0:i1], s.x[i0:i1], s.y[i0:i1], s.p[i0:i1])
         self.last_t = int(s.t[-1])
         return self
 
+    def _push_sorted(self, t, x, y, p) -> None:
+        """Push time-sorted, validated event columns into the FIFO."""
+        n = len(t)
+        hw = self.geometry.num_pixels
+        keys = (p < 0).astype(np.int64) * hw + y.astype(np.int64) * self.geometry.width + x
+        # keys * n + index < 2 * hw * n <= 2 * 65535^2 * 2^20 < 2^53: no int64 wrap
+        comp = np.sort(keys * n + np.arange(n))
+        skeys, order = np.divmod(comp, n)
+        st = t[order]
+        group_end = np.nonzero(np.concatenate((skeys[1:] != skeys[:-1], [True])))[0]
+        counts = np.diff(group_end, prepend=-1)
+
+        fifo = self.fifo.reshape(-1)
+        pol, pix = np.divmod(skeys[group_end], hw)
+        base = pol * (self.k * hw) + pix  # flat index of each group's slot 0
+        # oldest slot first, so every entry is read before it is overwritten
+        for slot in range(self.k - 1, -1, -1):
+            src = slot - counts
+            old = fifo[base + np.maximum(src, 0) * hw]
+            new = st[np.maximum(group_end - slot, 0)]
+            fifo[base + slot * hw] = np.where(src >= 0, old, new)
+
     def materialize(self, t_query: int) -> "ToreVolume":
-        """Dense 2K-channel volume of decay values at t_query."""
+        """Dense 2K-channel volume of decay values at t_query.
+
+        Only filled slots are computed; empty ones stay exactly 0. Reads
+        the state without changing it; the volume is a fresh array.
+        """
         if t_query < self.last_t:
             raise TimeRegression(
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
-        if self._age is None:
-            self._age = np.empty(self.fifo.shape, dtype=np.float64)
-            self._empty = np.empty(self.fifo.shape, dtype=bool)
-        # ages are exact in the uint64 subtraction and rounded once into
-        # float64; empty slots wrap there and are overwritten with inf
-        np.subtract(np.uint64(t_query), self.fifo, out=self._age, casting="unsafe")
-        np.equal(self.fifo, EMPTY_SLOT, out=self._empty)
-        np.copyto(self._age, np.inf, where=self._empty)
-        return ToreVolume(geometry=self.geometry,
-                          data=_decay(self._age, self.tau_us).astype(np.float32),
-                          query_time_us=int(t_query))
+        out = np.zeros(self.fifo.shape, dtype=np.float32)
+        # one channel at a time keeps the float64 temporaries small
+        for stamps, values in zip(self.fifo.reshape(self.num_channels, -1),
+                                  out.reshape(self.num_channels, -1)):
+            live = np.flatnonzero(stamps != EMPTY_SLOT)
+            # ages are exact in the uint64 subtraction and rounded once into float64
+            age = (np.uint64(t_query) - stamps[live]).astype(np.float64)
+            values[live] = _decay(age, self.tau_us)
+        return ToreVolume(geometry=self.geometry, data=out, query_time_us=int(t_query))
 
 
 def tore_from_stream(s: EventStream, k: int = DEFAULT_K,

@@ -37,7 +37,8 @@ def tore_brute_force(stream, k, tau_us, t_query):
     h, w = stream.geometry.height, stream.geometry.width
     vol = np.zeros((2 * k, h, w), dtype=np.float32)
     if stamps:
-        delta = (t_query - np.asarray(stamps, dtype=np.int64)).astype(np.float64)
+        # exact integer ages over the whole u64 range, each rounded once
+        delta = np.array([float(t_query - t) for t in stamps], dtype=np.float64)
         np.maximum(delta, 1.0, out=delta)
         value = np.clip(1.0 - np.log(delta) / math.log(tau_us), 0.0, 0.7) / 0.7
         vol[chans, rows, cols] = value.astype(np.float32)

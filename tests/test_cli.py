@@ -473,3 +473,33 @@ class TestExitCodes:
         missing = tmp_path / "missing.evt1"
         assert cli.main(["tore", "--events", str(missing),
                          "--out", str(tmp_path / "o")]) == 3
+
+    def test_truncated_file_names_path(self, tmp_path, small_geometry, rng, capsys):
+        path = tmp_path / "cut.evt1"
+        path.write_bytes(ev.serialize_stream(random_stream(rng, small_geometry, 10))[:-5])
+        assert cli.main(["tore", "--events", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "payload" in err
+
+    def test_out_of_bounds_event_names_path_and_record(self, tmp_path, small_geometry,
+                                                       rng, capsys):
+        blob = bytearray(ev.serialize_stream(random_stream(rng, small_geometry, 10)))
+        records = np.frombuffer(blob, dtype=ev.RECORD_DTYPE, offset=ev.HEADER_SIZE)
+        records["x"][7] = small_geometry.width
+        path = tmp_path / "oob.evt1"
+        path.write_bytes(bytes(blob))
+        assert cli.main(["tore", "--events", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "record 7 " in err
+
+    def test_truncated_masks_name_path(self, tmp_path, small_geometry, rng, capsys):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        mask_path = tmp_path / "cut.msk1"
+        mask_path.write_bytes(gating.serialize_masks(
+            small_geometry, np.ones((3, small_geometry.height, small_geometry.width),
+                                    dtype=bool))[:-1])
+        assert cli.main(["filter", "--events", str(events_path), "--out", str(tmp_path / "o"),
+                         "--external-masks", str(mask_path)]) == 3
+        err = capsys.readouterr().err
+        assert str(mask_path) in err and "mask payload" in err

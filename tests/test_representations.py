@@ -190,6 +190,59 @@ class TestMaterializeBuffers:
                                   tore_brute_force(s, 3, TAU, t_query))
 
 
+def full_stream(geometry, k, t_start=0):
+    """K events at every pixel and polarity, so every FIFO slot fills."""
+    hw = geometry.num_pixels
+    pol, pix = np.divmod(np.tile(np.arange(2 * hw), k), hw)
+    t = np.uint64(t_start) + np.arange(pol.size, dtype=np.uint64) * np.uint64(7)
+    return EventStream.from_arrays(geometry, t, pix % geometry.width, pix // geometry.width,
+                                   np.where(pol == 0, 1, -1))
+
+
+# name -> (K, stream, bounds on the share of filled FIFO slots)
+SPARSITY_CASES = {
+    "empty": lambda g, rng: (4, random_stream(rng, g, 0), (0.0, 0.0)),
+    "fill_5pct": lambda g, rng: (2, random_stream(rng, g, 160), (0.03, 0.07)),
+    "fill_full": lambda g, rng: (3, full_stream(g, 3), (1.0, 1.0)),
+    "k1": lambda g, rng: (1, random_stream(rng, g, 3000), (0.0, 1.0)),
+    "k300": lambda g, rng: (300, random_stream(rng, g, 20_000), (0.0, 1.0)),
+    "t_from_2^62": lambda g, rng: (4, random_stream(rng, g, 5000, duration_us=3_000_000,
+                                                    t_start=2**62), (0.0, 1.0)),
+    "full_from_2^63": lambda g, rng: (2, full_stream(g, 2, t_start=2**63 + 5), (1.0, 1.0)),
+}
+
+
+class TestMaterializeSparsity:
+    @pytest.mark.parametrize("case", list(SPARSITY_CASES))
+    def test_bitwise_brute_force_and_state_untouched(self, small_geometry, rng, case):
+        k, s, (lo, hi) = SPARSITY_CASES[case](small_geometry, rng)
+        state = rep.tore_from_stream(s, k=k, tau_us=TAU)
+        assert lo <= np.mean(state.fifo != rep.EMPTY_SLOT) <= hi
+        fifo, last_t = state.fifo.tobytes(), state.last_t
+        for t_query in (last_t, last_t + 3_000_000, 2**64 - 1):
+            vol = state.materialize(t_query)
+            assert vol.data.tobytes() == tore_brute_force(s, k, TAU, t_query).tobytes()
+        assert state.fifo.tobytes() == fifo
+        assert state.last_t == last_t
+
+
+class TestIngestPieces:
+    def test_stream_past_one_piece(self, small_geometry, rng):
+        n = rep.INGEST_PIECE_EVENTS + 5000
+        s = random_stream(rng, small_geometry, n)  # ~680 events per pixel and polarity
+        whole = rep.tore_from_stream(s, k=4, tau_us=TAU)
+        t_query = int(s.t[-1]) + 1000
+        assert (whole.materialize(t_query).data.tobytes()
+                == tore_brute_force(s, 4, TAU, t_query).tobytes())
+        split = rep.ToreState(geometry=small_geometry, k=4, tau_us=TAU)
+        cuts = (0, 300_000, rep.INGEST_PIECE_EVENTS + 10, n)
+        for i0, i1 in zip(cuts[:-1], cuts[1:]):
+            split.ingest_stream(EventStream(s.geometry, s.t[i0:i1], s.x[i0:i1],
+                                            s.y[i0:i1], s.p[i0:i1]))
+        assert np.array_equal(split.fifo, whole.fifo)
+        assert split.last_t == whole.last_t
+
+
 class TestStreamingBatchEquivalence:
     def test_bitwise_equal_volumes(self, small_geometry, rng):
         for trial in range(10):
