@@ -12,7 +12,12 @@ every frame.
 The trained predictor itself is a pluggable backend. A deterministic
 reference backend (activity percentile, morphological closing, largest
 connected component, dilated future masks with decaying scores) stands
-in so the pipeline runs end to end without a network.
+in so the pipeline runs end to end without a network. Its image kernels
+are numpy only: `_dilate` and `_erode` are 3x3 shifted ORs and ANDs on a
+zero-padded mask, and `_largest_component` is a run-based labeling in
+the spirit of He, Chao and Suzuki, "A run-based two-scan labeling
+algorithm" (IEEE TIP 2008), with the run equivalences resolved by
+vectorised root hooking and pointer jumping.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     BadMagic,
@@ -221,16 +225,69 @@ class ReferenceBackendParams:
             raise ConfigError("score parameters out of range")
 
 
-_CONN8 = np.ones((3, 3), dtype=bool)
+# 3x3 morphology as shifted ORs / ANDs of a zero-padded mask, separable into
+# a row pass and a column pass; fewer than one iteration returns the mask.
+
+def _dilate(mask: np.ndarray, iterations: int) -> np.ndarray:
+    """3x3 binary dilation repeated `iterations` times; outside pixels are 0."""
+    for _ in range(iterations):
+        p = np.pad(mask, 1)
+        rows = p[:, :-2] | p[:, 1:-1] | p[:, 2:]
+        mask = rows[:-2] | rows[1:-1] | rows[2:]
+    return mask
+
+
+def _erode(mask: np.ndarray, iterations: int) -> np.ndarray:
+    """3x3 binary erosion repeated `iterations` times; outside pixels are 0,
+    so every step clears the image border."""
+    for _ in range(iterations):
+        p = np.pad(mask, 1)
+        rows = p[:, :-2] & p[:, 1:-1] & p[:, 2:]
+        mask = rows[:-2] & rows[1:-1] & rows[2:]
+    return mask
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
-    labels, n = ndimage.label(mask, structure=_CONN8)
-    if n == 0:
-        return np.zeros_like(mask)
-    sizes = ndimage.sum_labels(np.ones_like(mask, dtype=np.int64), labels,
-                               index=np.arange(1, n + 1))
-    return labels == (1 + int(np.argmax(sizes)))
+    """Largest 8-connected component of a 2-D bool mask.
+
+    Run-based labeling: each row's runs of set pixels are nodes, runs in
+    adjacent rows that touch (diagonally included) are edges, and a
+    union-find over the runs hooks every root to the smallest root among
+    its neighbours, then jumps pointers until each run points at its
+    component's first run in raster order. On a size tie the component
+    whose first pixel comes first in raster order wins.
+    """
+    h, w = mask.shape
+    stride = w + 1  # a zero column starts every row, so no run crosses rows
+    flat = np.zeros(h * stride + 1, dtype=bool)
+    flat[:-1].reshape(h, stride)[:, 1:] = mask
+    starts = np.flatnonzero(flat[1:] > flat[:-1]) + 1
+    ends = np.flatnonzero(flat[1:] < flat[:-1]) + 1  # exclusive
+    if starts.size == 0:
+        return np.zeros((h, w), dtype=bool)
+    # runs of the row above that touch run i: columns overlap once widened by 1
+    lo = np.searchsorted(ends, starts - stride, side="left")
+    hi = np.searchsorted(starts, ends - stride, side="right")
+    counts = hi - lo
+    below = np.repeat(np.arange(starts.size), counts)
+    above = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(below.size)
+    parent = np.arange(starts.size)
+    while above.size:
+        ra, rb = parent[above], parent[below]
+        split = ra != rb
+        above, below, ra, rb = above[split], below[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    sizes = np.bincount(parent, weights=ends - starts, minlength=starts.size)
+    keep = parent == int(np.argmax(sizes))
+    marks = np.zeros(h * stride + 1, dtype=np.int8)
+    marks[starts[keep]] = 1
+    marks[ends[keep]] = -1
+    return np.cumsum(marks, dtype=np.int8).view(bool)[:-1].reshape(h, stride)[:, 1:].copy()
 
 
 class ReferenceMaskBackend:
@@ -255,19 +312,12 @@ class ReferenceMaskBackend:
         p = self.params
         activity = vol.data.max(axis=0)
         threshold = float(np.percentile(activity, p.activity_percentile))
-        fg = activity > threshold
-        if p.closing_iterations > 0 and fg.any():
-            fg = ndimage.binary_closing(fg, structure=_CONN8,
-                                        iterations=p.closing_iterations)
-        fg = _largest_component(fg)
+        closing = p.closing_iterations
+        fg = _largest_component(_erode(_dilate(activity > threshold, closing), closing))
         masks = np.empty((p.horizon,) + fg.shape, dtype=bool)
         masks[0] = fg
         for k in range(1, p.horizon):
-            grown = masks[k - 1]
-            if p.dilation_iterations > 0 and grown.any():
-                grown = ndimage.binary_dilation(grown, structure=_CONN8,
-                                                iterations=p.dilation_iterations)
-            masks[k] = grown
+            masks[k] = _dilate(masks[k - 1], p.dilation_iterations)
         if fg.any():
             scores = np.maximum(p.score_floor,
                                 1.0 - p.score_decay * np.arange(p.horizon))

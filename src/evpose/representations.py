@@ -94,7 +94,7 @@ class ToreState:
     geometry: SensorGeometry
     k: int = DEFAULT_K
     tau_us: int = DEFAULT_TAU_US
-    fifo: np.ndarray = field(default=None, repr=False)
+    fifo: np.ndarray = field(init=False, repr=False)
     last_t: int = 0
 
     def __post_init__(self):
@@ -102,9 +102,8 @@ class ToreState:
             raise InvalidTau(f"K must be positive, got {self.k}")
         if self.tau_us <= 1:
             raise InvalidTau(f"tau_us must exceed 1us, got {self.tau_us}")
-        if self.fifo is None:
-            self.fifo = np.full((2 * self.k, self.geometry.height, self.geometry.width),
-                                EMPTY_SLOT, dtype=np.uint64)
+        self.fifo = np.full((2 * self.k, self.geometry.height, self.geometry.width),
+                            EMPTY_SLOT, dtype=np.uint64)
 
     @property
     def num_channels(self) -> int:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written along a different path than the
 library: per-pixel Python replay instead of vectorized grouping, direct
-summation instead of algebraic shortcuts, breadth-first search instead
-of scipy labeling. Slow but obviously correct.
+summation instead of algebraic shortcuts, per-pixel neighbourhood loops
+instead of shifted-array morphology, breadth-first search instead of
+run-based labeling. Slow but obviously correct.
 """
 
 import math
@@ -83,8 +84,39 @@ def mse_direct(a, b):
     return sum((ai - bi) ** 2 for ai, bi in zip(a, b)) / len(a)
 
 
+def _morph3x3_direct(mask, iterations, combine):
+    """Per-pixel 3x3 neighbourhood reduction, repeated; outside pixels are 0."""
+    out = np.asarray(mask).astype(bool)
+    h, w = out.shape
+    for _ in range(iterations):
+        prev = out
+        out = np.zeros_like(prev)
+        for y in range(h):
+            for x in range(w):
+                out[y, x] = combine(
+                    bool(prev[y + dy, x + dx]) if 0 <= y + dy < h and 0 <= x + dx < w else False
+                    for dy in (-1, 0, 1) for dx in (-1, 0, 1))
+    return out
+
+
+def dilate3x3_direct(mask, iterations=1):
+    """Binary dilation by the full 3x3 square, `iterations` times."""
+    return _morph3x3_direct(mask, iterations, any)
+
+
+def erode3x3_direct(mask, iterations=1):
+    """Binary erosion by the full 3x3 square, `iterations` times; pixels
+    beyond the image count as 0, so the border always erodes."""
+    return _morph3x3_direct(mask, iterations, all)
+
+
 def connected_components(mask):
-    """8-connected components by BFS; list of pixel sets, largest first."""
+    """8-connected components by BFS; list of pixel sets, largest first.
+
+    Components are found in raster order of their first pixel and the
+    sort is stable, so among equal sizes the one first in raster order
+    comes first.
+    """
     mask = np.asarray(mask).astype(bool)
     seen = np.zeros_like(mask)
     comps = []

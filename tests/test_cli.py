@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,20 @@ def write_frame_dir(path, frames, fps, fmt="f32"):
             sim.write_pgm(path / f"{i:04d}.pgm", frame)
     (path / "manifest.json").write_text(json.dumps(
         {"fps": fps, "width": w, "height": h, "format": fmt}))
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # a fresh interpreter, so modules the test session loaded do not count
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, evpose.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestConfigFormat:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import gating
 from evpose.errors import (
@@ -14,7 +16,7 @@ from evpose.errors import (
 from evpose.events import SensorGeometry
 from evpose.representations import ToreVolume
 
-from oracles import connected_components
+from oracles import connected_components, dilate3x3_direct, erode3x3_direct
 
 GEO = SensorGeometry(width=20, height=14)
 
@@ -275,6 +277,119 @@ class TestReferenceBackend:
         b = gating.reference_mask_backend(vol)
         assert np.array_equal(a.masks, b.masks)
         assert np.array_equal(a.scores, b.scores)
+
+
+@st.composite
+def bool_masks(draw, max_side=12):
+    """Bool masks: 1xW and Hx1 strips, all-false, all-true, random
+    densities and rectangles that may touch or cross the border."""
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    kind = draw(st.sampled_from(["empty", "full", "random", "blobs"]))
+    if kind == "empty":
+        return np.zeros((h, w), dtype=bool)
+    if kind == "full":
+        return np.ones((h, w), dtype=bool)
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+        return np.array(bits, dtype=bool).reshape(h, w)
+    m = np.zeros((h, w), dtype=bool)
+    for _ in range(draw(st.integers(1, 4))):
+        y0, x0 = draw(st.integers(-2, h - 1)), draw(st.integers(-2, w - 1))
+        y1, x1 = y0 + draw(st.integers(1, 5)), x0 + draw(st.integers(1, 5))
+        m[max(y0, 0):y1, max(x0, 0):x1] = True
+    return m
+
+
+def largest_by_bfs(mask):
+    comps = connected_components(mask)
+    out = np.zeros(mask.shape, dtype=bool)
+    if comps:
+        ys, xs = zip(*comps[0])
+        out[list(ys), list(xs)] = True
+    return out
+
+
+class TestMaskKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(bool_masks(), st.integers(0, 3))
+    def test_dilate_matches_oracle(self, mask, iterations):
+        before = mask.copy()
+        out = gating._dilate(mask, iterations)
+        assert out.dtype == bool and out.shape == mask.shape
+        assert np.array_equal(out, dilate3x3_direct(mask, iterations))
+        assert np.array_equal(mask, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bool_masks(), st.integers(0, 3))
+    def test_erode_matches_oracle(self, mask, iterations):
+        before = mask.copy()
+        out = gating._erode(mask, iterations)
+        assert out.dtype == bool and out.shape == mask.shape
+        assert np.array_equal(out, erode3x3_direct(mask, iterations))
+        assert np.array_equal(mask, before)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bool_masks(max_side=16))
+    def test_largest_component_matches_bfs(self, mask):
+        before = mask.copy()
+        out = gating._largest_component(mask)
+        assert out.dtype == bool and out.shape == mask.shape
+        assert np.array_equal(out, largest_by_bfs(mask))
+        assert np.array_equal(mask, before)
+
+    def test_diagonal_touch_joins_components(self):
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[0, 0] = mask[1, 1] = mask[2, 2] = True  # one diagonal, size 3
+        mask[4, 0] = mask[4, 1] = True                 # size 2
+        assert np.array_equal(gating._largest_component(mask), largest_by_bfs(mask))
+        assert gating._largest_component(mask).sum() == 3
+
+    @pytest.mark.parametrize("first,second", [
+        # first pixel earlier in the same row
+        ([(1, 1), (1, 2), (2, 1)], [(1, 5), (2, 5), (2, 6)]),
+        # first pixel in an earlier row but a later column
+        ([(0, 7), (1, 7), (1, 6)], [(2, 0), (3, 0), (3, 1)]),
+        # the later component reaches further up-left after its first pixel
+        ([(2, 3), (2, 4), (3, 4)], [(3, 1), (4, 0), (5, 0)]),
+    ])
+    def test_tie_goes_to_first_in_raster_order(self, first, second):
+        mask = np.zeros((7, 9), dtype=bool)
+        for y, x in first + second:
+            mask[y, x] = True
+        assert len(connected_components(mask)) == 2
+        expected = np.zeros_like(mask)
+        for y, x in first:
+            expected[y, x] = True
+        assert np.array_equal(gating._largest_component(mask), expected)
+        # the same holds through the backend's first mask
+        plan = gating.ReferenceMaskBackend(gating.ReferenceBackendParams(
+            activity_percentile=0.0, closing_iterations=0)).predict(
+                volume_from(mask[None].astype(np.float32),
+                            geometry=SensorGeometry(width=9, height=7)))
+        assert np.array_equal(plan.masks[0], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_predict_matches_oracle_pipeline(self, data):
+        h, w = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+        params = gating.ReferenceBackendParams(
+            horizon=data.draw(st.integers(1, 4)),
+            activity_percentile=data.draw(st.sampled_from([0.0, 50.0, 80.0, 95.0])),
+            closing_iterations=data.draw(st.integers(0, 2)),
+            dilation_iterations=data.draw(st.integers(0, 2)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).random((2, h, w)).astype(np.float32)
+        plan = gating.ReferenceMaskBackend(params).predict(
+            volume_from(values, geometry=SensorGeometry(width=w, height=h)))
+        activity = values.max(axis=0)
+        fg = activity > float(np.percentile(activity, params.activity_percentile))
+        fg = erode3x3_direct(dilate3x3_direct(fg, params.closing_iterations),
+                             params.closing_iterations)
+        expected = [largest_by_bfs(fg)]
+        for _ in range(1, params.horizon):
+            expected.append(dilate3x3_direct(expected[-1], params.dilation_iterations))
+        assert np.array_equal(plan.masks, np.stack(expected))
 
 
 class TestMaskStackIO:

@@ -170,6 +170,15 @@ class TestMaterialize:
         with pytest.raises(InvalidTau):
             rep.decay_value(10, 1)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fifo_not_accepted(self, small_geometry, order):
+        # the state owns its FIFO; a caller's array could have another
+        # layout and silently lose writes made through reshape(-1)
+        fifo = np.full((8, small_geometry.height, small_geometry.width),
+                       rep.EMPTY_SLOT, dtype=np.uint64, order=order)
+        with pytest.raises(TypeError):
+            rep.ToreState(small_geometry, fifo=fifo)
+
 
 class TestMaterializeBuffers:
     def test_volumes_do_not_alias(self, small_geometry, rng):
