@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera, DataError, InvalidDepth
+from .errors import BehindCamera, DataError, InvalidDepth, from_file
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,9 @@ def save_camera(path, cam: CameraModel) -> None:
 
 
 def load_camera(path) -> CameraModel:
-    vals = []
-    with open(path) as f:
-        for line in f:
-            vals.extend(float(v) for v in line.split())
-    if len(vals) != 21:
-        raise DataError(f"camera file must hold 9 + 12 floats, got {len(vals)}")
-    a = np.asarray(vals, dtype=np.float64)
-    return CameraModel(intrinsic=a[:9].reshape(3, 3), extrinsic=a[9:].reshape(3, 4))
+    with open(path) as f, from_file(path):
+        vals = [float(v) for line in f for v in line.split()]
+        if len(vals) != 21:
+            raise DataError(f"camera file must hold 9 + 12 floats, got {len(vals)}")
+        a = np.asarray(vals, dtype=np.float64)
+        return CameraModel(intrinsic=a[:9].reshape(3, 3), extrinsic=a[9:].reshape(3, 4))

@@ -26,7 +26,7 @@ from . import gating
 from . import metrics as met
 from . import representations as rep
 from . import simulator as sim
-from .errors import ConfigError, DataError, ToolkitError
+from .errors import ConfigError, DataError, ToolkitError, from_file
 
 
 # -- config file: `key = value` lines, strings quoted, # comments ----------------
@@ -265,7 +265,8 @@ def cmd_filter(args) -> int:
         _, masks = gating.read_masks(config["external_masks"])
         scores = None
         if "external_scores" in config:
-            scores = np.loadtxt(config["external_scores"], delimiter=",", ndmin=2)
+            with from_file(config["external_scores"]):
+                scores = np.loadtxt(config["external_scores"], delimiter=",", ndmin=2)
         backend = gating.ExternalMaskBackend(masks, config["window_us"],
                                              config["origin_us"], config["horizon"], scores)
     else:

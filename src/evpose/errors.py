@@ -27,12 +27,15 @@ class InvariantError(ToolkitError):
 
 @contextmanager
 def from_file(path):
-    """Re-raise a DataError from the block as the same type, its message
-    prefixed with the path of the file the data came from."""
+    """Re-raise a DataError from the block as the same type, and a
+    ValueError (malformed text, JSON or number) as a DataError, the
+    message prefixed with the path of the file the data came from."""
     try:
         yield
     except DataError as e:
         raise type(e)(f"{path}: {e}") from e
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 # -- event stream / binary format --------------------------------------------
@@ -55,6 +58,10 @@ class NonMonotonic(DataError):
 
 class TimeRegression(DataError):
     """Event or query timestamp precedes the latest ingested timestamp."""
+
+
+class WindowLimit(DataError):
+    """Windowing would exceed MAX_WINDOWS or end past the u64 range."""
 
 
 class ZeroWindow(ConfigError):

@@ -28,6 +28,7 @@ from .errors import (
     NonMonotonic,
     OutOfBounds,
     TruncatedRecord,
+    WindowLimit,
     ZeroCount,
     ZeroWindow,
     from_file,
@@ -119,8 +120,16 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
+    def __getitem__(self, i):
+        """Event i, or the sub-stream a step-1 slice selects: valid and sorted
+        like this stream, so it shares its fields and buffers unchecked."""
+        if not isinstance(i, slice):
+            return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
+        if i.step not in (None, 1):
+            raise ValueError(f"stream slices take step 1, got {i.step}")
+        sub = object.__new__(EventStream)
+        sub.__dict__.update(vars(self), **{c: getattr(self, c)[i] for c in "txyp"})
+        return sub
 
     def __iter__(self):
         for i in range(len(self)):
@@ -128,10 +137,8 @@ class EventStream:
 
     def restrict(self, lo: int, hi: int) -> "EventStream":
         """Events with lo <= t < hi, order preserved."""
-        bounds = np.asarray([lo, hi], dtype=np.uint64)
-        i0, i1 = np.searchsorted(self.t, bounds, side="left")
-        return EventStream(self.geometry, self.t[i0:i1], self.x[i0:i1],
-                           self.y[i0:i1], self.p[i0:i1], self.tolerance_us)
+        i0, i1 = np.searchsorted(self.t, np.asarray([lo, hi], dtype=np.uint64), side="left")
+        return self[i0:i1]
 
 
 def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> bool:
@@ -246,35 +253,41 @@ def read_csv(fp, geometry: SensorGeometry) -> EventStream:
 # -- slicing -------------------------------------------------------------------
 
 
-def slice_constant_time(s: EventStream, window_us: int, origin_us: int = 0) -> list[EventStream]:
-    """Partition events into consecutive half-open windows.
+# Most windows one stream may be cut into: 93 h of 20 ms windows.
+MAX_WINDOWS = 2**24
 
-    Window k covers [origin + k*w, origin + (k+1)*w). Events before the
-    origin are dropped. Every window from the origin through the window
-    containing the last event is emitted, including empty ones, so the
-    result is a gap-free partition of [origin, last event].
+
+def iter_windows(s: EventStream, window_us: int, origin_us: int = 0):
+    """Yield (end_us, window) for consecutive half-open windows of s.
+
+    Window k covers [origin + k*w, origin + (k+1)*w) and ends at
+    origin + (k+1)*w. Events before the origin are dropped. Every window
+    from the origin through the one holding the last event is yielded,
+    empty ones included, so the windows partition [origin, last event].
+    The windows are bounded before the first is yielded; each is a view
+    of s, cut by one searchsorted when the consumer asks for it.
     """
-    if window_us <= 0:
-        raise ZeroWindow(f"window_us must be positive, got {window_us}")
-    if origin_us < 0:
-        raise ZeroWindow(f"origin_us must be non-negative, got {origin_us}")
-    if len(s) == 0:
-        return []
-    start = int(np.searchsorted(s.t, np.uint64(origin_us), side="left"))
-    if start == len(s):
-        return []
-    last = int(s.t[-1])
-    n_windows = (last - origin_us) // window_us + 1
-    # uint64 edges keep searchsorted exact over the full timestamp range
-    edges = np.uint64(origin_us) + np.uint64(window_us) * np.arange(1, n_windows, dtype=np.uint64)
-    cuts = np.searchsorted(s.t, edges, side="left")
-    bounds = np.concatenate(([start], cuts, [len(s)]))
-    out = []
-    for k in range(n_windows):
-        i0, i1 = int(bounds[k]), int(bounds[k + 1])
-        out.append(EventStream(s.geometry, s.t[i0:i1], s.x[i0:i1], s.y[i0:i1],
-                               s.p[i0:i1], s.tolerance_us))
-    return out
+    if window_us <= 0 or origin_us < 0:
+        raise ZeroWindow(f"window_us must be positive and origin_us non-negative, "
+                         f"got {window_us} and {origin_us}")
+    if len(s) == 0 or origin_us > int(s.t[-1]):
+        return
+    n_windows = (int(s.t[-1]) - origin_us) // window_us + 1
+    last_end = origin_us + n_windows * window_us
+    if n_windows > MAX_WINDOWS:
+        raise WindowLimit(f"{n_windows} windows of {window_us}us, more than {MAX_WINDOWS}")
+    if last_end >= 2**64:
+        raise WindowLimit(f"last window ends at {last_end}us, past the u64 timestamp range")
+    i0 = int(np.searchsorted(s.t, np.uint64(origin_us), side="left"))
+    for end_us in range(origin_us + window_us, last_end + 1, window_us):
+        i1 = int(np.searchsorted(s.t, np.uint64(end_us), side="left"))
+        yield end_us, s[i0:i1]
+        i0 = i1
+
+
+def slice_constant_time(s: EventStream, window_us: int, origin_us: int = 0) -> list[EventStream]:
+    """The windows of iter_windows as a list."""
+    return [window for _, window in iter_windows(s, window_us, origin_us)]
 
 
 @dataclass(frozen=True)
@@ -288,13 +301,8 @@ def slice_constant_count(s: EventStream, n: int) -> list[CountChunk]:
     is flagged partial. Concatenation of chunks equals the input."""
     if n <= 0:
         raise ZeroCount(f"chunk size must be positive, got {n}")
-    out = []
-    for i0 in range(0, len(s), n):
-        i1 = min(i0 + n, len(s))
-        chunk = EventStream(s.geometry, s.t[i0:i1], s.x[i0:i1], s.y[i0:i1],
-                            s.p[i0:i1], s.tolerance_us)
-        out.append(CountChunk(stream=chunk, partial=(i1 - i0) < n))
-    return out
+    return [CountChunk(stream=s[i0:i0 + n], partial=len(s) - i0 < n)
+            for i0 in range(0, len(s), n)]
 
 
 def concatenate(streams, geometry: SensorGeometry | None = None) -> EventStream:

@@ -23,7 +23,7 @@ vectorised root hooking and pointer jumping.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -50,7 +50,6 @@ class MaskPlan:
 
     masks: np.ndarray = field(repr=False)   # (N, H, W) bool
     scores: np.ndarray = field(repr=False)  # (N,) in [0, 1]
-    issued_at: int = 0
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.masks).astype(bool)
@@ -145,17 +144,17 @@ def iter_schedule(frames: Iterable[ToreVolume], backend: MaskPredictorBackend,
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
     plan: MaskPlan | None = None
+    plan_start = 0  # frame whose volume the backend predicted `plan` from
     for k, vol in enumerate(frames):
-        offset = k - plan.issued_at if plan is not None else None
+        offset = k - plan_start
         reuse = plan is not None and offset < plan.horizon and plan.scores[offset] >= beta
         if not reuse:
-            new_plan = backend.predict(vol)
-            if new_plan is None or new_plan.horizon < 1:
+            plan = backend.predict(vol)
+            if plan is None or plan.horizon < 1:
                 raise EmptyPlan("backend returned an empty plan")
-            if new_plan.masks.shape[1:] != (vol.geometry.height, vol.geometry.width):
+            if plan.masks.shape[1:] != (vol.geometry.height, vol.geometry.width):
                 raise GeometryMismatch("backend plan does not match volume geometry")
-            plan = replace(new_plan, issued_at=k)
-            offset = 0
+            plan_start, offset = k, 0
         entry = ScheduleEntry(frame=k, recompute=not reuse,
                               score_used=float(plan.scores[offset]))
         yield vol, entry, plan.masks[offset]
@@ -323,7 +322,7 @@ class ReferenceMaskBackend:
                                 1.0 - p.score_decay * np.arange(p.horizon))
         else:
             scores = np.full(p.horizon, p.score_floor)
-        return MaskPlan(masks=masks, scores=scores, issued_at=0)
+        return MaskPlan(masks=masks, scores=scores)
 
 
 def reference_mask_backend(vol: ToreVolume,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch
+from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch, from_file
 from .gating import MaskPredictorBackend, schedule_masks
 from .pose_math import Pose3D, read_pose_csv
 from .representations import ToreVolume
@@ -203,16 +203,19 @@ def load_eval_manifest(path) -> list[EvalRecord]:
     "lighting"/"background"/"view": tag}, ...]}; pose paths are relative
     to the manifest."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    if "records" not in doc or not isinstance(doc["records"], list):
-        raise DataError(f"{path}: manifest lacks a records list")
     out = []
-    for i, entry in enumerate(doc["records"]):
-        tags = {a: entry[a] for a in CONDITION_AXES if a in entry}
-        _, pred = read_pose_csv(path.parent / entry["pred"])
-        _, gt = read_pose_csv(path.parent / entry["gt"])
-        out.append(EvalRecord(frame_id=int(entry.get("frame", i)),
-                              pred=pred, gt=gt, tags=tags))
+    with from_file(path):
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
+            raise DataError("manifest lacks a records list")
+        for i, entry in enumerate(doc["records"]):
+            if not isinstance(entry, dict) or not {"pred", "gt"} <= entry.keys():
+                raise DataError(f"record {i} lacks a 'pred' or 'gt' path")
+            tags = {a: entry[a] for a in CONDITION_AXES if a in entry}
+            _, pred = read_pose_csv(path.parent / entry["pred"])
+            _, gt = read_pose_csv(path.parent / entry["gt"])
+            out.append(EvalRecord(frame_id=int(entry.get("frame", i)),
+                                  pred=pred, gt=gt, tags=tags))
     return out
 
 

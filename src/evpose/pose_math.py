@@ -31,6 +31,7 @@ from .errors import (
     NonFinite,
     ProbabilityOutOfRange,
     ZeroMass,
+    from_file,
 )
 
 BCE_CLIP = 1e-7
@@ -339,7 +340,7 @@ def write_pose_csv(path, pose: Pose3D, names: Sequence[str]) -> None:
 
 def read_pose_csv(path, frame: str = "camera") -> tuple[list[str], Pose3D]:
     names, rows = [], []
-    with open(path, newline="") as f:
+    with open(path, newline="") as f, from_file(path):
         r = csv.reader(f)
         header = next(r, None)
         if header != ["joint", "x", "y", "z"]:

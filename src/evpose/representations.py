@@ -40,6 +40,7 @@ from .errors import (
     TruncatedRecord,
     ZeroBins,
     ZeroWindow,
+    from_file,
 )
 from .events import Event, EventStream, SensorGeometry
 
@@ -202,15 +203,12 @@ def tore_from_stream(s: EventStream, k: int = DEFAULT_K,
 
 def window_volumes(s: EventStream, k: int, tau_us: int, window_us: int,
                    origin_us: int = 0):
-    """Yield the volume at the end of each window of slice_constant_time.
-
-    One state ingests the windows in order; window i is materialized at
-    origin_us + (i + 1) * window_us.
-    """
+    """Yield the volume at the end of each window of events.iter_windows;
+    one state ingests the windows in order."""
     state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
-    for i, window in enumerate(events.slice_constant_time(s, window_us, origin_us)):
+    for end_us, window in events.iter_windows(s, window_us, origin_us):
         state.ingest_stream(window)
-        yield state.materialize(origin_us + (i + 1) * window_us)
+        yield state.materialize(end_us)
 
 
 @dataclass(frozen=True)
@@ -372,7 +370,7 @@ def write_tensor(path, data: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, from_file(path):
         return parse_tensor(f.read())
 
 
@@ -388,12 +386,12 @@ def write_tensor_text(path, data: np.ndarray) -> None:
 
 
 def read_tensor_text(path) -> np.ndarray:
-    with open(path, "r") as f:
+    with open(path, "r") as f, from_file(path):
         header = f.readline().split()
         if len(header) != 4 or header[0] != "tore-text":
             raise BadMagic("not a tore-text dump")
         c, h, w = (int(v) for v in header[1:])
         vals = np.array([np.float32(line) for line in f], dtype=np.float32)
-    if vals.size != c * h * w:
-        raise TruncatedRecord(f"expected {c * h * w} values, got {vals.size}")
+        if vals.size != c * h * w:
+            raise TruncatedRecord(f"expected {c * h * w} values, got {vals.size}")
     return vals.reshape(c, h, w)

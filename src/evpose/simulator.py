@@ -38,6 +38,7 @@ from .errors import (
     GeometryMismatch,
     LengthMismatch,
     ZeroMass,
+    from_file,
 )
 from .events import EventStream, SensorGeometry
 from .pose_math import HeatmapTriplet, cell_centers
@@ -356,7 +357,7 @@ def read_skeleton_csv(path, names: Sequence[str] = JOINT_NAMES_13,
     index = {n: i for i, n in enumerate(names)}
     by_t: dict[int, np.ndarray] = {}
     seen: dict[int, set] = {}
-    with open(path) as f:
+    with open(path) as f, from_file(path):
         header = f.readline().strip()
         if header != "t_us,joint_name,x_mm,y_mm,z_mm":
             raise DataError(f"unexpected skeleton CSV header: {header!r}")
@@ -410,11 +411,16 @@ def write_pgm(path, image01: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """8-bit binary PGM to float image in [0, 1]."""
+    """8-bit binary PGM file to float image in [0, 1]."""
     with open(path, "rb") as f:
         blob = f.read()
+    with from_file(path):
+        return parse_pgm(blob)
+
+
+def parse_pgm(blob: bytes) -> np.ndarray:
     if not blob.startswith(b"P5"):
-        raise DataError(f"{path}: not a binary PGM")
+        raise DataError("not a binary PGM")
     fields, pos = [], 2
     while len(fields) < 3:
         while pos < len(blob) and blob[pos : pos + 1].isspace():
@@ -429,7 +435,7 @@ def read_pgm(path) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
-        raise DataError(f"{path}: only maxval 255 is supported")
+        raise DataError("only maxval 255 is supported")
     a = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
     return a.reshape(h, w).astype(np.float64) / 255.0
 
@@ -446,15 +452,16 @@ def _load_images(dirpath: Path, manifest: dict) -> np.ndarray:
         raise DataError(f"no {suffix} files in {dirpath}")
     frames = np.empty((len(files), h, w), dtype=np.float64)
     for i, fp in enumerate(files):
-        if fmt == "pgm":
-            img = read_pgm(fp)
-        else:
-            img = np.fromfile(fp, dtype="<f4").astype(np.float64)
-            if img.size != h * w:
-                raise DataError(f"{fp}: expected {h * w} floats, got {img.size}")
-            img = img.reshape(h, w)
-        if img.shape != (h, w):
-            raise GeometryMismatch(f"{fp}: image is {img.shape}, manifest says {(h, w)}")
+        with from_file(fp):
+            if fmt == "pgm":
+                img = parse_pgm(fp.read_bytes())
+            else:
+                img = np.fromfile(fp, dtype="<f4").astype(np.float64)
+                if img.size != h * w:
+                    raise DataError(f"expected {h * w} floats, got {img.size}")
+                img = img.reshape(h, w)
+            if img.shape != (h, w):
+                raise GeometryMismatch(f"image is {img.shape}, manifest says {(h, w)}")
         frames[i] = img
     return frames
 
@@ -463,10 +470,11 @@ def _read_manifest(dirpath: Path) -> dict:
     mf = dirpath / "manifest.json"
     if not mf.exists():
         raise DataError(f"missing manifest.json in {dirpath}")
-    manifest = json.loads(mf.read_text())
-    for key in ("fps", "width", "height"):
-        if key not in manifest:
-            raise DataError(f"{mf}: manifest lacks {key!r}")
+    with from_file(mf):
+        manifest = json.loads(mf.read_text())
+        for key in ("fps", "width", "height"):
+            if key not in manifest:
+                raise DataError(f"manifest lacks {key!r}")
     return manifest
 
 

@@ -521,3 +521,80 @@ class TestExitCodes:
                          "--external-masks", str(mask_path)]) == 3
         err = capsys.readouterr().err
         assert str(mask_path) in err and "mask payload" in err
+
+    @pytest.mark.parametrize("times, origin", [
+        ([0, 10**12], 0),                       # 5 * 10^7 windows, past MAX_WINDOWS
+        ([2**64 - 30_000, 2**64 - 2], 2**64 - 40_000),  # last window ends at 2^64
+    ])
+    def test_window_bounds_fail_before_any_tensor(self, tmp_path, small_geometry, capsys,
+                                                  times, origin):
+        path = tmp_path / "glitch.evt1"
+        ev.write_stream(path, ev.EventStream.from_arrays(small_geometry, times, [0, 1],
+                                                         [0, 1], [1, -1]))
+        out = tmp_path / "o"
+        assert cli.main(["tore", "--events", str(path), "--out", str(out),
+                         "--origin-us", str(origin)]) == 3
+        assert list(out.glob("*.tore")) == []
+        assert "window" in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    """Each malformed input exits 3 and names its file exactly once."""
+
+    def _run(self, argv, bad, capsys):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count(str(bad)) == 1, err
+
+    def test_external_scores(self, tmp_path, small_geometry, rng, capsys):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        masks = tmp_path / "m.msk1"
+        gating.write_masks(masks, small_geometry,
+                           np.ones((2, small_geometry.height, small_geometry.width), bool))
+        bad = tmp_path / "scores.csv"
+        bad.write_text("1.0,abc\n")
+        self._run(["filter", "--events", str(events_path), "--out", str(tmp_path / "o"),
+                   "--external-masks", str(masks), "--external-scores", str(bad),
+                   "--horizon", "2"], bad, capsys)
+
+    def test_frame_manifest(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30)
+        bad = frames / "manifest.json"
+        bad.write_text("{not json")
+        self._run(["simulate", "--frames", str(frames), "--out", str(tmp_path / "o")],
+                  bad, capsys)
+
+    def test_frame_file(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30, fmt="pgm")
+        bad = frames / "0001.pgm"
+        bad.write_bytes(b"P5\n5 4\n16\n" + bytes(20))
+        self._run(["simulate", "--frames", str(frames), "--out", str(tmp_path / "o")],
+                  bad, capsys)
+
+    def test_eval_record_without_pred(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"records": [{"frame": 0, "gt": "gt0.csv"}]}))
+        self._run(["eval", "--manifest-json", str(bad), "--out", str(tmp_path / "r.csv")],
+                  bad, capsys)
+
+    def _labelled_clip(self, tmp_path, cam_text, skeleton_rows):
+        frames = tmp_path / "frames"
+        write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30)
+        cam = tmp_path / "cam.txt"
+        cam.write_text(cam_text)
+        skeleton = tmp_path / "skeleton.csv"
+        skeleton.write_text("t_us,joint_name,x_mm,y_mm,z_mm\n" + skeleton_rows)
+        return ["simulate", "--frames", str(frames), "--out", str(tmp_path / "o"),
+                "--cam", str(cam), "--skeleton", str(skeleton)], cam, skeleton
+
+    def test_camera_token(self, tmp_path, capsys):
+        argv, cam, _ = self._labelled_clip(tmp_path, "1 0 0\n0 1 0\n0 0 x\n", "")
+        self._run(argv, cam, capsys)
+
+    def test_skeleton_row(self, tmp_path, capsys):
+        cam_text = "1 0 0\n0 1 0\n0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 100\n"
+        argv, _, skeleton = self._labelled_clip(tmp_path, cam_text, "0,head,1,2\n")
+        self._run(argv, skeleton, capsys)

@@ -11,6 +11,7 @@ from evpose.errors import (
     NonMonotonic,
     OutOfBounds,
     TruncatedRecord,
+    WindowLimit,
     ZeroCount,
     ZeroWindow,
 )
@@ -206,6 +207,80 @@ class TestSliceConstantTime:
     def test_zero_window(self, small_geometry):
         with pytest.raises(ZeroWindow):
             ev.slice_constant_time(ev.EventStream.empty(small_geometry), 0)
+
+
+class TestIterWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(n_events=st.integers(0, 300), window=st.integers(1, 40_000),
+           origin=st.integers(0, 120_000), seed=st.integers(0, 2**16))
+    def test_partition_and_end_times(self, n_events, window, origin, seed):
+        geometry = ev.SensorGeometry(8, 8)
+        s = random_stream(np.random.default_rng(seed), geometry, n_events,
+                          duration_us=100_000)
+        pairs = list(ev.iter_windows(s, window, origin))
+        kept = s.t[s.t >= np.uint64(origin)]
+        if kept.size == 0:
+            assert pairs == []
+            return
+        assert len(pairs) == (int(s.t[-1]) - origin) // window + 1
+        assert np.array_equal(np.concatenate([w.t for _, w in pairs]), kept)
+        for k, (end_us, w) in enumerate(pairs):
+            assert end_us == origin + (k + 1) * window
+            assert np.all(w.t >= np.uint64(end_us - window))
+            assert np.all(w.t < np.uint64(end_us))
+
+    def test_windows_are_unchecked_views(self, small_geometry, rng, monkeypatch):
+        calls = []
+        checked = ev.validate_columns
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "validate_columns", counted)
+        s = random_stream(rng, small_geometry, 2000, duration_us=100_000)
+        assert len(calls) == 1
+        windows = [w for _, w in ev.iter_windows(s, 7_000, 0)]
+        windows += [c.stream for c in ev.slice_constant_count(s, 300)]
+        windows.append(s.restrict(10_000, 60_000))
+        assert len(calls) == 1
+        for w in windows:
+            assert w.geometry == s.geometry and w.tolerance_us == s.tolerance_us
+            for name in "txyp":
+                col = getattr(w, name)
+                assert not col.flags.writeable
+                assert len(w) == 0 or np.shares_memory(col, getattr(s, name))
+
+    def test_stream_slices_take_step_one(self, small_geometry, rng):
+        s = random_stream(rng, small_geometry, 10)
+        assert np.array_equal(s[2:7].t, s.t[2:7])
+        with pytest.raises(ValueError):
+            s[::-1]
+
+    def test_gap_within_bound(self, small_geometry):
+        s = ev.EventStream.from_arrays(small_geometry, [0, 10**9], [0, 1], [0, 1], [1, 1])
+        windows = ev.iter_windows(s, 20_000)
+        end_us, first = next(windows)
+        assert (end_us, len(first)) == (20_000, 1)
+        assert sum(1 for _ in windows) == 50_000
+
+    def test_window_count_bounded(self, small_geometry):
+        s = ev.EventStream.from_arrays(small_geometry, [0, 10**12], [0, 1], [0, 1], [1, 1])
+        with pytest.raises(WindowLimit, match="50000001 windows"):
+            next(ev.iter_windows(s, 20_000))
+
+    def test_last_end_within_u64(self, small_geometry):
+        s = ev.EventStream.from_arrays(small_geometry, [2**64 - 30_000, 2**64 - 2],
+                                       [0, 1], [0, 1], [1, 1])
+        with pytest.raises(WindowLimit, match=str(2**64)):
+            next(ev.iter_windows(s, 20_000, 2**64 - 40_000))
+        pairs = list(ev.iter_windows(s, 20_001, 2**64 - 40_003))
+        assert [(end, len(w)) for end, w in pairs] == [(2**64 - 20_002, 1), (2**64 - 1, 1)]
+
+    def test_origin_past_last_event(self, small_geometry):
+        s = ev.EventStream.from_arrays(small_geometry, [5], [0], [0], [1])
+        assert list(ev.iter_windows(s, 10, 6)) == []
+        assert list(ev.iter_windows(s, 10, 2**70)) == []
 
 
 class TestSliceConstantCount:

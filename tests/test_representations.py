@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +280,30 @@ class TestStreamingBatchEquivalence:
         t_query = int(s.t[-1])
         assert np.array_equal(whole.materialize(t_query).data,
                               chunked.materialize(t_query).data)
+
+
+class TestWindowVolumes:
+    def test_each_window_matches_oracle_at_its_end(self, small_geometry, rng):
+        s = random_stream(rng, small_geometry, 3000, duration_us=200_000)
+        window, origin = 17_000, 9_000
+        volumes = list(rep.window_volumes(s, 3, TAU, window, origin))
+        assert len(volumes) == (int(s.t[-1]) - origin) // window + 1
+        for i, vol in enumerate(volumes):
+            end = origin + (i + 1) * window
+            assert vol.query_time_us == end
+            expected = tore_brute_force(s.restrict(origin, end), 3, TAU, end)
+            assert np.array_equal(vol.data, expected)
+
+    def test_first_volume_after_long_gap_is_prompt(self, small_geometry):
+        # 5 * 10^6 windows: within MAX_WINDOWS, so only laziness keeps this fast
+        s = one_pixel_stream(small_geometry, [0, 10, 10**11])
+        volumes = rep.window_volumes(s, 4, TAU, 20_000)
+        start = time.perf_counter()
+        first = next(volumes)
+        assert time.perf_counter() - start < 1.0
+        assert first.query_time_us == 20_000
+        assert np.array_equal(first.data, tore_brute_force(s.restrict(0, 20_000), 4, TAU,
+                                                           20_000))
 
 
 class TestOracleEquivalence:
