@@ -168,10 +168,9 @@ def cmd_simulate(args) -> int:
     frames = sim.load_frame_sequence(config["frames"])
     if ("masks" in config) != ("background" in config):
         raise ConfigError("masks and background must be given together")
-    if "masks" in config:
-        fg_masks = sim.load_mask_sequence(config["masks"])
-        background = sim.load_frame_sequence(config["background"])
-        frames = sim.composite(frames, fg_masks, background)
+    if "masks" in config:  # masks load before the background; neither outlives composite
+        frames = sim.composite(frames, sim.load_mask_sequence(config["masks"]),
+                               sim.load_frame_sequence(config["background"]))
     if config["interpolate"] > 1:
         frames = sim.interpolate_linear(frames, config["interpolate"])
     params = sim.PixelModelParams(
@@ -229,10 +228,10 @@ def cmd_tore(args) -> int:
             rep.write_tensor_text(path.with_suffix(".txt"), vol.data)
         written += 1
     if len(stream) == 0 and config["emit_empty"]:
-        state = rep.ToreState(geometry=stream.geometry, k=config["k"],
-                              tau_us=config["tau_us"])
-        vol = state.materialize(config["origin_us"] + config["window_us"])
-        rep.write_tensor(out_dir / "tore_00000.tore", vol.data)
+        # an empty FIFO materializes to exactly 0 at any query time
+        g = stream.geometry
+        rep.write_tensor(out_dir / "tore_00000.tore",
+                         np.zeros((2 * config["k"], g.height, g.width), np.float32))
         written = 1
     print(f"wrote {written} tensor(s) to {out_dir}")
     _emit_manifest(config, args, out_dir)

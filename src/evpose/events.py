@@ -76,6 +76,25 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_STORED = (("t", np.dtype(np.uint64)), ("x", np.dtype(np.uint16)),
+           ("y", np.dtype(np.uint16)), ("p", np.dtype(np.int8)))
+
+
+def _stored(name: str, a: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Column a in its stored dtype. A column of another dtype must hold
+    only values that dtype represents exactly: no wraparound, no truncation."""
+    if a.dtype == dtype:
+        return a
+    info = np.iinfo(dtype)
+    fits = (a >= info.min) & (a < info.max + 1)
+    if a.dtype.kind == "f":
+        fits &= np.floor(a) == a
+    if not np.all(fits):
+        bad = int(np.argmin(fits))
+        raise OutOfBounds(f"record {bad} has {name} = {a[bad]}, which {dtype} cannot hold")
+    return a.astype(dtype)
+
+
 @dataclass(frozen=True)
 class EventStream:
     """Immutable, time-ordered sequence of events on one sensor.
@@ -99,8 +118,7 @@ class EventStream:
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise TruncatedRecord("column lengths differ")
-        cols = (self.t.astype(np.uint64, copy=False), self.x.astype(np.uint16, copy=False),
-                self.y.astype(np.uint16, copy=False), self.p.astype(np.int8, copy=False))
+        cols = tuple(_stored(name, getattr(self, name), dtype) for name, dtype in _STORED)
         if not validate_columns(self.geometry, *cols, tolerance_us=self.tolerance_us):
             order = np.argsort(cols[0], kind="stable")
             cols = tuple(c[order] for c in cols)

@@ -198,6 +198,17 @@ def interpolate_linear(f: FrameSequence, factor: int) -> FrameSequence:
 # -- event synthesis --------------------------------------------------------------
 
 
+def _expand_counts(counts: np.ndarray):
+    """Flat index of each pixel of a count frame, raster order, repeated once
+    per count, and each repeat's 1-based rank within its pixel."""
+    flat = counts.reshape(-1)
+    pix = np.flatnonzero(flat)
+    reps = flat[pix]
+    starts = np.cumsum(reps) - reps
+    pix_rep = np.repeat(pix, reps)
+    return pix_rep, np.arange(pix_rep.size) - np.repeat(starts, reps) + 1
+
+
 def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
     """Synthesize an event stream from an intensity sequence.
 
@@ -205,80 +216,59 @@ def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
     the number of full threshold crossings of ln(I + eps), residual
     change carried across frames. Timestamps fall inside the inter-frame
     interval where the linearly interpolated log intensity crosses each
-    successive threshold level.
+    successive threshold level. Each interval emits its positive
+    crossings, then its negative crossings, then its noise, each in raster
+    order; the stream is their stable sort by rounded timestamp.
     """
     if len(f) < 2:
         raise EmptySequence(f"need at least 2 frames, got {len(f)}")
     h, w = f.geometry.height, f.geometry.width
-    log_frames = np.log(f.frames + p.eps)
-    ref = log_frames[0].copy()
-    rng = np.random.default_rng(p.seed)
-
     noise_rate = np.zeros((h, w))
     for hx, hy in p.hot_pixels:
         if not (0 <= hx < w and 0 <= hy < h):
             raise ConfigError(f"hot pixel ({hx},{hy}) outside geometry")
         noise_rate[hy, hx] += p.hot_pixel_rate_hz
 
-    ts_parts, x_parts, y_parts, p_parts = [], [], [], []
-
-    def emit(counts, sign, theta, l_prev, l_new, t0, t1):
-        flat = counts.reshape(-1)
-        pix = np.nonzero(flat)[0]
-        if pix.size == 0:
-            return
-        reps = flat[pix]
-        total = int(reps.sum())
-        pix_rep = np.repeat(pix, reps)
-        offsets = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        j = np.arange(total) - np.repeat(offsets, reps) + 1
-        level = ref.reshape(-1)[pix_rep] + sign * j * theta
-        lp = l_prev.reshape(-1)[pix_rep]
-        ln_ = l_new.reshape(-1)[pix_rep]
-        # a still pixel (span 0) that rounding left one threshold off its
-        # reference still crosses; its event falls at t0
-        span = ln_ - lp
-        frac = np.clip(np.divide(level - lp, span, out=np.zeros_like(span), where=span != 0),
-                       0.0, 1.0)
-        ts_parts.append(t0 + frac * (t1 - t0))
-        x_parts.append((pix_rep % w).astype(np.uint16))
-        y_parts.append((pix_rep // w).astype(np.uint16))
-        p_parts.append(np.full(total, sign, dtype=np.int8))
-
+    rng = np.random.default_rng(p.seed)
+    l_prev = np.log(f.frames[0] + p.eps).reshape(-1)
+    ref = l_prev.copy()
+    parts = []  # (t, flat pixel, polarity) per source and interval
     for i in range(len(f) - 1):
-        t0 = f.frame_time_us(i)
-        t1 = f.frame_time_us(i + 1)
-        l_prev, l_new = log_frames[i], log_frames[i + 1]
+        t0, t1 = f.frame_time_us(i), f.frame_time_us(i + 1)
+        l_new = np.log(f.frames[i + 1] + p.eps).reshape(-1)
         d = l_new - ref
         n_pos = np.where(d > 0, np.floor(d / p.theta_pos), 0.0).astype(np.int64)
         n_neg = np.where(d < 0, np.floor(-d / p.theta_neg), 0.0).astype(np.int64)
-        emit(n_pos, +1, p.theta_pos, l_prev, l_new, t0, t1)
-        emit(n_neg, -1, p.theta_neg, l_prev, l_new, t0, t1)
+        for counts, sign, theta in ((n_pos, +1, p.theta_pos), (n_neg, -1, p.theta_neg)):
+            pix, rank = _expand_counts(counts)
+            if pix.size:
+                level = ref[pix] + sign * rank * theta
+                lp = l_prev[pix]
+                # a still pixel (span 0) that rounding left one threshold off
+                # its reference still crosses; its event falls at t0
+                span = l_new[pix] - lp
+                frac = np.clip(np.divide(level - lp, span, out=np.zeros_like(span),
+                                         where=span != 0), 0.0, 1.0)
+                parts.append((t0 + frac * (t1 - t0), pix, np.full(pix.size, sign, np.int8)))
         ref += n_pos * p.theta_pos - n_neg * p.theta_neg
 
         lam = (p.leak_rate_hz + p.shot_noise_scale * (1.0 - f.frames[i]) + noise_rate)
         lam = lam * ((t1 - t0) * 1e-6)
         if np.any(lam > 0):
-            counts = rng.poisson(lam)
-            flat = counts.reshape(-1)
-            pix = np.nonzero(flat)[0]
+            pix, _ = _expand_counts(rng.poisson(lam))
             if pix.size:
-                reps = flat[pix]
-                total = int(reps.sum())
-                pix_rep = np.repeat(pix, reps)
-                ts_parts.append(rng.uniform(t0, t1, total))
-                x_parts.append((pix_rep % w).astype(np.uint16))
-                y_parts.append((pix_rep // w).astype(np.uint16))
-                p_parts.append((rng.integers(0, 2, total) * 2 - 1).astype(np.int8))
+                parts.append((rng.uniform(t0, t1, pix.size), pix,
+                              (rng.integers(0, 2, pix.size) * 2 - 1).astype(np.int8)))
+        l_prev = l_new
 
-    if not ts_parts:
+    if not parts:
         return EventStream.empty(f.geometry)
-    ts = np.rint(np.concatenate(ts_parts)).astype(np.uint64)
-    xs = np.concatenate(x_parts)
-    ys = np.concatenate(y_parts)
-    ps = np.concatenate(p_parts)
+    ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
+    ts = np.rint(ts).astype(np.uint64)
     order = np.argsort(ts, kind="stable")
-    return EventStream(f.geometry, ts[order], xs[order], ys[order], ps[order])
+    pix = pix[order]
+    return EventStream(f.geometry, ts[order], (pix % w).astype(np.uint16),
+                       (pix // w).astype(np.uint16), ps[order])
 
 
 # -- ground-truth labels -----------------------------------------------------------
@@ -440,7 +430,18 @@ def parse_pgm(blob: bytes) -> np.ndarray:
     return a.reshape(h, w).astype(np.float64) / 255.0
 
 
-def _load_images(dirpath: Path, manifest: dict) -> np.ndarray:
+def _read_directory(dirpath):
+    """Geometry, fps and (T, H, W) float images of a frame directory. The
+    manifest is read first, then the images; the geometry is built last."""
+    dirpath = Path(dirpath)
+    mf = dirpath / "manifest.json"
+    if not mf.exists():
+        raise DataError(f"missing manifest.json in {dirpath}")
+    with from_file(mf):
+        manifest = json.loads(mf.read_text())
+        for key in ("fps", "width", "height"):
+            if key not in manifest:
+                raise DataError(f"manifest lacks {key!r}")
     fmt = manifest.get("format", "pgm")
     h, w = manifest["height"], manifest["width"]
     suffix = {"pgm": ".pgm", "f32": ".f32"}.get(fmt)
@@ -463,35 +464,17 @@ def _load_images(dirpath: Path, manifest: dict) -> np.ndarray:
             if img.shape != (h, w):
                 raise GeometryMismatch(f"image is {img.shape}, manifest says {(h, w)}")
         frames[i] = img
-    return frames
-
-
-def _read_manifest(dirpath: Path) -> dict:
-    mf = dirpath / "manifest.json"
-    if not mf.exists():
-        raise DataError(f"missing manifest.json in {dirpath}")
-    with from_file(mf):
-        manifest = json.loads(mf.read_text())
-        for key in ("fps", "width", "height"):
-            if key not in manifest:
-                raise DataError(f"manifest lacks {key!r}")
-    return manifest
+    return SensorGeometry(width=w, height=h), float(manifest["fps"]), frames
 
 
 def load_frame_sequence(dirpath) -> FrameSequence:
     """Directory of numbered grayscale images plus a manifest.json giving
     fps, width, height and optionally format ("pgm" or "f32")."""
-    dirpath = Path(dirpath)
-    manifest = _read_manifest(dirpath)
-    frames = _load_images(dirpath, manifest)
-    geometry = SensorGeometry(width=manifest["width"], height=manifest["height"])
-    return FrameSequence(geometry=geometry, fps=float(manifest["fps"]), frames=frames)
+    geometry, fps, frames = _read_directory(dirpath)
+    return FrameSequence(geometry=geometry, fps=fps, frames=frames)
 
 
 def load_mask_sequence(dirpath) -> MaskSequence:
-    dirpath = Path(dirpath)
-    manifest = _read_manifest(dirpath)
-    frames = _load_images(dirpath, manifest)
-    geometry = SensorGeometry(width=manifest["width"], height=manifest["height"])
-    return MaskSequence(geometry=geometry, fps=float(manifest["fps"]),
-                        masks=frames > 0.5)
+    """Frame directory as masks: pixels above 0.5 are foreground."""
+    geometry, fps, frames = _read_directory(dirpath)
+    return MaskSequence(geometry=geometry, fps=fps, masks=frames > 0.5)

@@ -171,3 +171,60 @@ def random_camera(rng):
     trans = rng.uniform(-500.0, 500.0, size=3)
     extrinsic = np.hstack([rot, trans[:, None]])
     return CameraModel(intrinsic=intrinsic, extrinsic=extrinsic)
+
+
+def frames_to_events_direct(f, p):
+    """Scalar replay of the simulator's pixel model, one pixel at a time.
+
+    Log intensity comes from one np.log over the whole clip. Each interval
+    emits its positive crossings (raster pixel order, then rank), then its
+    negative crossings, then its noise through the same three RNG calls
+    (poisson over the rate frame, uniform, integers); the events are then
+    sorted stably by rounded timestamp.
+    """
+    from evpose.events import EventStream
+
+    h, w = f.geometry.height, f.geometry.width
+    log = np.log(f.frames + p.eps)
+    rng = np.random.default_rng(p.seed)
+    extra = [[0.0] * w for _ in range(h)]
+    for hx, hy in p.hot_pixels:
+        extra[hy][hx] += p.hot_pixel_rate_hz
+    ref = log[0].tolist()
+    events = []  # (t, x, y, polarity)
+    for i in range(len(f) - 1):
+        t0, t1 = round(i * 1e6 / f.fps), round((i + 1) * 1e6 / f.fps)
+        prev, new = log[i].tolist(), log[i + 1].tolist()
+        counts = {}
+        for sign, theta in ((1, p.theta_pos), (-1, p.theta_neg)):
+            for y in range(h):
+                for x in range(w):
+                    d = sign * (new[y][x] - ref[y][x])
+                    n = math.floor(d / theta) if d > 0 else 0
+                    counts[sign, y, x] = n
+                    span = new[y][x] - prev[y][x]
+                    for j in range(1, n + 1):
+                        level = ref[y][x] + sign * j * theta
+                        frac = 0.0 if span == 0 else min(max((level - prev[y][x]) / span, 0.0), 1.0)
+                        events.append((t0 + frac * (t1 - t0), x, y, sign))
+        for y in range(h):
+            for x in range(w):
+                ref[y][x] += counts[1, y, x] * p.theta_pos - counts[-1, y, x] * p.theta_neg
+
+        dt_s = (t1 - t0) * 1e-6
+        lam = np.array([[(p.leak_rate_hz + p.shot_noise_scale * (1.0 - f.frames[i, y, x])
+                          + extra[y][x]) * dt_s for x in range(w)] for y in range(h)])
+        if lam.max() > 0:
+            n = rng.poisson(lam)
+            pixels = [(x, y) for y in range(h) for x in range(w) for _ in range(n[y, x])]
+            if pixels:
+                ts = rng.uniform(t0, t1, len(pixels)).tolist()
+                pol = (rng.integers(0, 2, len(pixels)) * 2 - 1).tolist()
+                events += [(t, x, y, q) for t, (x, y), q in zip(ts, pixels, pol)]
+
+    if not events:
+        return EventStream.empty(f.geometry)
+    events = sorted(((round(t), x, y, q) for t, x, y, q in events), key=lambda e: e[0])
+    t, x, y, q = zip(*events)
+    return EventStream(f.geometry, np.array(t, dtype=np.uint64), np.array(x, dtype=np.uint16),
+                       np.array(y, dtype=np.uint16), np.array(q, dtype=np.int8))

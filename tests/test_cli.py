@@ -218,6 +218,25 @@ class TestToreCommand:
         assert data.shape == (2 * rep.DEFAULT_K, 8, 8)
         assert not data.any()
 
+    def test_empty_stream_emit_flag_near_u64_end(self, tmp_path):
+        path = self._make_events(tmp_path, ev.EventStream.empty(ev.SensorGeometry(8, 8)))
+        out = tmp_path / "tore"
+        rc = cli.main(["tore", "--events", str(path), "--out", str(out), "--emit-empty",
+                       "--origin-us", str(2**64 - 10)])
+        assert rc == 0
+        assert [p.name for p in out.glob("*.tore")] == ["tore_00000.tore"]
+        data = rep.read_tensor(out / "tore_00000.tore")
+        assert data.shape == (2 * rep.DEFAULT_K, 8, 8)
+        assert not data.any()
+
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--tau-us", "1"),
+                                             ("--window-us", "0")])
+    def test_empty_stream_emit_flag_still_checks_config(self, tmp_path, flag, value):
+        path = self._make_events(tmp_path, ev.EventStream.empty(ev.SensorGeometry(8, 8)))
+        rc = cli.main(["tore", "--events", str(path), "--out", str(tmp_path / "tore"),
+                       "--emit-empty", flag, value])
+        assert rc == 2
+
     def test_text_dump(self, tmp_path, rng):
         geometry = ev.SensorGeometry(6, 6)
         stream = random_stream(rng, geometry, 50, duration_us=5000)

@@ -333,6 +333,23 @@ class TestStreamValidation:
             ev.EventStream.from_arrays(small_geometry, [1], [small_geometry.width],
                                        [0], [1])
 
+    @pytest.mark.parametrize("row, column", [("-5,3,2,1", "t"), ("5,65539,2,1", "x"),
+                                             ("5,3,-1,1", "y"), ("5,3,2,257", "p")])
+    def test_csv_value_outside_stored_dtype_rejected(self, small_geometry, row, column):
+        with pytest.raises(OutOfBounds, match=f"^record 0 has {column} = "):
+            ev.read_csv(io.StringIO(f"{ev.CSV_HEADER}\n{row}\n"), small_geometry)
+
+    @pytest.mark.parametrize("t, x, column", [([5], [65539], "x"), ([1.5], [3], "t")])
+    def test_array_value_outside_stored_dtype_rejected(self, small_geometry, t, x, column):
+        with pytest.raises(OutOfBounds, match=f"^record 0 has {column} = "):
+            ev.EventStream.from_arrays(small_geometry, t, x, [2], [1])
+
+    def test_values_the_stored_dtype_holds_are_accepted(self, small_geometry):
+        s = ev.EventStream.from_arrays(small_geometry, [7.0, 2.0**63], np.array([0, 3], np.int64),
+                                       [1, 2], np.array([1, -1], np.int64))
+        assert s.t.tolist() == [7, 2**63]
+        assert s.x.tolist() == [0, 3]
+
     def test_file_round_trip(self, tmp_path, small_geometry, rng):
         s = random_stream(rng, small_geometry, 100)
         path = tmp_path / "events.evt1"

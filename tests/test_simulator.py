@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from evpose.errors import (
 )
 from evpose.events import SensorGeometry, serialize_stream
 from evpose.pose_math import denormalize, soft_argmax
+
+from oracles import frames_to_events_direct
 
 GEO = SensorGeometry(width=16, height=12)
 
@@ -251,6 +254,47 @@ class TestFramesToEvents:
         stream = sim.frames_to_events(f, sim.PixelModelParams())
         assert stream.t.max() <= f.frame_time_us(len(f) - 1)
         assert int(stream.t[5]) == f.frame_time_us(6)
+
+    @pytest.mark.parametrize("params, factor", [
+        (quiet_params(theta_pos=0.13, theta_neg=0.27), 1),
+        (sim.PixelModelParams(leak_rate_hz=30.0, seed=11), 1),
+        (sim.PixelModelParams(shot_noise_scale=40.0, theta_neg=0.31, seed=12), 1),
+        (sim.PixelModelParams(leak_rate_hz=2.0, hot_pixels=((1, 2), (1, 2), (5, 0)),
+                              hot_pixel_rate_hz=300.0, seed=13), 1),
+        (sim.PixelModelParams(shot_noise_scale=20.0, theta_pos=0.11, seed=14), 2),
+    ], ids=["thresholds", "leak", "shot", "hot", "interpolated"])
+    def test_matches_scalar_oracle(self, rng, params, factor):
+        geometry = SensorGeometry(6, 5)
+        frames = rng.uniform(0.05, 0.95, size=(7, geometry.height, geometry.width))
+        frames[:, 0, 0] = frames[0, 0, 0]  # one pixel that never changes
+        f = sim.interpolate_linear(sim.FrameSequence(geometry, 50.0, frames), factor)
+        got = sim.frames_to_events(f, params)
+        assert len(got) > 0
+        assert serialize_stream(got) == serialize_stream(frames_to_events_direct(f, params))
+
+    def test_still_pixel_one_threshold_off_matches_scalar_oracle(self):
+        levels = np.array([174, 219, 187, 115, 109, 120, 174, 174]) / 255.0
+        f = sim.FrameSequence(SensorGeometry(1, 1), 100.0, levels[:, None, None])
+        params = sim.PixelModelParams()
+        assert serialize_stream(sim.frames_to_events(f, params)) == \
+            serialize_stream(frames_to_events_direct(f, params))
+
+    def test_peak_memory_is_per_frame_not_per_clip(self):
+        # a slow edge: the bright side advances by 0.16 px a frame
+        n, geometry = 400, SensorGeometry(64, 48)
+        edge = np.arange(n)[:, None, None] * geometry.width / n
+        columns = np.arange(geometry.width)[None, None, :]
+        frames = np.broadcast_to(np.where(columns < edge, 0.8, 0.2),
+                                 (n, geometry.height, geometry.width))
+        f = sim.FrameSequence(geometry, 1000.0, frames)
+        tracemalloc.start()
+        try:
+            stream = sim.frames_to_events(f, quiet_params())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 0
+        assert peak < f.frames.nbytes / 2
 
     def test_single_frame_rejected(self):
         with pytest.raises(EmptySequence):
