@@ -80,10 +80,6 @@ def project_camera_points(cam: CameraModel, pts_cam: np.ndarray) -> np.ndarray:
     return uvw[:, :2] / uvw[:, 2:3]
 
 
-def project_points(cam: CameraModel, pts_world: np.ndarray) -> np.ndarray:
-    return project_camera_points(cam, to_camera_frame(cam, pts_world))
-
-
 def view_half_extents(cam: CameraModel, z_ref: float) -> tuple[float, float]:
     """Half width/height of the viewed plane at depth z_ref (mm)."""
     if z_ref <= 0:

@@ -96,17 +96,19 @@ class Param:
 def _resolve(params: list[Param], args: argparse.Namespace) -> dict:
     config: dict = {p.name: p.default for p in params if p.default is not None}
     if args.config:
-        loaded = parse_config(Path(args.config).read_text())
         known = {p.name: p for p in params}
-        for key, val in loaded.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            want = known[key].type
-            if want is float and isinstance(val, int):
-                val = float(val)
-            if not isinstance(val, want) or (want is not bool and isinstance(val, bool)):
-                raise ConfigError(f"config key {key!r} should be {want.__name__}")
-            config[key] = val
+        try:
+            for key, val in parse_config(Path(args.config).read_text()).items():
+                if key not in known:
+                    raise ConfigError(f"unknown config key {key!r}")
+                want = known[key].type
+                if want is float and isinstance(val, int):
+                    val = float(val)
+                if not isinstance(val, want) or (want is not bool and isinstance(val, bool)):
+                    raise ConfigError(f"config key {key!r} should be {want.__name__}")
+                config[key] = val
+        except (ConfigError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{args.config}: {e}") from e
     for p in params:
         v = getattr(args, p.name)
         if v is not None:
@@ -142,6 +144,9 @@ def _emit_manifest(config: dict, args, out_dir: Path | None = None,
 
 # -- simulate ---------------------------------------------------------------------
 
+# the PixelModelParams fields simulate takes as options, with the library's defaults
+PIXEL_MODEL_OPTIONS = ("theta_pos", "theta_neg", "leak_rate_hz", "shot_noise_scale", "eps", "seed")
+
 SIMULATE_PARAMS = [
     Param("frames", str, required=True, help="foreground frame directory"),
     Param("masks", str, help="foreground mask directory (with background)"),
@@ -150,12 +155,8 @@ SIMULATE_PARAMS = [
     Param("cam", str, help="camera text file (9 + 12 floats)"),
     Param("out", str, required=True, help="output directory"),
     Param("interpolate", int, 1, help="linear frame interpolation factor"),
-    Param("theta_pos", float, 0.2),
-    Param("theta_neg", float, 0.2),
-    Param("leak_rate_hz", float, 0.0),
-    Param("shot_noise_scale", float, 0.0),
-    Param("eps", float, 0.02),
-    Param("seed", int, 0),
+    *(Param(name, type(getattr(sim.PixelModelParams, name)), getattr(sim.PixelModelParams, name))
+      for name in PIXEL_MODEL_OPTIONS),
     Param("heatmap_resolution", int, 64),
     Param("heatmap_sigma", float, 2.0),
 ]
@@ -173,11 +174,7 @@ def cmd_simulate(args) -> int:
                                sim.load_frame_sequence(config["background"]))
     if config["interpolate"] > 1:
         frames = sim.interpolate_linear(frames, config["interpolate"])
-    params = sim.PixelModelParams(
-        theta_pos=config["theta_pos"], theta_neg=config["theta_neg"],
-        leak_rate_hz=config["leak_rate_hz"],
-        shot_noise_scale=config["shot_noise_scale"],
-        eps=config["eps"], seed=config["seed"])
+    params = sim.PixelModelParams(**{name: config[name] for name in PIXEL_MODEL_OPTIONS})
     stream = sim.frames_to_events(frames, params)
     ev.write_stream(out_dir / "events.evt1", stream)
 
@@ -201,13 +198,17 @@ def cmd_simulate(args) -> int:
 
 # -- tore -------------------------------------------------------------------------
 
-TORE_PARAMS = [
+# the event file, output directory and windowing that `tore` and `filter` share
+WINDOW_PARAMS = [
     Param("events", str, required=True, help="EVT1 input file"),
     Param("out", str, required=True, help="output directory"),
     Param("k", int, rep.DEFAULT_K, help="FIFO depth per pixel per polarity"),
     Param("tau_us", int, rep.DEFAULT_TAU_US, help="max retained event age"),
     Param("window_us", int, 20_000),
     Param("origin_us", int, 0),
+]
+
+TORE_PARAMS = WINDOW_PARAMS + [
     Param("emit_empty", bool, False,
           help="emit one all-zero tensor when the stream is empty"),
     Param("text_dump", bool, False, help="also write lossless text dumps"),
@@ -240,16 +241,11 @@ def cmd_tore(args) -> int:
 
 # -- filter -----------------------------------------------------------------------
 
-FILTER_PARAMS = [
-    Param("events", str, required=True, help="EVT1 input file"),
-    Param("out", str, required=True, help="output directory"),
-    Param("k", int, rep.DEFAULT_K),
-    Param("tau_us", int, rep.DEFAULT_TAU_US),
-    Param("window_us", int, 20_000),
-    Param("origin_us", int, 0),
+FILTER_PARAMS = WINDOW_PARAMS + [
     Param("beta", float, 0.95, help="mask reuse threshold"),
-    Param("horizon", int, 4, help="masks per backend invocation"),
-    Param("activity_percentile", float, 80.0),
+    Param("horizon", int, gating.ReferenceBackendParams.horizon,
+          help="masks per backend invocation"),
+    Param("activity_percentile", float, gating.ReferenceBackendParams.activity_percentile),
     Param("external_masks", str, help="MSK1 mask stack replacing the reference backend"),
     Param("external_scores", str, help="CSV of per-frame plan scores for external masks"),
 ]
@@ -257,6 +253,8 @@ FILTER_PARAMS = [
 
 def cmd_filter(args) -> int:
     config = _resolve(FILTER_PARAMS, args)
+    if "external_scores" in config and "external_masks" not in config:
+        raise ConfigError("external_scores needs external_masks")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = ev.read_stream(config["events"])

@@ -17,7 +17,6 @@ text path for interoperability.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    DataError,
     NonMonotonic,
     OutOfBounds,
     TruncatedRecord,
@@ -252,6 +252,9 @@ def write_csv(fp, s: EventStream) -> None:
 
 
 def read_csv(fp, geometry: SensorGeometry) -> EventStream:
+    """Inverse of write_csv. Values parse as exact integers, so every u64
+    timestamp round-trips; a row that is not four integers is a DataError
+    naming its line (the header is line 1)."""
     own = isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__")
     inp = open(fp, "r") if own else fp
     try:
@@ -262,10 +265,20 @@ def read_csv(fp, geometry: SensorGeometry) -> EventStream:
     finally:
         if own:
             inp.close()
-    if not body.strip():
+    rows = []
+    for line_no, line in enumerate(body.splitlines(), start=2):
+        fields = line.split(",")
+        if len(fields) == 4:
+            try:
+                rows.append(list(map(int, fields)))
+            except ValueError as e:
+                raise DataError(f"line {line_no}: {e}") from None
+        elif line.strip():
+            raise DataError(f"line {line_no}: expected 4 fields, got {len(fields)}")
+    if not rows:
         return EventStream.empty(geometry)
-    data = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
-    return EventStream.from_arrays(geometry, data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+    # Python ints in object columns: EventStream checks each against its stored dtype
+    return EventStream.from_arrays(geometry, *np.array(rows, dtype=object).T)
 
 
 # -- slicing -------------------------------------------------------------------

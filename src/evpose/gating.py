@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -72,11 +72,8 @@ class MaskPlan:
         return self.masks.shape[0]
 
 
-@runtime_checkable
 class MaskPredictorBackend(Protocol):
     """Seam for the trained predictor; must be deterministic."""
-
-    horizon: int
 
     def predict(self, vol: ToreVolume) -> MaskPlan: ...
 
@@ -303,10 +300,6 @@ class ReferenceMaskBackend:
     def __init__(self, params: ReferenceBackendParams | None = None):
         self.params = params or ReferenceBackendParams()
 
-    @property
-    def horizon(self) -> int:
-        return self.params.horizon
-
     def predict(self, vol: ToreVolume) -> MaskPlan:
         p = self.params
         activity = vol.data.max(axis=0)
@@ -344,7 +337,7 @@ class ExternalMaskBackend:
                  horizon: int, scores: np.ndarray | None = None):
         if horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon}")
-        self.masks = np.asarray(masks).astype(bool)
+        self.masks = np.asarray(masks, dtype=bool)  # the caller's bool stack, not a copy
         self.window_us = window_us
         self.origin_us = origin_us
         self.horizon = horizon
@@ -399,8 +392,9 @@ def parse_masks(blob: bytes) -> tuple[SensorGeometry, np.ndarray]:
         raise TruncatedRecord(
             f"mask payload {len(blob) - _MSK_HEADER.size} bytes, expected {expect}")
     bits = np.frombuffer(blob, dtype=np.uint8, offset=_MSK_HEADER.size)
-    unpacked = np.unpackbits(bits.reshape(count, stride), axis=1)[:, : width * height]
-    return geometry, unpacked.reshape(count, height, width).astype(bool)
+    # 0/1 bytes unpacked once, then viewed as bool: the stack is held once
+    unpacked = np.unpackbits(bits.reshape(count, stride), axis=1, count=width * height)
+    return geometry, unpacked.view(bool).reshape(count, height, width)
 
 
 def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:

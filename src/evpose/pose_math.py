@@ -338,7 +338,7 @@ def write_pose_csv(path, pose: Pose3D, names: Sequence[str]) -> None:
             w.writerow([name, repr(float(x)), repr(float(y)), repr(float(z))])
 
 
-def read_pose_csv(path, frame: str = "camera") -> tuple[list[str], Pose3D]:
+def read_pose_csv(path) -> tuple[list[str], Pose3D]:
     names, rows = [], []
     with open(path, newline="") as f, from_file(path):
         r = csv.reader(f)
@@ -350,4 +350,4 @@ def read_pose_csv(path, frame: str = "camera") -> tuple[list[str], Pose3D]:
                 continue
             names.append(row[0])
             rows.append([float(v) for v in row[1:4]])
-    return names, Pose3D(joints=np.asarray(rows, dtype=np.float64), frame=frame)
+    return names, Pose3D(joints=np.asarray(rows, dtype=np.float64))

@@ -46,7 +46,6 @@ from .events import Event, EventStream, SensorGeometry
 
 DEFAULT_K = 4
 DEFAULT_TAU_US = 5_000_000  # retain history up to five seconds
-DEFAULT_VOXEL_BINS = 4
 
 # Content of a never-filled FIFO slot. The timestamp 2^64 - 1 is reserved
 # for it: the FIFO refuses events that carry it.
@@ -96,7 +95,7 @@ class ToreState:
     k: int = DEFAULT_K
     tau_us: int = DEFAULT_TAU_US
     fifo: np.ndarray = field(init=False, repr=False)
-    last_t: int = 0
+    last_t: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.k <= 0:

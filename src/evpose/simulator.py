@@ -125,29 +125,24 @@ class PixelModelParams:
 
 @dataclass(frozen=True)
 class SkeletonFrame:
-    """13 named joints at one timestamp, millimeters."""
+    """The joints of JOINT_NAMES_13 at one timestamp, in that order, millimeters."""
 
     t_us: int
     joints: np.ndarray = field(repr=False)  # (13, 3)
     frame: str = "world"  # "world" | "camera"
-    names: tuple = JOINT_NAMES_13
 
     def __post_init__(self):
         j = np.ascontiguousarray(self.joints, dtype=np.float64)
-        if j.shape != (len(self.names), 3):
+        if j.shape != (len(JOINT_NAMES_13), 3):
             raise LengthMismatch(
-                f"expected {len(self.names)} joints, got shape {j.shape}")
+                f"expected {len(JOINT_NAMES_13)} joints, got shape {j.shape}")
         if not np.all(np.isfinite(j)):
             raise DataError("joint coordinates must be finite")
         j.setflags(write=False)
         object.__setattr__(self, "joints", j)
-        object.__setattr__(self, "names", tuple(self.names))
 
-    def head_index(self, head_joint: str = "head") -> int:
-        try:
-            return self.names.index(head_joint)
-        except ValueError:
-            raise DataError(f"no joint named {head_joint!r}") from None
+    def head_index(self) -> int:
+        return JOINT_NAMES_13.index("head")
 
 
 def rgb_to_grayscale(rgb: np.ndarray) -> np.ndarray:
@@ -285,20 +280,18 @@ def project_skeleton(s: SkeletonFrame, cam: CameraModel) -> np.ndarray:
     return project_camera_points(cam, skeleton_camera_joints(s, cam))
 
 
-def normalize_labels(s: SkeletonFrame, cam: CameraModel,
-                     head_joint: str = "head") -> np.ndarray:
+def normalize_labels(s: SkeletonFrame, cam: CameraModel) -> np.ndarray:
     """Joints in the [-1, 1]^3 cube anchored at the head joint's depth.
 
     The head joint's normalized depth is exactly 0 by construction.
     """
     pts = skeleton_camera_joints(s, cam)
-    z_ref = float(pts[s.head_index(head_joint), 2])
+    z_ref = float(pts[s.head_index(), 2])
     return normalize_camera_points(cam, pts, z_ref)
 
 
-def head_depth_mm(s: SkeletonFrame, cam: CameraModel,
-                  head_joint: str = "head") -> float:
-    return float(skeleton_camera_joints(s, cam)[s.head_index(head_joint), 2])
+def head_depth_mm(s: SkeletonFrame, cam: CameraModel) -> float:
+    return float(skeleton_camera_joints(s, cam)[s.head_index(), 2])
 
 
 def make_heatmaps(joints_norm: np.ndarray, resolution: int = 64,
@@ -337,14 +330,12 @@ def write_skeleton_csv(path, frames: Sequence[SkeletonFrame]) -> None:
     with open(path, "w") as f:
         f.write("t_us,joint_name,x_mm,y_mm,z_mm\n")
         for s in frames:
-            for name, (x, y, z) in zip(s.names, s.joints):
+            for name, (x, y, z) in zip(JOINT_NAMES_13, s.joints):
                 f.write(f"{s.t_us},{name},{float(x)!r},{float(y)!r},{float(z)!r}\n")
 
 
-def read_skeleton_csv(path, names: Sequence[str] = JOINT_NAMES_13,
-                      frame: str = "world") -> list[SkeletonFrame]:
-    names = tuple(names)
-    index = {n: i for i, n in enumerate(names)}
+def read_skeleton_csv(path) -> list[SkeletonFrame]:
+    index = {n: i for i, n in enumerate(JOINT_NAMES_13)}
     by_t: dict[int, np.ndarray] = {}
     seen: dict[int, set] = {}
     with open(path) as f, from_file(path):
@@ -360,7 +351,7 @@ def read_skeleton_csv(path, names: Sequence[str] = JOINT_NAMES_13,
                 raise DataError(f"unknown joint name {name!r}")
             t = int(t_s)
             if t not in by_t:
-                by_t[t] = np.full((len(names), 3), np.nan)
+                by_t[t] = np.full((len(JOINT_NAMES_13), 3), np.nan)
                 seen[t] = set()
             if name in seen[t]:
                 raise DataError(f"duplicate joint {name!r} at t={t}")
@@ -368,10 +359,10 @@ def read_skeleton_csv(path, names: Sequence[str] = JOINT_NAMES_13,
             by_t[t][index[name]] = (float(xs), float(ys), float(zs))
     out = []
     for t in sorted(by_t):
-        if len(seen[t]) != len(names):
-            missing = set(names) - seen[t]
+        if len(seen[t]) != len(JOINT_NAMES_13):
+            missing = set(JOINT_NAMES_13) - seen[t]
             raise DataError(f"t={t} missing joints: {sorted(missing)}")
-        out.append(SkeletonFrame(t_us=t, joints=by_t[t], frame=frame, names=names))
+        out.append(SkeletonFrame(t_us=t, joints=by_t[t]))
     return out
 
 

@@ -501,6 +501,30 @@ class TestExitCodes:
         cfg.write_text("nonsense = 1\n")
         assert cli.main(["bench", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (b"k = 4\nwindow_us = oops\n", "config line 2: cannot parse value 'oops'"),
+        (b"nope = 1\n", "unknown config key 'nope'"),
+        (b'window_us = "20000"\n', "config key 'window_us' should be int"),
+        (b"k = 4\n\xff = 1\n", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_config_error_names_its_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(text)
+        assert cli.main(["tore", "--config", str(cfg), "--events", str(tmp_path / "in.evt1"),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
+
+    def test_external_scores_need_external_masks(self, tmp_path, small_geometry, rng, capsys):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("1.0\n")
+        out = tmp_path / "o"
+        assert cli.main(["filter", "--events", str(events_path), "--out", str(out),
+                         "--external-scores", str(scores)]) == 2
+        assert "external_masks" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.evt1"
         bad.write_bytes(b"not an event file")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evpose import events as ev
 from evpose.errors import (
     BadMagic,
+    DataError,
     NonMonotonic,
     OutOfBounds,
     TruncatedRecord,
@@ -158,6 +159,26 @@ class TestCsv:
             f"{int(s.t[i])},{int(s.x[i])},{int(s.y[i])},{int(s.p[i])}\n"
             for i in range(len(s)))
         assert buf.getvalue() == expect
+
+    def test_every_u64_timestamp_round_trips(self, small_geometry):
+        t = np.array([0, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+        s = ev.EventStream.from_arrays(small_geometry, t, [0, 1, 2, 3, 4], [4, 3, 2, 1, 0],
+                                       [1, -1, 1, -1, 1])
+        buf = io.StringIO()
+        ev.write_csv(buf, s)
+        back = ev.read_csv(io.StringIO(buf.getvalue()), small_geometry)
+        for name in "txyp":
+            assert np.array_equal(getattr(back, name), getattr(s, name))
+
+    @pytest.mark.parametrize("body, message", [
+        ("5,3,2\n", "line 2: expected 4 fields, got 3"),
+        ("5,3,2,1\n6,3,2\n", "line 3: expected 4 fields, got 3"),
+        ("5,3,2,1\n6,3,2,1,0\n", "line 3: expected 4 fields, got 5"),
+        ("1.5,3,2,1\n", "line 2: .*'1.5'"),
+    ])
+    def test_malformed_row_is_data_error_naming_its_line(self, small_geometry, body, message):
+        with pytest.raises(DataError, match=f"^{message}"):
+            ev.read_csv(io.StringIO(f"{ev.CSV_HEADER}\n{body}"), small_geometry)
 
 
 class TestSliceConstantTime:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,26 @@ class TestMaskStackIO:
 
         with pytest.raises(TruncatedRecord):
             gating.parse_masks(blob[:-1])
+
+    def test_read_holds_the_stack_once(self, tmp_path, rng):
+        geometry = SensorGeometry(width=346, height=260)
+        masks = rng.integers(0, 2, (60, geometry.height, geometry.width), np.uint8).astype(bool)
+        path = tmp_path / "masks.msk1"
+        gating.write_masks(path, geometry, masks)
+        tracemalloc.start()
+        try:
+            _, back = gating.read_masks(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, masks)
+        # the unpacked stack plus the file's bytes, not a second unpacked copy
+        assert peak <= 1.3 * back.nbytes
+
+    def test_external_backend_shares_the_stack(self, rng):
+        masks = rng.random((3, GEO.height, GEO.width)) > 0.5
+        backend = gating.ExternalMaskBackend(masks, 10, 0, 2)
+        assert np.shares_memory(backend.masks, masks)
 
 
 class TestScheduleCsv:
