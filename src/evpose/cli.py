@@ -164,22 +164,25 @@ SIMULATE_PARAMS = [
 
 def cmd_simulate(args) -> int:
     config = _resolve(SIMULATE_PARAMS, args)
+    for a, b in (("masks", "background"), ("skeleton", "cam")):
+        if (a in config) != (b in config):
+            raise ConfigError(f"{a} and {b} must be given together")
+    params = sim.PixelModelParams(**{name: config[name] for name in PIXEL_MODEL_OPTIONS})
+    fg = sim.list_frames(config["frames"])
+    frames = iter(fg)
+    if "masks" in config:
+        frames = sim.iter_composite(fg, sim.list_frames(config["masks"]),
+                                    sim.list_frames(config["background"]))
+    frames = sim.iter_interpolated(frames, config["interpolate"])
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = sim.load_frame_sequence(config["frames"])
-    if ("masks" in config) != ("background" in config):
-        raise ConfigError("masks and background must be given together")
-    if "masks" in config:  # masks load before the background; neither outlives composite
-        frames = sim.composite(frames, sim.load_mask_sequence(config["masks"]),
-                               sim.load_frame_sequence(config["background"]))
-    if config["interpolate"] > 1:
-        frames = sim.interpolate_linear(frames, config["interpolate"])
-    params = sim.PixelModelParams(**{name: config[name] for name in PIXEL_MODEL_OPTIONS})
-    stream = sim.frames_to_events(frames, params)
-    ev.write_stream(out_dir / "events.evt1", stream)
+    # one frame interval at a time: frames are read, blended, interpolated,
+    # turned into events and written before the next interval
+    with ev.EventStreamWriter(out_dir / "events.evt1", fg.geometry) as events:
+        for chunk in sim.iter_events(frames, fg.geometry, fg.fps * config["interpolate"],
+                                     params):
+            events.append(*chunk)
 
-    if ("skeleton" in config) != ("cam" in config):
-        raise ConfigError("skeleton and cam must be given together")
     if "skeleton" in config:
         cam = cam_mod.load_camera(config["cam"])
         skeletons = sim.read_skeleton_csv(config["skeleton"])

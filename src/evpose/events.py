@@ -210,16 +210,22 @@ def parse_stream(blob: bytes, tolerance_us: int = 0) -> EventStream:
                        rec["y"].copy(), rec["p"].copy(), tolerance_us)
 
 
+def _evt1_header(geometry: SensorGeometry, count: int) -> bytes:
+    return _HEADER.pack(EVT1_MAGIC, EVT1_VERSION, geometry.width, geometry.height, count)
+
+
+def _records(t, x, y, p) -> np.ndarray:
+    rec = np.zeros(len(t), dtype=RECORD_DTYPE)
+    rec["t"] = t
+    rec["x"] = x
+    rec["y"] = y
+    rec["p"] = p
+    return rec
+
+
 def serialize_stream(s: EventStream) -> bytes:
     """Bit-exact inverse of parse_stream."""
-    header = _HEADER.pack(EVT1_MAGIC, EVT1_VERSION, s.geometry.width,
-                          s.geometry.height, len(s))
-    rec = np.zeros(len(s), dtype=RECORD_DTYPE)
-    rec["t"] = s.t
-    rec["x"] = s.x
-    rec["y"] = s.y
-    rec["p"] = s.p
-    return header + rec.tobytes()
+    return _evt1_header(s.geometry, len(s)) + _records(s.t, s.x, s.y, s.p).tobytes()
 
 
 def read_stream(path) -> EventStream:
@@ -230,8 +236,58 @@ def read_stream(path) -> EventStream:
 
 
 def write_stream(path, s: EventStream) -> None:
-    with open(path, "wb") as f:
-        f.write(serialize_stream(s))
+    with EventStreamWriter(path, s.geometry) as out:
+        out.append(s.t, s.x, s.y, s.p)
+
+
+class EventStreamWriter:
+    """EVT1 file written one chunk of events at a time, as a context manager.
+
+    The file is created on entry with zero bytes where the header goes.
+    Each `append` checks its chunk as `EventStream` does (stored dtypes,
+    bounds, polarity, sorted) and that it starts no earlier than the
+    previous chunk's last event, then writes its records. The header goes
+    in only when the `with` block exits without an exception, so a run
+    that fails partway leaves a file whose zero magic `parse_stream`
+    rejects. A completed file is byte-identical to `serialize_stream` of
+    the chunks' concatenation; with no chunk it is the 18-byte empty
+    stream.
+    """
+
+    def __init__(self, path, geometry: SensorGeometry):
+        self.path = path
+        self.geometry = geometry
+        self.count = 0
+        self._last_t = 0
+        self._f = None
+
+    def append(self, t, x, y, p) -> None:
+        if not (len(t) == len(x) == len(y) == len(p)):
+            raise TruncatedRecord("column lengths differ")
+        t, x, y, p = (_stored(name, np.asarray(col), dtype)
+                      for (name, dtype), col in zip(_STORED, (t, x, y, p)))
+        validate_columns(self.geometry, t, x, y, p)  # tolerance 0: any regression raises
+        if len(t) == 0:
+            return
+        if int(t[0]) < self._last_t:
+            raise NonMonotonic(f"chunk starts at {int(t[0])}us, before the previous "
+                               f"chunk's last event at {self._last_t}us")
+        self._f.write(_records(t, x, y, p))
+        self.count += len(t)
+        self._last_t = int(t[-1])
+
+    def __enter__(self) -> "EventStreamWriter":
+        self._f = open(self.path, "wb")
+        self._f.write(bytes(HEADER_SIZE))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._f.seek(0)
+                self._f.write(_evt1_header(self.geometry, self.count))
+        finally:
+            self._f.close()
 
 
 # -- CSV text path -------------------------------------------------------------

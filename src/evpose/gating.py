@@ -376,7 +376,7 @@ def serialize_masks(geometry: SensorGeometry, masks: np.ndarray) -> bytes:
     if m.ndim != 3 or m.shape[1:] != (geometry.height, geometry.width):
         raise GeometryMismatch(f"masks {m.shape} do not match geometry {geometry}")
     return (_msk1_header(geometry, m.shape[0])
-            + np.packbits(m.reshape(m.shape[0], -1), axis=1).tobytes())
+            + np.packbits(m.reshape(m.shape[0], geometry.num_pixels), axis=1).tobytes())
 
 
 def parse_masks(blob: bytes) -> tuple[SensorGeometry, np.ndarray]:

@@ -22,10 +22,11 @@ cube coordinates, and Gaussian marginal heatmaps.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,16 +72,25 @@ class FrameSequence:
         if f.ndim != 3 or f.shape[1:] != (self.geometry.height, self.geometry.width):
             raise GeometryMismatch(
                 f"frames shape {f.shape} does not match geometry {self.geometry}")
-        if f.size and (f.min() < 0.0 or f.max() > 1.0):
-            raise DataError("frame intensities must lie in [0, 1]")
         f.setflags(write=False)
-        object.__setattr__(self, "frames", f)
+        object.__setattr__(self, "frames", _intensities(f))
 
     def __len__(self) -> int:
         return self.frames.shape[0]
 
     def frame_time_us(self, index: int) -> int:
-        return round(index * 1e6 / self.fps)
+        return _frame_time_us(index, self.fps)
+
+
+def _intensities(a: np.ndarray) -> np.ndarray:
+    """a, once every value is checked to lie in [0, 1] (NaN does not)."""
+    if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
+        raise DataError("frame intensities must lie in [0, 1]")
+    return a
+
+
+def _frame_time_us(index: int, fps: float) -> int:
+    return round(index * 1e6 / fps)
 
 
 @dataclass(frozen=True)
@@ -156,9 +166,8 @@ def rgb_to_grayscale(rgb: np.ndarray) -> np.ndarray:
 # -- compositing and interpolation ----------------------------------------------
 
 
-def composite(fg: FrameSequence, fg_masks: MaskSequence,
-              bg: FrameSequence) -> FrameSequence:
-    """Per-pixel blend: mask selects foreground, elsewhere background."""
+def _check_aligned(fg, fg_masks, bg) -> None:
+    """Foreground, masks and background share geometry, fps and length."""
     if not (fg.geometry == fg_masks.geometry == bg.geometry):
         raise GeometryMismatch("foreground, masks and background geometries differ")
     if not (fg.fps == fg_masks.fps == bg.fps):
@@ -166,28 +175,59 @@ def composite(fg: FrameSequence, fg_masks: MaskSequence,
     if not (len(fg) == len(fg_masks) == len(bg)):
         raise LengthMismatch(
             f"lengths differ: fg {len(fg)}, masks {len(fg_masks)}, bg {len(bg)}")
-    m = fg_masks.masks
-    out = np.where(m, fg.frames, bg.frames)
-    return FrameSequence(geometry=fg.geometry, fps=fg.fps, frames=out)
 
 
-def interpolate_linear(f: FrameSequence, factor: int) -> FrameSequence:
-    """Insert factor - 1 linear blends between neighboring frames.
+def composite(fg: FrameSequence, fg_masks: MaskSequence,
+              bg: FrameSequence) -> FrameSequence:
+    """Per-pixel blend: mask selects foreground, elsewhere background."""
+    _check_aligned(fg, fg_masks, bg)
+    return FrameSequence(geometry=fg.geometry, fps=fg.fps,
+                         frames=np.where(fg_masks.masks, fg.frames, bg.frames))
 
-    A cheap stand-in for learned frame interpolation; output frame rate
-    is fps * factor.
+
+def iter_composite(fg: FrameDirectory, fg_masks: FrameDirectory,
+                   bg: FrameDirectory) -> Iterator[np.ndarray]:
+    """composite over frame directories, one frame read from each at a time.
+
+    The directories' manifests are checked against each other before this
+    returns; each frame is read, range-checked and blended when consumed.
+    """
+    _check_aligned(fg, fg_masks, bg)
+    return (np.where(fg_masks.read_mask(i), fg.read(i), bg.read(i)) for i in range(len(fg)))
+
+
+def iter_interpolated(frames: Iterable[np.ndarray], factor: int) -> Iterator[np.ndarray]:
+    """Insert factor - 1 linear blends between neighboring frames, lazily.
+
+    Each neighboring pair (prev, cur) yields (1 - w) * prev + w * cur for
+    w = j / factor, j = 0 .. factor - 1, and the last frame follows, so T
+    frames become (T - 1) * factor + 1 at fps * factor. A cheap stand-in
+    for learned frame interpolation.
     """
     if factor < 1:
         raise ConfigError(f"factor must be >= 1, got {factor}")
-    if factor == 1 or len(f) < 2:
-        return FrameSequence(geometry=f.geometry, fps=f.fps * factor, frames=f.frames)
-    t = len(f)
-    out = np.empty(((t - 1) * factor + 1,) + f.frames.shape[1:], dtype=np.float64)
-    for j in range(factor):
-        w = j / factor
-        out[j::factor][: t - 1] = (1.0 - w) * f.frames[:-1] + w * f.frames[1:]
-    out[-1] = f.frames[-1]
-    return FrameSequence(geometry=f.geometry, fps=f.fps * factor, frames=out)
+    if factor == 1:
+        return iter(frames)
+    return _blends(frames, factor)
+
+
+def _blends(frames, factor):
+    prev = None
+    for cur in frames:
+        if prev is not None:
+            for j in range(factor):
+                w = j / factor
+                yield (1.0 - w) * prev + w * cur
+        prev = cur
+    if prev is not None:
+        yield prev
+
+
+def interpolate_linear(f: FrameSequence, factor: int) -> FrameSequence:
+    """iter_interpolated over a whole clip."""
+    frames = list(iter_interpolated(f.frames, factor))
+    return FrameSequence(geometry=f.geometry, fps=f.fps * factor,
+                         frames=np.stack(frames) if frames else f.frames)
 
 
 # -- event synthesis --------------------------------------------------------------
@@ -204,20 +244,24 @@ def _expand_counts(counts: np.ndarray):
     return pix_rep, np.arange(pix_rep.size) - np.repeat(starts, reps) + 1
 
 
-def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
-    """Synthesize an event stream from an intensity sequence.
+def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: float,
+                p: PixelModelParams) -> Iterator[tuple[np.ndarray, ...]]:
+    """Synthesize events from an intensity sequence, one interval at a time.
 
-    With noise off, the per-pixel event count over the whole sequence is
-    the number of full threshold crossings of ln(I + eps), residual
-    change carried across frames. Timestamps fall inside the inter-frame
-    interval where the linearly interpolated log intensity crosses each
-    successive threshold level. Each interval emits its positive
-    crossings, then its negative crossings, then its noise, each in raster
-    order; the stream is their stable sort by rounded timestamp.
+    Frames are (H, W) intensities in [0, 1] at fps, consumed one at a
+    time. With noise off, the per-pixel event count over the whole
+    sequence is the number of full threshold crossings of ln(I + eps),
+    residual change carried across frames. Timestamps fall inside the
+    inter-frame interval where the linearly interpolated log intensity
+    crosses each successive threshold level. Each interval emits its
+    positive crossings, then its negative crossings, then its noise, each
+    in raster order, and yields them stably sorted by rounded timestamp as
+    (t, x, y, polarity) columns; an interval without events yields
+    nothing. Every event of interval i lies in [t_i, t_i+1] and interval
+    i + 1 starts at t_i+1, so the chunks in order are one stable sort of
+    the whole clip's events: at a tie on t_i+1, interval i comes first.
     """
-    if len(f) < 2:
-        raise EmptySequence(f"need at least 2 frames, got {len(f)}")
-    h, w = f.geometry.height, f.geometry.width
+    h, w = geometry.height, geometry.width
     noise_rate = np.zeros((h, w))
     for hx, hy in p.hot_pixels:
         if not (0 <= hx < w and 0 <= hy < h):
@@ -225,15 +269,20 @@ def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
         noise_rate[hy, hx] += p.hot_pixel_rate_hz
 
     rng = np.random.default_rng(p.seed)
-    l_prev = np.log(f.frames[0] + p.eps).reshape(-1)
+    frames = iter(frames)
+    prev = next(frames, None)
+    if prev is None:
+        raise EmptySequence("need at least 2 frames, got 0")
+    l_prev = np.log(prev + p.eps).reshape(-1)
     ref = l_prev.copy()
-    parts = []  # (t, flat pixel, polarity) per source and interval
-    for i in range(len(f) - 1):
-        t0, t1 = f.frame_time_us(i), f.frame_time_us(i + 1)
-        l_new = np.log(f.frames[i + 1] + p.eps).reshape(-1)
+    i = -1
+    for i, cur in enumerate(frames):
+        t0, t1 = _frame_time_us(i, fps), _frame_time_us(i + 1, fps)
+        l_new = np.log(cur + p.eps).reshape(-1)
         d = l_new - ref
         n_pos = np.where(d > 0, np.floor(d / p.theta_pos), 0.0).astype(np.int64)
         n_neg = np.where(d < 0, np.floor(-d / p.theta_neg), 0.0).astype(np.int64)
+        parts = []  # (t, flat pixel, polarity) per source
         for counts, sign, theta in ((n_pos, +1, p.theta_pos), (n_neg, -1, p.theta_neg)):
             pix, rank = _expand_counts(counts)
             if pix.size:
@@ -247,23 +296,30 @@ def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
                 parts.append((t0 + frac * (t1 - t0), pix, np.full(pix.size, sign, np.int8)))
         ref += n_pos * p.theta_pos - n_neg * p.theta_neg
 
-        lam = (p.leak_rate_hz + p.shot_noise_scale * (1.0 - f.frames[i]) + noise_rate)
+        lam = (p.leak_rate_hz + p.shot_noise_scale * (1.0 - prev) + noise_rate)
         lam = lam * ((t1 - t0) * 1e-6)
         if np.any(lam > 0):
             pix, _ = _expand_counts(rng.poisson(lam))
             if pix.size:
                 parts.append((rng.uniform(t0, t1, pix.size), pix,
                               (rng.integers(0, 2, pix.size) * 2 - 1).astype(np.int8)))
-        l_prev = l_new
+        if parts:
+            ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
+            ts = np.rint(ts).astype(np.uint64)
+            order = np.argsort(ts, kind="stable")
+            pix = pix[order]
+            yield ts[order], (pix % w).astype(np.uint16), (pix // w).astype(np.uint16), ps[order]
+        prev, l_prev = cur, l_new
+    if i < 0:
+        raise EmptySequence("need at least 2 frames, got 1")
 
-    if not parts:
+
+def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
+    """iter_events over a whole clip, as one stream."""
+    chunks = list(iter_events(f.frames, f.geometry, f.fps, p))
+    if not chunks:
         return EventStream.empty(f.geometry)
-    ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
-    ts = np.rint(ts).astype(np.uint64)
-    order = np.argsort(ts, kind="stable")
-    pix = pix[order]
-    return EventStream(f.geometry, ts[order], (pix % w).astype(np.uint16),
-                       (pix // w).astype(np.uint16), ps[order])
+    return EventStream(f.geometry, *(np.concatenate(col) for col in zip(*chunks)))
 
 
 # -- ground-truth labels -----------------------------------------------------------
@@ -421,31 +477,36 @@ def parse_pgm(blob: bytes) -> np.ndarray:
     return a.reshape(h, w).astype(np.float64) / 255.0
 
 
-def _read_directory(dirpath):
-    """Geometry, fps and (T, H, W) float images of a frame directory. The
-    manifest is read first, then the images; the geometry is built last."""
-    dirpath = Path(dirpath)
-    mf = dirpath / "manifest.json"
-    if not mf.exists():
-        raise DataError(f"missing manifest.json in {dirpath}")
-    with from_file(mf):
-        manifest = json.loads(mf.read_text())
-        for key in ("fps", "width", "height"):
-            if key not in manifest:
-                raise DataError(f"manifest lacks {key!r}")
-    fmt = manifest.get("format", "pgm")
-    h, w = manifest["height"], manifest["width"]
-    suffix = {"pgm": ".pgm", "f32": ".f32"}.get(fmt)
-    if suffix is None:
-        raise DataError(f"unknown frame format {fmt!r}")
-    files = sorted((p for p in dirpath.iterdir() if p.suffix == suffix),
-                   key=lambda p: _numeric_key(p.name))
-    if not files:
-        raise DataError(f"no {suffix} files in {dirpath}")
-    frames = np.empty((len(files), h, w), dtype=np.float64)
-    for i, fp in enumerate(files):
+@dataclass(frozen=True)
+class FrameDirectory:
+    """A frame directory's checked manifest and its image file names in
+    numeric order. No image is read until `read` or `read_mask` asks."""
+
+    path: Path
+    geometry: SensorGeometry
+    fps: float
+    format: str  # "pgm" or "f32"
+    names: tuple = field(repr=False)  # names, not paths: a long clip's listing stays small
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self):
+        return map(self.read, range(len(self)))
+
+    def read(self, i: int) -> np.ndarray:
+        """Image i as (H, W) float64 intensities, checked to lie in [0, 1]."""
+        return self._read(i, _intensities)
+
+    def read_mask(self, i: int) -> np.ndarray:
+        """Image i as an (H, W) bool mask: pixels above 0.5 are foreground."""
+        return self._read(i, lambda img: img > 0.5)
+
+    def _read(self, i, convert):
+        fp = self.path / self.names[i]
+        h, w = self.geometry.height, self.geometry.width
         with from_file(fp):
-            if fmt == "pgm":
+            if self.format == "pgm":
                 img = parse_pgm(fp.read_bytes())
             else:
                 img = np.fromfile(fp, dtype="<f4").astype(np.float64)
@@ -454,18 +515,49 @@ def _read_directory(dirpath):
                 img = img.reshape(h, w)
             if img.shape != (h, w):
                 raise GeometryMismatch(f"image is {img.shape}, manifest says {(h, w)}")
-        frames[i] = img
-    return SensorGeometry(width=w, height=h), float(manifest["fps"]), frames
+            return convert(img)
+
+
+def list_frames(dirpath) -> FrameDirectory:
+    """Directory of numbered grayscale images plus a manifest.json giving
+    fps, width, height and optionally format ("pgm" or "f32"). The
+    manifest is checked and the images listed; none is read."""
+    dirpath = Path(dirpath)
+    mf = dirpath / "manifest.json"
+    if not mf.exists():
+        raise DataError(f"missing manifest.json in {dirpath}")
+    with from_file(mf):
+        manifest = json.loads(mf.read_text())
+        if not isinstance(manifest, dict):
+            raise DataError("manifest is not a JSON object")
+        for key in ("fps", "width", "height"):
+            if key not in manifest:
+                raise DataError(f"manifest lacks {key!r}")
+        for key in ("width", "height"):
+            if type(manifest[key]) is not int or manifest[key] <= 0:
+                raise DataError(f"{key} must be a positive integer, got {manifest[key]!r}")
+        fps = manifest["fps"]
+        if type(fps) not in (int, float) or not 0 < fps < math.inf:
+            raise DataError(f"fps must be a positive number, got {fps!r}")
+        fmt = manifest.get("format", "pgm")
+        if fmt not in ("pgm", "f32"):
+            raise DataError(f"unknown frame format {fmt!r}")
+    names = sorted((p.name for p in dirpath.iterdir() if p.suffix == "." + fmt),
+                   key=_numeric_key)
+    if not names:
+        raise DataError(f"no .{fmt} files in {dirpath}")
+    geometry = SensorGeometry(width=manifest["width"], height=manifest["height"])
+    return FrameDirectory(dirpath, geometry, float(fps), fmt, tuple(names))
 
 
 def load_frame_sequence(dirpath) -> FrameSequence:
-    """Directory of numbered grayscale images plus a manifest.json giving
-    fps, width, height and optionally format ("pgm" or "f32")."""
-    geometry, fps, frames = _read_directory(dirpath)
-    return FrameSequence(geometry=geometry, fps=fps, frames=frames)
+    """A frame directory (see list_frames) read whole."""
+    d = list_frames(dirpath)
+    return FrameSequence(geometry=d.geometry, fps=d.fps, frames=np.stack(list(d)))
 
 
 def load_mask_sequence(dirpath) -> MaskSequence:
     """Frame directory as masks: pixels above 0.5 are foreground."""
-    geometry, fps, frames = _read_directory(dirpath)
-    return MaskSequence(geometry=geometry, fps=fps, masks=frames > 0.5)
+    d = list_frames(dirpath)
+    return MaskSequence(geometry=d.geometry, fps=d.fps,
+                        masks=np.stack([d.read_mask(i) for i in range(len(d))]))

@@ -4,7 +4,8 @@ Everything here is deliberately written along a different path than the
 library: per-pixel Python replay instead of vectorized grouping, direct
 summation instead of algebraic shortcuts, per-pixel neighbourhood loops
 instead of shifted-array morphology, breadth-first search instead of
-run-based labeling. Slow but obviously correct.
+run-based labeling, whole-clip arrays and one global sort instead of
+streaming one frame interval at a time. Slow but obviously correct.
 """
 
 import math
@@ -228,3 +229,84 @@ def frames_to_events_direct(f, p):
     t, x, y, q = zip(*events)
     return EventStream(f.geometry, np.array(t, dtype=np.uint64), np.array(x, dtype=np.uint16),
                        np.array(y, dtype=np.uint16), np.array(q, dtype=np.int8))
+
+
+def composite_whole_clip(fg, fg_masks, bg):
+    """The whole-clip blend: one np.where over the (T, H, W) stacks."""
+    from evpose.simulator import FrameSequence
+
+    assert fg.geometry == fg_masks.geometry == bg.geometry
+    assert fg.fps == fg_masks.fps == bg.fps and len(fg) == len(fg_masks) == len(bg)
+    return FrameSequence(fg.geometry, fg.fps, np.where(fg_masks.masks, fg.frames, bg.frames))
+
+
+def interpolate_whole_clip(f, factor):
+    """Linear interpolation into one preallocated (T', H, W) array, blend j of
+    every neighbouring pair written through one strided slice."""
+    from evpose.simulator import FrameSequence
+
+    if factor == 1 or len(f) < 2:
+        return FrameSequence(f.geometry, f.fps * factor, f.frames)
+    t = len(f)
+    out = np.empty(((t - 1) * factor + 1,) + f.frames.shape[1:], dtype=np.float64)
+    for j in range(factor):
+        w = j / factor
+        out[j::factor][: t - 1] = (1.0 - w) * f.frames[:-1] + w * f.frames[1:]
+    out[-1] = f.frames[-1]
+    return FrameSequence(f.geometry, f.fps * factor, out)
+
+
+def _expand_counts_whole_clip(counts):
+    flat = counts.reshape(-1)
+    pix = np.flatnonzero(flat)
+    reps = flat[pix]
+    starts = np.cumsum(reps) - reps
+    pix_rep = np.repeat(pix, reps)
+    return pix_rep, np.arange(pix_rep.size) - np.repeat(starts, reps) + 1
+
+
+def frames_to_events_whole_clip(f, p):
+    """The vectorized pixel model with every interval's events kept until one
+    global stable argsort by rounded timestamp at the end."""
+    from evpose.events import EventStream
+
+    h, w = f.geometry.height, f.geometry.width
+    noise_rate = np.zeros((h, w))
+    for hx, hy in p.hot_pixels:
+        noise_rate[hy, hx] += p.hot_pixel_rate_hz
+    rng = np.random.default_rng(p.seed)
+    l_prev = np.log(f.frames[0] + p.eps).reshape(-1)
+    ref = l_prev.copy()
+    parts = []  # (t, flat pixel, polarity) per source and interval
+    for i in range(len(f) - 1):
+        t0, t1 = f.frame_time_us(i), f.frame_time_us(i + 1)
+        l_new = np.log(f.frames[i + 1] + p.eps).reshape(-1)
+        d = l_new - ref
+        n_pos = np.where(d > 0, np.floor(d / p.theta_pos), 0.0).astype(np.int64)
+        n_neg = np.where(d < 0, np.floor(-d / p.theta_neg), 0.0).astype(np.int64)
+        for counts, sign, theta in ((n_pos, +1, p.theta_pos), (n_neg, -1, p.theta_neg)):
+            pix, rank = _expand_counts_whole_clip(counts)
+            if pix.size:
+                level = ref[pix] + sign * rank * theta
+                lp = l_prev[pix]
+                span = l_new[pix] - lp
+                frac = np.clip(np.divide(level - lp, span, out=np.zeros_like(span),
+                                         where=span != 0), 0.0, 1.0)
+                parts.append((t0 + frac * (t1 - t0), pix, np.full(pix.size, sign, np.int8)))
+        ref += n_pos * p.theta_pos - n_neg * p.theta_neg
+        lam = (p.leak_rate_hz + p.shot_noise_scale * (1.0 - f.frames[i]) + noise_rate)
+        lam = lam * ((t1 - t0) * 1e-6)
+        if np.any(lam > 0):
+            pix, _ = _expand_counts_whole_clip(rng.poisson(lam))
+            if pix.size:
+                parts.append((rng.uniform(t0, t1, pix.size), pix,
+                              (rng.integers(0, 2, pix.size) * 2 - 1).astype(np.int8)))
+        l_prev = l_new
+    if not parts:
+        return EventStream.empty(f.geometry)
+    ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
+    ts = np.rint(ts).astype(np.uint64)
+    order = np.argsort(ts, kind="stable")
+    pix = pix[order]
+    return EventStream(f.geometry, ts[order], (pix % w).astype(np.uint16),
+                       (pix // w).astype(np.uint16), ps[order])

@@ -17,7 +17,13 @@ from evpose import representations as rep
 from evpose import simulator as sim
 from evpose.errors import ConfigError, DataError
 
-from oracles import random_stream, tore_brute_force
+from oracles import (
+    composite_whole_clip,
+    frames_to_events_whole_clip,
+    interpolate_whole_clip,
+    random_stream,
+    tore_brute_force,
+)
 
 
 def write_frame_dir(path, frames, fps, fmt="f32"):
@@ -169,6 +175,148 @@ class TestSimulateCommand:
         assert resolved["seed"] == 0
         assert resolved["frames"] == str(tmp_path / "frames")
         assert cli.parse_config(cli.render_config(resolved)) == resolved
+
+
+class TestSimulateStreaming:
+    """`simulate` reads, blends, interpolates, synthesizes and writes one frame
+    interval at a time; its events match the whole-clip pipeline bit for bit."""
+
+    GEO = ev.SensorGeometry(9, 7)
+
+    def _clip(self, tmp_path, fg, fps, masks=None, bg=None):
+        """Frame directories as f32 files, and the frames they read back as."""
+        argv = ["simulate", "--out", str(tmp_path / "out")]
+        layers = {"frames": fg, "masks": masks, "background": bg}
+        read_back = {}
+        for name, frames in layers.items():
+            if frames is not None:
+                frames = frames.astype(np.float32)
+                write_frame_dir(tmp_path / name, frames, fps=fps)
+                argv += [f"--{name}", str(tmp_path / name)]
+                read_back[name] = frames.astype(np.float64)
+        return argv, read_back
+
+    def _oracle(self, read_back, fps, factor, params):
+        _, h, w = read_back["frames"].shape
+        geo = ev.SensorGeometry(w, h)
+        f = sim.FrameSequence(geo, fps, read_back["frames"])
+        if "masks" in read_back:
+            f = composite_whole_clip(f, sim.MaskSequence(geo, fps, read_back["masks"] > 0.5),
+                                     sim.FrameSequence(geo, fps, read_back["background"]))
+        return frames_to_events_whole_clip(interpolate_whole_clip(f, factor), params)
+
+    @pytest.mark.parametrize("seed, with_masks, factor, leak, shot", [
+        (1, True, 1, 0.0, 0.0),
+        (2, True, 2, 3.0, 0.0),
+        (3, True, 3, 0.0, 25.0),
+        (4, False, 2, 1.5, 10.0),
+        (5, False, 1, 0.0, 40.0),
+        (6, True, 3, 2.0, 5.0),
+    ])
+    def test_matches_whole_clip_oracle(self, tmp_path, seed, with_masks, factor, leak, shot):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(4, 9)), self.GEO.height, self.GEO.width)
+        fg = rng.uniform(0.05, 0.95, shape)
+        masks = bg = None
+        if with_masks:
+            masks = (rng.random(shape) > 0.5).astype(np.float64)
+            bg = rng.uniform(0.0, 1.0, shape)
+        argv, read_back = self._clip(tmp_path, fg, 40.0, masks, bg)
+        params = sim.PixelModelParams(theta_pos=0.17, theta_neg=0.29, leak_rate_hz=leak,
+                                      shot_noise_scale=shot, seed=seed)
+        argv += ["--interpolate", str(factor), "--theta-pos", "0.17", "--theta-neg", "0.29",
+                 "--leak-rate-hz", str(leak), "--shot-noise-scale", str(shot),
+                 "--seed", str(seed)]
+        assert cli.main(argv) == 0
+        expected = ev.serialize_stream(self._oracle(read_back, 40.0, factor, params))
+        assert len(expected) > ev.HEADER_SIZE + 10 * ev.RECORD_SIZE
+        assert (tmp_path / "out" / "events.evt1").read_bytes() == expected
+
+    def test_tie_at_interval_boundary_keeps_earlier_interval_first(self, tmp_path):
+        # pixel (1,0) crosses at the very end of interval 0 and pixel (0,0) at
+        # the very start of interval 1: both round to t = 1000 us, and the
+        # earlier interval's event comes first although its pixel is later
+        # in raster order
+        eps, theta = 0.02, 0.2
+        l0 = math.log(0.3 + eps)
+        logs = np.array([[l0, l0],
+                         [l0 + theta * (1 - 1e-4), l0 + theta * (1 + 1e-4)],
+                         [l0 + theta + 0.5, l0 + theta * (1 + 1e-4)]])
+        frames = (np.exp(logs) - eps)[:, None, :]
+        argv, read_back = self._clip(tmp_path, frames, 1000.0)
+        params = sim.PixelModelParams(theta_pos=theta, theta_neg=theta, eps=eps)
+        oracle = self._oracle(read_back, 1000.0, 1, params)
+        assert oracle.t[:2].tolist() == [1000, 1000]
+        assert oracle.x[:2].tolist() == [1, 0]
+        assert cli.main(argv + ["--theta-pos", str(theta), "--theta-neg", str(theta),
+                                "--eps", str(eps)]) == 0
+        assert (tmp_path / "out" / "events.evt1").read_bytes() == ev.serialize_stream(oracle)
+
+    def test_failure_partway_leaves_no_valid_events(self, tmp_path, rng, capsys):
+        frames = tmp_path / "frames"
+        write_frame_dir(frames, rng.uniform(0.1, 0.9, (12, 7, 9)), fps=50.0, fmt="pgm")
+        bad = frames / "0009.pgm"
+        bad.write_bytes(b"P5\n9 7\n255\n" + bytes(10))  # 10 of 63 pixels
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--frames", str(frames), "--out", str(out)]) == 3
+        assert str(bad) in capsys.readouterr().err
+        # the intervals before frame 9 were written before the bad file was read
+        assert (out / "events.evt1").stat().st_size > ev.HEADER_SIZE
+        with pytest.raises(DataError):
+            ev.read_stream(out / "events.evt1")
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--skeleton", "labels.csv"], "skeleton and cam must be given together"),
+        (["--interpolate", "0"], "factor must be >= 1, got 0"),
+        (["--interpolate", "-2"], "factor must be >= 1, got -2"),
+        (["--masks", "frames"], "masks and background must be given together"),
+        (["--background", "frames"], "masks and background must be given together"),
+        (["--theta-pos", "0"], "contrast thresholds must be positive"),
+    ])
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, extra, message):
+        write_frame_dir(tmp_path / "frames", np.linspace(0.1, 0.9, 4)[:, None, None]
+                        * np.ones((4, 6, 8)), fps=50.0)
+        extra = [str(tmp_path / a) if a in ("labels.csv", "frames") else a for a in extra]
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--frames", str(tmp_path / "frames"),
+                         "--out", str(out)] + extra) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def _scene(self, n):
+        """n frames of one 64x48 scene: a textured bar moving right over a
+        background crossed by a band moving down. Both wrap around every 8
+        frames, so a 20-frame clip already holds every frame pair."""
+        h, w = 48, 64
+        yy, xx = np.mgrid[0:h, 0:w]
+        fg = np.broadcast_to(0.7 + 0.2 * np.sin(xx / 3.0 + yy / 5.0), (n, h, w))
+        k = np.arange(n)[:, None, None]
+        masks = ((xx - 8 * k) % w < 12).astype(np.float64)
+        band = np.abs((yy - 6 * k) % h - h / 2) < 4
+        bg = 0.2 + 0.1 * np.cos(xx / 7.0) * np.sin(yy / 4.0) + 0.3 * band
+        return fg, masks, bg
+
+    def _peak(self, tmp_path, n):
+        fg, masks, bg = self._scene(n)
+        argv, _ = self._clip(tmp_path / f"n{n}", fg, 100.0, masks, bg)
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv + ["--interpolate", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(ev.read_stream(tmp_path / f"n{n}" / "out" / "events.evt1")) > 0
+        return peak
+
+    def test_peak_memory_flat_in_clip_length(self, tmp_path, capsys):
+        frame_bytes = 64 * 48 * 8  # one float64 frame
+        self._peak(tmp_path, 20)  # first run: one-time imports and caches
+        short = self._peak(tmp_path, 20)
+        long = self._peak(tmp_path, 80)
+        assert long - short < 2 * frame_bytes, (short, long)
 
 
 class TestToreCommand:
@@ -609,6 +757,18 @@ class TestMalformedFiles:
         self._run(["simulate", "--frames", str(frames), "--out", str(tmp_path / "o")],
                   bad, capsys)
 
+    @pytest.mark.parametrize("key, value", [
+        ("width", "346"), ("width", 346.5), ("height", -260), ("fps", "fast"),
+    ])
+    def test_frame_manifest_value(self, tmp_path, capsys, key, value):
+        frames = tmp_path / "frames"
+        write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30)
+        bad = frames / "manifest.json"
+        bad.write_text(json.dumps({"fps": 30, "width": 5, "height": 4, "format": "f32",
+                                   key: value}))
+        self._run(["simulate", "--frames", str(frames), "--out", str(tmp_path / "o")],
+                  bad, capsys)
+
     def test_frame_file(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30, fmt="pgm")
@@ -616,6 +776,14 @@ class TestMalformedFiles:
         bad.write_bytes(b"P5\n5 4\n16\n" + bytes(20))
         self._run(["simulate", "--frames", str(frames), "--out", str(tmp_path / "o")],
                   bad, capsys)
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.25])
+    def test_frame_intensity_out_of_range(self, tmp_path, capsys, value):
+        frames = np.full((3, 4, 5), 0.5)
+        frames[2, 1, 3] = value
+        write_frame_dir(tmp_path / "frames", frames, fps=30)
+        self._run(["simulate", "--frames", str(tmp_path / "frames"),
+                   "--out", str(tmp_path / "o")], tmp_path / "frames" / "0002.f32", capsys)
 
     def test_eval_record_without_pred(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"

@@ -132,6 +132,63 @@ class TestSerialize:
         assert ev.serialize_stream(ev.parse_stream(blob)) == blob
 
 
+class TestStreamWriter:
+    def _chunks(self, stream, cuts):
+        edges = [0, *cuts, len(stream)]
+        return [stream[a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+    def test_chunks_match_serialize(self, tmp_path, small_geometry, rng):
+        s = random_stream(rng, small_geometry, 1000)
+        path = tmp_path / "events.evt1"
+        with ev.EventStreamWriter(path, small_geometry) as out:
+            for chunk in self._chunks(s, [0, 10, 10, 400, 999]):
+                out.append(chunk.t, chunk.x, chunk.y, chunk.p)
+        assert out.count == 1000
+        assert path.read_bytes() == ev.serialize_stream(s)
+
+    def test_no_chunk_is_the_empty_stream(self, tmp_path, small_geometry):
+        path = tmp_path / "events.evt1"
+        with ev.EventStreamWriter(path, small_geometry):
+            pass
+        assert path.read_bytes() == ev.serialize_stream(ev.EventStream.empty(small_geometry))
+        assert len(path.read_bytes()) == ev.HEADER_SIZE
+
+    def test_chunk_may_start_at_previous_end(self, tmp_path, small_geometry):
+        path = tmp_path / "events.evt1"
+        with ev.EventStreamWriter(path, small_geometry) as out:
+            out.append([5, 9], [1, 2], [0, 0], [1, 1])
+            out.append([9, 12], [0, 3], [1, 1], [-1, 1])
+        assert ev.read_stream(path).t.tolist() == [5, 9, 9, 12]
+
+    @pytest.mark.parametrize("second, error", [
+        (([8], [0], [0], [1]), NonMonotonic),       # earlier than the previous chunk
+        (([10, 9], [0, 0], [0, 0], [1, 1]), NonMonotonic),  # unsorted within the chunk
+        (([10], [32], [0], [1]), OutOfBounds),      # x outside the 32x24 sensor
+        (([10], [0], [0], [0]), OutOfBounds),       # polarity 0
+        (([10], [0, 1], [0], [1]), TruncatedRecord),
+    ])
+    def test_bad_chunk_leaves_no_valid_file(self, tmp_path, small_geometry, second, error):
+        path = tmp_path / "events.evt1"
+        with pytest.raises(error):
+            with ev.EventStreamWriter(path, small_geometry) as out:
+                out.append([5, 9], [1, 2], [0, 0], [1, 1])
+                out.append(*second)
+        with pytest.raises(DataError):
+            ev.read_stream(path)
+
+    @pytest.mark.parametrize("chunks", [0, 1])
+    def test_failure_leaves_no_valid_file(self, tmp_path, small_geometry, chunks):
+        path = tmp_path / "events.evt1"
+        path.write_bytes(ev.serialize_stream(ev.EventStream.empty(small_geometry)))
+        with pytest.raises(RuntimeError):
+            with ev.EventStreamWriter(path, small_geometry) as out:
+                for _ in range(chunks):
+                    out.append([], [], [], [])
+                raise RuntimeError("fails partway")
+        with pytest.raises(BadMagic):
+            ev.read_stream(path)
+
+
 class TestCsv:
     def test_round_trip(self, small_geometry, rng):
         s = random_stream(rng, small_geometry, 200)

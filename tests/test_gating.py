@@ -402,6 +402,15 @@ class TestMaskStackIO:
         assert geometry == GEO
         assert np.array_equal(back, masks)
 
+    def test_empty_stack_round_trips(self, tmp_path):
+        empty = np.zeros((0, GEO.height, GEO.width), dtype=bool)
+        path = tmp_path / "masks.msk1"
+        gating.write_masks(path, GEO, empty)
+        assert path.stat().st_size == 18  # the header alone
+        geometry, back = gating.read_masks(path)
+        assert geometry == GEO
+        assert back.shape == empty.shape
+
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
             gating.parse_masks(b"GARBAGE___________")
