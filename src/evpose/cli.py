@@ -26,7 +26,7 @@ from . import gating
 from . import metrics as met
 from . import representations as rep
 from . import simulator as sim
-from .errors import ConfigError, DataError, ToolkitError, from_file
+from .errors import ConfigError, DataError, GeometryMismatch, ToolkitError, from_file
 
 
 # -- config file: `key = value` lines, strings quoted, # comments ----------------
@@ -262,7 +262,10 @@ def cmd_filter(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = ev.read_stream(config["events"])
     if "external_masks" in config:
-        _, masks = gating.read_masks(config["external_masks"])
+        geometry, masks = gating.read_masks(config["external_masks"])
+        if geometry != stream.geometry:
+            raise GeometryMismatch(f"{config['external_masks']}: mask geometry {geometry} "
+                                   f"differs from the events' {stream.geometry}")
         scores = None
         if "external_scores" in config:
             with from_file(config["external_scores"]):

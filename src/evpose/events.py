@@ -5,10 +5,12 @@ sensor pixel when its log intensity changes past a contrast threshold.
 Timestamps are microseconds in an unsigned 64-bit range; equal timestamps
 are allowed (many pixels can fire within the same microsecond).
 
-EVT1 on-disk layout (little-endian):
+EVT1 event files and the MSK1 mask stacks of `gating` share one
+counted-record layout (little-endian): an 18-byte header, then exactly
+record_count fixed-size records. EVT1's record is one event:
 
-    header  = magic b"EVT1" | version u16 (=1) | width u16 | height u16
-              | event_count u64                               (18 bytes)
+    header  = magic | version u16 (=1) | width u16 | height u16
+              | record_count u64                              (18 bytes)
     record  = t u64 | x u16 | y u16 | polarity i8 | pad[3]    (16 bytes)
 
 A CSV alternative (header line ``t_us,x,y,p``) is provided as a lossless
@@ -35,7 +37,6 @@ from .errors import (
 )
 
 EVT1_MAGIC = b"EVT1"
-EVT1_VERSION = 1
 _HEADER = struct.Struct("<4sHHHQ")
 RECORD_DTYPE = np.dtype(
     [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("pad", "V3")]
@@ -58,8 +59,10 @@ class SensorGeometry:
     height: int
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise OutOfBounds(f"geometry must be positive, got {self.width}x{self.height}")
+        # x, y and both file headers store each side as u16
+        if not (0 < self.width <= 0xFFFF and 0 < self.height <= 0xFFFF):
+            raise OutOfBounds(f"geometry sides must lie in 1..65535, "
+                              f"got {self.width}x{self.height}")
 
     @property
     def num_pixels(self) -> int:
@@ -183,6 +186,69 @@ def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> bool:
     return False
 
 
+# -- counted-record files ------------------------------------------------------
+
+
+def pack_header(magic: bytes, geometry: SensorGeometry, count: int) -> bytes:
+    return _HEADER.pack(magic, 1, geometry.width, geometry.height, count)
+
+
+def parse_header(blob: bytes, magic: bytes, record_size, noun: str) -> tuple[SensorGeometry, int]:
+    """Geometry and record count of a counted-record blob whose records
+    take record_size(geometry) bytes each. Raises BadMagic for another
+    magic or a version other than 1, and TruncatedRecord (its message
+    naming each record a noun) unless the payload holds exactly count."""
+    name = magic.decode()
+    if len(blob) < HEADER_SIZE or blob[:4] != magic:
+        raise BadMagic(f"not an {name} blob")
+    _, version, width, height, count = _HEADER.unpack_from(blob, 0)
+    if version != 1:
+        raise BadMagic(f"unsupported {name} version {version}")
+    geometry = SensorGeometry(width=width, height=height)
+    size = record_size(geometry)
+    payload = len(blob) - HEADER_SIZE
+    if payload != count * size:
+        raise TruncatedRecord(f"{noun} payload of {payload} bytes, header declares "
+                              f"{count} {noun}s of {size} bytes")
+    return geometry, count
+
+
+class RecordFileWriter:
+    """Counted-record file written a batch of records at a time, as a
+    context manager.
+
+    The file is created on entry with zero bytes where the header goes;
+    `write(records, n)` appends n records' bytes. The header goes in only
+    when the `with` block exits without an exception, so a run that fails
+    partway leaves a file whose zero magic `parse_header` rejects, and a
+    run that writes no record leaves the 18-byte count-0 file.
+    """
+
+    def __init__(self, path, magic: bytes, geometry: SensorGeometry):
+        self.path = path
+        self.magic = magic
+        self.geometry = geometry
+        self.count = 0
+        self._f = None
+
+    def write(self, records, n: int) -> None:
+        self._f.write(records)
+        self.count += n
+
+    def __enter__(self):
+        self._f = open(self.path, "wb")
+        self._f.write(bytes(HEADER_SIZE))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._f.seek(0)
+                self._f.write(pack_header(self.magic, self.geometry, self.count))
+        finally:
+            self._f.close()
+
+
 # -- EVT1 binary format --------------------------------------------------------
 
 
@@ -193,39 +259,22 @@ def parse_stream(blob: bytes, tolerance_us: int = 0) -> EventStream:
     order is preserved from the file only when the file is sorted by time;
     records that regress within tolerance_us are stably sorted.
     """
-    if len(blob) < HEADER_SIZE or blob[:4] != EVT1_MAGIC:
-        raise BadMagic("not an EVT1 blob")
-    magic, version, width, height, count = _HEADER.unpack_from(blob, 0)
-    if version != EVT1_VERSION:
-        raise BadMagic(f"unsupported EVT1 version {version}")
-    payload = len(blob) - HEADER_SIZE
-    if payload % RECORD_SIZE != 0:
-        raise TruncatedRecord(f"payload of {payload} bytes is not a multiple of {RECORD_SIZE}")
-    n = payload // RECORD_SIZE
-    if n != count:
-        raise TruncatedRecord(f"header declares {count} events, payload holds {n}")
-    geometry = SensorGeometry(width=width, height=height)
+    geometry, n = parse_header(blob, EVT1_MAGIC, lambda g: RECORD_SIZE, "event")
     rec = np.frombuffer(blob, dtype=RECORD_DTYPE, count=n, offset=HEADER_SIZE)
     return EventStream(geometry, rec["t"].copy(), rec["x"].copy(),
                        rec["y"].copy(), rec["p"].copy(), tolerance_us)
 
 
-def _evt1_header(geometry: SensorGeometry, count: int) -> bytes:
-    return _HEADER.pack(EVT1_MAGIC, EVT1_VERSION, geometry.width, geometry.height, count)
-
-
-def _records(t, x, y, p) -> np.ndarray:
-    rec = np.zeros(len(t), dtype=RECORD_DTYPE)
-    rec["t"] = t
-    rec["x"] = x
-    rec["y"] = y
-    rec["p"] = p
+def _records(s: EventStream) -> np.ndarray:
+    rec = np.zeros(len(s), dtype=RECORD_DTYPE)
+    for c in "txyp":
+        rec[c] = getattr(s, c)
     return rec
 
 
 def serialize_stream(s: EventStream) -> bytes:
     """Bit-exact inverse of parse_stream."""
-    return _evt1_header(s.geometry, len(s)) + _records(s.t, s.x, s.y, s.p).tobytes()
+    return pack_header(EVT1_MAGIC, s.geometry, len(s)) + _records(s).tobytes()
 
 
 def read_stream(path) -> EventStream:
@@ -240,54 +289,28 @@ def write_stream(path, s: EventStream) -> None:
         out.append(s.t, s.x, s.y, s.p)
 
 
-class EventStreamWriter:
+class EventStreamWriter(RecordFileWriter):
     """EVT1 file written one chunk of events at a time, as a context manager.
 
-    The file is created on entry with zero bytes where the header goes.
-    Each `append` checks its chunk as `EventStream` does (stored dtypes,
-    bounds, polarity, sorted) and that it starts no earlier than the
-    previous chunk's last event, then writes its records. The header goes
-    in only when the `with` block exits without an exception, so a run
-    that fails partway leaves a file whose zero magic `parse_stream`
-    rejects. A completed file is byte-identical to `serialize_stream` of
-    the chunks' concatenation; with no chunk it is the 18-byte empty
-    stream.
+    Each `append` checks its chunk as an `EventStream` (stored dtypes,
+    bounds, polarity, sorted) that starts no earlier than the previous
+    chunk's last event, then writes its records. A completed file is
+    byte-identical to `serialize_stream` of the chunks' concatenation.
     """
 
     def __init__(self, path, geometry: SensorGeometry):
-        self.path = path
-        self.geometry = geometry
-        self.count = 0
+        super().__init__(path, EVT1_MAGIC, geometry)
         self._last_t = 0
-        self._f = None
 
     def append(self, t, x, y, p) -> None:
-        if not (len(t) == len(x) == len(y) == len(p)):
-            raise TruncatedRecord("column lengths differ")
-        t, x, y, p = (_stored(name, np.asarray(col), dtype)
-                      for (name, dtype), col in zip(_STORED, (t, x, y, p)))
-        validate_columns(self.geometry, t, x, y, p)  # tolerance 0: any regression raises
-        if len(t) == 0:
+        chunk = EventStream.from_arrays(self.geometry, t, x, y, p)  # tolerance 0
+        if len(chunk) == 0:
             return
-        if int(t[0]) < self._last_t:
-            raise NonMonotonic(f"chunk starts at {int(t[0])}us, before the previous "
+        if int(chunk.t[0]) < self._last_t:
+            raise NonMonotonic(f"chunk starts at {int(chunk.t[0])}us, before the previous "
                                f"chunk's last event at {self._last_t}us")
-        self._f.write(_records(t, x, y, p))
-        self.count += len(t)
-        self._last_t = int(t[-1])
-
-    def __enter__(self) -> "EventStreamWriter":
-        self._f = open(self.path, "wb")
-        self._f.write(bytes(HEADER_SIZE))
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is None:
-                self._f.seek(0)
-                self._f.write(_evt1_header(self.geometry, self.count))
-        finally:
-            self._f.close()
+        self.write(_records(chunk), len(chunk))
+        self._last_t = int(chunk.t[-1])
 
 
 # -- CSV text path -------------------------------------------------------------

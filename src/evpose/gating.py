@@ -22,23 +22,20 @@ vectorised root hooking and pointer jumping.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .errors import (
-    BadMagic,
     ConfigError,
     DataError,
     EmptyPlan,
     GeometryMismatch,
     ProbabilityOutOfRange,
-    TruncatedRecord,
     from_file,
 )
-from .events import SensorGeometry
+from .events import HEADER_SIZE, RecordFileWriter, SensorGeometry, pack_header, parse_header
 from .representations import ToreVolume
 
 MASK_THRESHOLD = 0.1  # binarization cut for predicted soft masks
@@ -186,10 +183,10 @@ def write_schedule_csv(path, entries: Sequence[ScheduleEntry]) -> None:
 
 def read_schedule_csv(path) -> list[ScheduleEntry]:
     out = []
-    with open(path) as f:
+    with open(path) as f, from_file(path):
         header = f.readline().strip()
         if header != SCHEDULE_HEADER.strip():
-            raise ConfigError(f"unexpected schedule header: {header!r}")
+            raise DataError(f"unexpected schedule header: {header!r}")
         for line in f:
             line = line.strip()
             if not line:
@@ -358,43 +355,31 @@ class ExternalMaskBackend:
 
 
 # -- MSK1 mask stack format -------------------------------------------------------
-# Same header shape as EVT1: magic, version u16, width u16, height u16,
-# count u64; then count masks, each ceil(W*H/8) bytes, bit-packed row-major.
+# The counted-record layout of `events` with magic b"MSK1": each record is
+# one mask, ceil(W*H/8) bytes, bit-packed row-major.
 
 MSK1_MAGIC = b"MSK1"
-MSK1_VERSION = 1
-_MSK_HEADER = struct.Struct("<4sHHHQ")
 
 
-def _msk1_header(geometry: SensorGeometry, count: int) -> bytes:
-    return _MSK_HEADER.pack(MSK1_MAGIC, MSK1_VERSION, geometry.width,
-                            geometry.height, count)
+def _mask_bytes(geometry: SensorGeometry) -> int:
+    return -(-geometry.num_pixels // 8)
 
 
 def serialize_masks(geometry: SensorGeometry, masks: np.ndarray) -> bytes:
     m = np.ascontiguousarray(masks).astype(bool)
     if m.ndim != 3 or m.shape[1:] != (geometry.height, geometry.width):
         raise GeometryMismatch(f"masks {m.shape} do not match geometry {geometry}")
-    return (_msk1_header(geometry, m.shape[0])
+    return (pack_header(MSK1_MAGIC, geometry, m.shape[0])
             + np.packbits(m.reshape(m.shape[0], geometry.num_pixels), axis=1).tobytes())
 
 
 def parse_masks(blob: bytes) -> tuple[SensorGeometry, np.ndarray]:
-    if len(blob) < _MSK_HEADER.size or blob[:4] != MSK1_MAGIC:
-        raise BadMagic("not an MSK1 blob")
-    _, version, width, height, count = _MSK_HEADER.unpack_from(blob, 0)
-    if version != MSK1_VERSION:
-        raise BadMagic(f"unsupported MSK1 version {version}")
-    geometry = SensorGeometry(width=width, height=height)
-    stride = -(-width * height // 8)
-    expect = count * stride
-    if len(blob) - _MSK_HEADER.size != expect:
-        raise TruncatedRecord(
-            f"mask payload {len(blob) - _MSK_HEADER.size} bytes, expected {expect}")
-    bits = np.frombuffer(blob, dtype=np.uint8, offset=_MSK_HEADER.size)
+    geometry, count = parse_header(blob, MSK1_MAGIC, _mask_bytes, "mask")
+    bits = np.frombuffer(blob, dtype=np.uint8, offset=HEADER_SIZE)
     # 0/1 bytes unpacked once, then viewed as bool: the stack is held once
-    unpacked = np.unpackbits(bits.reshape(count, stride), axis=1, count=width * height)
-    return geometry, unpacked.view(bool).reshape(count, height, width)
+    unpacked = np.unpackbits(bits.reshape(count, _mask_bytes(geometry)), axis=1,
+                             count=geometry.num_pixels)
+    return geometry, unpacked.view(bool).reshape(count, geometry.height, geometry.width)
 
 
 def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:
@@ -409,41 +394,16 @@ def read_masks(path) -> tuple[SensorGeometry, np.ndarray]:
         return parse_masks(blob)
 
 
-class MaskStackWriter:
-    """MSK1 file written one mask at a time, as a context manager.
-
-    The file is created at the first `append`, with a header count of 0;
-    the real count goes in only when the `with` block exits without an
-    exception. A run that fails partway therefore leaves either no file
-    or one whose payload disagrees with its count, which `parse_masks`
-    rejects. A completed file is byte-identical to `serialize_masks`.
-    """
+class MaskStackWriter(RecordFileWriter):
+    """MSK1 file written one mask at a time, as a context manager (see
+    `events.RecordFileWriter`). A completed file is byte-identical to
+    `serialize_masks`."""
 
     def __init__(self, path, geometry: SensorGeometry):
-        self.path = path
-        self.geometry = geometry
-        self.count = 0
-        self._f = None
+        super().__init__(path, MSK1_MAGIC, geometry)
 
     def append(self, mask: np.ndarray) -> None:
         m = np.asarray(mask).astype(bool, copy=False)
         if m.shape != (self.geometry.height, self.geometry.width):
             raise GeometryMismatch(f"mask {m.shape} does not match geometry {self.geometry}")
-        if self._f is None:
-            self._f = open(self.path, "wb")
-            self._f.write(_msk1_header(self.geometry, 0))
-        self._f.write(np.packbits(m.reshape(-1)).tobytes())
-        self.count += 1
-
-    def __enter__(self) -> "MaskStackWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._f is None:
-            return
-        try:
-            if exc_type is None:
-                self._f.seek(0)
-                self._f.write(_msk1_header(self.geometry, self.count))
-        finally:
-            self._f.close()
+        self.write(np.packbits(m.reshape(-1)).tobytes(), 1)

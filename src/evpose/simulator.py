@@ -542,11 +542,11 @@ def list_frames(dirpath) -> FrameDirectory:
         fmt = manifest.get("format", "pgm")
         if fmt not in ("pgm", "f32"):
             raise DataError(f"unknown frame format {fmt!r}")
+        geometry = SensorGeometry(width=manifest["width"], height=manifest["height"])
     names = sorted((p.name for p in dirpath.iterdir() if p.suffix == "." + fmt),
                    key=_numeric_key)
     if not names:
         raise DataError(f"no .{fmt} files in {dirpath}")
-    geometry = SensorGeometry(width=manifest["width"], height=manifest["height"])
     return FrameDirectory(dirpath, geometry, float(fps), fmt, tuple(names))
 
 

@@ -529,7 +529,8 @@ class TestFilterStreaming:
         out = tmp_path / "out"
         assert cli.main(["filter", "--events", str(path), "--out", str(out)]) == 0
         assert (out / "schedule.csv").read_text() == gating.SCHEDULE_HEADER
-        assert not (out / "masks.msk1").exists()
+        assert (out / "masks.msk1").read_bytes() == gating.serialize_masks(
+            self.GEO, np.zeros((0, self.GEO.height, self.GEO.width), dtype=bool))
         assert list(out.glob("masked_*.tore")) == []
 
     def test_failure_partway_leaves_no_valid_masks(self, tmp_path, rng, capsys):
@@ -638,6 +639,10 @@ class TestBenchCommand:
             reports.append(cli.parse_config(out.read_text()))
         assert reports[0]["events"] == reports[1]["events"]
         assert reports[0]["windows"] == reports[1]["windows"]
+
+    def test_geometry_beyond_u16_is_data_error(self, capsys):
+        assert cli.main(["bench", "--n-events", "10", "--width", "70000"]) == 3
+        assert "70000x260" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -768,6 +773,25 @@ class TestMalformedFiles:
                                    key: value}))
         self._run(["simulate", "--frames", str(frames), "--out", str(tmp_path / "o")],
                   bad, capsys)
+
+    def test_frame_geometry_beyond_u16(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        write_frame_dir(frames, np.full((2, 1, 70000), 0.5), fps=30)
+        out = tmp_path / "o"
+        self._run(["simulate", "--frames", str(frames), "--out", str(out)],
+                  frames / "manifest.json", capsys)
+        assert not out.exists()
+
+    def test_external_masks_geometry(self, tmp_path, capsys, rng):
+        geometry = ev.SensorGeometry(16, 12)
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, geometry, 100))
+        bad = tmp_path / "transposed.msk1"
+        gating.write_masks(bad, ev.SensorGeometry(12, 16), np.ones((2, 16, 12), bool))
+        out = tmp_path / "o"
+        self._run(["filter", "--events", str(events_path), "--out", str(out),
+                   "--external-masks", str(bad)], bad, capsys)
+        assert list(out.glob("*.tore")) == []
 
     def test_frame_file(self, tmp_path, capsys):
         frames = tmp_path / "frames"

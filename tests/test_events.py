@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evpose import events as ev
+from evpose import gating
 from evpose.errors import (
     BadMagic,
     DataError,
@@ -27,6 +28,43 @@ def make_blob(width=346, height=260, records=()):
     for t, x, y, p in records:
         blob += struct.pack("<QHHb3x", t, x, y, p)
     return blob
+
+
+class Evt1:
+    """EVT1 as a counted-record format: the records are events."""
+
+    writer = ev.EventStreamWriter
+    serialize = staticmethod(lambda geometry, stream: ev.serialize_stream(stream))
+    read = staticmethod(ev.parse_stream)
+
+    @staticmethod
+    def records(rng, geometry, n):
+        return random_stream(rng, geometry, n)
+
+    @staticmethod
+    def append(out, stream):
+        out.append(stream.t, stream.x, stream.y, stream.p)
+
+
+class Msk1:
+    """MSK1 as a counted-record format: the records are masks."""
+
+    writer = gating.MaskStackWriter
+    serialize = staticmethod(gating.serialize_masks)
+    read = staticmethod(lambda blob: gating.parse_masks(blob)[1])
+
+    @staticmethod
+    def records(rng, geometry, n):
+        return rng.random((n, geometry.height, geometry.width)) > 0.5
+
+    @staticmethod
+    def append(out, masks):
+        for mask in masks:
+            out.append(mask)
+
+
+# the counted-record contract, checked once per format
+EACH_FORMAT = pytest.mark.parametrize("fmt", [Evt1, Msk1], ids=["EVT1", "MSK1"])
 
 
 class TestParse:
@@ -89,6 +127,26 @@ class TestParse:
     def test_equal_timestamps_allowed(self):
         s = ev.parse_stream(make_blob(records=[(5, 0, 0, 1), (5, 1, 1, -1)]))
         assert len(s) == 2
+
+    @EACH_FORMAT
+    def test_version_2_is_bad_magic(self, small_geometry, rng, fmt):
+        blob = bytearray(fmt.serialize(small_geometry, fmt.records(rng, small_geometry, 3)))
+        blob[4:6] = (2).to_bytes(2, "little")
+        with pytest.raises(BadMagic, match="version 2"):
+            fmt.read(bytes(blob))
+
+    @EACH_FORMAT
+    @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"],
+                             ids=["short", "long"])
+    def test_payload_off_by_one_byte_is_truncated(self, small_geometry, rng, fmt, edit):
+        blob = fmt.serialize(small_geometry, fmt.records(rng, small_geometry, 3))
+        with pytest.raises(TruncatedRecord, match="payload"):
+            fmt.read(edit(blob))
+
+    def test_other_magic_is_bad_magic(self, small_geometry, rng):
+        masks = Msk1.records(rng, small_geometry, 2)
+        with pytest.raises(BadMagic):
+            ev.parse_stream(gating.serialize_masks(small_geometry, masks))
 
 
 class TestSerialize:
@@ -187,6 +245,38 @@ class TestStreamWriter:
                 raise RuntimeError("fails partway")
         with pytest.raises(BadMagic):
             ev.read_stream(path)
+
+
+    @EACH_FORMAT
+    def test_pieces_match_serialize_of_the_whole(self, tmp_path, small_geometry, rng, fmt):
+        whole = fmt.records(rng, small_geometry, 40)
+        path = tmp_path / "records"
+        with fmt.writer(path, small_geometry) as out:
+            for a, b in [(0, 0), (0, 1), (1, 17), (17, 17), (17, 40)]:
+                fmt.append(out, whole[a:b])
+        assert out.count == 40
+        assert path.read_bytes() == fmt.serialize(small_geometry, whole)
+
+    @EACH_FORMAT
+    def test_no_record_is_the_count_zero_file(self, tmp_path, small_geometry, rng, fmt):
+        path = tmp_path / "records"
+        with fmt.writer(path, small_geometry):
+            pass
+        blob = path.read_bytes()
+        assert blob == fmt.serialize(small_geometry, fmt.records(rng, small_geometry, 0))
+        assert len(blob) == ev.HEADER_SIZE == 18
+        assert len(fmt.read(blob)) == 0
+
+    @EACH_FORMAT
+    def test_exception_partway_leaves_bad_magic(self, tmp_path, small_geometry, rng, fmt):
+        path = tmp_path / "records"
+        with pytest.raises(RuntimeError):
+            with fmt.writer(path, small_geometry) as out:
+                fmt.append(out, fmt.records(rng, small_geometry, 5))
+                raise RuntimeError("fails partway")
+        assert path.stat().st_size > ev.HEADER_SIZE
+        with pytest.raises(BadMagic):
+            fmt.read(path.read_bytes())
 
 
 class TestCsv:

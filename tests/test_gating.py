@@ -10,6 +10,7 @@ from evpose import gating
 from evpose.errors import (
     BadMagic,
     ConfigError,
+    DataError,
     EmptyPlan,
     GeometryMismatch,
     ProbabilityOutOfRange,
@@ -450,3 +451,14 @@ class TestScheduleCsv:
         path = tmp_path / "schedule.csv"
         gating.write_schedule_csv(path, entries)
         assert gating.read_schedule_csv(path) == entries
+
+    @pytest.mark.parametrize("text, message", [
+        ("frame,score\n0,1,1.0\n", "unexpected schedule header"),
+        (gating.SCHEDULE_HEADER + "0,1\n", "not enough values to unpack"),
+    ], ids=["header", "two_fields"])
+    def test_bad_file_is_data_error_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "schedule.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message) as info:
+            gating.read_schedule_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
