@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BehindCamera, DataError, InvalidDepth, from_file
+from .events import freeze
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,8 @@ class CameraModel:
     extrinsic: np.ndarray = field(repr=False)   # 3x4, world -> camera, mm
 
     def __post_init__(self):
-        k = np.ascontiguousarray(self.intrinsic, dtype=np.float64)
-        e = np.ascontiguousarray(self.extrinsic, dtype=np.float64)
+        k = freeze(self, "intrinsic", np.float64)
+        e = freeze(self, "extrinsic", np.float64)
         if k.shape != (3, 3):
             raise DataError(f"intrinsic must be 3x3, got {k.shape}")
         if e.shape != (3, 4):
@@ -42,10 +43,6 @@ class CameraModel:
             raise DataError("intrinsic must be upper-triangular with K[2,2] = 1")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise DataError("focal entries must be positive")
-        k.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "intrinsic", k)
-        object.__setattr__(self, "extrinsic", e)
 
     @property
     def fx(self) -> float:

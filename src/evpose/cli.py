@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import gating
 from . import metrics as met
 from . import representations as rep
 from . import simulator as sim
-from .errors import ConfigError, DataError, GeometryMismatch, ToolkitError, from_file
+from .errors import ConfigError, DataError, GeometryMismatch, from_file
 
 
 # -- config file: `key = value` lines, strings quoted, # comments ----------------
@@ -157,8 +157,8 @@ SIMULATE_PARAMS = [
     Param("interpolate", int, 1, help="linear frame interpolation factor"),
     *(Param(name, type(getattr(sim.PixelModelParams, name)), getattr(sim.PixelModelParams, name))
       for name in PIXEL_MODEL_OPTIONS),
-    Param("heatmap_resolution", int, 64),
-    Param("heatmap_sigma", float, 2.0),
+    Param("heatmap_resolution", int, sim.HEATMAP_RESOLUTION),
+    Param("heatmap_sigma", float, sim.HEATMAP_SIGMA),
 ]
 
 
@@ -207,7 +207,7 @@ WINDOW_PARAMS = [
     Param("out", str, required=True, help="output directory"),
     Param("k", int, rep.DEFAULT_K, help="FIFO depth per pixel per polarity"),
     Param("tau_us", int, rep.DEFAULT_TAU_US, help="max retained event age"),
-    Param("window_us", int, 20_000),
+    Param("window_us", int, ev.DEFAULT_WINDOW_US),
     Param("origin_us", int, 0),
 ]
 
@@ -322,9 +322,9 @@ BENCH_PARAMS = [
     Param("seed", int, 0),
     Param("k", int, rep.DEFAULT_K),
     Param("tau_us", int, rep.DEFAULT_TAU_US),
-    Param("window_us", int, 20_000),
-    Param("width", int, 346),
-    Param("height", int, 260),
+    Param("window_us", int, ev.DEFAULT_WINDOW_US),
+    Param("width", int, ev.DAVIS346.width),
+    Param("height", int, ev.DAVIS346.height),
     Param("out", str, help="write the report as key = value text"),
 ]
 
@@ -381,8 +381,7 @@ def cmd_bench(args) -> int:
     sys.stdout.write(text)
     if "out" in config:
         Path(config["out"]).write_text(text)
-    if args.manifest:
-        Path(args.manifest).write_text(render_config(config))
+    _emit_manifest(config, args)
     return 0
 
 
@@ -418,15 +417,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except ToolkitError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 4
     except Exception as e:  # noqa: BLE001 - surface as invariant violation
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4

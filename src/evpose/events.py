@@ -20,6 +20,7 @@ text path for interoperability.
 from __future__ import annotations
 
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,10 +73,12 @@ class SensorGeometry:
 DAVIS346 = SensorGeometry(width=346, height=260)
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    """Read-only contiguous view; the caller's own array keeps its flags."""
-    a = np.ascontiguousarray(a).view()
+def freeze(obj, name: str, dtype=None) -> np.ndarray:
+    """Store and return field `name` of frozen obj as a read-only C-contiguous view
+    in dtype, copied only to change dtype or layout; the caller's array keeps its flags."""
+    a = np.ascontiguousarray(getattr(obj, name), dtype=dtype).view()
     a.setflags(write=False)
+    object.__setattr__(obj, name, a)
     return a
 
 
@@ -126,7 +129,8 @@ class EventStream:
             order = np.argsort(cols[0], kind="stable")
             cols = tuple(c[order] for c in cols)
         for name, col in zip("txyp", cols):
-            object.__setattr__(self, name, _as_readonly(col))
+            object.__setattr__(self, name, col)
+            freeze(self, name)
 
     @classmethod
     def empty(cls, geometry: SensorGeometry) -> "EventStream":
@@ -278,10 +282,8 @@ def serialize_stream(s: EventStream) -> bytes:
 
 
 def read_stream(path) -> EventStream:
-    with open(path, "rb") as f:
-        blob = f.read()
-    with from_file(path):
-        return parse_stream(blob)
+    with open(path, "rb") as f, from_file(path):
+        return parse_stream(f.read())
 
 
 def write_stream(path, s: EventStream) -> None:
@@ -318,32 +320,29 @@ class EventStreamWriter(RecordFileWriter):
 CSV_HEADER = "t_us,x,y,p"
 
 
-def write_csv(fp, s: EventStream) -> None:
+def _text_file(fp, mode: str):
+    """fp opened in mode when it names a file (closed when the `with` ends),
+    or fp itself, left open, when it is already a file object."""
     own = isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__")
-    out = open(fp, "w") if own else fp
-    try:
+    return open(fp, mode) if own else nullcontext(fp)
+
+
+def write_csv(fp, s: EventStream) -> None:
+    with _text_file(fp, "w") as out:
         out.write(CSV_HEADER + "\n")
         out.write("".join(map("{},{},{},{}\n".format, s.t.tolist(), s.x.tolist(),
                               s.y.tolist(), s.p.tolist())))
-    finally:
-        if own:
-            out.close()
 
 
 def read_csv(fp, geometry: SensorGeometry) -> EventStream:
     """Inverse of write_csv. Values parse as exact integers, so every u64
     timestamp round-trips; a row that is not four integers is a DataError
     naming its line (the header is line 1)."""
-    own = isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__")
-    inp = open(fp, "r") if own else fp
-    try:
+    with _text_file(fp, "r") as inp:
         header = inp.readline().strip()
         if header != CSV_HEADER:
             raise BadMagic(f"expected CSV header {CSV_HEADER!r}, got {header!r}")
         body = inp.read()
-    finally:
-        if own:
-            inp.close()
     rows = []
     for line_no, line in enumerate(body.splitlines(), start=2):
         fields = line.split(",")
@@ -363,8 +362,20 @@ def read_csv(fp, geometry: SensorGeometry) -> EventStream:
 # -- slicing -------------------------------------------------------------------
 
 
+DEFAULT_WINDOW_US = 20_000  # 50 windows per second of recording
 # Most windows one stream may be cut into: 93 h of 20 ms windows.
 MAX_WINDOWS = 2**24
+
+
+def check_window(window_us: int, origin_us: int, end_us: int = 0) -> int:
+    """end_us, after the windowing rules: a positive window from a non-negative
+    origin (else ZeroWindow) ends within the u64 range (else WindowLimit)."""
+    if window_us <= 0 or origin_us < 0:
+        raise ZeroWindow(f"window_us must be positive and origin_us non-negative, "
+                         f"got {window_us} and {origin_us}")
+    if end_us >= 2**64:
+        raise WindowLimit(f"last window ends at {end_us}us, past the u64 timestamp range")
+    return end_us
 
 
 def iter_windows(s: EventStream, window_us: int, origin_us: int = 0):
@@ -377,17 +388,13 @@ def iter_windows(s: EventStream, window_us: int, origin_us: int = 0):
     The windows are bounded before the first is yielded; each is a view
     of s, cut by one searchsorted when the consumer asks for it.
     """
-    if window_us <= 0 or origin_us < 0:
-        raise ZeroWindow(f"window_us must be positive and origin_us non-negative, "
-                         f"got {window_us} and {origin_us}")
+    check_window(window_us, origin_us)
     if len(s) == 0 or origin_us > int(s.t[-1]):
         return
     n_windows = (int(s.t[-1]) - origin_us) // window_us + 1
-    last_end = origin_us + n_windows * window_us
     if n_windows > MAX_WINDOWS:
         raise WindowLimit(f"{n_windows} windows of {window_us}us, more than {MAX_WINDOWS}")
-    if last_end >= 2**64:
-        raise WindowLimit(f"last window ends at {last_end}us, past the u64 timestamp range")
+    last_end = check_window(window_us, origin_us, origin_us + n_windows * window_us)
     i0 = int(np.searchsorted(s.t, np.uint64(origin_us), side="left"))
     for end_us in range(origin_us + window_us, last_end + 1, window_us):
         i1 = int(np.searchsorted(s.t, np.uint64(end_us), side="left"))

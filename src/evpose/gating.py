@@ -35,7 +35,9 @@ from .errors import (
     ProbabilityOutOfRange,
     from_file,
 )
-from .events import HEADER_SIZE, RecordFileWriter, SensorGeometry, pack_header, parse_header
+from .events import (HEADER_SIZE, RecordFileWriter, SensorGeometry, freeze, pack_header,
+                     parse_header)
+from .pose_math import mask_errors
 from .representations import ToreVolume
 
 MASK_THRESHOLD = 0.1  # binarization cut for predicted soft masks
@@ -49,8 +51,8 @@ class MaskPlan:
     scores: np.ndarray = field(repr=False)  # (N,) in [0, 1]
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.masks).astype(bool)
-        s = np.ascontiguousarray(self.scores, dtype=np.float64)
+        m = freeze(self, "masks", bool)
+        s = freeze(self, "scores", np.float64)
         if m.ndim != 3:
             raise GeometryMismatch(f"masks must be (N, H, W), got {m.shape}")
         if m.shape[0] == 0:
@@ -59,10 +61,6 @@ class MaskPlan:
             raise EmptyPlan(f"{m.shape[0]} masks but {s.shape} scores")
         if np.any(s < 0) or np.any(s > 1):
             raise ProbabilityOutOfRange("plan scores must lie in [0, 1]")
-        m.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "masks", m)
-        object.__setattr__(self, "scores", s)
 
     @property
     def horizon(self) -> int:
@@ -101,11 +99,7 @@ def apply_mask(vol: ToreVolume, mask: np.ndarray) -> ToreVolume:
 def mask_quality_ground_truth(pred: np.ndarray, gt: np.ndarray) -> float:
     """1 - MAE between binary masks, so identical masks score 1.0 and
     complementary masks score 0.0."""
-    a = np.asarray(pred).astype(np.float64)
-    b = np.asarray(gt).astype(np.float64)
-    if a.shape != b.shape:
-        raise GeometryMismatch(f"mask shapes differ: {a.shape} vs {b.shape}")
-    return 1.0 - float(np.abs(a - b).mean())
+    return 1.0 - float(mask_errors(np.asarray(pred)[None], np.asarray(gt)[None])[0])
 
 
 # -- scheduling ----------------------------------------------------------------
@@ -182,18 +176,26 @@ def write_schedule_csv(path, entries: Sequence[ScheduleEntry]) -> None:
 
 
 def read_schedule_csv(path) -> list[ScheduleEntry]:
+    """Inverse of write_schedule_csv: rows number the frames 0, 1, 2, ...,
+    flag a recompute 0 or 1 and hold a score in [0, 1], or the row is a
+    DataError naming the file and the line (the header is line 1)."""
     out = []
     with open(path) as f, from_file(path):
         header = f.readline().strip()
         if header != SCHEDULE_HEADER.strip():
             raise DataError(f"unexpected schedule header: {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(f, start=2):
+            if not line.strip():
                 continue
-            frame, rec, score = line.split(",")
-            out.append(ScheduleEntry(frame=int(frame), recompute=bool(int(rec)),
-                                     score_used=float(score)))
+            try:
+                frame, rec, score = line.split(",")
+                frame, rec, score = int(frame), int(rec), float(score)
+            except ValueError as e:
+                raise DataError(f"line {line_no}: {e}") from None
+            if frame != len(out) or rec not in (0, 1) or not 0.0 <= score <= 1.0:  # NaN too
+                raise DataError(f"line {line_no}: expected frame {len(out)}, recompute 0 or 1 "
+                                f"and a score in [0, 1], got {line.strip()!r}")
+            out.append(ScheduleEntry(frame=frame, recompute=rec == 1, score_used=score))
     return out
 
 
@@ -365,12 +367,16 @@ def _mask_bytes(geometry: SensorGeometry) -> int:
     return -(-geometry.num_pixels // 8)
 
 
+def _mask_record(geometry: SensorGeometry, mask: np.ndarray) -> bytes:
+    m = np.asarray(mask).astype(bool, copy=False)
+    if m.shape != (geometry.height, geometry.width):
+        raise GeometryMismatch(f"mask {m.shape} does not match geometry {geometry}")
+    return np.packbits(m.reshape(-1)).tobytes()
+
+
 def serialize_masks(geometry: SensorGeometry, masks: np.ndarray) -> bytes:
-    m = np.ascontiguousarray(masks).astype(bool)
-    if m.ndim != 3 or m.shape[1:] != (geometry.height, geometry.width):
-        raise GeometryMismatch(f"masks {m.shape} do not match geometry {geometry}")
-    return (pack_header(MSK1_MAGIC, geometry, m.shape[0])
-            + np.packbits(m.reshape(m.shape[0], geometry.num_pixels), axis=1).tobytes())
+    records = [_mask_record(geometry, m) for m in masks]
+    return pack_header(MSK1_MAGIC, geometry, len(records)) + b"".join(records)
 
 
 def parse_masks(blob: bytes) -> tuple[SensorGeometry, np.ndarray]:
@@ -383,15 +389,14 @@ def parse_masks(blob: bytes) -> tuple[SensorGeometry, np.ndarray]:
 
 
 def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(serialize_masks(geometry, masks))
+    with MaskStackWriter(path, geometry) as out:
+        for mask in masks:
+            out.append(mask)
 
 
 def read_masks(path) -> tuple[SensorGeometry, np.ndarray]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    with from_file(path):
-        return parse_masks(blob)
+    with open(path, "rb") as f, from_file(path):
+        return parse_masks(f.read())
 
 
 class MaskStackWriter(RecordFileWriter):
@@ -403,7 +408,4 @@ class MaskStackWriter(RecordFileWriter):
         super().__init__(path, MSK1_MAGIC, geometry)
 
     def append(self, mask: np.ndarray) -> None:
-        m = np.asarray(mask).astype(bool, copy=False)
-        if m.shape != (self.geometry.height, self.geometry.width):
-            raise GeometryMismatch(f"mask {m.shape} does not match geometry {self.geometry}")
-        self.write(np.packbits(m.reshape(-1)).tobytes(), 1)
+        self.write(_mask_record(self.geometry, mask), 1)

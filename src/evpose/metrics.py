@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch, from_file
 from .gating import MaskPredictorBackend, schedule_masks
-from .pose_math import Pose3D, read_pose_csv
+from .pose_math import Pose3D, mask_errors, read_pose_csv
 from .representations import ToreVolume
 
 PCK_THRESHOLD_MM = 150.0
@@ -58,8 +58,7 @@ def pck(pred, gt, alpha_mm: float = PCK_THRESHOLD_MM) -> float:
     """Fraction of joints with error strictly below alpha_mm."""
     if alpha_mm < 0:
         raise ConfigError(f"alpha_mm must be non-negative, got {alpha_mm}")
-    err = joint_errors(pred, gt)
-    return float(np.mean(err < alpha_mm))
+    return float(_pck(joint_errors(pred, gt), alpha_mm))
 
 
 def auc_thresholds() -> np.ndarray:
@@ -68,8 +67,16 @@ def auc_thresholds() -> np.ndarray:
 
 def auc(pred, gt) -> float:
     """Mean PCK over the standard 30-threshold sweep."""
-    err = joint_errors(pred, gt)
-    return float(np.mean([np.mean(err < a) for a in auc_thresholds()]))
+    return float(_auc(joint_errors(pred, gt)))
+
+
+def _pck(err: np.ndarray, alpha_mm) -> np.ndarray:
+    """PCK of each record of joint errors whose last axis is the joints."""
+    return np.mean(err < alpha_mm, axis=-1)
+
+
+def _auc(err: np.ndarray) -> np.ndarray:
+    return np.mean(_pck(err[..., None, :], auc_thresholds()[:, None]), axis=-1)
 
 
 # -- occlusion augmentation -------------------------------------------------------
@@ -137,12 +144,13 @@ class EvalReport:
     group_by: tuple = ()
 
 
-def _metrics_over(records: Sequence[EvalRecord]) -> GroupMetrics:
+def _metrics_over(err: np.ndarray) -> GroupMetrics:
+    """Means over records of MPJPE, PCK and AUC, from (R, J) joint errors."""
     return GroupMetrics(
-        count=len(records),
-        mpjpe=float(np.mean([mpjpe(r.pred, r.gt) for r in records])),
-        pck=float(np.mean([pck(r.pred, r.gt) for r in records])),
-        auc=float(np.mean([auc(r.pred, r.gt) for r in records])),
+        count=len(err),
+        mpjpe=float(np.mean(err.mean(axis=1))),
+        pck=float(np.mean(_pck(err, PCK_THRESHOLD_MM))),
+        auc=float(np.mean(_auc(err))),
     )
 
 
@@ -156,22 +164,26 @@ def evaluate(records: Sequence[EvalRecord], group_by: Sequence[str] = ()) -> Eva
     if not records:
         raise EmptyInput("no evaluation records")
     group_by = tuple(group_by)
-    groups: dict = {}
-    if group_by:
-        buckets: dict = {}
-        for r in records:
-            key = tuple(r.tags.get(a, "?") for a in group_by)
-            buckets.setdefault(key, []).append(r)
-        for key in sorted(buckets):
-            groups["/".join(key)] = _metrics_over(buckets[key])
-    per_joint = np.mean([joint_errors(r.pred, r.gt) for r in records], axis=0)
-    return EvalReport(overall=_metrics_over(records), groups=groups,
-                      per_joint_mpjpe=per_joint, group_by=group_by)
+    for axis in group_by:
+        if axis not in CONDITION_AXES:
+            raise ConfigError(f"unknown group-by axis {axis!r}, expected one of "
+                              f"{', '.join(CONDITION_AXES)}")
+    err = np.stack([joint_errors(r.pred, r.gt) for r in records])
+    buckets: dict = {}
+    for i, r in enumerate(records):
+        buckets.setdefault(tuple(r.tags.get(a, "?") for a in group_by), []).append(i)
+    groups = {"/".join(key): _metrics_over(err[buckets[key]])
+              for key in sorted(buckets)} if group_by else {}
+    return EvalReport(overall=_metrics_over(err), groups=groups,
+                      per_joint_mpjpe=err.mean(axis=0), group_by=group_by)
+
+
+def _joint_names(report: EvalReport, joint_names: Sequence[str] | None) -> list[str]:
+    return list(joint_names or (f"j{i:02d}" for i in range(len(report.per_joint_mpjpe))))
 
 
 def report_to_csv(report: EvalReport, path, joint_names: Sequence[str] | None = None) -> None:
-    names = list(joint_names) if joint_names else [
-        f"j{i:02d}" for i in range(len(report.per_joint_mpjpe))]
+    names = _joint_names(report, joint_names)
     with open(path, "w") as f:
         f.write("scope,key,count,mpjpe_mm,pck,auc\n")
         o = report.overall
@@ -183,8 +195,7 @@ def report_to_csv(report: EvalReport, path, joint_names: Sequence[str] | None = 
 
 
 def format_report(report: EvalReport, joint_names: Sequence[str] | None = None) -> str:
-    names = list(joint_names) if joint_names else [
-        f"j{i:02d}" for i in range(len(report.per_joint_mpjpe))]
+    names = _joint_names(report, joint_names)
     lines = []
     o = report.overall
     lines.append(f"{'scope':24s} {'n':>6s} {'MPJPE(mm)':>12s} {'PCK':>8s} {'AUC':>8s}")
@@ -253,10 +264,7 @@ def threshold_sweep(frames: Sequence[ToreVolume], backend: MaskPredictorBackend,
         elapsed = time.perf_counter() - start
         mae = None
         if gt_masks is not None:
-            diffs = [np.abs(result.masks[i].astype(np.float64)
-                            - np.asarray(gt_masks[i]).astype(np.float64)).mean()
-                     for i in range(len(frames))]
-            mae = float(np.mean(diffs))
+            mae = float(np.mean(mask_errors(result.masks, gt_masks)))
         out.append(SweepPoint(beta=float(beta), backend_calls=result.backend_calls,
                               elapsed_s=elapsed, mask_mae=mae))
     return out

@@ -33,6 +33,7 @@ from .errors import (
     ZeroMass,
     from_file,
 )
+from .events import freeze
 
 BCE_CLIP = 1e-7
 DISTRIBUTION_ATOL = 1e-6
@@ -59,7 +60,7 @@ class HeatmapTriplet:
     def __post_init__(self):
         shape = np.shape(self.xy)
         for name in ("xy", "xz", "zy"):
-            g = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            g = freeze(self, name, np.float64)
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape != shape:
                 raise InvalidDistribution(f"{name} plane must be square, got {g.shape}")
             if np.any(g < 0):
@@ -67,8 +68,6 @@ class HeatmapTriplet:
             if abs(float(g.sum()) - 1.0) > DISTRIBUTION_ATOL:
                 raise InvalidDistribution(
                     f"{name} plane sums to {float(g.sum()):.9f}, expected 1")
-            g.setflags(write=False)
-            object.__setattr__(self, name, g)
 
     @property
     def resolution(self) -> int:
@@ -86,13 +85,11 @@ class Pose3D:
     frame: str = "camera"  # "normalized" | "camera" | "world"
 
     def __post_init__(self):
-        j = np.ascontiguousarray(self.joints, dtype=np.float64)
+        j = freeze(self, "joints", np.float64)
         if j.ndim != 2 or j.shape[1] != 3:
             raise DataError(f"joints must be (J, 3), got {j.shape}")
         if not np.all(np.isfinite(j)):
             raise NonFinite("joint coordinates must be finite")
-        j.setflags(write=False)
-        object.__setattr__(self, "joints", j)
 
     @property
     def num_joints(self) -> int:
@@ -143,31 +140,35 @@ def fuse_planes(t: HeatmapTriplet) -> np.ndarray:
 # -- divergences and elementwise losses -----------------------------------------
 
 
+def _same_shape(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as float64 arrays, once checked to share one shape."""
+    a = np.asarray(p, dtype=np.float64)
+    b = np.asarray(q, dtype=np.float64)
+    if a.shape != b.shape:
+        raise LengthMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    return a, b
+
+
 def jsd(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence, natural log, 0*log(0) = 0.
 
     Defined for any pair of same-shaped non-negative arrays; for
     probability distributions the value lies in [0, ln 2].
     """
-    a = np.asarray(p, dtype=np.float64).ravel()
-    b = np.asarray(q, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise LengthMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = _same_shape(np.ravel(p), np.ravel(q))
     if np.any(a < 0) or np.any(b < 0):
         raise InvalidDistribution("negative mass")
     m = 0.5 * (a + b)
-    term_a = np.where(a > 0, a * (np.log(np.where(a > 0, a, 1.0)) -
-                                  np.log(np.where(m > 0, m, 1.0))), 0.0)
-    term_b = np.where(b > 0, b * (np.log(np.where(b > 0, b, 1.0)) -
-                                  np.log(np.where(m > 0, m, 1.0))), 0.0)
+    log_m = np.log(np.where(m > 0, m, 1.0))
+    term_a, term_b = (np.where(v > 0, v * (np.log(np.where(v > 0, v, 1.0)) - log_m), 0.0)
+                      for v in (a, b))
     return float(0.5 * (term_a.sum() + term_b.sum()))
 
 
 def jsd_grad(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of jsd w.r.t. both arguments; requires strictly positive
     entries (the divergence is not differentiable at zeros)."""
-    a = np.asarray(p, dtype=np.float64)
-    b = np.asarray(q, dtype=np.float64)
+    a, b = _same_shape(p, q)
     if np.any(a <= 0) or np.any(b <= 0):
         raise InvalidDistribution("gradient needs strictly positive entries")
     m = 0.5 * (a + b)
@@ -177,10 +178,7 @@ def jsd_grad(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bce(target: np.ndarray, prob: np.ndarray) -> float:
     """Mean binary cross entropy; probabilities are clipped away from
     {0, 1} by 1e-7 before the logs."""
-    y = np.asarray(target, dtype=np.float64)
-    p = np.asarray(prob, dtype=np.float64)
-    if y.shape != p.shape:
-        raise LengthMismatch(f"shape mismatch {y.shape} vs {p.shape}")
+    y, p = _same_shape(target, prob)
     if np.any(p < 0) or np.any(p > 1):
         raise ProbabilityOutOfRange("probabilities must lie in [0, 1]")
     pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
@@ -189,22 +187,18 @@ def bce(target: np.ndarray, prob: np.ndarray) -> float:
 
 def bce_grad(target: np.ndarray, prob: np.ndarray) -> np.ndarray:
     """Gradient of bce w.r.t. prob, exact where the clip is inactive."""
-    y = np.asarray(target, dtype=np.float64)
-    p = np.clip(np.asarray(prob, dtype=np.float64), BCE_CLIP, 1.0 - BCE_CLIP)
+    y, p = _same_shape(target, prob)
+    p = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
     return (-(y / p) + (1.0 - y) / (1.0 - p)) / p.size
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(target, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    a, b = _same_shape(pred, target)
     return float(np.mean((a - b) ** 2))
 
 
 def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(target, dtype=np.float64)
+    a, b = _same_shape(pred, target)
     return 2.0 * (a - b) / a.size
 
 
@@ -244,13 +238,15 @@ def hpe_loss(blocks: Sequence[BlockPrediction], gt_pose: np.ndarray,
     return total
 
 
+def mask_errors(pred_masks: np.ndarray, gt_masks: np.ndarray) -> np.ndarray:
+    """Mean absolute error of each mask of an (N, ...) stack, float64 (N,)."""
+    p, g = _same_shape(pred_masks, gt_masks)
+    return np.abs(p - g).reshape(p.shape[0], -1).mean(axis=1)
+
+
 def score_targets(pred_masks: np.ndarray, gt_masks: np.ndarray) -> np.ndarray:
     """Quality-score targets: 1 - MAE per mask, higher = better."""
-    p = np.asarray(pred_masks, dtype=np.float64)
-    g = np.asarray(gt_masks, dtype=np.float64)
-    if p.shape != g.shape:
-        raise LengthMismatch(f"shape mismatch {p.shape} vs {g.shape}")
-    return 1.0 - np.abs(p - g).reshape(p.shape[0], -1).mean(axis=1)
+    return 1.0 - mask_errors(pred_masks, gt_masks)
 
 
 def mask_loss(pred_masks: np.ndarray, gt_masks: np.ndarray,
@@ -262,14 +258,12 @@ def mask_loss(pred_masks: np.ndarray, gt_masks: np.ndarray,
     pred_masks holds pre-binarization probabilities, shape (N, H, W) with
     mask 0 the current frame.
     """
-    p = np.asarray(pred_masks, dtype=np.float64)
-    g = np.asarray(gt_masks, dtype=np.float64)
+    p, g = _same_shape(pred_masks, gt_masks)
     s = np.asarray(pred_scores, dtype=np.float64)
     if p.ndim != 3:
         raise LengthMismatch(f"pred_masks must be (N, H, W), got {p.shape}")
-    if p.shape != g.shape or s.shape != (p.shape[0],):
-        raise LengthMismatch(
-            f"series mismatch: masks {p.shape} vs {g.shape}, scores {s.shape}")
+    if s.shape != (p.shape[0],):
+        raise LengthMismatch(f"series mismatch: {p.shape[0]} masks, scores {s.shape}")
     if np.any(s < 0) or np.any(s > 1):
         raise ProbabilityOutOfRange("scores must lie in [0, 1]")
     return (bce(g, p) + bce(g[0], p[0]) + mse(s, score_targets(p, g)))

@@ -33,16 +33,16 @@ import numpy as np
 from . import events
 from .errors import (
     BadMagic,
+    ConfigError,
     GeometryMismatch,
     InvalidTau,
     OutOfBounds,
     TimeRegression,
     TruncatedRecord,
     ZeroBins,
-    ZeroWindow,
     from_file,
 )
-from .events import Event, EventStream, SensorGeometry
+from .events import Event, EventStream, SensorGeometry, freeze
 
 DEFAULT_K = 4
 DEFAULT_TAU_US = 5_000_000  # retain history up to five seconds
@@ -219,12 +219,10 @@ class ToreVolume:
     query_time_us: int = 0
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.data, dtype=np.float32)
+        d = freeze(self, "data", np.float32)
         if d.ndim != 3 or d.shape[1:] != (self.geometry.height, self.geometry.width):
             raise GeometryMismatch(
                 f"data shape {d.shape} does not match geometry {self.geometry}")
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
 
     @property
     def num_channels(self) -> int:
@@ -275,11 +273,11 @@ class TimeSurface:
 
 
 def _window_bounds(s: EventStream, window_us, origin_us):
-    if window_us <= 0:
-        raise ZeroWindow(f"window_us must be positive, got {window_us}")
+    """[origin, origin + window), checked as iter_windows checks windows."""
     if origin_us is None:
         origin_us = int(s.t[0]) if len(s) else 0
-    return int(origin_us), int(origin_us) + int(window_us)
+    t0 = int(origin_us)
+    return t0, events.check_window(window_us, t0, t0 + int(window_us))
 
 
 def build_count_frame(s: EventStream, window_us: int,
@@ -313,8 +311,10 @@ def build_voxel_grid(s: EventStream, window_us: int, bins: int,
 
 
 def build_time_surface(s: EventStream, t_query: int) -> TimeSurface:
-    """Most recent event timestamp per pixel per polarity, up to t_query."""
-    sub = s.restrict(0, int(t_query) + 1)
+    """Most recent event timestamp per pixel per polarity, up to u64 time t_query."""
+    if not 0 <= t_query < 2**64:
+        raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
+    sub = s[:int(np.searchsorted(s.t, np.uint64(t_query), side="right"))]
     h, w = s.geometry.height, s.geometry.width
     last = np.zeros((2, h, w), dtype=np.uint64)
     valid = np.zeros((2, h, w), dtype=bool)

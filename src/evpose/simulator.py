@@ -41,7 +41,7 @@ from .errors import (
     ZeroMass,
     from_file,
 )
-from .events import EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry, freeze
 from .pose_math import HeatmapTriplet, cell_centers
 
 JOINT_NAMES_13 = (
@@ -57,6 +57,8 @@ JOINT_NAMES_13 = (
 REC601_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 LABEL_FPS = 300  # canonical skeleton label rate
+HEATMAP_RESOLUTION = 64  # grid cells per side
+HEATMAP_SIGMA = 2.0  # grid cells
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,11 @@ class FrameSequence:
     def __post_init__(self):
         if self.fps <= 0:
             raise FpsMismatch(f"fps must be positive, got {self.fps}")
-        f = np.ascontiguousarray(self.frames, dtype=np.float64)
+        f = freeze(self, "frames", np.float64)
         if f.ndim != 3 or f.shape[1:] != (self.geometry.height, self.geometry.width):
             raise GeometryMismatch(
                 f"frames shape {f.shape} does not match geometry {self.geometry}")
-        f.setflags(write=False)
-        object.__setattr__(self, "frames", _intensities(f))
+        _intensities(f)
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -100,12 +101,10 @@ class MaskSequence:
     masks: np.ndarray = field(repr=False)  # (T, H, W) bool, 1 = foreground
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.masks).astype(bool)
+        m = freeze(self, "masks", bool)
         if m.ndim != 3 or m.shape[1:] != (self.geometry.height, self.geometry.width):
             raise GeometryMismatch(
                 f"masks shape {m.shape} does not match geometry {self.geometry}")
-        m.setflags(write=False)
-        object.__setattr__(self, "masks", m)
 
     def __len__(self) -> int:
         return self.masks.shape[0]
@@ -142,14 +141,12 @@ class SkeletonFrame:
     frame: str = "world"  # "world" | "camera"
 
     def __post_init__(self):
-        j = np.ascontiguousarray(self.joints, dtype=np.float64)
+        j = freeze(self, "joints", np.float64)
         if j.shape != (len(JOINT_NAMES_13), 3):
             raise LengthMismatch(
                 f"expected {len(JOINT_NAMES_13)} joints, got shape {j.shape}")
         if not np.all(np.isfinite(j)):
             raise DataError("joint coordinates must be finite")
-        j.setflags(write=False)
-        object.__setattr__(self, "joints", j)
 
     def head_index(self) -> int:
         return JOINT_NAMES_13.index("head")
@@ -350,8 +347,8 @@ def head_depth_mm(s: SkeletonFrame, cam: CameraModel) -> float:
     return float(skeleton_camera_joints(s, cam)[s.head_index(), 2])
 
 
-def make_heatmaps(joints_norm: np.ndarray, resolution: int = 64,
-                  sigma: float = 2.0) -> list[HeatmapTriplet]:
+def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
+                  sigma: float = HEATMAP_SIGMA) -> list[HeatmapTriplet]:
     """Gaussian marginal heatmaps of normalized joints, one triplet each.
 
     sigma is in grid cells; every plane is normalized to sum to 1.
@@ -449,10 +446,8 @@ def write_pgm(path, image01: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """8-bit binary PGM file to float image in [0, 1]."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    with from_file(path):
-        return parse_pgm(blob)
+    with open(path, "rb") as f, from_file(path):
+        return parse_pgm(f.read())
 
 
 def parse_pgm(blob: bytes) -> np.ndarray:

@@ -611,6 +611,17 @@ class TestEvalCommand:
         assert math.isclose(weighted / 6.0, overall, rel_tol=1e-9)
 
 
+    def test_unknown_group_by_axis_is_config_error(self, tmp_path, rng, capsys):
+        gt = rng.normal(size=(13, 3)) * 100
+        manifest = self._write_records(tmp_path, [(gt, gt, {"lighting": "high"})])
+        out = tmp_path / "report.csv"
+        rc = cli.main(["eval", "--manifest-json", str(manifest), "--out", str(out),
+                       "--group-by", "lighting,lightning"])
+        assert rc == 2
+        assert "'lightning'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBenchCommand:
     def test_report_self_consistent(self, tmp_path, capsys):
         out = tmp_path / "bench.txt"

@@ -462,3 +462,23 @@ class TestScheduleCsv:
         with pytest.raises(DataError, match=message) as info:
             gating.read_schedule_csv(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,1.0\n1,7,0.5\n", "line 3: expected frame 1, recompute 0 or 1 .* got '1,7,0.5'"),
+        ("0,1,1.0\n1,0,nan\n", "line 3: .* got '1,0,nan'"),
+        ("0,1,1.0\n1,0,inf\n", "line 3: .* got '1,0,inf'"),
+        ("0,-1,2.5\n", "line 2: .* got '0,-1,2.5'"),
+        ("0,1,2.5\n", "line 2: .* got '0,1,2.5'"),
+        ("0,1,-0.25\n", "line 2: .* got '0,1,-0.25'"),
+        ("1,1,1.0\n", "line 2: expected frame 0, .* got '1,1,1.0'"),
+        ("0,1,1.0\n0,0,1.0\n", "line 3: expected frame 1, .* got '0,0,1.0'"),
+        ("0,1,1.0\n2,0,1.0\n", "line 3: expected frame 1, .* got '2,0,1.0'"),
+        ("0,1,1.0\n1,x,1.0\n", "line 3: invalid literal"),
+    ], ids=["flag", "nan", "inf", "negative_flag", "score_above_1", "score_below_0",
+            "first_frame", "repeated_frame", "skipped_frame", "syntax"])
+    def test_bad_row_is_data_error_naming_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "schedule.csv"
+        path.write_text(gating.SCHEDULE_HEADER + rows)
+        with pytest.raises(DataError, match=message) as info:
+            gating.read_schedule_csv(path)
+        assert str(info.value).startswith(f"{path}: line ")

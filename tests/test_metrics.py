@@ -248,6 +248,34 @@ class TestEvaluate:
         with pytest.raises(EmptyInput):
             met.evaluate([])
 
+    def test_unknown_axis_is_config_error(self, rng):
+        with pytest.raises(ConfigError, match="'lightning'.*lighting, background, view"):
+            met.evaluate([self._record(rng, lighting="low")], group_by=("lightning",))
+
+    def test_equals_per_record_means_bitwise(self, rng):
+        axes = list(met.CONDITION_AXES)
+        for _ in range(50):
+            records = []
+            for i in range(int(rng.integers(1, 25))):
+                tags = {a: str(rng.choice(v)) for a, v in met.CONDITION_AXES.items()
+                        if rng.random() < 0.8}
+                records.append(self._record(rng, i, float(rng.uniform(0, 400)), **tags))
+            group_by = tuple(rng.permutation(axes)[:int(rng.integers(0, 4))])
+            report = met.evaluate(records, group_by=group_by)
+            scopes = [(report.overall, records)]
+            for key, g in report.groups.items():
+                members = [r for r in records
+                           if "/".join(r.tags.get(a, "?") for a in group_by) == key]
+                scopes.append((g, members))
+            for g, members in scopes:
+                assert g.count == len(members)
+                assert g.mpjpe == float(np.mean([met.mpjpe(r.pred, r.gt) for r in members]))
+                assert g.pck == float(np.mean([met.pck(r.pred, r.gt) for r in members]))
+                assert g.auc == float(np.mean([met.auc(r.pred, r.gt) for r in members]))
+            assert sum(g.count for g, _ in scopes[1:]) == (len(records) if group_by else 0)
+            per_joint = np.mean([met.joint_errors(r.pred, r.gt) for r in records], axis=0)
+            assert report.per_joint_mpjpe.tobytes() == per_joint.tobytes()
+
     def test_bad_tag_value(self, rng):
         with pytest.raises(DataError):
             self._record(rng, lighting="neon")

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from evpose import representations as rep
 from evpose.errors import (
     BadMagic,
+    ConfigError,
     InvalidTau,
     NonMonotonic,
     OutOfBounds,
     TimeRegression,
     TruncatedRecord,
+    WindowLimit,
     ZeroBins,
     ZeroWindow,
 )
@@ -469,6 +471,44 @@ class TestBaselines:
             rep.build_count_frame(s, window_us=0)
         with pytest.raises(ZeroBins):
             rep.build_voxel_grid(s, window_us=10, bins=0)
+
+    def test_count_frame_negative_origin(self, small_geometry):
+        s = one_pixel_stream(small_geometry, [10], x=1, y=1)
+        with pytest.raises(ZeroWindow):
+            rep.build_count_frame(s, window_us=100, origin_us=-5)
+
+    def test_voxel_grid_negative_origin(self, small_geometry):
+        s = one_pixel_stream(small_geometry, [10], x=1, y=1)
+        with pytest.raises(ZeroWindow):
+            rep.build_voxel_grid(s, window_us=100, bins=2, origin_us=-5)
+
+    def test_count_frame_window_past_u64(self, small_geometry):
+        s = one_pixel_stream(small_geometry, [2**64 - 3], x=1, y=1)
+        with pytest.raises(WindowLimit, match=str(2**64 + 5)):
+            rep.build_count_frame(s, window_us=10, origin_us=2**64 - 5)
+        frame = rep.build_count_frame(s, window_us=4, origin_us=2**64 - 5)
+        assert frame.counts[0, 1, 1] == 1  # [2^64 - 5, 2^64 - 1) ends in range
+
+    def test_voxel_grid_window_past_u64(self, small_geometry):
+        s = one_pixel_stream(small_geometry, [2**64 - 3], x=1, y=1)
+        with pytest.raises(WindowLimit, match=str(2**64 + 5)):
+            rep.build_voxel_grid(s, window_us=10, bins=2, origin_us=2**64 - 5)
+        grid = rep.build_voxel_grid(s, window_us=4, bins=2, origin_us=2**64 - 5)
+        assert grid.bins[1, 1, 1] == 1
+
+    def test_time_surface_at_last_u64_time(self, small_geometry, rng):
+        s = random_stream(rng, small_geometry, 500)
+        surf = rep.build_time_surface(s, 2**64 - 1)
+        assert surf.query_time_us == 2**64 - 1
+        assert np.array_equal(surf.last_t, rep.build_time_surface(s, int(s.t[-1])).last_t)
+        assert surf.valid.sum() == len({(int(p < 0), y, x) for _, x, y, p in
+                                        zip(s.t.tolist(), s.x.tolist(), s.y.tolist(),
+                                            s.p.tolist())})
+
+    def test_time_surface_negative_query(self, small_geometry):
+        s = one_pixel_stream(small_geometry, [10], x=1, y=1)
+        with pytest.raises(ConfigError, match="-1"):
+            rep.build_time_surface(s, -1)
 
 
 class TestTensorContainer:
