@@ -246,9 +246,9 @@ def cmd_tore(args) -> int:
 
 FILTER_PARAMS = WINDOW_PARAMS + [
     Param("beta", float, 0.95, help="mask reuse threshold"),
-    Param("horizon", int, gating.ReferenceBackendParams.horizon,
+    Param("horizon", int, gating.ReferenceMaskBackend.horizon,
           help="masks per backend invocation"),
-    Param("activity_percentile", float, gating.ReferenceBackendParams.activity_percentile),
+    Param("activity_percentile", float, gating.ReferenceMaskBackend.activity_percentile),
     Param("external_masks", str, help="MSK1 mask stack replacing the reference backend"),
     Param("external_scores", str, help="CSV of per-frame plan scores for external masks"),
 ]
@@ -273,9 +273,8 @@ def cmd_filter(args) -> int:
         backend = gating.ExternalMaskBackend(masks, config["window_us"],
                                              config["origin_us"], config["horizon"], scores)
     else:
-        backend = gating.ReferenceMaskBackend(gating.ReferenceBackendParams(
-            horizon=config["horizon"],
-            activity_percentile=config["activity_percentile"]))
+        backend = gating.ReferenceMaskBackend(
+            horizon=config["horizon"], activity_percentile=config["activity_percentile"])
     volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
                                  config["window_us"], config["origin_us"])
     calls = 0
@@ -308,8 +307,8 @@ def cmd_eval(args) -> int:
     records = met.load_eval_manifest(config["manifest_json"])
     group_by = tuple(a for a in config["group_by"].split(",") if a)
     report = met.evaluate(records, group_by=group_by)
-    met.report_to_csv(report, config["out"], joint_names=sim.JOINT_NAMES_13)
-    print(met.format_report(report, joint_names=sim.JOINT_NAMES_13))
+    met.report_to_csv(report, config["out"])
+    print(met.format_report(report))
     _emit_manifest(config, args)
     return 0
 

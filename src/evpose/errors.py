@@ -1,28 +1,19 @@
 """Exception types shared across the toolkit.
 
-Three families matter to callers: ConfigError (bad parameters or config
-files), DataError (malformed or inconsistent input data), and
-InvariantError (an internal contract was violated; always a bug). The CLI
-maps these to exit codes 2, 3 and 4 respectively.
+Two families matter to callers: ConfigError (bad parameters or config
+files) and DataError (malformed or inconsistent input data). The CLI maps
+them to exit codes 2 and 3; any other exception is a bug and exits 4.
 """
 
 from contextlib import contextmanager
 
 
-class ToolkitError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class ConfigError(ToolkitError):
+class ConfigError(Exception):
     """Invalid parameter value or configuration file."""
 
 
-class DataError(ToolkitError):
+class DataError(Exception):
     """Input data violates a documented contract."""
-
-
-class InvariantError(ToolkitError):
-    """Internal invariant violated; indicates a bug, not bad input."""
 
 
 @contextmanager

@@ -22,7 +22,7 @@ vectorised root hooking and pointer jumping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -91,9 +91,7 @@ def apply_mask(vol: ToreVolume, mask: np.ndarray) -> ToreVolume:
     if m.shape != (vol.geometry.height, vol.geometry.width):
         raise GeometryMismatch(
             f"mask {m.shape} does not match volume {vol.geometry}")
-    data = vol.data * m.astype(vol.data.dtype)
-    return ToreVolume(geometry=vol.geometry, data=data,
-                      query_time_us=vol.query_time_us)
+    return replace(vol, data=vol.data * m.astype(vol.data.dtype))
 
 
 def mask_quality_ground_truth(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -202,24 +200,6 @@ def read_schedule_csv(path) -> list[ScheduleEntry]:
 # -- deterministic reference backend --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReferenceBackendParams:
-    horizon: int = 4
-    activity_percentile: float = 80.0
-    closing_iterations: int = 1
-    dilation_iterations: int = 1     # growth per future step
-    score_decay: float = 0.1
-    score_floor: float = 0.2
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 <= self.activity_percentile <= 100.0:
-            raise ConfigError("activity_percentile must lie in [0, 100]")
-        if not 0.0 <= self.score_floor <= 1.0 or self.score_decay < 0:
-            raise ConfigError("score parameters out of range")
-
-
 # 3x3 morphology as shifted ORs / ANDs of a zero-padded mask, separable into
 # a row pass and a column pass; fewer than one iteration returns the mask.
 
@@ -285,6 +265,7 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     return np.cumsum(marks, dtype=np.int8).view(bool)[:-1].reshape(h, stride)[:, 1:].copy()
 
 
+@dataclass(frozen=True)
 class ReferenceMaskBackend:
     """Stand-in predictor: no training, pure image morphology.
 
@@ -296,31 +277,36 @@ class ReferenceMaskBackend:
     floor; an empty mask scores the floor everywhere.
     """
 
-    def __init__(self, params: ReferenceBackendParams | None = None):
-        self.params = params or ReferenceBackendParams()
+    horizon: int = 4
+    activity_percentile: float = 80.0
+    closing_iterations: int = 1
+    dilation_iterations: int = 1     # growth per future step
+    score_decay: float = 0.1
+    score_floor: float = 0.2
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if not 0.0 <= self.activity_percentile <= 100.0:
+            raise ConfigError("activity_percentile must lie in [0, 100]")
+        if not 0.0 <= self.score_floor <= 1.0 or self.score_decay < 0:
+            raise ConfigError("score parameters out of range")
 
     def predict(self, vol: ToreVolume) -> MaskPlan:
-        p = self.params
         activity = vol.data.max(axis=0)
-        threshold = float(np.percentile(activity, p.activity_percentile))
-        closing = p.closing_iterations
+        threshold = float(np.percentile(activity, self.activity_percentile))
+        closing = self.closing_iterations
         fg = _largest_component(_erode(_dilate(activity > threshold, closing), closing))
-        masks = np.empty((p.horizon,) + fg.shape, dtype=bool)
+        masks = np.empty((self.horizon,) + fg.shape, dtype=bool)
         masks[0] = fg
-        for k in range(1, p.horizon):
-            masks[k] = _dilate(masks[k - 1], p.dilation_iterations)
+        for k in range(1, self.horizon):
+            masks[k] = _dilate(masks[k - 1], self.dilation_iterations)
         if fg.any():
-            scores = np.maximum(p.score_floor,
-                                1.0 - p.score_decay * np.arange(p.horizon))
+            scores = np.maximum(self.score_floor,
+                                1.0 - self.score_decay * np.arange(self.horizon))
         else:
-            scores = np.full(p.horizon, p.score_floor)
+            scores = np.full(self.horizon, self.score_floor)
         return MaskPlan(masks=masks, scores=scores)
-
-
-def reference_mask_backend(vol: ToreVolume,
-                           params: ReferenceBackendParams | None = None) -> MaskPlan:
-    """One-shot convenience wrapper around ReferenceMaskBackend."""
-    return ReferenceMaskBackend(params).predict(vol)
 
 
 class ExternalMaskBackend:

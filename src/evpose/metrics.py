@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,11 +22,11 @@ from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch, from
 from .gating import MaskPredictorBackend, schedule_masks
 from .pose_math import Pose3D, mask_errors, read_pose_csv
 from .representations import ToreVolume
+from .simulator import JOINT_NAMES_13
 
 PCK_THRESHOLD_MM = 150.0
 AUC_MAX_MM = 500.0
 AUC_STEPS = 30
-NUM_JOINTS = 13
 
 CONDITION_AXES = {
     "lighting": ("high", "medium", "low"),
@@ -103,8 +103,7 @@ def occlude(vol: ToreVolume, prob: float, rng,
     left = int(gen.integers(0, w_img - w + 1))
     data = vol.data.copy()
     data[:, top : top + h, left : left + w] = 0.0
-    return ToreVolume(geometry=vol.geometry, data=data,
-                      query_time_us=vol.query_time_us)
+    return replace(vol, data=data)
 
 
 # -- grouped evaluation -------------------------------------------------------------
@@ -119,9 +118,9 @@ class EvalRecord:
 
     def __post_init__(self):
         for pose, which in ((self.pred, "pred"), (self.gt, "gt")):
-            if pose.num_joints != NUM_JOINTS:
-                raise JointCountMismatch(
-                    f"{which} pose has {pose.num_joints} joints, expected {NUM_JOINTS}")
+            if pose.num_joints != len(JOINT_NAMES_13):
+                raise JointCountMismatch(f"{which} pose has {pose.num_joints} joints, "
+                                         f"expected {len(JOINT_NAMES_13)}")
         for axis, allowed in CONDITION_AXES.items():
             v = self.tags.get(axis)
             if v is not None and v not in allowed:
@@ -178,24 +177,18 @@ def evaluate(records: Sequence[EvalRecord], group_by: Sequence[str] = ()) -> Eva
                       per_joint_mpjpe=err.mean(axis=0), group_by=group_by)
 
 
-def _joint_names(report: EvalReport, joint_names: Sequence[str] | None) -> list[str]:
-    return list(joint_names or (f"j{i:02d}" for i in range(len(report.per_joint_mpjpe))))
-
-
-def report_to_csv(report: EvalReport, path, joint_names: Sequence[str] | None = None) -> None:
-    names = _joint_names(report, joint_names)
+def report_to_csv(report: EvalReport, path) -> None:
     with open(path, "w") as f:
         f.write("scope,key,count,mpjpe_mm,pck,auc\n")
         o = report.overall
         f.write(f"overall,,{o.count},{o.mpjpe!r},{o.pck!r},{o.auc!r}\n")
         for key, g in report.groups.items():
             f.write(f"group,{key},{g.count},{g.mpjpe!r},{g.pck!r},{g.auc!r}\n")
-        for name, err in zip(names, report.per_joint_mpjpe):
+        for name, err in zip(JOINT_NAMES_13, report.per_joint_mpjpe):
             f.write(f"joint,{name},{o.count},{float(err)!r},,\n")
 
 
-def format_report(report: EvalReport, joint_names: Sequence[str] | None = None) -> str:
-    names = _joint_names(report, joint_names)
+def format_report(report: EvalReport) -> str:
     lines = []
     o = report.overall
     lines.append(f"{'scope':24s} {'n':>6s} {'MPJPE(mm)':>12s} {'PCK':>8s} {'AUC':>8s}")
@@ -204,7 +197,7 @@ def format_report(report: EvalReport, joint_names: Sequence[str] | None = None) 
         lines.append(f"{key:24s} {g.count:6d} {g.mpjpe:12.3f} {g.pck:8.4f} {g.auc:8.4f}")
     lines.append("")
     lines.append("per-joint MPJPE(mm):")
-    for name, err in zip(names, report.per_joint_mpjpe):
+    for name, err in zip(JOINT_NAMES_13, report.per_joint_mpjpe):
         lines.append(f"  {name:14s} {float(err):10.3f}")
     return "\n".join(lines)
 
@@ -212,7 +205,9 @@ def format_report(report: EvalReport, joint_names: Sequence[str] | None = None) 
 def load_eval_manifest(path) -> list[EvalRecord]:
     """Manifest JSON: {"records": [{"frame": i, "pred": path, "gt": path,
     "lighting"/"background"/"view": tag}, ...]}; pose paths are relative
-    to the manifest."""
+    to the manifest. Each prediction's joints are put in its ground
+    truth's joint-name order; names that are not a reordering of the
+    ground truth's are a DataError naming the prediction file."""
     path = Path(path)
     out = []
     with from_file(path):
@@ -223,8 +218,13 @@ def load_eval_manifest(path) -> list[EvalRecord]:
             if not isinstance(entry, dict) or not {"pred", "gt"} <= entry.keys():
                 raise DataError(f"record {i} lacks a 'pred' or 'gt' path")
             tags = {a: entry[a] for a in CONDITION_AXES if a in entry}
-            _, pred = read_pose_csv(path.parent / entry["pred"])
-            _, gt = read_pose_csv(path.parent / entry["gt"])
+            pred_path = path.parent / entry["pred"]
+            pred_names, pred = read_pose_csv(pred_path)
+            gt_names, gt = read_pose_csv(path.parent / entry["gt"])
+            if sorted(pred_names) != sorted(gt_names) or len(set(pred_names)) != len(pred_names):
+                raise DataError(f"{pred_path}: joint names {pred_names} are not a reordering "
+                                f"of the ground truth's {gt_names}")
+            pred = replace(pred, joints=pred.joints[[pred_names.index(n) for n in gt_names]])
             out.append(EvalRecord(frame_id=int(entry.get("frame", i)),
                                   pred=pred, gt=gt, tags=tags))
     return out

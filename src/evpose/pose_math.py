@@ -342,6 +342,11 @@ def read_pose_csv(path) -> tuple[list[str], Pose3D]:
         for row in r:
             if not row:
                 continue
+            if len(row) != 4:
+                raise DataError(f"line {r.line_num}: expected 4 fields, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as e:
+                raise DataError(f"line {r.line_num}: {e}") from None
             names.append(row[0])
-            rows.append([float(v) for v in row[1:4]])
-    return names, Pose3D(joints=np.asarray(rows, dtype=np.float64))
+        return names, Pose3D(joints=np.asarray(rows, dtype=np.float64))

@@ -58,6 +58,12 @@ INGEST_PIECE_EVENTS = 2**20
 _POL_INDEX = {1: 0, -1: 1}
 
 
+def _check_query(t_query) -> None:
+    """A query time must be a u64 timestamp."""
+    if not 0 <= t_query < 2**64:
+        raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
+
+
 def _decay(delta: np.ndarray, tau_us) -> np.ndarray:
     """Log-age transform of float64 ages, in place; returns `delta`."""
     if tau_us <= 1:
@@ -180,6 +186,7 @@ class ToreState:
         Only filled slots are computed; empty ones stay exactly 0. Reads
         the state without changing it; the volume is a fresh array.
         """
+        _check_query(t_query)
         if t_query < self.last_t:
             raise TimeRegression(
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
@@ -192,12 +199,6 @@ class ToreState:
             age = (np.uint64(t_query) - stamps[live]).astype(np.float64)
             values[live] = _decay(age, self.tau_us)
         return ToreVolume(geometry=self.geometry, data=out, query_time_us=int(t_query))
-
-
-def tore_from_stream(s: EventStream, k: int = DEFAULT_K,
-                     tau_us: int = DEFAULT_TAU_US) -> ToreState:
-    state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
-    return state.ingest_stream(s)
 
 
 def window_volumes(s: EventStream, k: int, tau_us: int, window_us: int,
@@ -227,24 +228,6 @@ class ToreVolume:
     @property
     def num_channels(self) -> int:
         return self.data.shape[0]
-
-
-@dataclass(frozen=True)
-class DecayOrdering:
-    """Witness that decay values only shrink as the query time advances."""
-
-    holds: bool
-    max_increase: float
-
-
-def decay_ordering(state: ToreState, t1: int, t2: int) -> DecayOrdering:
-    """Materialize at t1 < t2 and report whether every entry decayed."""
-    if t2 < t1:
-        raise TimeRegression(f"t2={t2} precedes t1={t1}")
-    v1 = state.materialize(t1).data
-    v2 = state.materialize(t2).data
-    increase = float(np.max(v2.astype(np.float64) - v1.astype(np.float64), initial=0.0))
-    return DecayOrdering(holds=increase <= 0.0, max_increase=increase)
 
 
 # -- baseline representations ---------------------------------------------------
@@ -312,8 +295,7 @@ def build_voxel_grid(s: EventStream, window_us: int, bins: int,
 
 def build_time_surface(s: EventStream, t_query: int) -> TimeSurface:
     """Most recent event timestamp per pixel per polarity, up to u64 time t_query."""
-    if not 0 <= t_query < 2**64:
-        raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
+    _check_query(t_query)
     sub = s[:int(np.searchsorted(s.t, np.uint64(t_query), side="right"))]
     h, w = s.geometry.height, s.geometry.width
     last = np.zeros((2, h, w), dtype=np.uint64)

@@ -395,21 +395,24 @@ def read_skeleton_csv(path) -> list[SkeletonFrame]:
         header = f.readline().strip()
         if header != "t_us,joint_name,x_mm,y_mm,z_mm":
             raise DataError(f"unexpected skeleton CSV header: {header!r}")
-        for line in f:
+        for line_no, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            t_s, name, xs, ys, zs = line.split(",")
+            try:
+                t_s, name, xs, ys, zs = line.split(",")
+                t, xyz = int(t_s), (float(xs), float(ys), float(zs))
+            except ValueError as e:
+                raise DataError(f"line {line_no}: {e}") from None
             if name not in index:
-                raise DataError(f"unknown joint name {name!r}")
-            t = int(t_s)
+                raise DataError(f"line {line_no}: unknown joint name {name!r}")
             if t not in by_t:
                 by_t[t] = np.full((len(JOINT_NAMES_13), 3), np.nan)
                 seen[t] = set()
             if name in seen[t]:
-                raise DataError(f"duplicate joint {name!r} at t={t}")
+                raise DataError(f"line {line_no}: duplicate joint {name!r} at t={t}")
             seen[t].add(name)
-            by_t[t][index[name]] = (float(xs), float(ys), float(zs))
+            by_t[t][index[name]] = xyz
     out = []
     for t in sorted(by_t):
         if len(seen[t]) != len(JOINT_NAMES_13):

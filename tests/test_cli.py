@@ -610,6 +610,33 @@ class TestEvalCommand:
         weighted = sum(int(v[0]) * float(v[1]) for v in rows["group"].values())
         assert math.isclose(weighted / 6.0, overall, rel_tol=1e-9)
 
+    def _reordered_prediction(self, tmp_path, rng, pred_names):
+        gt = rng.normal(size=(13, 3)) * 100
+        manifest = self._write_records(tmp_path, [(gt, gt, {})])
+        order = [sim.JOINT_NAMES_13.index(n) if n in sim.JOINT_NAMES_13 else 0
+                 for n in pred_names]
+        pm.write_pose_csv(tmp_path / "pred0.csv", pm.Pose3D(joints=gt[order]), pred_names)
+        return manifest
+
+    def test_prediction_aligned_by_joint_name(self, tmp_path, rng):
+        manifest = self._reordered_prediction(tmp_path, rng, sim.JOINT_NAMES_13[::-1])
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--manifest-json", str(manifest), "--out", str(out)]) == 0
+        rows = self._report_rows(out)
+        assert float(rows["overall"][""][1]) == 0.0
+        assert [float(v[1]) for v in rows["joint"].values()] == [0.0] * 13
+        assert list(rows["joint"]) == list(sim.JOINT_NAMES_13)
+
+    def test_mismatched_joint_names_exit_3(self, tmp_path, rng, capsys):
+        names = sim.JOINT_NAMES_13[:-1] + ("tail",)
+        manifest = self._reordered_prediction(tmp_path, rng, names)
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--manifest-json", str(manifest), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert err.count(str(tmp_path / "pred0.csv")) == 1, err
+        assert not out.exists()
+
 
     def test_unknown_group_by_axis_is_config_error(self, tmp_path, rng, capsys):
         gt = rng.normal(size=(13, 3)) * 100

@@ -236,16 +236,15 @@ class TestReferenceBackend:
         return volume_from(data)
 
     def test_zero_volume_gives_empty_mask_and_floor_scores(self):
-        params = gating.ReferenceBackendParams(horizon=3, score_floor=0.25)
-        plan = gating.reference_mask_backend(
-            volume_from(np.zeros((2, GEO.height, GEO.width))), params)
+        plan = gating.ReferenceMaskBackend(horizon=3, score_floor=0.25).predict(
+            volume_from(np.zeros((2, GEO.height, GEO.width))))
         assert plan.horizon == 3
         assert not plan.masks.any()
         assert np.allclose(plan.scores, 0.25)
 
     def test_single_blob_covered(self):
         vol = self._volume_with_blobs([(3, 8, 4, 10)])
-        plan = gating.reference_mask_backend(vol)
+        plan = gating.ReferenceMaskBackend().predict(vol)
         blob = np.zeros((GEO.height, GEO.width), bool)
         blob[3:8, 4:10] = True
         assert plan.masks[0][blob].all()
@@ -255,7 +254,7 @@ class TestReferenceBackend:
 
     def test_larger_blob_wins(self):
         vol = self._volume_with_blobs([(2, 10, 2, 8), (11, 13, 15, 17)])
-        plan = gating.reference_mask_backend(vol)
+        plan = gating.ReferenceMaskBackend().predict(vol)
         comps = connected_components(vol.data.max(axis=0) > 0)
         assert len(comps) == 2
         big, small = comps
@@ -265,18 +264,24 @@ class TestReferenceBackend:
 
     def test_future_masks_grow_and_scores_decay(self):
         vol = self._volume_with_blobs([(5, 9, 5, 9)])
-        params = gating.ReferenceBackendParams(horizon=4, score_decay=0.1,
-                                               score_floor=0.2)
-        plan = gating.reference_mask_backend(vol, params)
+        plan = gating.ReferenceMaskBackend(horizon=4, score_decay=0.1,
+                                           score_floor=0.2).predict(vol)
         for k in range(1, 4):
             assert plan.masks[k][plan.masks[k - 1]].all()
             assert plan.masks[k].sum() >= plan.masks[k - 1].sum()
         assert np.allclose(plan.scores, [1.0, 0.9, 0.8, 0.7])
 
+    @pytest.mark.parametrize("settings", [
+        {"horizon": 0}, {"activity_percentile": -1.0}, {"activity_percentile": 100.5},
+    ])
+    def test_settings_out_of_range_are_config_errors(self, settings):
+        with pytest.raises(ConfigError):
+            gating.ReferenceMaskBackend(**settings)
+
     def test_deterministic(self, rng):
         vol = volume_from(rng.random((4, GEO.height, GEO.width)))
-        a = gating.reference_mask_backend(vol)
-        b = gating.reference_mask_backend(vol)
+        a = gating.ReferenceMaskBackend().predict(vol)
+        b = gating.ReferenceMaskBackend().predict(vol)
         assert np.array_equal(a.masks, b.masks)
         assert np.array_equal(a.scores, b.scores)
 
@@ -365,8 +370,8 @@ class TestMaskKernels:
             expected[y, x] = True
         assert np.array_equal(gating._largest_component(mask), expected)
         # the same holds through the backend's first mask
-        plan = gating.ReferenceMaskBackend(gating.ReferenceBackendParams(
-            activity_percentile=0.0, closing_iterations=0)).predict(
+        plan = gating.ReferenceMaskBackend(
+            activity_percentile=0.0, closing_iterations=0).predict(
                 volume_from(mask[None].astype(np.float32),
                             geometry=SensorGeometry(width=9, height=7)))
         assert np.array_equal(plan.masks[0], expected)
@@ -375,14 +380,14 @@ class TestMaskKernels:
     @given(st.data())
     def test_predict_matches_oracle_pipeline(self, data):
         h, w = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
-        params = gating.ReferenceBackendParams(
+        params = gating.ReferenceMaskBackend(
             horizon=data.draw(st.integers(1, 4)),
             activity_percentile=data.draw(st.sampled_from([0.0, 50.0, 80.0, 95.0])),
             closing_iterations=data.draw(st.integers(0, 2)),
             dilation_iterations=data.draw(st.integers(0, 2)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         values = np.random.default_rng(seed).random((2, h, w)).astype(np.float32)
-        plan = gating.ReferenceMaskBackend(params).predict(
+        plan = params.predict(
             volume_from(values, geometry=SensorGeometry(width=w, height=h)))
         activity = values.max(axis=0)
         fg = activity > float(np.percentile(activity, params.activity_percentile))

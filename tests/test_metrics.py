@@ -304,6 +304,32 @@ class TestEvaluate:
         assert math.isclose(met.mpjpe(records[0].pred, records[0].gt), 5.0,
                             rel_tol=1e-9)
 
+    def _manifest(self, tmp_path, pred, pred_names, gt, gt_names):
+        pm.write_pose_csv(tmp_path / "gt.csv", pose(gt), gt_names)
+        pm.write_pose_csv(tmp_path / "pred.csv", pose(pred), pred_names)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"records": [{"pred": "pred.csv", "gt": "gt.csv"}]}))
+        return path
+
+    def test_prediction_aligned_by_joint_name(self, tmp_path, rng):
+        gt = rng.normal(size=(13, 3)) * 100
+        names = [f"j{i}" for i in range(13)]
+        path = self._manifest(tmp_path, gt[::-1], names[::-1], gt, names)
+        (record,) = met.load_eval_manifest(path)
+        assert np.array_equal(record.pred.joints, gt)
+        assert met.mpjpe(record.pred, record.gt) == 0.0
+
+    @pytest.mark.parametrize("pred_names", [
+        [f"nope{i}" for i in range(13)],                  # none shared
+        [f"j{i}" for i in range(12)] + ["extra"],         # one missing, one extra
+        [f"j{i}" for i in range(12)] + ["j0"],            # one repeated
+    ])
+    def test_prediction_joint_names_must_match(self, tmp_path, rng, pred_names):
+        gt = rng.normal(size=(13, 3)) * 100
+        path = self._manifest(tmp_path, gt, pred_names, gt, [f"j{i}" for i in range(13)])
+        with pytest.raises(DataError, match=str(tmp_path / "pred.csv")):
+            met.load_eval_manifest(path)
+
 
 class TestThresholdSweep:
     class _Backend:

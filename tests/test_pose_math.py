@@ -5,6 +5,7 @@ import pytest
 
 from evpose import pose_math as pm
 from evpose.errors import (
+    DataError,
     InvalidDistribution,
     LengthMismatch,
     NonFinite,
@@ -313,6 +314,17 @@ class TestPoseCsv:
         got_names, got = pm.read_pose_csv(path)
         assert got_names == names
         assert np.array_equal(got.joints, pose.joints)
+
+    @pytest.mark.parametrize("body, message", [
+        ("head,1,2,3\nneck,1,2\n", "line 3: expected 4 fields, got 3"),
+        ("head,1,2,3,4\n", "line 2: expected 4 fields, got 5"),
+        ("head,1,2,3\nneck,1,two,3\n", "line 3: .*'two'"),
+    ])
+    def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, body, message):
+        path = tmp_path / "pose.csv"
+        path.write_text("joint,x,y,z\n" + body)
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            pm.read_pose_csv(path)
 
     def test_name_count_checked(self, tmp_path):
         pose = pm.Pose3D(joints=np.zeros((13, 3)))

@@ -451,6 +451,20 @@ class TestSkeletonIO:
         with pytest.raises(DataError):
             sim.read_skeleton_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,head,1,2\n", "line 2: not enough values"),
+        ("0,head,1,2,3\n0,neck,1,2,3,4\n", "line 3: too many values"),
+        ("0,head,1,2,3\n0,neck,1,y,3\n", "line 3: .*'y'"),
+        ("0.5,head,1,2,3\n", "line 2: .*'0.5'"),
+        ("0,nose,1,2,3\n", "line 2: unknown joint name 'nose'"),
+        ("0,head,1,2,3\n0,head,4,5,6\n", "line 3: duplicate joint 'head'"),
+    ])
+    def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t_us,joint_name,x_mm,y_mm,z_mm\n" + body)
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            sim.read_skeleton_csv(path)
+
     def test_nearest_label(self, rng):
         frames = [sim.SkeletonFrame(t_us=t, joints=np.zeros((13, 3)))
                   for t in (0, 3333, 6667, 10000)]
