@@ -266,25 +266,25 @@ def cmd_filter(args) -> int:
         if geometry != stream.geometry:
             raise GeometryMismatch(f"{config['external_masks']}: mask geometry {geometry} "
                                    f"differs from the events' {stream.geometry}")
-        scores = None
+        settings = (masks, config["window_us"], config["origin_us"], config["horizon"])
         if "external_scores" in config:
             with from_file(config["external_scores"]):
-                scores = np.loadtxt(config["external_scores"], delimiter=",", ndmin=2)
-        backend = gating.ExternalMaskBackend(masks, config["window_us"],
-                                             config["origin_us"], config["horizon"], scores)
+                backend = gating.ExternalMaskBackend(
+                    *settings, np.loadtxt(config["external_scores"], delimiter=",", ndmin=2))
+        else:
+            backend = gating.ExternalMaskBackend(*settings)
     else:
         backend = gating.ReferenceMaskBackend(
             horizon=config["horizon"], activity_percentile=config["activity_percentile"])
     volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
                                  config["window_us"], config["origin_us"])
     calls = 0
-    with open(out_dir / "schedule.csv", "w") as schedule, \
+    with gating.schedule_writer(out_dir / "schedule.csv") as schedule, \
             gating.MaskStackWriter(out_dir / "masks.msk1", stream.geometry) as masks_out:
-        schedule.write(gating.SCHEDULE_HEADER)
         for vol, entry, mask in gating.iter_schedule(volumes, backend, config["beta"]):
             masked = gating.apply_mask(vol, mask)
             rep.write_tensor(out_dir / f"masked_{entry.frame:05d}.tore", masked.data)
-            schedule.write(gating.schedule_row(entry))
+            schedule([entry])
             masks_out.append(mask)
             calls += entry.recompute
     print(f"{masks_out.count} window(s), {calls} backend call(s)")

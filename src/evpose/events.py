@@ -13,15 +13,19 @@ record_count fixed-size records. EVT1's record is one event:
               | record_count u64                              (18 bytes)
     record  = t u64 | x u16 | y u16 | polarity i8 | pad[3]    (16 bytes)
 
-A CSV alternative (header line ``t_us,x,y,p``) is provided as a lossless
-text path for interoperability.
+Every CSV of the toolkit is a text table, a header line and then one
+comma-separated line per row, with one codec here: `table_writer` and
+`read_table`. The event CSV (header ``t_us,x,y,p``) is a lossless text path;
+`gating`, `simulator` and `pose_math` declare the schedule, skeleton and pose tables.
 """
 
 from __future__ import annotations
 
 import struct
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -318,9 +322,7 @@ class EventStreamWriter(RecordFileWriter):
         self._last_t = int(chunk.t[-1])
 
 
-# -- CSV text path -------------------------------------------------------------
-
-CSV_HEADER = "t_us,x,y,p"
+# -- text tables ----------------------------------------------------------------
 
 
 def _text_file(fp, mode: str):
@@ -330,36 +332,64 @@ def _text_file(fp, mode: str):
     return open(fp, mode) if own else nullcontext(fp)
 
 
-def write_csv(fp, s: EventStream) -> None:
+@contextmanager
+def table_writer(fp, header: str, row_format: str):
+    """Write a text table to fp, a path or an open text file: the header line
+    on entry, then, per call of the yielded function with an iterable of row
+    tuples, one line per row, printf-style row_format % row."""
+    line = (row_format + "\n").__mod__
     with _text_file(fp, "w") as out:
-        out.write(CSV_HEADER + "\n")
-        out.write("".join(map("{},{},{},{}\n".format, s.t.tolist(), s.x.tolist(),
-                              s.y.tolist(), s.p.tolist())))
+        out.write(header + "\n")
+        yield lambda rows: out.write("".join(map(line, rows)))
+
+
+def read_table(f, header: str, types: Sequence) -> tuple[list[int], list[list]]:
+    """The non-blank rows of the open text table f, LF or CRLF: their line
+    numbers (the header is line 1) and one list per column of their fields,
+    each parsed by its entry of types. A first line other than header is
+    BadMagic; a row with another field count or a field its type rejects is
+    a DataError naming the first such line."""
+    first = f.readline().rstrip("\r\n")
+    if first != header:
+        raise BadMagic(f"expected header {header!r}, got {first!r}")
+    lines = f.read().splitlines()
+    line_nos = [n for n, line in enumerate(lines, start=2) if line.strip()]
+    rows = [lines[n - 2] for n in line_nos]
+    k = len(types)
+    try:  # all rows at once, a column at a time: no list per row is built
+        if set(map(str.count, rows, repeat(","))) - {k - 1}:
+            raise ValueError("field count")
+        fields = ",".join(rows).split(",") if rows else []
+        return line_nos, [list(map(parse, fields[i::k])) for i, parse in enumerate(types)]
+    except ValueError:  # find the first bad row
+        for n, row in zip(line_nos, rows):
+            fields = row.split(",")
+            try:
+                if len(fields) != k:
+                    raise ValueError(f"expected {k} fields, got {len(fields)}")
+                for parse, v in zip(types, fields):
+                    parse(v)
+            except ValueError as e:
+                raise DataError(f"line {n}: {e}") from None
+        raise
+
+
+CSV_HEADER = "t_us,x,y,p"
+
+
+def write_csv(fp, s: EventStream) -> None:
+    with table_writer(fp, CSV_HEADER, "%d,%d,%d,%d") as write:
+        write(zip(s.t.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()))
 
 
 def read_csv(fp, geometry: SensorGeometry) -> EventStream:
     """Inverse of write_csv. Values parse as exact integers, so every u64
     timestamp round-trips; a row that is not four integers is a DataError
-    naming its line (the header is line 1)."""
-    with _text_file(fp, "r") as inp:
-        header = inp.readline().strip()
-        if header != CSV_HEADER:
-            raise BadMagic(f"expected CSV header {CSV_HEADER!r}, got {header!r}")
-        body = inp.read()
-    rows = []
-    for line_no, line in enumerate(body.splitlines(), start=2):
-        fields = line.split(",")
-        if len(fields) == 4:
-            try:
-                rows.append(list(map(int, fields)))
-            except ValueError as e:
-                raise DataError(f"line {line_no}: {e}") from None
-        elif line.strip():
-            raise DataError(f"line {line_no}: expected 4 fields, got {len(fields)}")
-    if not rows:
-        return EventStream.empty(geometry)
-    # Python ints in object columns: EventStream checks each against its stored dtype
-    return EventStream.from_arrays(geometry, *np.array(rows, dtype=object).T)
+    naming its line, and, when fp is a path, every error names the file."""
+    with _text_file(fp, "r") as inp, (nullcontext() if inp is fp else from_file(fp)):
+        _, columns = read_table(inp, CSV_HEADER, (int, int, int, int))
+        # Python ints in object columns: EventStream checks each against its stored dtype
+        return EventStream.from_arrays(geometry, *(np.array(c, dtype=object) for c in columns))
 
 
 # -- slicing -------------------------------------------------------------------

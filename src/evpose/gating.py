@@ -7,7 +7,8 @@ The scheduler reuses a planned future mask whenever its score clears the
 threshold beta, and only invokes the predictor again when the plan runs
 out or the score falls short. beta = 0 therefore minimizes predictor
 calls at ceil(F / horizon); beta = 1 with imperfect scores recomputes on
-every frame.
+every frame. A schedule is saved as schedule.csv, an `events` text table
+whose layout `SCHEDULE_HEADER` and `schedule_writer` hold.
 
 The trained predictor itself is a pluggable backend. A deterministic
 reference backend (activity percentile, morphological closing, largest
@@ -23,7 +24,7 @@ vectorised root hooking and pointer jumping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
     from_file,
 )
 from .events import (HEADER_SIZE, RecordFileWriter, SensorGeometry, freeze, pack_header,
-                     parse_header)
+                     parse_header, read_table, table_writer)
 from .pose_math import mask_errors
 from .representations import ToreVolume
 
@@ -59,7 +60,7 @@ class MaskPlan:
             raise EmptyPlan("plan must hold at least one mask")
         if s.shape != (m.shape[0],):
             raise EmptyPlan(f"{m.shape[0]} masks but {s.shape} scores")
-        if np.any(s < 0) or np.any(s > 1):
+        if not np.all((s >= 0) & (s <= 1)):  # NaN too
             raise ProbabilityOutOfRange("plan scores must lie in [0, 1]")
 
     @property
@@ -103,8 +104,9 @@ def mask_quality_ground_truth(pred: np.ndarray, gt: np.ndarray) -> float:
 # -- scheduling ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
+    """One frame's decision, and one schedule.csv row."""
+
     frame: int
     recompute: bool
     score_used: float
@@ -162,15 +164,14 @@ def schedule_masks(frames: Sequence[ToreVolume], backend: MaskPredictorBackend,
 SCHEDULE_HEADER = "frame,recompute,score_used\n"
 
 
-def schedule_row(e: ScheduleEntry) -> str:
-    """One schedule.csv line; the score's repr round-trips exactly."""
-    return f"{e.frame},{int(e.recompute)},{e.score_used!r}\n"
+def schedule_writer(path):
+    """`events.table_writer` of ScheduleEntry rows; a score's repr round-trips exactly."""
+    return table_writer(path, SCHEDULE_HEADER.strip(), "%d,%d,%r")
 
 
 def write_schedule_csv(path, entries: Sequence[ScheduleEntry]) -> None:
-    with open(path, "w") as f:
-        f.write(SCHEDULE_HEADER)
-        f.writelines(map(schedule_row, entries))
+    with schedule_writer(path) as write:
+        write(entries)
 
 
 def read_schedule_csv(path) -> list[ScheduleEntry]:
@@ -179,20 +180,11 @@ def read_schedule_csv(path) -> list[ScheduleEntry]:
     DataError naming the file and the line (the header is line 1)."""
     out = []
     with open(path) as f, from_file(path):
-        header = f.readline().strip()
-        if header != SCHEDULE_HEADER.strip():
-            raise DataError(f"unexpected schedule header: {header!r}")
-        for line_no, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                frame, rec, score = line.split(",")
-                frame, rec, score = int(frame), int(rec), float(score)
-            except ValueError as e:
-                raise DataError(f"line {line_no}: {e}") from None
+        line_nos, columns = read_table(f, SCHEDULE_HEADER.strip(), (int, int, float))
+        for line_no, frame, rec, score in zip(line_nos, *columns):
             if frame != len(out) or rec not in (0, 1) or not 0.0 <= score <= 1.0:  # NaN too
                 raise DataError(f"line {line_no}: expected frame {len(out)}, recompute 0 or 1 "
-                                f"and a score in [0, 1], got {line.strip()!r}")
+                                f"and a score in [0, 1], got '{frame},{rec},{score!r}'")
             out.append(ScheduleEntry(frame=frame, recompute=rec == 1, score_used=score))
     return out
 
@@ -333,6 +325,8 @@ class ExternalMaskBackend:
             raise ConfigError(
                 f"scores must be ({self.masks.shape[0]}, {horizon}), "
                 f"got {self.scores.shape}")
+        if not np.all((self.scores >= 0) & (self.scores <= 1)):  # NaN too
+            raise ProbabilityOutOfRange("external scores must lie in [0, 1]")
 
     def predict(self, vol: ToreVolume) -> MaskPlan:
         k = (vol.query_time_us - self.origin_us) // self.window_us - 1

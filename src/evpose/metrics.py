@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch, from_file
+from .events import table_writer
 from .gating import MaskPredictorBackend, schedule_masks
 from .pose_math import Pose3D, mask_errors, read_pose_csv
 from .representations import ToreVolume
@@ -178,14 +179,12 @@ def evaluate(records: Sequence[EvalRecord], group_by: Sequence[str] = ()) -> Eva
 
 
 def report_to_csv(report: EvalReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("scope,key,count,mpjpe_mm,pck,auc\n")
-        o = report.overall
-        f.write(f"overall,,{o.count},{o.mpjpe!r},{o.pck!r},{o.auc!r}\n")
-        for key, g in report.groups.items():
-            f.write(f"group,{key},{g.count},{g.mpjpe!r},{g.pck!r},{g.auc!r}\n")
-        for name, err in zip(JOINT_NAMES_13, report.per_joint_mpjpe):
-            f.write(f"joint,{name},{o.count},{float(err)!r},,\n")
+    o = report.overall
+    scopes = [("overall", "", o), *(("group", key, g) for key, g in report.groups.items())]
+    with table_writer(path, "scope,key,count,mpjpe_mm,pck,auc", "%s,%s,%d,%r,%s,%s") as write:
+        write((scope, key, g.count, g.mpjpe, repr(g.pck), repr(g.auc)) for scope, key, g in scopes)
+        write(("joint", name, o.count, err, "", "")
+              for name, err in zip(JOINT_NAMES_13, report.per_joint_mpjpe.tolist()))
 
 
 def format_report(report: EvalReport) -> str:
@@ -202,12 +201,20 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
+def _canonical_pose(path) -> Pose3D:
+    """A pose CSV's pose in JOINT_NAMES_13 order, or a DataError naming the file."""
+    names, pose = read_pose_csv(path)
+    if sorted(names) != sorted(JOINT_NAMES_13):
+        raise DataError(f"{path}: joint names {names} are not the 13 joints "
+                        f"{list(JOINT_NAMES_13)} in some order")
+    return replace(pose, joints=pose.joints[[names.index(n) for n in JOINT_NAMES_13]])
+
+
 def load_eval_manifest(path) -> list[EvalRecord]:
     """Manifest JSON: {"records": [{"frame": i, "pred": path, "gt": path,
     "lighting"/"background"/"view": tag}, ...]}; pose paths are relative
-    to the manifest. Each prediction's joints are put in its ground
-    truth's joint-name order; names that are not a reordering of the
-    ground truth's are a DataError naming the prediction file."""
+    to the manifest. Every pose file must name the 13 joints of
+    JOINT_NAMES_13, in any order, and its joints are put in that order."""
     path = Path(path)
     out = []
     with from_file(path):
@@ -218,15 +225,9 @@ def load_eval_manifest(path) -> list[EvalRecord]:
             if not isinstance(entry, dict) or not {"pred", "gt"} <= entry.keys():
                 raise DataError(f"record {i} lacks a 'pred' or 'gt' path")
             tags = {a: entry[a] for a in CONDITION_AXES if a in entry}
-            pred_path = path.parent / entry["pred"]
-            pred_names, pred = read_pose_csv(pred_path)
-            gt_names, gt = read_pose_csv(path.parent / entry["gt"])
-            if sorted(pred_names) != sorted(gt_names) or len(set(pred_names)) != len(pred_names):
-                raise DataError(f"{pred_path}: joint names {pred_names} are not a reordering "
-                                f"of the ground truth's {gt_names}")
-            pred = replace(pred, joints=pred.joints[[pred_names.index(n) for n in gt_names]])
             out.append(EvalRecord(frame_id=int(entry.get("frame", i)),
-                                  pred=pred, gt=gt, tags=tags))
+                                  pred=_canonical_pose(path.parent / entry["pred"]),
+                                  gt=_canonical_pose(path.parent / entry["gt"]), tags=tags))
     return out
 
 

@@ -12,12 +12,12 @@ joint error plus Jensen-Shannon divergences per plane, and a mask loss
 of BCE over the whole mask series, BCE over the current mask again, and
 an MSE between predicted quality scores and their targets. Every loss
 here has an analytic gradient that gradient_check verifies against
-central finite differences.
+central finite differences. Poses are saved as pose CSVs, `events` text
+tables whose layout `POSE_HEADER` and `write_pose_csv` hold.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,7 +33,7 @@ from .errors import (
     ZeroMass,
     from_file,
 )
-from .events import freeze
+from .events import freeze, read_table, table_writer
 
 BCE_CLIP = 1e-7
 DISTRIBUTION_ATOL = 1e-6
@@ -322,31 +322,20 @@ def denormalize(pose, cam: CameraModel, head_depth_mm: float) -> Pose3D:
 # -- pose CSV ----------------------------------------------------------------------
 
 
+POSE_HEADER = "joint,x,y,z"
+
+
 def write_pose_csv(path, pose: Pose3D, names: Sequence[str]) -> None:
     if len(names) != pose.num_joints:
         raise LengthMismatch(f"{len(names)} names for {pose.num_joints} joints")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["joint", "x", "y", "z"])
-        for name, (x, y, z) in zip(names, pose.joints):
-            w.writerow([name, repr(float(x)), repr(float(y)), repr(float(z))])
+    for name in names:  # either would split the name's row on reading
+        if "," in name or "".join(name.splitlines()) != name:
+            raise DataError(f"joint name {name!r} holds a comma or a line break")
+    with table_writer(path, POSE_HEADER, "%s,%r,%r,%r") as write:
+        write((name, *xyz) for name, xyz in zip(names, pose.joints.tolist()))
 
 
 def read_pose_csv(path) -> tuple[list[str], Pose3D]:
-    names, rows = [], []
-    with open(path, newline="") as f, from_file(path):
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != ["joint", "x", "y", "z"]:
-            raise DataError(f"unexpected pose CSV header: {header}")
-        for row in r:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"line {r.line_num}: expected 4 fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as e:
-                raise DataError(f"line {r.line_num}: {e}") from None
-            names.append(row[0])
-        return names, Pose3D(joints=np.asarray(rows, dtype=np.float64))
+    with open(path) as f, from_file(path):
+        _, (names, *xyz) = read_table(f, POSE_HEADER, (str, float, float, float))
+        return names, Pose3D(joints=np.array(xyz, dtype=np.float64).T)

@@ -41,7 +41,7 @@ from .errors import (
     ZeroMass,
     from_file,
 )
-from .events import EventStream, SensorGeometry, freeze
+from .events import EventStream, SensorGeometry, freeze, read_table, table_writer
 from .pose_math import HeatmapTriplet, cell_centers
 
 JOINT_NAMES_13 = (
@@ -376,50 +376,34 @@ def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
     return out
 
 
-# -- skeleton CSV (t_us,joint_name,x_mm,y_mm,z_mm) -----------------------------------
+# -- skeleton CSV ---------------------------------------------------------------------
+
+SKELETON_HEADER = "t_us,joint_name,x_mm,y_mm,z_mm"
 
 
 def write_skeleton_csv(path, frames: Sequence[SkeletonFrame]) -> None:
-    with open(path, "w") as f:
-        f.write("t_us,joint_name,x_mm,y_mm,z_mm\n")
+    with table_writer(path, SKELETON_HEADER, "%s,%s,%r,%r,%r") as write:
         for s in frames:
-            for name, (x, y, z) in zip(JOINT_NAMES_13, s.joints):
-                f.write(f"{s.t_us},{name},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+            write((s.t_us, name, *xyz) for name, xyz in zip(JOINT_NAMES_13, s.joints.tolist()))
 
 
 def read_skeleton_csv(path) -> list[SkeletonFrame]:
-    index = {n: i for i, n in enumerate(JOINT_NAMES_13)}
-    by_t: dict[int, np.ndarray] = {}
-    seen: dict[int, set] = {}
+    known = set(JOINT_NAMES_13)
+    rows: dict[int, dict[str, int]] = {}  # t_us -> joint name -> its row
     with open(path) as f, from_file(path):
-        header = f.readline().strip()
-        if header != "t_us,joint_name,x_mm,y_mm,z_mm":
-            raise DataError(f"unexpected skeleton CSV header: {header!r}")
-        for line_no, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t_s, name, xs, ys, zs = line.split(",")
-                t, xyz = int(t_s), (float(xs), float(ys), float(zs))
-            except ValueError as e:
-                raise DataError(f"line {line_no}: {e}") from None
-            if name not in index:
-                raise DataError(f"line {line_no}: unknown joint name {name!r}")
-            if t not in by_t:
-                by_t[t] = np.full((len(JOINT_NAMES_13), 3), np.nan)
-                seen[t] = set()
-            if name in seen[t]:
-                raise DataError(f"line {line_no}: duplicate joint {name!r} at t={t}")
-            seen[t].add(name)
-            by_t[t][index[name]] = xyz
-    out = []
-    for t in sorted(by_t):
-        if len(seen[t]) != len(JOINT_NAMES_13):
-            missing = set(JOINT_NAMES_13) - seen[t]
-            raise DataError(f"t={t} missing joints: {sorted(missing)}")
-        out.append(SkeletonFrame(t_us=t, joints=by_t[t]))
-    return out
+        line_nos, (ts, names, *xyz) = read_table(f, SKELETON_HEADER,
+                                                 (int, str, float, float, float))
+        for i, t, name in zip(range(len(ts)), ts, names):
+            if name not in known:
+                raise DataError(f"line {line_nos[i]}: unknown joint name {name!r}")
+            if rows.setdefault(t, {}).setdefault(name, i) != i:
+                raise DataError(f"line {line_nos[i]}: duplicate joint {name!r} at t={t}")
+        for t, named in sorted(rows.items()):
+            if len(named) != len(known):
+                raise DataError(f"t={t} missing joints: {sorted(known - named.keys())}")
+    times = sorted(rows)
+    joints = np.array(xyz, dtype=np.float64).T[[rows[t][n] for t in times for n in JOINT_NAMES_13]]
+    return list(map(SkeletonFrame, times, joints.reshape(-1, len(JOINT_NAMES_13), 3)))
 
 
 def nearest_skeleton(frames: Sequence[SkeletonFrame], t_us: int) -> SkeletonFrame:

@@ -792,6 +792,21 @@ class TestMalformedFiles:
                    "--external-masks", str(masks), "--external-scores", str(bad),
                    "--horizon", "2"], bad, capsys)
 
+    @pytest.mark.parametrize("row", ["nan,1.0", "1.0,1.5"])
+    def test_external_scores_outside_0_1(self, tmp_path, small_geometry, rng, capsys, row):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        masks = tmp_path / "m.msk1"
+        gating.write_masks(masks, small_geometry,
+                           np.ones((2, small_geometry.height, small_geometry.width), bool))
+        bad = tmp_path / "scores.csv"
+        bad.write_text(f"{row}\n1.0,1.0\n")
+        out = tmp_path / "o"
+        self._run(["filter", "--events", str(events_path), "--out", str(out),
+                   "--external-masks", str(masks), "--external-scores", str(bad),
+                   "--horizon", "2"], bad, capsys)
+        assert list(out.glob("masked_*.tore")) == []
+
     def test_frame_manifest(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30)

@@ -227,6 +227,10 @@ class TestScheduler:
         with pytest.raises(ProbabilityOutOfRange):
             gating.MaskPlan(masks=np.zeros((1, 4, 4), bool), scores=np.array([1.2]))
 
+    def test_nan_plan_score_rejected(self):
+        with pytest.raises(ProbabilityOutOfRange):
+            gating.MaskPlan(masks=np.zeros((1, 4, 4), bool), scores=np.array([np.nan]))
+
 
 class TestReferenceBackend:
     def _volume_with_blobs(self, blobs, value=0.9):
@@ -448,6 +452,14 @@ class TestMaskStackIO:
         backend = gating.ExternalMaskBackend(masks, 10, 0, 2)
         assert np.shares_memory(backend.masks, masks)
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_external_backend_checks_its_score_table(self, rng, bad):
+        masks = rng.random((3, GEO.height, GEO.width)) > 0.5
+        scores = np.ones((3, 2))
+        scores[2, 1] = bad  # a score no plan of the first two windows reads
+        with pytest.raises(ProbabilityOutOfRange):
+            gating.ExternalMaskBackend(masks, 10, 0, 2, scores)
+
 
 class TestScheduleCsv:
     def test_round_trip(self, tmp_path):
@@ -458,8 +470,8 @@ class TestScheduleCsv:
         assert gating.read_schedule_csv(path) == entries
 
     @pytest.mark.parametrize("text, message", [
-        ("frame,score\n0,1,1.0\n", "unexpected schedule header"),
-        (gating.SCHEDULE_HEADER + "0,1\n", "not enough values to unpack"),
+        ("frame,score\n0,1,1.0\n", "expected header 'frame,recompute,score_used'"),
+        (gating.SCHEDULE_HEADER + "0,1\n", "line 2: expected 3 fields, got 2"),
     ], ids=["header", "two_fields"])
     def test_bad_file_is_data_error_naming_it(self, tmp_path, text, message):
         path = tmp_path / "schedule.csv"

@@ -10,6 +10,7 @@ from evpose.errors import ConfigError, DataError, EmptyInput, JointCountMismatch
 from evpose.events import SensorGeometry
 from evpose.gating import MaskPlan
 from evpose.representations import ToreVolume
+from evpose.simulator import JOINT_NAMES_13
 
 GEO = SensorGeometry(width=346, height=260)
 
@@ -292,7 +293,7 @@ class TestEvaluate:
 
     def test_manifest_loading(self, tmp_path, rng):
         gt = rng.normal(size=(13, 3)) * 100
-        names = [f"j{i}" for i in range(13)]
+        names = list(JOINT_NAMES_13)
         pm.write_pose_csv(tmp_path / "gt.csv", pose(gt), names)
         pm.write_pose_csv(tmp_path / "pred.csv", pose(gt + [5.0, 0, 0]), names)
         manifest = {"records": [{"frame": 0, "pred": "pred.csv", "gt": "gt.csv",
@@ -313,20 +314,48 @@ class TestEvaluate:
 
     def test_prediction_aligned_by_joint_name(self, tmp_path, rng):
         gt = rng.normal(size=(13, 3)) * 100
-        names = [f"j{i}" for i in range(13)]
+        names = list(JOINT_NAMES_13)
         path = self._manifest(tmp_path, gt[::-1], names[::-1], gt, names)
         (record,) = met.load_eval_manifest(path)
         assert np.array_equal(record.pred.joints, gt)
         assert met.mpjpe(record.pred, record.gt) == 0.0
 
+    def test_files_in_any_joint_order_score_per_canonical_joint(self, tmp_path, rng):
+        # two records with a 10 mm head error; the second lists its joints reversed
+        records = []
+        for i, order in enumerate((list(JOINT_NAMES_13), list(JOINT_NAMES_13)[::-1])):
+            gt = rng.normal(size=(13, 3)) * 100
+            pred = gt.copy()
+            pred[JOINT_NAMES_13.index("head")] += [10.0, 0.0, 0.0]
+            rows = [JOINT_NAMES_13.index(n) for n in order]
+            pm.write_pose_csv(tmp_path / f"gt{i}.csv", pose(gt[rows]), order)
+            pm.write_pose_csv(tmp_path / f"pred{i}.csv", pose(pred[rows]), order)
+            records.append({"pred": f"pred{i}.csv", "gt": f"gt{i}.csv"})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"records": records}))
+        report = met.evaluate(met.load_eval_manifest(path))
+        per_joint = dict(zip(JOINT_NAMES_13, report.per_joint_mpjpe.tolist()))
+        assert per_joint.pop("head") == pytest.approx(10.0, rel=1e-9)
+        assert max(per_joint.values()) < 1e-9
+
+    @pytest.mark.parametrize("gt_names", [
+        list(JOINT_NAMES_13[:12]) + ["tail"],
+        list(JOINT_NAMES_13[:12]) + ["head"],
+    ])
+    def test_ground_truth_joint_names_must_be_canonical(self, tmp_path, rng, gt_names):
+        gt = rng.normal(size=(13, 3)) * 100
+        path = self._manifest(tmp_path, gt, list(JOINT_NAMES_13), gt, gt_names)
+        with pytest.raises(DataError, match=str(tmp_path / "gt.csv")):
+            met.load_eval_manifest(path)
+
     @pytest.mark.parametrize("pred_names", [
         [f"nope{i}" for i in range(13)],                  # none shared
-        [f"j{i}" for i in range(12)] + ["extra"],         # one missing, one extra
-        [f"j{i}" for i in range(12)] + ["j0"],            # one repeated
+        list(JOINT_NAMES_13[:12]) + ["extra"],            # one missing, one extra
+        list(JOINT_NAMES_13[:12]) + ["head"],             # one repeated
     ])
     def test_prediction_joint_names_must_match(self, tmp_path, rng, pred_names):
         gt = rng.normal(size=(13, 3)) * 100
-        path = self._manifest(tmp_path, gt, pred_names, gt, [f"j{i}" for i in range(13)])
+        path = self._manifest(tmp_path, gt, pred_names, gt, list(JOINT_NAMES_13))
         with pytest.raises(DataError, match=str(tmp_path / "pred.csv")):
             met.load_eval_manifest(path)
 

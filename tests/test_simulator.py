@@ -452,8 +452,8 @@ class TestSkeletonIO:
             sim.read_skeleton_csv(path)
 
     @pytest.mark.parametrize("body, message", [
-        ("0,head,1,2\n", "line 2: not enough values"),
-        ("0,head,1,2,3\n0,neck,1,2,3,4\n", "line 3: too many values"),
+        ("0,head,1,2\n", "line 2: expected 5 fields, got 4"),
+        ("0,head,1,2,3\n0,neck,1,2,3,4\n", "line 3: expected 5 fields, got 6"),
         ("0,head,1,2,3\n0,neck,1,y,3\n", "line 3: .*'y'"),
         ("0.5,head,1,2,3\n", "line 2: .*'0.5'"),
         ("0,nose,1,2,3\n", "line 2: unknown joint name 'nose'"),
