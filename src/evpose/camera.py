@@ -39,6 +39,8 @@ class CameraModel:
             raise DataError(f"intrinsic must be 3x3, got {k.shape}")
         if e.shape != (3, 4):
             raise DataError(f"extrinsic must be 3x4, got {e.shape}")
+        if not (np.isfinite(k).all() and np.isfinite(e).all()):
+            raise DataError("camera entries must be finite")
         if k[1, 0] != 0 or k[2, 0] != 0 or k[2, 1] != 0 or k[2, 2] != 1:
             raise DataError("intrinsic must be upper-triangular with K[2,2] = 1")
         if k[0, 0] <= 0 or k[1, 1] <= 0:

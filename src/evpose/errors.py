@@ -3,9 +3,12 @@
 Two families matter to callers: ConfigError (bad parameters or config
 files) and DataError (malformed or inconsistent input data). The CLI maps
 them to exit codes 2 and 3; any other exception is a bug and exits 4.
+`check_range` is the one closed-interval check the modules share.
 """
 
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class ConfigError(Exception):
@@ -27,6 +30,16 @@ def from_file(path):
         raise type(e)(f"{path}: {e}") from e
     except ValueError as e:
         raise DataError(f"{path}: {e}") from e
+
+
+def check_range(name: str, x, lo, hi, error=ConfigError):
+    """x, a number or an array, once every value lies in [lo, hi]; NaN and
+    +-inf lie in no finite interval. Otherwise raise `error`."""
+    a = np.asarray(x)
+    if a.size and not (a.min() >= lo and a.max() <= hi):
+        got = f", got {x}" if a.ndim == 0 else ""
+        raise error(f"{name} must lie in [{lo}, {hi}]{got}")
+    return x
 
 
 # -- event stream / binary format --------------------------------------------

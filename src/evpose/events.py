@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     DataError,
+    GeometryMismatch,
     NonMonotonic,
     OutOfBounds,
     TruncatedRecord,
@@ -72,6 +73,12 @@ class SensorGeometry:
     @property
     def num_pixels(self) -> int:
         return self.width * self.height
+
+    def check_shape(self, name: str, a: np.ndarray, ndim: int = 2) -> np.ndarray:
+        """a, once it has ndim axes, the last two (height, width)."""
+        if a.ndim != ndim or a.shape[-2:] != (self.height, self.width):
+            raise GeometryMismatch(f"{name} shape {a.shape} does not match geometry {self}")
+        return a
 
 
 DAVIS346 = SensorGeometry(width=346, height=260)

@@ -23,6 +23,7 @@ vectorised root hooking and pointer jumping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -33,7 +34,9 @@ from .errors import (
     DataError,
     EmptyPlan,
     GeometryMismatch,
+    LengthMismatch,
     ProbabilityOutOfRange,
+    check_range,
     from_file,
 )
 from .events import (HEADER_SIZE, RecordFileWriter, SensorGeometry, freeze, pack_header,
@@ -60,8 +63,7 @@ class MaskPlan:
             raise EmptyPlan("plan must hold at least one mask")
         if s.shape != (m.shape[0],):
             raise EmptyPlan(f"{m.shape[0]} masks but {s.shape} scores")
-        if not np.all((s >= 0) & (s <= 1)):  # NaN too
-            raise ProbabilityOutOfRange("plan scores must lie in [0, 1]")
+        check_range("plan scores", s, 0, 1, ProbabilityOutOfRange)
 
     @property
     def horizon(self) -> int:
@@ -81,17 +83,12 @@ def binarize_mask(soft: np.ndarray, threshold: float = MASK_THRESHOLD) -> np.nda
     covering the whole body; leaked background beats missing limbs.
     """
     a = np.asarray(soft, dtype=np.float64)
-    if np.any(a < 0) or np.any(a > 1):
-        raise ProbabilityOutOfRange("soft mask values must lie in [0, 1]")
-    return a > threshold
+    return check_range("soft mask values", a, 0, 1, ProbabilityOutOfRange) > threshold
 
 
 def apply_mask(vol: ToreVolume, mask: np.ndarray) -> ToreVolume:
     """Zero every channel outside the mask."""
-    m = np.asarray(mask)
-    if m.shape != (vol.geometry.height, vol.geometry.width):
-        raise GeometryMismatch(
-            f"mask {m.shape} does not match volume {vol.geometry}")
+    m = vol.geometry.check_shape("mask", np.asarray(mask))
     return replace(vol, data=vol.data * m.astype(vol.data.dtype))
 
 
@@ -129,8 +126,7 @@ def iter_schedule(frames: Iterable[ToreVolume], backend: MaskPredictorBackend,
     newest plan is retained. Yields (volume, entry, mask) per frame and
     draws the next frame only after the caller has taken the last one.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
+    check_range("beta", beta, 0, 1)
     plan: MaskPlan | None = None
     plan_start = 0  # frame whose volume the backend predicted `plan` from
     for k, vol in enumerate(frames):
@@ -140,8 +136,7 @@ def iter_schedule(frames: Iterable[ToreVolume], backend: MaskPredictorBackend,
             plan = backend.predict(vol)
             if plan is None or plan.horizon < 1:
                 raise EmptyPlan("backend returned an empty plan")
-            if plan.masks.shape[1:] != (vol.geometry.height, vol.geometry.width):
-                raise GeometryMismatch("backend plan does not match volume geometry")
+            vol.geometry.check_shape("backend plan masks", plan.masks, 3)
             plan_start, offset = k, 0
         entry = ScheduleEntry(frame=k, recompute=not reuse,
                               score_used=float(plan.scores[offset]))
@@ -279,10 +274,10 @@ class ReferenceMaskBackend:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 <= self.activity_percentile <= 100.0:
-            raise ConfigError("activity_percentile must lie in [0, 100]")
-        if not 0.0 <= self.score_floor <= 1.0 or self.score_decay < 0:
-            raise ConfigError("score parameters out of range")
+        check_range("activity_percentile", self.activity_percentile, 0, 100)
+        check_range("score_floor", self.score_floor, 0, 1)
+        if not 0 <= self.score_decay < math.inf:
+            raise ConfigError(f"score_decay must be finite and >= 0, got {self.score_decay}")
 
     def predict(self, vol: ToreVolume) -> MaskPlan:
         activity = vol.data.max(axis=0)
@@ -322,11 +317,10 @@ class ExternalMaskBackend:
             scores = np.ones((self.masks.shape[0], horizon))
         self.scores = np.asarray(scores, dtype=np.float64)
         if self.scores.shape != (self.masks.shape[0], horizon):
-            raise ConfigError(
+            raise LengthMismatch(
                 f"scores must be ({self.masks.shape[0]}, {horizon}), "
                 f"got {self.scores.shape}")
-        if not np.all((self.scores >= 0) & (self.scores <= 1)):  # NaN too
-            raise ProbabilityOutOfRange("external scores must lie in [0, 1]")
+        check_range("external scores", self.scores, 0, 1, ProbabilityOutOfRange)
 
     def predict(self, vol: ToreVolume) -> MaskPlan:
         k = (vol.query_time_us - self.origin_us) // self.window_us - 1
@@ -348,9 +342,7 @@ def _mask_bytes(geometry: SensorGeometry) -> int:
 
 
 def _mask_record(geometry: SensorGeometry, mask: np.ndarray) -> bytes:
-    m = np.asarray(mask).astype(bool, copy=False)
-    if m.shape != (geometry.height, geometry.width):
-        raise GeometryMismatch(f"mask {m.shape} does not match geometry {geometry}")
+    m = geometry.check_shape("mask", np.asarray(mask).astype(bool, copy=False))
     return np.packbits(m.reshape(-1)).tobytes()
 
 

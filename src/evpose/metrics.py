@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch, from_file
+from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch, check_range, from_file
 from .events import table_writer
 from .gating import MaskPredictorBackend, schedule_masks
 from .pose_math import Pose3D, mask_errors, read_pose_csv
@@ -92,8 +92,7 @@ def occlude(vol: ToreVolume, prob: float, rng,
     location uniform over in-bounds placements. Draw order is fixed
     (occlude?, height, width, top, left) so a seeded run replays exactly.
     """
-    if not 0.0 <= prob <= 1.0:
-        raise ConfigError(f"prob must lie in [0, 1], got {prob}")
+    check_range("prob", prob, 0, 1)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if gen.random() >= prob:
         return vol

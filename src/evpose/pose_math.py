@@ -31,6 +31,7 @@ from .errors import (
     NonFinite,
     ProbabilityOutOfRange,
     ZeroMass,
+    check_range,
     from_file,
 )
 from .events import freeze, read_table, table_writer
@@ -63,11 +64,11 @@ class HeatmapTriplet:
             g = freeze(self, name, np.float64)
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape != shape:
                 raise InvalidDistribution(f"{name} plane must be square, got {g.shape}")
-            if np.any(g < 0):
+            total = float(g.sum())
+            if not abs(total - 1.0) <= DISTRIBUTION_ATOL:  # NaN too
+                raise InvalidDistribution(f"{name} plane sums to {total:.9f}, expected 1")
+            if not g.min() >= 0:
                 raise InvalidDistribution(f"{name} plane has negative mass")
-            if abs(float(g.sum()) - 1.0) > DISTRIBUTION_ATOL:
-                raise InvalidDistribution(
-                    f"{name} plane sums to {float(g.sum()):.9f}, expected 1")
 
     @property
     def resolution(self) -> int:
@@ -179,8 +180,7 @@ def bce(target: np.ndarray, prob: np.ndarray) -> float:
     """Mean binary cross entropy; probabilities are clipped away from
     {0, 1} by 1e-7 before the logs."""
     y, p = _same_shape(target, prob)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ProbabilityOutOfRange("probabilities must lie in [0, 1]")
+    check_range("probabilities", p, 0, 1, ProbabilityOutOfRange)
     pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
     return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
 
@@ -264,8 +264,7 @@ def mask_loss(pred_masks: np.ndarray, gt_masks: np.ndarray,
         raise LengthMismatch(f"pred_masks must be (N, H, W), got {p.shape}")
     if s.shape != (p.shape[0],):
         raise LengthMismatch(f"series mismatch: {p.shape[0]} masks, scores {s.shape}")
-    if np.any(s < 0) or np.any(s > 1):
-        raise ProbabilityOutOfRange("scores must lie in [0, 1]")
+    check_range("scores", s, 0, 1, ProbabilityOutOfRange)
     return (bce(g, p) + bce(g[0], p[0]) + mse(s, score_targets(p, g)))
 
 
@@ -280,8 +279,7 @@ def gradient_check(f: Callable[[np.ndarray], float],
 
     Relative deviation per coordinate is |analytic - fd| / (|fd| + 1e-8).
     """
-    if not 1e-6 <= step <= 1e-3:
-        raise DataError(f"step must lie in [1e-6, 1e-3], got {step}")
+    check_range("step", step, 1e-6, 1e-3, DataError)
     x = np.array(point, dtype=np.float64)
     analytic = np.asarray(grad(x) if callable(grad) else grad, dtype=np.float64)
     if analytic.shape != x.shape:

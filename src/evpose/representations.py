@@ -220,10 +220,7 @@ class ToreVolume:
     query_time_us: int = 0
 
     def __post_init__(self):
-        d = freeze(self, "data", np.float32)
-        if d.ndim != 3 or d.shape[1:] != (self.geometry.height, self.geometry.width):
-            raise GeometryMismatch(
-                f"data shape {d.shape} does not match geometry {self.geometry}")
+        self.geometry.check_shape("data", freeze(self, "data", np.float32), 3)
 
     @property
     def num_channels(self) -> int:
@@ -238,6 +235,9 @@ class CountFrame:
     geometry: SensorGeometry
     counts: np.ndarray = field(repr=False)  # (2, H, W) int64, per polarity
 
+    def __post_init__(self):
+        freeze(self, "counts", np.int64)
+
 
 @dataclass(frozen=True)
 class VoxelGrid:
@@ -246,6 +246,9 @@ class VoxelGrid:
     t0_us: int = 0
     window_us: int = 0
 
+    def __post_init__(self):
+        freeze(self, "bins", np.int64)
+
 
 @dataclass(frozen=True)
 class TimeSurface:
@@ -253,6 +256,10 @@ class TimeSurface:
     last_t: np.ndarray = field(repr=False)  # (2, H, W) uint64
     valid: np.ndarray = field(repr=False)   # (2, H, W) bool
     query_time_us: int = 0
+
+    def __post_init__(self):
+        freeze(self, "last_t", np.uint64)
+        freeze(self, "valid", bool)
 
 
 def _window_bounds(s: EventStream, window_us, origin_us):

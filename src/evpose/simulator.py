@@ -39,6 +39,7 @@ from .errors import (
     GeometryMismatch,
     LengthMismatch,
     ZeroMass,
+    check_range,
     from_file,
 )
 from .events import EventStream, SensorGeometry, freeze, read_table, table_writer
@@ -68,26 +69,16 @@ class FrameSequence:
     frames: np.ndarray = field(repr=False)  # (T, H, W) in [0, 1]
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise FpsMismatch(f"fps must be positive, got {self.fps}")
-        f = freeze(self, "frames", np.float64)
-        if f.ndim != 3 or f.shape[1:] != (self.geometry.height, self.geometry.width):
-            raise GeometryMismatch(
-                f"frames shape {f.shape} does not match geometry {self.geometry}")
-        _intensities(f)
+        if not 0 < self.fps < math.inf:
+            raise FpsMismatch(f"fps must be positive and finite, got {self.fps}")
+        f = self.geometry.check_shape("frames", freeze(self, "frames", np.float64), 3)
+        check_range("frame intensities", f, 0, 1, DataError)
 
     def __len__(self) -> int:
         return self.frames.shape[0]
 
     def frame_time_us(self, index: int) -> int:
         return _frame_time_us(index, self.fps)
-
-
-def _intensities(a: np.ndarray) -> np.ndarray:
-    """a, once every value is checked to lie in [0, 1] (NaN does not)."""
-    if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
-        raise DataError("frame intensities must lie in [0, 1]")
-    return a
 
 
 def _frame_time_us(index: int, fps: float) -> int:
@@ -101,10 +92,7 @@ class MaskSequence:
     masks: np.ndarray = field(repr=False)  # (T, H, W) bool, 1 = foreground
 
     def __post_init__(self):
-        m = freeze(self, "masks", bool)
-        if m.ndim != 3 or m.shape[1:] != (self.geometry.height, self.geometry.width):
-            raise GeometryMismatch(
-                f"masks shape {m.shape} does not match geometry {self.geometry}")
+        self.geometry.check_shape("masks", freeze(self, "masks", bool), 3)
 
     def __len__(self) -> int:
         return self.masks.shape[0]
@@ -124,10 +112,11 @@ class PixelModelParams:
     hot_pixel_rate_hz: float = 0.0
 
     def __post_init__(self):
-        if self.theta_pos <= 0 or self.theta_neg <= 0:
-            raise ConfigError("contrast thresholds must be positive")
-        if self.leak_rate_hz < 0 or self.shot_noise_scale < 0 or self.hot_pixel_rate_hz < 0:
-            raise ConfigError("noise rates must be non-negative")
+        if not (0 < self.theta_pos < math.inf and 0 < self.theta_neg < math.inf):
+            raise ConfigError("contrast thresholds must be positive and finite")
+        if not all(0 <= r < math.inf for r in
+                   (self.leak_rate_hz, self.shot_noise_scale, self.hot_pixel_rate_hz)):
+            raise ConfigError("noise rates must be finite and non-negative")
         if not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
 
@@ -355,8 +344,8 @@ def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
     """
     if resolution < 8:
         raise ConfigError(f"resolution must be >= 8, got {resolution}")
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
     joints = np.asarray(joints_norm, dtype=np.float64)
     centers = cell_centers(resolution)
     sig = sigma * 2.0 / resolution
@@ -478,7 +467,7 @@ class FrameDirectory:
 
     def read(self, i: int) -> np.ndarray:
         """Image i as (H, W) float64 intensities, checked to lie in [0, 1]."""
-        return self._read(i, _intensities)
+        return self._read(i, lambda img: check_range("frame intensities", img, 0, 1, DataError))
 
     def read_mask(self, i: int) -> np.ndarray:
         """Image i as an (H, W) bool mask: pixels above 0.5 are foreground."""
@@ -495,9 +484,7 @@ class FrameDirectory:
                 if img.size != h * w:
                     raise DataError(f"expected {h * w} floats, got {img.size}")
                 img = img.reshape(h, w)
-            if img.shape != (h, w):
-                raise GeometryMismatch(f"image is {img.shape}, manifest says {(h, w)}")
-            return convert(img)
+            return convert(self.geometry.check_shape("image", img))
 
 
 def list_frames(dirpath) -> FrameDirectory:

@@ -121,7 +121,8 @@ class TestSimulateCommand:
         stream = ev.read_stream(out / "events.evt1")
         assert len(stream) == 10 * 6 * 8
 
-    def test_labels_and_heatmaps_written(self, tmp_path, rng):
+    def _labelled_clip(self, tmp_path, rng):
+        """Arguments of a 3-frame clip with one skeleton label and a camera."""
         frames = np.full((3, 12, 16), 0.5)
         write_frame_dir(tmp_path / "frames", frames, fps=100.0)
         joints = np.column_stack([rng.uniform(-50, 50, 13),
@@ -133,11 +134,13 @@ class TestSimulateCommand:
         cam = cli.cam_mod.CameraModel(intrinsic=intrinsic,
                                       extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))]))
         cli.cam_mod.save_camera(tmp_path / "camera.txt", cam)
+        return ["--frames", str(tmp_path / "frames"), "--out", str(tmp_path / "out"),
+                "--skeleton", str(tmp_path / "skeleton.csv"),
+                "--cam", str(tmp_path / "camera.txt")]
+
+    def test_labels_and_heatmaps_written(self, tmp_path, rng):
         out = tmp_path / "out"
-        rc = self._run(["--frames", str(tmp_path / "frames"), "--out", str(out),
-                        "--skeleton", str(tmp_path / "skeleton.csv"),
-                        "--cam", str(tmp_path / "camera.txt"),
-                        "--heatmap-resolution", "16"])
+        rc = self._run(self._labelled_clip(tmp_path, rng) + ["--heatmap-resolution", "16"])
         assert rc == 0
         assert (out / "skeleton.csv").exists()
         assert (out / "camera.txt").exists()
@@ -145,6 +148,18 @@ class TestSimulateCommand:
         assert stack.shape == (39, 16, 16)  # 13 joints x 3 planes
         sums = stack.reshape(39, -1).sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", [p.name for p in cli.SIMULATE_PARAMS if p.type is float])
+    def test_non_finite_float_option_exits_2(self, tmp_path, rng, capsys, name, value):
+        argv = self._labelled_clip(tmp_path, rng) + ["--" + name.replace("_", "-"), value]
+        assert self._run(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        out = tmp_path / "out"
+        if name in cli.PIXEL_MODEL_OPTIONS:  # checked before the output directory is made
+            assert not out.exists()
+        else:  # heatmap_sigma, checked once the labels are read
+            assert list(out.glob("heatmaps_*.tore")) == []
 
     def test_composite_path(self, tmp_path):
         h, w = 8, 10
@@ -807,6 +822,20 @@ class TestMalformedFiles:
                    "--horizon", "2"], bad, capsys)
         assert list(out.glob("masked_*.tore")) == []
 
+    def test_external_scores_wrong_shape(self, tmp_path, small_geometry, rng, capsys):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        masks = tmp_path / "m.msk1"
+        gating.write_masks(masks, small_geometry,
+                           np.ones((2, small_geometry.height, small_geometry.width), bool))
+        bad = tmp_path / "scores.csv"
+        bad.write_text("1.0,1.0\n")  # one row for two masks
+        out = tmp_path / "o"
+        self._run(["filter", "--events", str(events_path), "--out", str(out),
+                   "--external-masks", str(masks), "--external-scores", str(bad),
+                   "--horizon", "2"], bad, capsys)
+        assert list(out.glob("masked_*.tore")) == []
+
     def test_frame_manifest(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30)
@@ -886,3 +915,11 @@ class TestMalformedFiles:
         cam_text = "1 0 0\n0 1 0\n0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 100\n"
         argv, _, skeleton = self._labelled_clip(tmp_path, cam_text, "0,head,1,2\n")
         self._run(argv, skeleton, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_camera_entry_not_finite(self, tmp_path, capsys, value):
+        cam_text = f"300 0 2.5\n0 300 2\n0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 {value}\n"
+        rows = "".join(f"0,{name},{i},{-i},1000\n" for i, name in enumerate(sim.JOINT_NAMES_13))
+        argv, cam, _ = self._labelled_clip(tmp_path, cam_text, rows)
+        self._run(argv, cam, capsys)
+        assert list((tmp_path / "o").glob("heatmaps_*.tore")) == []
