@@ -19,6 +19,7 @@ z_ref, and sends the reference joint's depth coordinate to exactly 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +82,8 @@ def project_camera_points(cam: CameraModel, pts_cam: np.ndarray) -> np.ndarray:
 
 def view_half_extents(cam: CameraModel, z_ref: float) -> tuple[float, float]:
     """Half width/height of the viewed plane at depth z_ref (mm)."""
-    if z_ref <= 0:
-        raise InvalidDepth(f"reference depth must be positive, got {z_ref}")
+    if not 0 < z_ref < math.inf:
+        raise InvalidDepth(f"reference depth must be positive and finite, got {z_ref}")
     return cam.cx * z_ref / cam.fx, cam.cy * z_ref / cam.fy
 
 

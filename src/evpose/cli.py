@@ -168,6 +168,7 @@ def cmd_simulate(args) -> int:
         if (a in config) != (b in config):
             raise ConfigError(f"{a} and {b} must be given together")
     params = sim.PixelModelParams(**{name: config[name] for name in PIXEL_MODEL_OPTIONS})
+    sim.check_heatmap_settings(config["heatmap_resolution"], config["heatmap_sigma"])
     fg = sim.list_frames(config["frames"])
     frames = iter(fg)
     if "masks" in config:
@@ -222,7 +223,7 @@ def cmd_tore(args) -> int:
     config = _resolve(TORE_PARAMS, args)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    stream = ev.read_stream(config["events"])
+    stream = ev.EventFile(config["events"])
     written = 0
     for i, vol in enumerate(rep.window_volumes(stream, config["k"], config["tau_us"],
                                                config["window_us"], config["origin_us"])):
@@ -260,7 +261,7 @@ def cmd_filter(args) -> int:
         raise ConfigError("external_scores needs external_masks")
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    stream = ev.read_stream(config["events"])
+    stream = ev.EventFile(config["events"])
     if "external_masks" in config:
         geometry, masks = gating.read_masks(config["external_masks"])
         if geometry != stream.geometry:

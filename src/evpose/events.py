@@ -13,6 +13,14 @@ record_count fixed-size records. EVT1's record is one event:
               | record_count u64                              (18 bytes)
     record  = t u64 | x u16 | y u16 | polarity i8 | pad[3]    (16 bytes)
 
+`read_stream` and `parse_stream` hold a whole EVT1 file in memory.
+`EventFile` reads one in two passes over fixed chunks of READ_CHUNK_EVENTS
+records, into one reused buffer: the first checks every record, so a bad
+file fails before any event is used; the second checks them again as it
+yields them as sorted EventStream chunks, which `iter_windows` cuts as it
+cuts one stream. A consumer of its windows holds one chunk and one window
+of input, whatever the file's length.
+
 Every CSV of the toolkit is a text table, a header line and then one
 comma-separated line per row, with one codec here: `table_writer` and
 `read_table`. The event CSV (header ``t_us,x,y,p``) is a lossless text path;
@@ -21,6 +29,7 @@ comma-separated line per row, with one codec here: `table_writer` and
 
 from __future__ import annotations
 
+import os
 import struct
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -163,8 +172,13 @@ class EventStream:
             return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
         if i.step not in (None, 1):
             raise ValueError(f"stream slices take step 1, got {i.step}")
+        return self._with_columns(*(getattr(self, c)[i] for c in "txyp"))
+
+    def _with_columns(self, t, x, y, p) -> "EventStream":
+        """This stream's fields around other columns, unchecked: they must
+        already be read-only, valid and sorted like this stream's."""
         sub = object.__new__(EventStream)
-        sub.__dict__.update(vars(self), **{c: getattr(self, c)[i] for c in "txyp"})
+        sub.__dict__.update(vars(self), t=t, x=x, y=y, p=p)
         return sub
 
     def __iter__(self):
@@ -180,18 +194,19 @@ class EventStream:
         return self[i0:i1]
 
 
-def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> bool:
+def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0, first: int = 0) -> bool:
     """Raise if the column arrays violate the stream contract; return
-    whether t is sorted (False when it regresses within tolerance_us)."""
+    whether t is sorted (False when it regresses within tolerance_us).
+    Errors number the records from first."""
     if np.any(x >= geometry.width) or np.any(y >= geometry.height):
         bad = int(np.argmax((x >= geometry.width) | (y >= geometry.height)))
         raise OutOfBounds(
-            f"record {bad} at ({int(x[bad])},{int(y[bad])}) outside "
+            f"record {first + bad} at ({int(x[bad])},{int(y[bad])}) outside "
             f"{geometry.width}x{geometry.height}"
         )
     if not np.all((p == 1) | (p == -1)):
         bad = int(np.argmax((p != 1) & (p != -1)))
-        raise OutOfBounds(f"record {bad} has polarity {int(p[bad])}, expected +1/-1")
+        raise OutOfBounds(f"record {first + bad} has polarity {int(p[bad])}, expected +1/-1")
     regressed = t[1:] < t[:-1]
     if not np.any(regressed):
         return True
@@ -199,8 +214,8 @@ def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0) -> bool:
     beyond = drop > np.uint64(tolerance_us)
     if np.any(beyond):
         bad = int(np.argmax(beyond))
-        raise NonMonotonic(f"timestamp regresses by {int(drop[bad])}us at record {bad + 1} "
-                           f"(tolerance {tolerance_us}us)")
+        raise NonMonotonic(f"timestamp regresses by {int(drop[bad])}us at record "
+                           f"{first + bad + 1} (tolerance {tolerance_us}us)")
     return False
 
 
@@ -211,11 +226,13 @@ def pack_header(magic: bytes, geometry: SensorGeometry, count: int) -> bytes:
     return _HEADER.pack(magic, 1, geometry.width, geometry.height, count)
 
 
-def parse_header(blob: bytes, magic: bytes, record_size, noun: str) -> tuple[SensorGeometry, int]:
+def parse_header(blob: bytes, magic: bytes, record_size, noun: str,
+                 total: int | None = None) -> tuple[SensorGeometry, int]:
     """Geometry and record count of a counted-record blob whose records
-    take record_size(geometry) bytes each. Raises BadMagic for another
-    magic or a version other than 1, and TruncatedRecord (its message
-    naming each record a noun) unless the payload holds exactly count."""
+    take record_size(geometry) bytes each; total is the whole blob's length
+    when blob holds only its start. Raises BadMagic for another magic or a
+    version other than 1, and TruncatedRecord (its message naming each
+    record a noun) unless the payload holds exactly count."""
     name = magic.decode()
     if len(blob) < HEADER_SIZE or blob[:4] != magic:
         raise BadMagic(f"not an {name} blob")
@@ -224,7 +241,7 @@ def parse_header(blob: bytes, magic: bytes, record_size, noun: str) -> tuple[Sen
         raise BadMagic(f"unsupported {name} version {version}")
     geometry = SensorGeometry(width=width, height=height)
     size = record_size(geometry)
-    payload = len(blob) - HEADER_SIZE
+    payload = (len(blob) if total is None else total) - HEADER_SIZE
     if payload != count * size:
         raise TruncatedRecord(f"{noun} payload of {payload} bytes, header declares "
                               f"{count} {noun}s of {size} bytes")
@@ -298,6 +315,70 @@ def serialize_stream(s: EventStream) -> bytes:
 def read_stream(path) -> EventStream:
     with open(path, "rb") as f, from_file(path):
         return parse_stream(f.read())
+
+
+# Records an `EventFile` pass reads at once (256 KiB): with one window, the
+# input memory of `tore` and `filter`, whatever the recording's length.
+READ_CHUNK_EVENTS = 2**14
+
+
+class EventFile:
+    """An EVT1 file read in two passes of READ_CHUNK_EVENTS records at a
+    time, for `iter_windows` to cut like one EventStream.
+
+    Construction checks the header, the payload size against the file's,
+    and then every record (bounds, polarity, time order within and across
+    chunks, tolerance 0), so a bad file fails before any event is used.
+    Errors name the file and the record's index in it. Iterating reads
+    the file again, checking it the same way, and yields its events as
+    sorted EventStream chunks: a file that changed in between ends as a
+    DataError, never as a wrong event. Each pass reads with `readinto`
+    into one reused buffer. The file is not memory-mapped, because mapped
+    pages, once touched, count towards the process's resident memory.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as f, from_file(path):
+            self.geometry, self._count = self._header(f)
+        self.last_t = 0  # of the last event, once checked
+        for t, *_ in self._chunks():
+            self.last_t = int(t[-1])
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        template = EventStream.empty(self.geometry)
+        for columns in self._chunks():
+            for col in columns:
+                col.setflags(write=False)
+            yield template._with_columns(*columns)
+
+    @staticmethod
+    def _header(f) -> tuple[SensorGeometry, int]:
+        return parse_header(f.read(HEADER_SIZE), EVT1_MAGIC, lambda g: RECORD_SIZE, "event",
+                            os.fstat(f.fileno()).st_size)
+
+    def _chunks(self):
+        """Each chunk's t, x, y and p columns, once checked."""
+        with open(self.path, "rb") as f, from_file(self.path):
+            if self._header(f) != (self.geometry, self._count):
+                raise DataError("header changed since the file was checked")
+            buf = np.empty(READ_CHUNK_EVENTS, dtype=RECORD_DTYPE)
+            raw = buf.view(np.uint8)
+            # the record before the chunk, at first a valid event at t = 0, heads
+            # each column, so one check also orders the chunk after the one before
+            before = np.zeros(1, dtype=RECORD_DTYPE)
+            before["p"] = 1
+            for first in range(0, self._count, READ_CHUNK_EVENTS):
+                n = min(READ_CHUNK_EVENTS, self._count - first)
+                if f.readinto(raw[:n * RECORD_SIZE]) != n * RECORD_SIZE:
+                    raise TruncatedRecord(f"file ends within records {first}..{first + n - 1}")
+                columns = [np.concatenate((before[c], buf[c][:n])) for c in "txyp"]
+                validate_columns(self.geometry, *columns, first=first - 1)
+                before = buf[n - 1:n].copy()
+                yield [col[1:] for col in columns]
 
 
 def write_stream(path, s: EventStream) -> None:
@@ -418,28 +499,43 @@ def check_window(window_us: int, origin_us: int, end_us: int = 0) -> int:
     return end_us
 
 
-def iter_windows(s: EventStream, window_us: int, origin_us: int = 0):
-    """Yield (end_us, window) for consecutive half-open windows of s.
+def iter_windows(s: EventStream | EventFile, window_us: int, origin_us: int = 0):
+    """Yield (end_us, window) for consecutive half-open windows of s, an
+    EventStream or the sorted EventStream chunks of an EventFile.
 
     Window k covers [origin + k*w, origin + (k+1)*w) and ends at
     origin + (k+1)*w. Events before the origin are dropped. Every window
     from the origin through the one holding the last event is yielded,
     empty ones included, so the windows partition [origin, last event].
-    The windows are bounded before the first is yielded; each is a view
-    of s, cut by one searchsorted when the consumer asks for it.
+    The windows are bounded before the first is yielded; each is cut by
+    one searchsorted when the consumer asks for it, as a view of the
+    chunk holding it, and copied only when it spans chunks.
     """
     check_window(window_us, origin_us)
-    if len(s) == 0 or origin_us > int(s.t[-1]):
+    in_memory = isinstance(s, EventStream)
+    if len(s) == 0:
         return
-    n_windows = (int(s.t[-1]) - origin_us) // window_us + 1
+    last_t = int(s.t[-1]) if in_memory else s.last_t
+    if origin_us > last_t:
+        return
+    n_windows = (last_t - origin_us) // window_us + 1
     if n_windows > MAX_WINDOWS:
         raise WindowLimit(f"{n_windows} windows of {window_us}us, more than {MAX_WINDOWS}")
-    last_end = check_window(window_us, origin_us, origin_us + n_windows * window_us)
-    i0 = int(np.searchsorted(s.t, np.uint64(origin_us), side="left"))
-    for end_us in range(origin_us + window_us, last_end + 1, window_us):
-        i1 = int(np.searchsorted(s.t, np.uint64(end_us), side="left"))
-        yield end_us, s[i0:i1]
-        i0 = i1
+    check_window(window_us, origin_us, origin_us + n_windows * window_us)
+    end_us = origin_us + window_us
+    held = []  # the open window's events from earlier chunks
+    for chunk in (s,) if in_memory else s:
+        i0 = int(np.searchsorted(chunk.t, np.uint64(origin_us), side="left"))
+        # a window closes once an event at or past its end is seen, so
+        # end_us never passes the last window's end
+        while (i1 := int(np.searchsorted(chunk.t, np.uint64(end_us), side="left"))) < len(chunk):
+            yield end_us, concatenate(held + [chunk[i0:i1]]) if held else chunk[i0:i1]
+            held = []
+            i0 = i1
+            end_us += window_us
+        if i0 < len(chunk):
+            held.append(chunk[i0:])
+    yield end_us, held[0] if len(held) == 1 else concatenate(held)
 
 
 def slice_constant_time(s: EventStream, window_us: int, origin_us: int = 0) -> list[EventStream]:

@@ -11,6 +11,7 @@ perfect prediction at exactly 29/30.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -57,8 +58,8 @@ def mpjpe(pred, gt) -> float:
 
 def pck(pred, gt, alpha_mm: float = PCK_THRESHOLD_MM) -> float:
     """Fraction of joints with error strictly below alpha_mm."""
-    if alpha_mm < 0:
-        raise ConfigError(f"alpha_mm must be non-negative, got {alpha_mm}")
+    if not 0 <= alpha_mm < math.inf:
+        raise ConfigError(f"alpha_mm must be non-negative and finite, got {alpha_mm}")
     return float(_pck(joint_errors(pred, gt), alpha_mm))
 
 

@@ -100,12 +100,12 @@ class Pose3D:
 def soft_argmax(h: np.ndarray) -> np.ndarray:
     """Expected (col, row) cell-center coordinates under the grid.
 
-    The grid is normalized internally, so any non-negative grid with
-    positive mass works; the result lives in (-1, 1)^2.
+    The grid is normalized internally, so any finite non-negative grid
+    with positive mass works; the result lives in (-1, 1)^2.
     """
     g = np.asarray(h, dtype=np.float64)
-    if np.any(g < 0):
-        raise InvalidDistribution("grid has negative entries")
+    if not np.all((g >= 0) & (g < np.inf)):
+        raise InvalidDistribution("grid has negative or non-finite entries")
     total = float(g.sum())
     if total <= 0:
         raise ZeroMass("grid has no mass")

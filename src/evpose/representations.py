@@ -201,10 +201,10 @@ class ToreState:
         return ToreVolume(geometry=self.geometry, data=out, query_time_us=int(t_query))
 
 
-def window_volumes(s: EventStream, k: int, tau_us: int, window_us: int,
+def window_volumes(s: EventStream | events.EventFile, k: int, tau_us: int, window_us: int,
                    origin_us: int = 0):
-    """Yield the volume at the end of each window of events.iter_windows;
-    one state ingests the windows in order."""
+    """Yield the volume at the end of each window of events.iter_windows
+    over s, a stream or an EVT1 file; one state ingests the windows in order."""
     state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
     for end_us, window in events.iter_windows(s, window_us, origin_us):
         state.ingest_stream(window)

@@ -336,16 +336,21 @@ def head_depth_mm(s: SkeletonFrame, cam: CameraModel) -> float:
     return float(skeleton_camera_joints(s, cam)[s.head_index(), 2])
 
 
+def check_heatmap_settings(resolution: int, sigma: float) -> None:
+    """Raise ConfigError unless make_heatmaps takes resolution and sigma."""
+    if resolution < 8:
+        raise ConfigError(f"resolution must be >= 8, got {resolution}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+
+
 def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
                   sigma: float = HEATMAP_SIGMA) -> list[HeatmapTriplet]:
     """Gaussian marginal heatmaps of normalized joints, one triplet each.
 
     sigma is in grid cells; every plane is normalized to sum to 1.
     """
-    if resolution < 8:
-        raise ConfigError(f"resolution must be >= 8, got {resolution}")
-    if not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+    check_heatmap_settings(resolution, sigma)
     joints = np.asarray(joints_norm, dtype=np.float64)
     centers = cell_centers(resolution)
     sig = sigma * 2.0 / resolution

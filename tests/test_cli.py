@@ -156,10 +156,10 @@ class TestSimulateCommand:
         assert self._run(argv) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         out = tmp_path / "out"
-        if name in cli.PIXEL_MODEL_OPTIONS:  # checked before the output directory is made
-            assert not out.exists()
-        else:  # heatmap_sigma, checked once the labels are read
-            assert list(out.glob("heatmaps_*.tore")) == []
+        # every option is checked before the output directory is made
+        for written in ("events.evt1", "skeleton.csv", "camera.txt"):
+            assert not (out / written).exists()
+        assert not out.exists()
 
     def test_composite_path(self, tmp_path):
         h, w = 8, 10
@@ -287,6 +287,7 @@ class TestSimulateStreaming:
         (["--masks", "frames"], "masks and background must be given together"),
         (["--background", "frames"], "masks and background must be given together"),
         (["--theta-pos", "0"], "contrast thresholds must be positive"),
+        (["--heatmap-resolution", "4"], "resolution must be >= 8, got 4"),
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, extra, message):
         write_frame_dir(tmp_path / "frames", np.linspace(0.1, 0.9, 4)[:, None, None]
@@ -561,6 +562,75 @@ class TestFilterStreaming:
         assert len(list(out.glob("masked_*.tore"))) == 8
         with pytest.raises(DataError):
             gating.read_masks(out / "masks.msk1")
+
+
+class TestBoundedInput:
+    """`tore` and `filter` read their EVT1 file a chunk at a time."""
+
+    GEO = ev.SensorGeometry(96, 64)
+
+    def _events(self, tmp_path, rng, windows, per_window, name="events.evt1"):
+        """windows of exactly per_window events each, 20 ms apart."""
+        n = windows * per_window
+        t = np.sort(np.repeat(np.arange(windows), per_window) * 20_000
+                    + rng.integers(0, 20_000, n))
+        path = tmp_path / name
+        ev.write_stream(path, ev.EventStream.from_arrays(
+            self.GEO, t, rng.integers(0, self.GEO.width, n),
+            rng.integers(0, self.GEO.height, n), rng.choice(np.array([-1, 1]), n)))
+        return path
+
+    def _peak(self, tmp_path, rng, command, windows):
+        path = self._events(tmp_path, rng, windows, 8_000, f"events_{windows}.evt1")
+        out = tmp_path / f"{command}_{windows}"
+        tracemalloc.start()
+        try:
+            rc = cli.main([command, "--events", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(list(out.glob("*.tore"))) == windows
+        return peak
+
+    @pytest.mark.parametrize("command", ["tore", "filter"])
+    def test_peak_memory_flat_in_recording_length(self, tmp_path, rng, command, capsys):
+        volume_bytes = 2 * rep.DEFAULT_K * self.GEO.num_pixels * 4
+        self._peak(tmp_path, rng, command, 2)  # one-time imports and caches
+        short = self._peak(tmp_path, rng, command, 5)
+        long = self._peak(tmp_path, rng, command, 50)  # ten times the events
+        assert abs(long - short) < volume_bytes, (short, long)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("command", ["tore", "filter"])
+    def test_bad_record_in_last_chunk_exits_3_before_any_tensor(
+            self, tmp_path, rng, capsys, monkeypatch, command, chunk):
+        monkeypatch.setattr(ev, "READ_CHUNK_EVENTS", chunk)
+        path = self._events(tmp_path, rng, 3, 10)
+        bad = 29 - 29 % chunk  # first record of the last chunk
+        blob = bytearray(path.read_bytes())
+        np.frombuffer(blob, dtype=ev.RECORD_DTYPE, offset=ev.HEADER_SIZE)["p"][bad] = 2
+        path.write_bytes(bytes(blob))
+        out = tmp_path / "o"
+        assert cli.main([command, "--events", str(path), "--out", str(out)]) == 3
+        assert list(out.glob("*.tore")) == []
+        assert f"{path}: record {bad} has polarity 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tore", "filter"])
+    def test_file_shrunk_during_run_exits_3(self, tmp_path, rng, capsys, monkeypatch,
+                                            command):
+        monkeypatch.setattr(ev, "READ_CHUNK_EVENTS", 7)
+        path = self._events(tmp_path, rng, 5, 400)  # past the reader's 8 KiB buffer
+        write_tensor = rep.write_tensor
+
+        def write_then_cut(*args):
+            write_tensor(*args)
+            with open(path, "r+b") as f:
+                f.truncate(ev.HEADER_SIZE + 100 * ev.RECORD_SIZE)
+
+        monkeypatch.setattr(rep, "write_tensor", write_then_cut)
+        assert cli.main([command, "--events", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert f"data error: {path}: file ends within records" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -468,6 +468,98 @@ class TestIterWindows:
         assert list(ev.iter_windows(s, 10, 2**70)) == []
 
 
+def ramp_file(path, geometry, n):
+    """n events 1000us apart written to path as EVT1; returns the path."""
+    ev.write_stream(path, ev.EventStream.from_arrays(
+        geometry, 1000 * np.arange(1, n + 1), np.arange(n) % geometry.width,
+        np.zeros(n), np.ones(n)))
+    return path
+
+
+def edit_records(path, edit):
+    """Apply edit to the record array of the EVT1 file at path, in place."""
+    blob = bytearray(path.read_bytes())
+    edit(np.frombuffer(blob, dtype=ev.RECORD_DTYPE, offset=ev.HEADER_SIZE))
+    path.write_bytes(bytes(blob))
+
+
+class TestEventFile:
+    """The two-pass reader, its chunks shrunk so that small files span many."""
+
+    @pytest.fixture(params=[1, 2, 7])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(ev, "READ_CHUNK_EVENTS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 300])
+    def test_windows_match_the_stream(self, tmp_path, small_geometry, rng, chunk, n):
+        s = random_stream(rng, small_geometry, n, duration_us=100_000)
+        path = tmp_path / "events.evt1"
+        ev.write_stream(path, s)
+        f = ev.EventFile(path)
+        assert (f.geometry, len(f)) == (small_geometry, n)
+        chunks = list(f)
+        assert all(0 < len(c) <= chunk for c in chunks)
+        assert all(not getattr(c, name).flags.writeable for c in chunks for name in "txyp")
+        for window, origin in [(7_000, 0), (3_000, 30_000), (1, 99_000), (200_000, 0)]:
+            got = list(ev.iter_windows(f, window, origin))
+            want = list(ev.iter_windows(s, window, origin))
+            assert [end for end, _ in got] == [end for end, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                for name in "txyp":
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x", 32, "outside 32x24"), ("y", 24, "outside 32x24"), ("p", 0, "has polarity 0"),
+    ])
+    def test_bad_record_names_file_and_index(self, tmp_path, small_geometry, chunk,
+                                             field, value, message):
+        path = ramp_file(tmp_path / "events.evt1", small_geometry, 20)
+        bad = 19 - 19 % chunk  # first record of the last chunk
+        edit_records(path, lambda rec: rec[field].__setitem__(bad, value))
+        with pytest.raises(OutOfBounds, match=f"{path}: record {bad} .*{message}"):
+            ev.EventFile(path)
+
+    def test_regression_across_chunk_boundary(self, tmp_path, small_geometry, chunk):
+        path = ramp_file(tmp_path / "events.evt1", small_geometry, 20)
+        edit_records(path, lambda rec: rec["t"].__setitem__(chunk, rec["t"][chunk - 1] - 1))
+        with pytest.raises(NonMonotonic, match=f"{path}: .* by 1us at record {chunk} "):
+            ev.EventFile(path)
+
+    @pytest.mark.parametrize("cut", [1, 5, ev.RECORD_SIZE])
+    def test_truncated_payload_names_the_file(self, tmp_path, small_geometry, chunk, cut):
+        path = tmp_path / "events.evt1"
+        path.write_bytes(ramp_file(path, small_geometry, 20).read_bytes()[:-cut])
+        with pytest.raises(TruncatedRecord, match=f"{path}: event payload"):
+            ev.EventFile(path)
+
+    @pytest.mark.parametrize("keep", [0, 6, 19])
+    def test_file_shrunk_before_second_pass(self, tmp_path, small_geometry, chunk, keep):
+        path = ramp_file(tmp_path / "events.evt1", small_geometry, 20)
+        f = ev.EventFile(path)
+        with open(path, "r+b") as out:
+            out.truncate(ev.HEADER_SIZE + keep * ev.RECORD_SIZE)
+        with pytest.raises(TruncatedRecord, match=str(path)):
+            list(ev.iter_windows(f, 5_000))
+
+    def test_record_changed_before_second_pass(self, tmp_path, small_geometry, chunk):
+        path = ramp_file(tmp_path / "events.evt1", small_geometry, 20)
+        f = ev.EventFile(path)
+        edit_records(path, lambda rec: rec["x"].__setitem__(13, 32))
+        with pytest.raises(OutOfBounds, match=f"{path}: record 13 "):
+            list(ev.iter_windows(f, 5_000))
+
+    def test_file_shrunk_during_second_pass(self, tmp_path, small_geometry, chunk):
+        # past the reader's 8 KiB buffer, so the cut shows before the last chunk
+        path = ramp_file(tmp_path / "events.evt1", small_geometry, 2000)
+        windows = ev.iter_windows(ev.EventFile(path), 50_000)
+        next(windows)
+        with open(path, "r+b") as out:
+            out.truncate(ev.HEADER_SIZE + 100 * ev.RECORD_SIZE)
+        with pytest.raises(TruncatedRecord, match=f"{path}: file ends within records"):
+            list(windows)
+
+
 class TestSliceConstantCount:
     def test_exact_division(self, small_geometry, rng):
         s = random_stream(rng, small_geometry, 10)

@@ -97,6 +97,11 @@ class TestPck:
         with pytest.raises(ConfigError):
             met.pck(np.zeros((13, 3)), np.zeros((13, 3)), -1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha_mm"):
+            met.pck(np.zeros((13, 3)), np.zeros((13, 3)), alpha)
+
 
 class TestAuc:
     def test_threshold_set(self):

@@ -68,6 +68,13 @@ class TestSoftArgmax:
         with pytest.raises(InvalidDistribution):
             pm.soft_argmax(g)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries(self, bad):
+        g = np.ones((4, 4))
+        g[0, 0] = bad
+        with pytest.raises(InvalidDistribution):
+            pm.soft_argmax(g)
+
 
 class TestFusePlanes:
     def test_all_centered(self):

@@ -423,6 +423,29 @@ class TestDecayOrdering:
             t2 = t1 + int(rng.integers(0, 6_000_000))
             assert np.all(state.materialize(t2).data <= state.materialize(t1).data)
 
+    # A volume's activity image, its maximum over each polarity's channels,
+    # is that polarity's newest slot only while decay, once stored as
+    # float32, never rises with age.
+    @pytest.mark.parametrize("tau_us", [2, rep.DEFAULT_TAU_US, 2**62])
+    def test_float32_decay_non_increasing_in_age(self, tau_us):
+        every = np.arange(2**20 + 1)
+        log_spaced = np.unique(np.geomspace(1, tau_us, 10_000).round())
+        for ages in (every, log_spaced):
+            values = np.float32(rep.decay_value(ages, tau_us))
+            assert np.all(np.diff(values) <= 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 400), k=st.integers(1, 5),
+           tau_us=st.sampled_from([2, 1_000, TAU]), duration=st.integers(1, 3 * TAU),
+           lag=st.integers(0, 2 * TAU), seed=st.integers(0, 2**16))
+    def test_newest_slot_is_channel_maximum(self, n, k, tau_us, duration, lag, seed):
+        geometry = SensorGeometry(6, 5)
+        s = random_stream(np.random.default_rng(seed), geometry, n, duration_us=duration)
+        state = rep.ToreState(geometry, k=k, tau_us=tau_us).ingest_stream(s)
+        vol = state.materialize(state.last_t + lag).data.view(np.uint32)  # bitwise
+        for c0 in (0, k):
+            assert np.array_equal(vol[c0], vol[c0:c0 + k].max(axis=0))
+
 
 class TestBaselines:
     def test_voxel_single_event(self, small_geometry):

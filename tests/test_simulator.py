@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evpose import simulator as sim
-from evpose.camera import CameraModel, load_camera, save_camera
+from evpose.camera import CameraModel, load_camera, save_camera, view_half_extents
 from evpose.errors import (
     BehindCamera,
     ConfigError,
@@ -14,6 +14,7 @@ from evpose.errors import (
     EmptySequence,
     FpsMismatch,
     GeometryMismatch,
+    InvalidDepth,
     LengthMismatch,
 )
 from evpose.events import SensorGeometry, serialize_stream
@@ -389,6 +390,11 @@ class TestNormalization:
         cam = simple_camera()
         with pytest.raises(InvalidDepth):
             denormalize(np.zeros((13, 3)), cam, 0.0)
+
+    @pytest.mark.parametrize("z_ref", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_depth(self, z_ref):
+        with pytest.raises(InvalidDepth):
+            view_half_extents(simple_camera(), z_ref)
 
 
 class TestHeatmaps:
