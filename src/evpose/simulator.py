@@ -14,6 +14,14 @@ with uniformly random timestamps and random polarity. Hot pixels add a
 fixed extra rate at listed coordinates. Everything is deterministic for
 a fixed seed.
 
+Per frame interval, the whole frame is touched only to take the log,
+the change against the reference and its quotient by the threshold, and
+to list the pixels whose quotient reaches +1 or -1. Counts, crossing
+times and reference updates are computed at those fired pixels alone,
+typically a few percent of the sensor, so the rest of the work follows
+the events rather than the sensor size. The noise-rate frame is built
+only when a noise rate is configured.
+
 The module also produces the paired ground truth a simulated recording
 needs downstream: skeleton label files, pinhole projections, normalized
 cube coordinates, and Gaussian marginal heatmaps.
@@ -119,6 +127,7 @@ class PixelModelParams:
             raise ConfigError("noise rates must be finite and non-negative")
         if not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
+        check_range("seed", self.seed, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -219,15 +228,12 @@ def interpolate_linear(f: FrameSequence, factor: int) -> FrameSequence:
 # -- event synthesis --------------------------------------------------------------
 
 
-def _expand_counts(counts: np.ndarray):
-    """Flat index of each pixel of a count frame, raster order, repeated once
-    per count, and each repeat's 1-based rank within its pixel."""
-    flat = counts.reshape(-1)
-    pix = np.flatnonzero(flat)
-    reps = flat[pix]
-    starts = np.cumsum(reps) - reps
-    pix_rep = np.repeat(pix, reps)
-    return pix_rep, np.arange(pix_rep.size) - np.repeat(starts, reps) + 1
+def _expand_counts(pix: np.ndarray, counts: np.ndarray):
+    """Each of pix repeated counts times, in order, and each repeat's 1-based
+    rank within its pixel."""
+    starts = np.cumsum(counts) - counts
+    pix_rep = np.repeat(pix, counts)
+    return pix_rep, np.arange(pix_rep.size) - np.repeat(starts, counts) + 1
 
 
 def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: float,
@@ -246,6 +252,11 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
     nothing. Every event of interval i lies in [t_i, t_i+1] and interval
     i + 1 starts at t_i+1, so the chunks in order are one stable sort of
     the whole clip's events: at a tie on t_i+1, interval i comes first.
+
+    Only the fired pixels, those whose quotient of change by threshold
+    reaches +1 or -1, get counts, crossing times and a reference update;
+    any other pixel would add exactly 0.0 to its reference. The quotient
+    that picks them is the one the counts floor.
     """
     h, w = geometry.height, geometry.width
     noise_rate = np.zeros((h, w))
@@ -253,6 +264,8 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
         if not (0 <= hx < w and 0 <= hy < h):
             raise ConfigError(f"hot pixel ({hx},{hy}) outside geometry")
         noise_rate[hy, hx] += p.hot_pixel_rate_hz
+    noisy = p.leak_rate_hz > 0 or p.shot_noise_scale > 0 or noise_rate.any()
+    lam = np.empty((h, w)) if noisy else None  # the noise-rate frame, rebuilt each interval
 
     rng = np.random.default_rng(p.seed)
     frames = iter(frames)
@@ -266,29 +279,42 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
         t0, t1 = _frame_time_us(i, fps), _frame_time_us(i + 1, fps)
         l_new = np.log(cur + p.eps).reshape(-1)
         d = l_new - ref
-        n_pos = np.where(d > 0, np.floor(d / p.theta_pos), 0.0).astype(np.int64)
-        n_neg = np.where(d < 0, np.floor(-d / p.theta_neg), 0.0).astype(np.int64)
+        q_neg = d / p.theta_neg
+        q_pos = q_neg if p.theta_pos == p.theta_neg else d / p.theta_pos
+        # the same quotients the counts floor: a pixel fires iff its count is >= 1
+        fired = np.flatnonzero((q_pos >= 1.0) | (q_neg <= -1.0))
+        up = q_pos[fired] >= 1.0
         parts = []  # (t, flat pixel, polarity) per source
-        for counts, sign, theta in ((n_pos, +1, p.theta_pos), (n_neg, -1, p.theta_neg)):
-            pix, rank = _expand_counts(counts)
-            if pix.size:
-                level = ref[pix] + sign * rank * theta
-                lp = l_prev[pix]
-                # a still pixel (span 0) that rounding left one threshold off
-                # its reference still crosses; its event falls at t0
-                span = l_new[pix] - lp
-                frac = np.clip(np.divide(level - lp, span, out=np.zeros_like(span),
-                                         where=span != 0), 0.0, 1.0)
-                parts.append((t0 + frac * (t1 - t0), pix, np.full(pix.size, sign, np.int8)))
-        ref += n_pos * p.theta_pos - n_neg * p.theta_neg
+        for sign, theta, q, pix in ((+1, p.theta_pos, q_pos, fired[up]),
+                                    (-1, p.theta_neg, q_neg, fired[~up])):
+            if not pix.size:
+                continue
+            step = sign * theta
+            counts = np.floor(sign * q[pix]).astype(np.int64)
+            pix_rep, rank = _expand_counts(pix, counts)
+            level = ref[pix_rep] + rank * step
+            lp = l_prev[pix_rep]
+            # a still pixel (span 0) that rounding left one threshold off
+            # its reference still crosses; its event falls at t0
+            span = l_new[pix_rep] - lp
+            frac = np.clip(np.divide(level - lp, span, out=np.zeros_like(span),
+                                     where=span != 0), 0.0, 1.0)
+            parts.append((t0 + frac * (t1 - t0), pix_rep, np.full(pix_rep.size, sign, np.int8)))
+            ref[pix] += counts * step
 
-        lam = (p.leak_rate_hz + p.shot_noise_scale * (1.0 - prev) + noise_rate)
-        lam = lam * ((t1 - t0) * 1e-6)
-        if np.any(lam > 0):
-            pix, _ = _expand_counts(rng.poisson(lam))
-            if pix.size:
-                parts.append((rng.uniform(t0, t1, pix.size), pix,
-                              (rng.integers(0, 2, pix.size) * 2 - 1).astype(np.int8)))
+        if lam is not None:
+            np.subtract(1.0, prev, out=lam)
+            lam *= p.shot_noise_scale
+            lam += p.leak_rate_hz
+            lam += noise_rate
+            lam *= (t1 - t0) * 1e-6
+            if np.any(lam > 0):
+                counts = rng.poisson(lam).reshape(-1)
+                pix = np.flatnonzero(counts > 0)
+                pix, _ = _expand_counts(pix, counts[pix])
+                if pix.size:
+                    parts.append((rng.uniform(t0, t1, pix.size), pix,
+                                  (rng.integers(0, 2, pix.size) * 2 - 1).astype(np.int8)))
         if parts:
             ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
             ts = np.rint(ts).astype(np.uint64)

@@ -161,6 +161,11 @@ class TestSimulateCommand:
             assert not (out / written).exists()
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_output(self, tmp_path, rng, capsys):
+        assert self._run(self._labelled_clip(tmp_path, rng) + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed must lie in [0, inf]")
+        assert not (tmp_path / "out").exists()
+
     def test_composite_path(self, tmp_path):
         h, w = 8, 10
         fg = np.full((4, h, w), 0.9)

@@ -20,7 +20,7 @@ from evpose.errors import (
 from evpose.events import SensorGeometry, serialize_stream
 from evpose.pose_math import denormalize, soft_argmax
 
-from oracles import frames_to_events_direct
+from oracles import frames_to_events_direct, frames_to_events_whole_clip, interpolate_whole_clip
 
 GEO = SensorGeometry(width=16, height=12)
 
@@ -280,6 +280,53 @@ class TestFramesToEvents:
         assert serialize_stream(sim.frames_to_events(f, params)) == \
             serialize_stream(frames_to_events_direct(f, params))
 
+    def test_threshold_edges_match_scalar_oracle(self):
+        # each pixel moves k thresholds from its first level, then a few
+        # float64 steps either way, so the quotient the counts floor lands
+        # on, just under and just over whole numbers of either sign
+        eps, theta_pos, theta_neg = 0.02, 0.13, 0.29
+        ks, nudges = np.array([-3, -2, -1, 1, 2, 3, 0]), np.arange(-3, 4)
+        geometry = SensorGeometry(len(nudges), len(ks))  # the k = 0 row holds still
+        base = 0.3 + 0.004 * np.arange(ks.size * nudges.size).reshape(ks.size, nudges.size)
+        l0 = np.log(base + eps)
+        k = np.broadcast_to(ks[:, None], l0.shape)
+        edge = np.exp(l0 + np.where(k > 0, k * theta_pos, k * theta_neg)) - eps
+        for n in nudges:
+            for _ in range(abs(n)):
+                edge[:-1, n + 3] = np.nextafter(edge[:-1, n + 3], n * np.inf)
+        q = np.log(edge + eps) - l0
+        q = np.where(k > 0, q / theta_pos, q / theta_neg)
+        for rows in (k > 0, k < 0):
+            assert {-1, 0, 1} <= set(np.sign(q - k)[rows].tolist())
+
+        f = sim.FrameSequence(geometry, 100.0, np.stack([base, edge, base, edge, edge]))
+        params = quiet_params(theta_pos=theta_pos, theta_neg=theta_neg, eps=eps)
+        got = sim.frames_to_events(f, params)
+        assert len(got) > 0
+        assert serialize_stream(got) == serialize_stream(frames_to_events_direct(f, params))
+
+    def test_sparse_scene_matches_whole_clip_oracle(self):
+        # a soft-edged bright bar sweeping across half the rows of a 64x48
+        # sensor: its leading edge fires positive, its trailing edge
+        # negative, and few pixels fire per interval
+        n, geometry = 30, SensorGeometry(64, 48)
+        columns = np.arange(geometry.width)[None, None, :]
+        position = 8.0 + 1.7 * np.arange(n)[:, None, None]
+        bar = np.clip((6.0 - np.abs(columns - position)) / 3.0, 0.0, 1.0)
+        frames = np.full((n, geometry.height, geometry.width), 0.15)
+        frames[:, 12:36] += 0.7 * bar
+        f = sim.FrameSequence(geometry, 100.0, frames)
+        params = sim.PixelModelParams(theta_pos=0.17, theta_neg=0.23, leak_rate_hz=1.0,
+                                      shot_noise_scale=2.0, hot_pixels=((3, 4), (60, 40)),
+                                      hot_pixel_rate_hz=400.0, seed=21)
+        got = sim.frames_to_events(sim.interpolate_linear(f, 2), params)
+        # under 10% of the pixels fire in a 5 ms interval, on average
+        fired = np.unique((got.t // 5000).astype(np.int64) * frames[0].size
+                          + got.y.astype(np.int64) * geometry.width + got.x)
+        assert 0 < fired.size < 0.1 * frames[0].size * (n - 1) * 2
+        assert serialize_stream(got) == serialize_stream(
+            frames_to_events_whole_clip(interpolate_whole_clip(f, 2), params))
+
     def test_peak_memory_is_per_frame_not_per_clip(self):
         # a slow edge: the bright side advances by 0.16 px a frame
         n, geometry = 400, SensorGeometry(64, 48)
@@ -308,6 +355,8 @@ class TestFramesToEvents:
             sim.PixelModelParams(eps=1.5)
         with pytest.raises(ConfigError):
             sim.PixelModelParams(leak_rate_hz=-1.0)
+        with pytest.raises(ConfigError):
+            sim.PixelModelParams(seed=-1)
 
 
 class TestProjection:
