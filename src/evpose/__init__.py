@@ -1,8 +1,8 @@
 """Event-camera 3D human-pose toolkit.
 
 Deterministic core of an event-based pose pipeline: EVT1 event streams,
-decay-volume and baseline representations, video-to-event simulation
-with paired labels, mask gating with early-exit scheduling, marginal
+decay-volume representations, video-to-event simulation with paired
+labels, mask gating with early-exit scheduling, marginal
 heatmap triangulation and losses, and MPJPE/PCK/AUC evaluation. Neural
 predictors plug in behind backend interfaces.
 """

@@ -221,12 +221,13 @@ TORE_PARAMS = WINDOW_PARAMS + [
 
 def cmd_tore(args) -> int:
     config = _resolve(TORE_PARAMS, args)
+    stream = ev.EventFile(config["events"])
+    volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
+                                 config["window_us"], config["origin_us"])
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    stream = ev.EventFile(config["events"])
     written = 0
-    for i, vol in enumerate(rep.window_volumes(stream, config["k"], config["tau_us"],
-                                               config["window_us"], config["origin_us"])):
+    for i, vol in enumerate(volumes):
         path = out_dir / f"tore_{i:05d}.tore"
         rep.write_tensor(path, vol.data)
         if config["text_dump"]:
@@ -259,8 +260,6 @@ def cmd_filter(args) -> int:
     config = _resolve(FILTER_PARAMS, args)
     if "external_scores" in config and "external_masks" not in config:
         raise ConfigError("external_scores needs external_masks")
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     stream = ev.EventFile(config["events"])
     if "external_masks" in config:
         geometry, masks = gating.read_masks(config["external_masks"])
@@ -279,10 +278,14 @@ def cmd_filter(args) -> int:
             horizon=config["horizon"], activity_percentile=config["activity_percentile"])
     volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
                                  config["window_us"], config["origin_us"])
+    scheduled = gating.iter_schedule(volumes, backend, config["beta"])
+    # every setting is checked above, so a bad one leaves no output behind
+    out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     calls = 0
     with gating.schedule_writer(out_dir / "schedule.csv") as schedule, \
             gating.MaskStackWriter(out_dir / "masks.msk1", stream.geometry) as masks_out:
-        for vol, entry, mask in gating.iter_schedule(volumes, backend, config["beta"]):
+        for vol, entry, mask in scheduled:
             masked = gating.apply_mask(vol, mask)
             rep.write_tensor(out_dir / f"masked_{entry.frame:05d}.tore", masked.data)
             schedule([entry])

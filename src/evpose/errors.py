@@ -72,14 +72,6 @@ class ZeroWindow(ConfigError):
     """Window duration must be positive."""
 
 
-class ZeroCount(ConfigError):
-    """Chunk size must be positive."""
-
-
-class ZeroBins(ConfigError):
-    """Bin count must be positive."""
-
-
 # -- representations ----------------------------------------------------------
 
 class InvalidTau(ConfigError):

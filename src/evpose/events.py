@@ -30,6 +30,7 @@ comma-separated line per row, with one codec here: `table_writer` and
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -46,7 +47,6 @@ from .errors import (
     OutOfBounds,
     TruncatedRecord,
     WindowLimit,
-    ZeroCount,
     ZeroWindow,
     from_file,
 )
@@ -357,8 +357,11 @@ class EventFile:
 
     @staticmethod
     def _header(f) -> tuple[SensorGeometry, int]:
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise DataError("input must be a regular file, read twice, not a pipe or device")
         return parse_header(f.read(HEADER_SIZE), EVT1_MAGIC, lambda g: RECORD_SIZE, "event",
-                            os.fstat(f.fileno()).st_size)
+                            st.st_size)
 
     def _chunks(self):
         """Each chunk's t, x, y and p columns, once checked."""
@@ -488,43 +491,45 @@ DEFAULT_WINDOW_US = 20_000  # 50 windows per second of recording
 MAX_WINDOWS = 2**24
 
 
-def check_window(window_us: int, origin_us: int, end_us: int = 0) -> int:
-    """end_us, after the windowing rules: a positive window from a non-negative
-    origin (else ZeroWindow) ends within the u64 range (else WindowLimit)."""
+def check_window(window_us: int, origin_us: int, end_us: int = 0) -> None:
+    """The windowing rules: a positive window from a non-negative origin
+    (else ZeroWindow) ends within the u64 range (else WindowLimit)."""
     if window_us <= 0 or origin_us < 0:
         raise ZeroWindow(f"window_us must be positive and origin_us non-negative, "
                          f"got {window_us} and {origin_us}")
     if end_us >= 2**64:
         raise WindowLimit(f"last window ends at {end_us}us, past the u64 timestamp range")
-    return end_us
 
 
 def iter_windows(s: EventStream | EventFile, window_us: int, origin_us: int = 0):
-    """Yield (end_us, window) for consecutive half-open windows of s, an
-    EventStream or the sorted EventStream chunks of an EventFile.
+    """An iterator of (end_us, window) for consecutive half-open windows
+    of s, an EventStream or the sorted EventStream chunks of an EventFile.
 
     Window k covers [origin + k*w, origin + (k+1)*w) and ends at
     origin + (k+1)*w. Events before the origin are dropped. Every window
     from the origin through the one holding the last event is yielded,
     empty ones included, so the windows partition [origin, last event].
-    The windows are bounded before the first is yielded; each is cut by
-    one searchsorted when the consumer asks for it, as a view of the
-    chunk holding it, and copied only when it spans chunks.
+    The windows are bounded when this is called, before the first is
+    drawn; each is cut by one searchsorted when the consumer asks for it,
+    as a view of the chunk holding it, and copied only when it spans chunks.
     """
     check_window(window_us, origin_us)
-    in_memory = isinstance(s, EventStream)
     if len(s) == 0:
-        return
-    last_t = int(s.t[-1]) if in_memory else s.last_t
+        return iter(())
+    last_t = int(s.t[-1]) if isinstance(s, EventStream) else s.last_t
     if origin_us > last_t:
-        return
+        return iter(())
     n_windows = (last_t - origin_us) // window_us + 1
     if n_windows > MAX_WINDOWS:
         raise WindowLimit(f"{n_windows} windows of {window_us}us, more than {MAX_WINDOWS}")
     check_window(window_us, origin_us, origin_us + n_windows * window_us)
+    return _cut_windows(s, window_us, origin_us)
+
+
+def _cut_windows(s: EventStream | EventFile, window_us: int, origin_us: int):
     end_us = origin_us + window_us
     held = []  # the open window's events from earlier chunks
-    for chunk in (s,) if in_memory else s:
+    for chunk in (s,) if isinstance(s, EventStream) else s:
         i0 = int(np.searchsorted(chunk.t, np.uint64(origin_us), side="left"))
         # a window closes once an event at or past its end is seen, so
         # end_us never passes the last window's end
@@ -541,21 +546,6 @@ def iter_windows(s: EventStream | EventFile, window_us: int, origin_us: int = 0)
 def slice_constant_time(s: EventStream, window_us: int, origin_us: int = 0) -> list[EventStream]:
     """The windows of iter_windows as a list."""
     return [window for _, window in iter_windows(s, window_us, origin_us)]
-
-
-@dataclass(frozen=True)
-class CountChunk:
-    stream: EventStream
-    partial: bool
-
-
-def slice_constant_count(s: EventStream, n: int) -> list[CountChunk]:
-    """Consecutive chunks of exactly n events; a trailing remainder chunk
-    is flagged partial. Concatenation of chunks equals the input."""
-    if n <= 0:
-        raise ZeroCount(f"chunk size must be positive, got {n}")
-    return [CountChunk(stream=s[i0:i0 + n], partial=len(s) - i0 < n)
-            for i0 in range(0, len(s), n)]
 
 
 def concatenate(streams, geometry: SensorGeometry | None = None) -> EventStream:

@@ -124,9 +124,14 @@ def iter_schedule(frames: Iterable[ToreVolume], backend: MaskPredictorBackend,
     plan's mask for k when that mask's score is >= beta; otherwise the
     backend runs on frame k's volume and starts a new plan. Only the
     newest plan is retained. Yields (volume, entry, mask) per frame and
-    draws the next frame only after the caller has taken the last one.
+    draws the next frame only after the caller has taken the last one;
+    beta is checked when this is called, before the first frame is drawn.
     """
     check_range("beta", beta, 0, 1)
+    return _schedule(frames, backend, beta)
+
+
+def _schedule(frames, backend, beta):
     plan: MaskPlan | None = None
     plan_start = 0  # frame whose volume the backend predicted `plan` from
     for k, vol in enumerate(frames):

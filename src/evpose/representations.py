@@ -17,9 +17,6 @@ The FIFO is stored in the layout of the materialized volume: channels
 [0, K) hold positive polarity, [K, 2K) negative, ordered newest first
 within each polarity. A slot that was never filled holds EMPTY_SLOT
 (2^64 - 1), which reads as infinitely old and so decays to exactly 0.
-
-Three baselines used for comparisons are also provided: per-polarity
-count frames, signed voxel grids, and per-polarity time surfaces.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from .errors import (
     OutOfBounds,
     TimeRegression,
     TruncatedRecord,
-    ZeroBins,
     from_file,
 )
 from .events import Event, EventStream, SensorGeometry, freeze
@@ -56,12 +52,6 @@ EMPTY_SLOT = 2**64 - 1
 INGEST_PIECE_EVENTS = 2**20
 
 _POL_INDEX = {1: 0, -1: 1}
-
-
-def _check_query(t_query) -> None:
-    """A query time must be a u64 timestamp."""
-    if not 0 <= t_query < 2**64:
-        raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
 
 
 def _decay(delta: np.ndarray, tau_us) -> np.ndarray:
@@ -186,7 +176,8 @@ class ToreState:
         Only filled slots are computed; empty ones stay exactly 0. Reads
         the state without changing it; the volume is a fresh array.
         """
-        _check_query(t_query)
+        if not 0 <= t_query < 2**64:
+            raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
         if t_query < self.last_t:
             raise TimeRegression(
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
@@ -203,10 +194,16 @@ class ToreState:
 
 def window_volumes(s: EventStream | events.EventFile, k: int, tau_us: int, window_us: int,
                    origin_us: int = 0):
-    """Yield the volume at the end of each window of events.iter_windows
-    over s, a stream or an EVT1 file; one state ingests the windows in order."""
+    """An iterator of the volume at the end of each window of
+    events.iter_windows over s, a stream or an EVT1 file; one state ingests
+    the windows in order. The settings and the window bounds are checked
+    when this is called, before the first volume is drawn."""
     state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
-    for end_us, window in events.iter_windows(s, window_us, origin_us):
+    return _volumes(state, events.iter_windows(s, window_us, origin_us))
+
+
+def _volumes(state: ToreState, windows):
+    for end_us, window in windows:
         state.ingest_stream(window)
         yield state.materialize(end_us)
 
@@ -225,96 +222,6 @@ class ToreVolume:
     @property
     def num_channels(self) -> int:
         return self.data.shape[0]
-
-
-# -- baseline representations ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountFrame:
-    geometry: SensorGeometry
-    counts: np.ndarray = field(repr=False)  # (2, H, W) int64, per polarity
-
-    def __post_init__(self):
-        freeze(self, "counts", np.int64)
-
-
-@dataclass(frozen=True)
-class VoxelGrid:
-    geometry: SensorGeometry
-    bins: np.ndarray = field(repr=False)  # (B, H, W) int64, signed by polarity
-    t0_us: int = 0
-    window_us: int = 0
-
-    def __post_init__(self):
-        freeze(self, "bins", np.int64)
-
-
-@dataclass(frozen=True)
-class TimeSurface:
-    geometry: SensorGeometry
-    last_t: np.ndarray = field(repr=False)  # (2, H, W) uint64
-    valid: np.ndarray = field(repr=False)   # (2, H, W) bool
-    query_time_us: int = 0
-
-    def __post_init__(self):
-        freeze(self, "last_t", np.uint64)
-        freeze(self, "valid", bool)
-
-
-def _window_bounds(s: EventStream, window_us, origin_us):
-    """[origin, origin + window), checked as iter_windows checks windows."""
-    if origin_us is None:
-        origin_us = int(s.t[0]) if len(s) else 0
-    t0 = int(origin_us)
-    return t0, events.check_window(window_us, t0, t0 + int(window_us))
-
-
-def build_count_frame(s: EventStream, window_us: int,
-                      origin_us: int | None = None) -> CountFrame:
-    """Per-pixel, per-polarity event counts over [origin, origin+window)."""
-    t0, t1 = _window_bounds(s, window_us, origin_us)
-    sub = s.restrict(t0, t1)
-    h, w = s.geometry.height, s.geometry.width
-    counts = np.zeros((2, h, w), dtype=np.int64)
-    pol_idx = (sub.p < 0).astype(np.int64)
-    np.add.at(counts, (pol_idx, sub.y.astype(np.int64), sub.x.astype(np.int64)), 1)
-    return CountFrame(geometry=s.geometry, counts=counts)
-
-
-def build_voxel_grid(s: EventStream, window_us: int, bins: int,
-                     origin_us: int | None = None) -> VoxelGrid:
-    """Signed 3D histogram: the window splits into `bins` equal
-    sub-intervals and each event adds its polarity to its bin."""
-    if bins < 1:
-        raise ZeroBins(f"bins must be >= 1, got {bins}")
-    t0, t1 = _window_bounds(s, window_us, origin_us)
-    sub = s.restrict(t0, t1)
-    h, w = s.geometry.height, s.geometry.width
-    grid = np.zeros((bins, h, w), dtype=np.int64)
-    if len(sub):
-        rel = (sub.t - np.uint64(t0)).astype(np.float64)
-        b = np.minimum((rel * bins / window_us).astype(np.int64), bins - 1)
-        np.add.at(grid, (b, sub.y.astype(np.int64), sub.x.astype(np.int64)),
-                  sub.p.astype(np.int64))
-    return VoxelGrid(geometry=s.geometry, bins=grid, t0_us=t0, window_us=int(window_us))
-
-
-def build_time_surface(s: EventStream, t_query: int) -> TimeSurface:
-    """Most recent event timestamp per pixel per polarity, up to u64 time t_query."""
-    _check_query(t_query)
-    sub = s[:int(np.searchsorted(s.t, np.uint64(t_query), side="right"))]
-    h, w = s.geometry.height, s.geometry.width
-    last = np.zeros((2, h, w), dtype=np.uint64)
-    valid = np.zeros((2, h, w), dtype=bool)
-    pol_idx = (sub.p < 0).astype(np.int64)
-    yy = sub.y.astype(np.int64)
-    xx = sub.x.astype(np.int64)
-    # events arrive time-sorted, so plain assignment keeps the newest
-    last[pol_idx, yy, xx] = sub.t
-    valid[pol_idx, yy, xx] = True
-    return TimeSurface(geometry=s.geometry, last_t=last, valid=valid,
-                       query_time_us=int(t_query))
 
 
 # -- tensor container -----------------------------------------------------------

@@ -806,6 +806,21 @@ class TestExitCodes:
         assert "external_masks" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--beta", "2"],
+        ["filter", "--horizon", "0"],
+        ["tore", "--k", "0"],
+        ["tore", "--window-us", "0"],
+    ])
+    def test_bad_setting_exits_2_before_output(self, tmp_path, small_geometry, rng, capsys,
+                                               argv):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 500))
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--events", str(events_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_bad_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.evt1"
         bad.write_bytes(b"not an event file")

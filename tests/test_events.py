@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from evpose.errors import (
     OutOfBounds,
     TruncatedRecord,
     WindowLimit,
-    ZeroCount,
     ZeroWindow,
 )
 
@@ -426,7 +426,7 @@ class TestIterWindows:
         s = random_stream(rng, small_geometry, 2000, duration_us=100_000)
         assert len(calls) == 1
         windows = [w for _, w in ev.iter_windows(s, 7_000, 0)]
-        windows += [c.stream for c in ev.slice_constant_count(s, 300)]
+        windows += [s[i:i + 300] for i in range(0, len(s), 300)]
         windows.append(s.restrict(10_000, 60_000))
         assert len(calls) == 1
         for w in windows:
@@ -549,6 +549,18 @@ class TestEventFile:
         with pytest.raises(OutOfBounds, match=f"{path}: record 13 "):
             list(ev.iter_windows(f, 5_000))
 
+    def test_pipe_is_refused_by_name(self, tmp_path, small_geometry):
+        blob = ramp_file(tmp_path / "events.evt1", small_geometry, 20).read_bytes()
+        r, w = os.pipe()
+        try:
+            os.write(w, blob)  # 338 bytes fit the pipe's buffer
+            path = f"/dev/fd/{r}"
+            with pytest.raises(DataError, match=f"{path}: input must be a regular file"):
+                ev.EventFile(path)
+        finally:
+            os.close(r)
+            os.close(w)
+
     def test_file_shrunk_during_second_pass(self, tmp_path, small_geometry, chunk):
         # past the reader's 8 KiB buffer, so the cut shows before the last chunk
         path = ramp_file(tmp_path / "events.evt1", small_geometry, 2000)
@@ -560,33 +572,18 @@ class TestEventFile:
             list(windows)
 
 
-class TestSliceConstantCount:
-    def test_exact_division(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 10)
-        chunks = ev.slice_constant_count(s, 5)
-        assert [len(c.stream) for c in chunks] == [5, 5]
-        assert [c.partial for c in chunks] == [False, False]
-
-    def test_remainder_flagged(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 7)
-        chunks = ev.slice_constant_count(s, 5)
-        assert [(len(c.stream), c.partial) for c in chunks] == [(5, False), (2, True)]
-
+class TestConcatenate:
     @settings(max_examples=50, deadline=None)
     @given(n_events=st.integers(0, 200), chunk=st.integers(1, 50))
     def test_concatenation_property(self, n_events, chunk):
         geometry = ev.SensorGeometry(8, 8)
         s = random_stream(np.random.default_rng(n_events * 77 + chunk),
                           geometry, n_events)
-        chunks = ev.slice_constant_count(s, chunk)
-        rebuilt = ev.concatenate([c.stream for c in chunks], geometry)
-        assert np.array_equal(rebuilt.t, s.t)
-        assert np.array_equal(rebuilt.x, s.x)
-        assert sum(c.partial for c in chunks) <= 1
-
-    def test_zero_count(self, small_geometry):
-        with pytest.raises(ZeroCount):
-            ev.slice_constant_count(ev.EventStream.empty(small_geometry), 0)
+        pieces = [s[i:i + chunk] for i in range(0, n_events, chunk)]
+        rebuilt = ev.concatenate(pieces, geometry)
+        for name in "txyp":
+            assert np.array_equal(getattr(rebuilt, name), getattr(s, name))
+        assert rebuilt.geometry == geometry
 
 
 class TestStreamValidation:

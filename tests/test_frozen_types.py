@@ -12,7 +12,7 @@ from evpose.camera import CameraModel
 from evpose.events import EventStream, SensorGeometry
 from evpose.gating import MaskPlan
 from evpose.pose_math import HeatmapTriplet, Pose3D
-from evpose.representations import CountFrame, TimeSurface, ToreVolume, VoxelGrid
+from evpose.representations import ToreVolume
 from evpose.simulator import FrameSequence, MaskSequence, SkeletonFrame
 
 GEO = SensorGeometry(width=6, height=4)
@@ -37,13 +37,6 @@ def _fields(name):
         return dict(joints=rng.normal(size=(13, 3)))
     if name == "HeatmapTriplet":
         return {plane: np.full((8, 8), 1 / 64) for plane in ("xy", "xz", "zy")}
-    if name == "CountFrame":
-        return dict(counts=rng.integers(0, 9, (2, GEO.height, GEO.width)))
-    if name == "VoxelGrid":
-        return dict(bins=rng.integers(-4, 5, shape))
-    if name == "TimeSurface":
-        return dict(last_t=rng.integers(0, 99, (2, GEO.height, GEO.width)).astype(np.uint64),
-                    valid=rng.random((2, GEO.height, GEO.width)) > 0.5)
     if name == "CameraModel":
         return dict(intrinsic=np.array([[200.0, 0, 3], [0, 200.0, 2], [0, 0, 1]]),
                     extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))]))
@@ -60,9 +53,6 @@ BUILD = {
     "Pose3D": Pose3D,
     "HeatmapTriplet": HeatmapTriplet,
     "CameraModel": CameraModel,
-    "CountFrame": lambda **f: CountFrame(GEO, **f),
-    "VoxelGrid": lambda **f: VoxelGrid(GEO, **f),
-    "TimeSurface": lambda **f: TimeSurface(GEO, **f),
 }
 
 

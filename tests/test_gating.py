@@ -211,6 +211,13 @@ class TestScheduler:
         with pytest.raises(ConfigError):
             gating.schedule_masks(indexed_volumes(1), backend, beta=1.5)
 
+    def test_invalid_beta_fails_when_called(self):
+        drawn = []
+        frames = (drawn.append(vol) or vol for vol in indexed_volumes(1))
+        with pytest.raises(ConfigError):
+            gating.iter_schedule(frames, ScriptedBackend(np.ones((1, 2))), beta=1.5)
+        assert drawn == []
+
     def test_empty_plan_rejected(self):
         class NonePlanBackend:
             horizon = 1

@@ -15,7 +15,6 @@ from evpose.errors import (
     TimeRegression,
     TruncatedRecord,
     WindowLimit,
-    ZeroBins,
     ZeroWindow,
 )
 from evpose.events import Event, EventStream, SensorGeometry
@@ -315,6 +314,20 @@ class TestWindowVolumes:
                                                            20_000))
 
 
+    @pytest.mark.parametrize("k, tau_us, window_us, origin_us, error", [
+        (0, TAU, 20_000, 0, InvalidTau),
+        (4, 1, 20_000, 0, InvalidTau),
+        (4, TAU, 0, 0, ZeroWindow),
+        (4, TAU, 20_000, -1, ZeroWindow),
+        (4, TAU, 20_000, 0, WindowLimit),  # 5 * 10^7 windows, past MAX_WINDOWS
+    ])
+    def test_settings_fail_when_called(self, small_geometry, k, tau_us, window_us,
+                                       origin_us, error):
+        s = one_pixel_stream(small_geometry, [0, 10**12])
+        with pytest.raises(error):
+            rep.window_volumes(s, k, tau_us, window_us, origin_us)
+
+
 class TestOracleEquivalence:
     def test_matches_brute_force(self, small_geometry, rng):
         for trial in range(25):
@@ -445,98 +458,6 @@ class TestDecayOrdering:
         vol = state.materialize(state.last_t + lag).data.view(np.uint32)  # bitwise
         for c0 in (0, k):
             assert np.array_equal(vol[c0], vol[c0:c0 + k].max(axis=0))
-
-
-class TestBaselines:
-    def test_voxel_single_event(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [500], x=7, y=3, p=1)
-        grid = rep.build_voxel_grid(s, window_us=1000, bins=4, origin_us=0)
-        assert np.count_nonzero(grid.bins) == 1
-        assert abs(grid.bins[2, 3, 7]) == 1  # 500/1000 in 4 bins -> bin 2
-
-    def test_voxel_opposite_polarities_cancel(self, small_geometry):
-        s = EventStream.from_arrays(small_geometry, [10, 20], [5, 5], [5, 5], [1, -1])
-        grid = rep.build_voxel_grid(s, window_us=100, bins=1, origin_us=0)
-        assert not grid.bins.any()
-
-    def test_voxel_counts_match_histogram_oracle(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 4000, duration_us=100_000)
-        bins = 5
-        grid = rep.build_voxel_grid(s, window_us=100_000, bins=bins, origin_us=0)
-        expected = np.zeros_like(grid.bins)
-        for t, x, y, p in zip(s.t.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()):
-            b = min(t * bins // 100_000, bins - 1)
-            expected[b, y, x] += p
-        assert np.array_equal(grid.bins, expected)
-
-    def test_count_frame_conserves_events(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 3000, duration_us=50_000)
-        frame = rep.build_count_frame(s, window_us=50_000, origin_us=0)
-        assert int(np.abs(frame.counts).sum()) == len(s)
-
-    def test_count_frame_window_restricts(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [10, 20, 99], x=1, y=1)
-        frame = rep.build_count_frame(s, window_us=50, origin_us=0)
-        assert frame.counts[0, 1, 1] == 2
-
-    def test_time_surface_keeps_latest(self, small_geometry):
-        s = EventStream.from_arrays(small_geometry, [10, 20, 30],
-                                    [1, 1, 1], [1, 1, 1], [1, 1, -1])
-        surf = rep.build_time_surface(s, t_query=25)
-        assert surf.last_t[0, 1, 1] == 20
-        assert not surf.valid[1, 1, 1]  # negative event arrives after the query
-        assert surf.valid[0, 1, 1]
-
-    def test_time_surface_entries_bounded_by_query(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 2000)
-        t_query = int(s.t[len(s) // 2])
-        surf = rep.build_time_surface(s, t_query)
-        assert surf.last_t[surf.valid].max(initial=0) <= t_query
-
-    def test_zero_window_and_bins(self, small_geometry):
-        s = EventStream.empty(small_geometry)
-        with pytest.raises(ZeroWindow):
-            rep.build_count_frame(s, window_us=0)
-        with pytest.raises(ZeroBins):
-            rep.build_voxel_grid(s, window_us=10, bins=0)
-
-    def test_count_frame_negative_origin(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [10], x=1, y=1)
-        with pytest.raises(ZeroWindow):
-            rep.build_count_frame(s, window_us=100, origin_us=-5)
-
-    def test_voxel_grid_negative_origin(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [10], x=1, y=1)
-        with pytest.raises(ZeroWindow):
-            rep.build_voxel_grid(s, window_us=100, bins=2, origin_us=-5)
-
-    def test_count_frame_window_past_u64(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [2**64 - 3], x=1, y=1)
-        with pytest.raises(WindowLimit, match=str(2**64 + 5)):
-            rep.build_count_frame(s, window_us=10, origin_us=2**64 - 5)
-        frame = rep.build_count_frame(s, window_us=4, origin_us=2**64 - 5)
-        assert frame.counts[0, 1, 1] == 1  # [2^64 - 5, 2^64 - 1) ends in range
-
-    def test_voxel_grid_window_past_u64(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [2**64 - 3], x=1, y=1)
-        with pytest.raises(WindowLimit, match=str(2**64 + 5)):
-            rep.build_voxel_grid(s, window_us=10, bins=2, origin_us=2**64 - 5)
-        grid = rep.build_voxel_grid(s, window_us=4, bins=2, origin_us=2**64 - 5)
-        assert grid.bins[1, 1, 1] == 1
-
-    def test_time_surface_at_last_u64_time(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 500)
-        surf = rep.build_time_surface(s, 2**64 - 1)
-        assert surf.query_time_us == 2**64 - 1
-        assert np.array_equal(surf.last_t, rep.build_time_surface(s, int(s.t[-1])).last_t)
-        assert surf.valid.sum() == len({(int(p < 0), y, x) for _, x, y, p in
-                                        zip(s.t.tolist(), s.x.tolist(), s.y.tolist(),
-                                            s.p.tolist())})
-
-    def test_time_surface_negative_query(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [10], x=1, y=1)
-        with pytest.raises(ConfigError, match="-1"):
-            rep.build_time_surface(s, -1)
 
 
 class TestTensorContainer:
