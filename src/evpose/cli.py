@@ -4,6 +4,8 @@ Subcommands: simulate, tore, filter, eval, bench. Every parameter can
 come from a ``key = value`` config file (--config), be overridden on the
 command line, and the fully resolved configuration can be emitted with
 --manifest for exact reruns. All randomness flows from explicit seeds.
+Each value in a config file, manifest or bench report is one JSON
+scalar: a number, true/false or a double-quoted string.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 internal
 invariant violation.
@@ -12,6 +14,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -29,23 +32,16 @@ from . import simulator as sim
 from .errors import ConfigError, DataError, GeometryMismatch, from_file
 
 
-# -- config file: `key = value` lines, strings quoted, # comments ----------------
+# -- config file: `key = value` lines, each value a JSON scalar, # comments ---------
+
+SCALARS = (bool, int, float, str)  # the JSON scalars: numbers, true/false and strings
 
 
 def render_config(config: dict) -> str:
-    lines = []
-    for key in sorted(config):
-        v = config[key]
-        if isinstance(v, bool):
-            s = "true" if v else "false"
-        elif isinstance(v, (int, float)):
-            s = repr(v)
-        elif isinstance(v, str):
-            s = json.dumps(v)
-        else:
+    for key, v in config.items():
+        if not isinstance(v, SCALARS):
             raise ConfigError(f"unsupported config value type for {key}: {type(v)}")
-        lines.append(f"{key} = {s}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key} = {json.dumps(config[key])}" for key in sorted(config)) + "\n"
 
 
 def parse_config(text: str) -> dict:
@@ -60,27 +56,12 @@ def parse_config(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if not key:
             raise ConfigError(f"config line {ln}: empty key")
-        if val in ("true", "false"):
-            out[key] = val == "true"
-            continue
-        if val.startswith('"'):
-            try:
-                out[key] = json.loads(val)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config line {ln}: bad string literal: {e}") from e
-            continue
-        try:
-            out[key] = int(val)
-            continue
-        except ValueError:
-            pass
-        try:
-            out[key] = float(val)
-            continue
-        except ValueError:
-            pass
-        raise ConfigError(f"config line {ln}: cannot parse value {val!r} "
-                          "(strings must be quoted)")
+        out[key] = None  # text that is not JSON fails as null does
+        with contextlib.suppress(json.JSONDecodeError):
+            out[key] = json.loads(val)
+        if not isinstance(out[key], SCALARS):
+            raise ConfigError(f"config line {ln}: cannot parse value {val!r} "
+                              "(strings must be quoted)")
     return out
 
 
@@ -131,15 +112,13 @@ def _add_params(sub: argparse.ArgumentParser, params: list[Param]) -> None:
             sub.add_argument(flag, dest=p.name, type=p.type, default=None, help=p.help)
 
 
-def _emit_manifest(config: dict, args, out_dir: Path | None = None,
-                   echo: bool = False) -> None:
+def _write_config(config: dict, *paths, echo: bool = False) -> None:
+    """render_config's text to stdout if echo, and to each path that is not None."""
     text = render_config(config)
     if echo:
         sys.stdout.write(text)
-    if args.manifest:
-        Path(args.manifest).write_text(text)
-    if out_dir is not None:
-        (out_dir / "manifest.cfg").write_text(text)
+    for path in filter(None, paths):
+        Path(path).write_text(text)
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -175,28 +154,30 @@ def cmd_simulate(args) -> int:
         frames = sim.iter_composite(fg, sim.list_frames(config["masks"]),
                                     sim.list_frames(config["background"]))
     frames = sim.iter_interpolated(frames, config["interpolate"])
+    if "skeleton" in config:
+        cam = cam_mod.load_camera(config["cam"])
+        skeletons = sim.read_skeleton_csv(config["skeleton"])
+        labels = [sim.normalize_labels(s, cam) for s in skeletons]
+    # iter_events draws two frames, so every input is checked before out_dir exists
+    chunks = sim.iter_events(frames, fg.geometry, fg.fps * config["interpolate"], params)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     # one frame interval at a time: frames are read, blended, interpolated,
     # turned into events and written before the next interval
     with ev.EventStreamWriter(out_dir / "events.evt1", fg.geometry) as events:
-        for chunk in sim.iter_events(frames, fg.geometry, fg.fps * config["interpolate"],
-                                     params):
+        for chunk in chunks:
             events.append(*chunk)
 
     if "skeleton" in config:
-        cam = cam_mod.load_camera(config["cam"])
-        skeletons = sim.read_skeleton_csv(config["skeleton"])
         sim.write_skeleton_csv(out_dir / "skeleton.csv", skeletons)
         cam_mod.save_camera(out_dir / "camera.txt", cam)
-        for s in skeletons:
-            norm = sim.normalize_labels(s, cam)
+        for s, norm in zip(skeletons, labels):
             triplets = sim.make_heatmaps(norm, config["heatmap_resolution"],
                                          config["heatmap_sigma"])
             stack = np.concatenate([np.stack([t.xy, t.xz, t.zy]) for t in triplets])
             rep.write_tensor(out_dir / f"heatmaps_{s.t_us:012d}.tore",
                              stack.astype(np.float32))
-    _emit_manifest(config, args, out_dir, echo=True)
+    _write_config(config, args.manifest, out_dir / "manifest.cfg", echo=True)
     return 0
 
 
@@ -235,12 +216,11 @@ def cmd_tore(args) -> int:
         written += 1
     if len(stream) == 0 and config["emit_empty"]:
         # an empty FIFO materializes to exactly 0 at any query time
-        g = stream.geometry
-        rep.write_tensor(out_dir / "tore_00000.tore",
-                         np.zeros((2 * config["k"], g.height, g.width), np.float32))
+        empty = rep.ToreState(stream.geometry, config["k"], config["tau_us"])
+        rep.write_tensor(out_dir / "tore_00000.tore", empty.materialize(config["origin_us"]).data)
         written = 1
     print(f"wrote {written} tensor(s) to {out_dir}")
-    _emit_manifest(config, args, out_dir)
+    _write_config(config, args.manifest, out_dir / "manifest.cfg")
     return 0
 
 
@@ -292,7 +272,7 @@ def cmd_filter(args) -> int:
             masks_out.append(mask)
             calls += entry.recompute
     print(f"{masks_out.count} window(s), {calls} backend call(s)")
-    _emit_manifest(config, args, out_dir)
+    _write_config(config, args.manifest, out_dir / "manifest.cfg")
     return 0
 
 
@@ -313,7 +293,7 @@ def cmd_eval(args) -> int:
     report = met.evaluate(records, group_by=group_by)
     met.report_to_csv(report, config["out"])
     print(met.format_report(report))
-    _emit_manifest(config, args)
+    _write_config(config, args.manifest)
     return 0
 
 
@@ -379,12 +359,8 @@ def run_bench(config) -> dict:
 
 def cmd_bench(args) -> int:
     config = _resolve(BENCH_PARAMS, args)
-    report = run_bench(config)
-    text = render_config(report)
-    sys.stdout.write(text)
-    if "out" in config:
-        Path(config["out"]).write_text(text)
-    _emit_manifest(config, args)
+    _write_config(run_bench(config), config.get("out"), echo=True)
+    _write_config(config, args.manifest)
     return 0
 
 

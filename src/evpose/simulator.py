@@ -29,6 +29,7 @@ cube coordinates, and Gaussian marginal heatmaps.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -257,6 +258,9 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
     reaches +1 or -1, get counts, crossing times and a reference update;
     any other pixel would add exactly 0.0 to its reference. The quotient
     that picks them is the one the counts floor.
+
+    The hot pixels and the two-frame minimum are checked when this is
+    called: the first two frames are drawn then, before the first chunk.
     """
     h, w = geometry.height, geometry.width
     noise_rate = np.zeros((h, w))
@@ -264,18 +268,23 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
         if not (0 <= hx < w and 0 <= hy < h):
             raise ConfigError(f"hot pixel ({hx},{hy}) outside geometry")
         noise_rate[hy, hx] += p.hot_pixel_rate_hz
+    frames = iter(frames)
+    prev, cur = next(frames, None), next(frames, None)
+    if cur is None:
+        raise EmptySequence(f"need at least 2 frames, got {int(prev is not None)}")
+    return _synthesize(prev, cur, frames, geometry, fps, p, noise_rate)
+
+
+def _synthesize(prev, cur, frames, geometry, fps, p, noise_rate):
+    """iter_events from its first two frames on, holding each frame one interval."""
+    h, w = geometry.height, geometry.width
     noisy = p.leak_rate_hz > 0 or p.shot_noise_scale > 0 or noise_rate.any()
     lam = np.empty((h, w)) if noisy else None  # the noise-rate frame, rebuilt each interval
 
     rng = np.random.default_rng(p.seed)
-    frames = iter(frames)
-    prev = next(frames, None)
-    if prev is None:
-        raise EmptySequence("need at least 2 frames, got 0")
     l_prev = np.log(prev + p.eps).reshape(-1)
     ref = l_prev.copy()
-    i = -1
-    for i, cur in enumerate(frames):
+    for i in itertools.count():
         t0, t1 = _frame_time_us(i, fps), _frame_time_us(i + 1, fps)
         l_new = np.log(cur + p.eps).reshape(-1)
         d = l_new - ref
@@ -322,8 +331,8 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
             pix = pix[order]
             yield ts[order], (pix % w).astype(np.uint16), (pix // w).astype(np.uint16), ps[order]
         prev, l_prev = cur, l_new
-    if i < 0:
-        raise EmptySequence("need at least 2 frames, got 1")
+        if (cur := next(frames, None)) is None:
+            return
 
 
 def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:

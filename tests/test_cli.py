@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evpose import camera as cam_mod
 from evpose import cli
 from evpose import events as ev
 from evpose import gating
@@ -52,19 +53,52 @@ class TestStartup:
         assert out.strip() == "[]"
 
 
+# every value kind a config, manifest or bench report holds
+CONFIG = {
+    "on": True,
+    "off": False,
+    "zero": 0,
+    "neg": -7,
+    "big": 2**64 + 1,
+    "rate": 1e-05,
+    "beta": 0.95,
+    "far": 1e16,
+    "weird": 'quote " and = sign # é',
+}
+
+
 class TestConfigFormat:
+    def test_render_golden(self):
+        assert cli.render_config(CONFIG) == (
+            "beta = 0.95\n"
+            "big = 18446744073709551617\n"
+            "far = 1e+16\n"
+            "neg = -7\n"
+            "off = false\n"
+            "on = true\n"
+            "rate = 1e-05\n"
+            "weird = \"quote \\\" and = sign # \\u00e9\"\n"
+            "zero = 0\n")
+
     def test_round_trip(self):
         config = {
+            **CONFIG,
             "out": "/tmp/somewhere with spaces",
             "seed": 7,
-            "beta": 0.95,
             "emit_empty": True,
             "tricky": "5",
             "also_tricky": "true",
-            "weird": 'quote " and = sign',
-            "rate": 1e-05,
+            "null_string": "null",
         }
-        assert cli.parse_config(cli.render_config(config)) == config
+        text = cli.render_config(config)
+        assert cli.parse_config(text) == config
+        assert cli.render_config(cli.parse_config(text)) == text
+
+    @pytest.mark.parametrize("value", [".5", "5.", "+5", "1_000", "007", "inf", "nan",
+                                       "\u0661\u0662", "null", "[1]", "{}", "'x'", '"open'])
+    def test_value_outside_json_scalars_names_its_line(self, value):
+        with pytest.raises(ConfigError, match=r"config line 3: cannot parse value"):
+            cli.parse_config(f"seed = 1\n# comment\nrate = {value}\n")
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\nseed = 3\n  # another\nname = \"x\"\n"
@@ -301,6 +335,37 @@ class TestSimulateStreaming:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--frames", str(tmp_path / "frames"),
                          "--out", str(out)] + extra) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("short_row", "skeleton.csv"),
+        ("short_camera", "camera file must hold 9 + 12 floats, got 3"),
+        ("behind_camera", "non-positive depth"),
+        ("one_frame", "need at least 2 frames, got 1"),
+    ])
+    def test_bad_input_exits_3_before_any_output(self, tmp_path, capsys, case, message):
+        n = 1 if case == "one_frame" else 3
+        write_frame_dir(tmp_path / "frames", np.linspace(0.1, 0.9, n)[:, None, None]
+                        * np.ones((n, 6, 8)), fps=50.0)
+        joints = np.column_stack([np.zeros(13), np.zeros(13), np.full(13, 1000.0)])
+        if case == "behind_camera":
+            joints[4, 2] = -5.0
+        skeleton, camera = tmp_path / "skeleton.csv", tmp_path / "camera.txt"
+        sim.write_skeleton_csv(skeleton, [sim.SkeletonFrame(t_us=0, joints=joints)])
+        cam_mod.save_camera(camera, cam_mod.CameraModel(
+            intrinsic=np.array([[300.0, 0, 4.0], [0, 300.0, 3.0], [0, 0, 1.0]]),
+            extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))])))
+        if case == "short_row":
+            with open(skeleton, "a") as f:
+                f.write("0,head,1.0,2.0\n")
+        if case == "short_camera":
+            camera.write_text("1.0 2.0 3.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--frames", str(tmp_path / "frames"), "--out", str(out),
+                         "--skeleton", str(skeleton), "--cam", str(camera)]) == 3
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
@@ -786,6 +851,7 @@ class TestExitCodes:
         (b"k = 4\nwindow_us = oops\n", "config line 2: cannot parse value 'oops'"),
         (b"nope = 1\n", "unknown config key 'nope'"),
         (b'window_us = "20000"\n', "config key 'window_us' should be int"),
+        (b"k = 4\nwindow_us = 20_000\n", "config line 2: cannot parse value '20_000'"),
         (b"k = 4\n\xff = 1\n", "'utf-8' codec can't decode byte 0xff"),
     ])
     def test_config_error_names_its_file(self, tmp_path, capsys, text, message):
@@ -794,6 +860,19 @@ class TestExitCodes:
         assert cli.main(["tore", "--config", str(cfg), "--events", str(tmp_path / "in.evt1"),
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_fails_the_setting_check(self, tmp_path, small_geometry, rng,
+                                                     capsys, value):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"beta = {value}\n")
+        out = tmp_path / "o"
+        assert cli.main(["filter", "--config", str(cfg), "--events", str(events_path),
+                         "--out", str(out)]) == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_external_scores_need_external_masks(self, tmp_path, small_geometry, rng, capsys):
         events_path = tmp_path / "in.evt1"
