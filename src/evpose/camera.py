@@ -70,12 +70,20 @@ def to_camera_frame(cam: CameraModel, pts_world: np.ndarray) -> np.ndarray:
     return pts @ cam.extrinsic[:, :3].T + cam.extrinsic[:, 3]
 
 
+def _check_depth(z: np.ndarray) -> np.ndarray:
+    """z once every depth is positive, else BehindCamera, its `point` the first that is not."""
+    behind = np.flatnonzero(z <= 0)
+    if behind.size:
+        err = BehindCamera(f"point {behind[0]} at non-positive depth {z[behind[0]]} mm")
+        err.point = int(behind[0])
+        raise err
+    return z
+
+
 def project_camera_points(cam: CameraModel, pts_cam: np.ndarray) -> np.ndarray:
     """Pinhole projection of camera-frame points to (N, 2) pixels."""
     pts = np.asarray(pts_cam, dtype=np.float64)
-    z = pts[:, 2]
-    if np.any(z <= 0):
-        raise BehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
+    _check_depth(pts[:, 2])
     uvw = pts @ cam.intrinsic.T
     return uvw[:, :2] / uvw[:, 2:3]
 
@@ -91,9 +99,7 @@ def normalize_camera_points(cam: CameraModel, pts_cam: np.ndarray,
                             z_ref: float) -> np.ndarray:
     """Map camera-frame points (mm) into the [-1, 1]^3 cube at z_ref."""
     pts = np.asarray(pts_cam, dtype=np.float64)
-    z = pts[:, 2]
-    if np.any(z <= 0):
-        raise BehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
+    z = _check_depth(pts[:, 2])
     ax, ay = view_half_extents(cam, z_ref)
     out = np.empty_like(pts)
     out[:, 0] = pts[:, 0] * z_ref / z / ax
@@ -107,9 +113,7 @@ def denormalize_camera_points(cam: CameraModel, pts_norm: np.ndarray,
     """Exact inverse of normalize_camera_points."""
     pts = np.asarray(pts_norm, dtype=np.float64)
     ax, ay = view_half_extents(cam, z_ref)
-    z = z_ref + pts[:, 2] * ax
-    if np.any(z <= 0):
-        raise BehindCamera("denormalized point lands at non-positive depth")
+    z = _check_depth(z_ref + pts[:, 2] * ax)
     out = np.empty_like(pts)
     out[:, 0] = pts[:, 0] * ax * z / z_ref
     out[:, 1] = pts[:, 1] * ay * z / z_ref

@@ -46,6 +46,7 @@ def render_config(config: dict) -> str:
 
 def parse_config(text: str) -> dict:
     out: dict = {}
+    lines: dict = {}  # the line each key was set on
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -56,6 +57,8 @@ def parse_config(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if not key:
             raise ConfigError(f"config line {ln}: empty key")
+        if lines.setdefault(key, ln) != ln:
+            raise ConfigError(f"config line {ln}: key {key!r} repeats line {lines[key]}")
         out[key] = None  # text that is not JSON fails as null does
         with contextlib.suppress(json.JSONDecodeError):
             out[key] = json.loads(val)
@@ -157,7 +160,8 @@ def cmd_simulate(args) -> int:
     if "skeleton" in config:
         cam = cam_mod.load_camera(config["cam"])
         skeletons = sim.read_skeleton_csv(config["skeleton"])
-        labels = [sim.normalize_labels(s, cam) for s in skeletons]
+        with from_file(config["skeleton"]):
+            labels = [sim.normalize_labels(s, cam) for s in skeletons]
     # iter_events draws two frames, so every input is checked before out_dir exists
     chunks = sim.iter_events(frames, fg.geometry, fg.fps * config["interpolate"], params)
     out_dir = Path(config["out"])
@@ -195,8 +199,7 @@ WINDOW_PARAMS = [
 
 TORE_PARAMS = WINDOW_PARAMS + [
     Param("emit_empty", bool, False,
-          help="emit one all-zero tensor when the stream is empty"),
-    Param("text_dump", bool, False, help="also write lossless text dumps"),
+          help="emit one all-zero tensor when no event lies at or after the origin"),
 ]
 
 
@@ -209,15 +212,11 @@ def cmd_tore(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     for i, vol in enumerate(volumes):
-        path = out_dir / f"tore_{i:05d}.tore"
-        rep.write_tensor(path, vol.data)
-        if config["text_dump"]:
-            rep.write_tensor_text(path.with_suffix(".txt"), vol.data)
+        rep.write_tensor(out_dir / f"tore_{i:05d}.tore", vol.data)
         written += 1
-    if len(stream) == 0 and config["emit_empty"]:
-        # an empty FIFO materializes to exactly 0 at any query time
-        empty = rep.ToreState(stream.geometry, config["k"], config["tau_us"])
-        rep.write_tensor(out_dir / "tore_00000.tore", empty.materialize(config["origin_us"]).data)
+    if written == 0 and config["emit_empty"]:
+        shape = (2 * config["k"], stream.geometry.height, stream.geometry.width)
+        rep.write_tensor(out_dir / "tore_00000.tore", np.zeros(shape, np.float32))
         written = 1
     print(f"wrote {written} tensor(s) to {out_dir}")
     _write_config(config, args.manifest, out_dir / "manifest.cfg")

@@ -185,14 +185,6 @@ class EventStream:
         for i in range(len(self)):
             yield self[i]
 
-    def restrict(self, lo: int, hi: int) -> "EventStream":
-        """Events with lo <= t < hi, order preserved. A bound below 0 acts
-        as 0 and one at or past 2^64 as past the last event."""
-        i0, i1 = (len(self) if b >= 2**64 else
-                  int(np.searchsorted(self.t, np.uint64(max(b, 0)), side="left"))
-                  for b in (lo, hi))
-        return self[i0:i1]
-
 
 def validate_columns(geometry, t, x, y, p, tolerance_us: int = 0, first: int = 0) -> bool:
     """Raise if the column arrays violate the stream contract; return

@@ -268,25 +268,3 @@ def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as f, from_file(path):
         return parse_tensor(f.read())
 
-
-def write_tensor_text(path, data: np.ndarray) -> None:
-    """Lossless text dump for debugging; 9 significant digits round-trip
-    float32 exactly."""
-    a = np.ascontiguousarray(data, dtype=np.float32)
-    c, h, w = a.shape
-    with open(path, "w") as f:
-        f.write(f"tore-text {c} {h} {w}\n")
-        for channel in a:
-            f.write("".join(map("{:.8e}\n".format, channel.reshape(-1).tolist())))
-
-
-def read_tensor_text(path) -> np.ndarray:
-    with open(path, "r") as f, from_file(path):
-        header = f.readline().split()
-        if len(header) != 4 or header[0] != "tore-text":
-            raise BadMagic("not a tore-text dump")
-        c, h, w = (int(v) for v in header[1:])
-        vals = np.array([np.float32(line) for line in f], dtype=np.float32)
-        if vals.size != c * h * w:
-            raise TruncatedRecord(f"expected {c * h * w} values, got {vals.size}")
-    return vals.reshape(c, h, w)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .camera import CameraModel, normalize_camera_points, project_camera_points, to_camera_frame
 from .errors import (
+    BehindCamera,
     ConfigError,
     DataError,
     EmptySequence,
@@ -363,8 +364,10 @@ def normalize_labels(s: SkeletonFrame, cam: CameraModel) -> np.ndarray:
     The head joint's normalized depth is exactly 0 by construction.
     """
     pts = skeleton_camera_joints(s, cam)
-    z_ref = float(pts[s.head_index(), 2])
-    return normalize_camera_points(cam, pts, z_ref)
+    try:
+        return normalize_camera_points(cam, pts, head_depth_mm(s, cam))
+    except BehindCamera as e:
+        raise BehindCamera(f"label t_us {s.t_us}, joint {JOINT_NAMES_13[e.point]!r}: {e}") from e
 
 
 def head_depth_mm(s: SkeletonFrame, cam: CameraModel) -> float:
@@ -458,12 +461,6 @@ def write_pgm(path, image01: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{b.shape[1]} {b.shape[0]}\n255\n".encode())
         f.write(b.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """8-bit binary PGM file to float image in [0, 1]."""
-    with open(path, "rb") as f, from_file(path):
-        return parse_pgm(f.read())
 
 
 def parse_pgm(blob: bytes) -> np.ndarray:

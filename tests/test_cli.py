@@ -352,9 +352,9 @@ class TestSimulateStreaming:
                         * np.ones((n, 6, 8)), fps=50.0)
         joints = np.column_stack([np.zeros(13), np.zeros(13), np.full(13, 1000.0)])
         if case == "behind_camera":
-            joints[4, 2] = -5.0
+            joints[sim.JOINT_NAMES_13.index("hand_r"), 2] = -5.0
         skeleton, camera = tmp_path / "skeleton.csv", tmp_path / "camera.txt"
-        sim.write_skeleton_csv(skeleton, [sim.SkeletonFrame(t_us=0, joints=joints)])
+        sim.write_skeleton_csv(skeleton, [sim.SkeletonFrame(t_us=100, joints=joints)])
         cam_mod.save_camera(camera, cam_mod.CameraModel(
             intrinsic=np.array([[300.0, 0, 4.0], [0, 300.0, 3.0], [0, 0, 1.0]]),
             extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))])))
@@ -368,6 +368,8 @@ class TestSimulateStreaming:
                          "--skeleton", str(skeleton), "--cam", str(camera)]) == 3
         captured = capsys.readouterr()
         assert message in captured.err
+        if case == "behind_camera":  # the file, the label's time and the joint
+            assert f"{skeleton}: label t_us 100, joint 'hand_r': point 5 at " in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -471,17 +473,19 @@ class TestToreCommand:
                        "--emit-empty", flag, value])
         assert rc == 2
 
-    def test_text_dump(self, tmp_path, rng):
-        geometry = ev.SensorGeometry(6, 6)
-        stream = random_stream(rng, geometry, 50, duration_us=5000)
-        path = self._make_events(tmp_path, stream)
+    def test_emit_flag_when_every_event_precedes_the_origin(self, tmp_path, rng, capsys):
+        # events, but no window: the same one all-zero tensor as an empty file
+        geometry = ev.SensorGeometry(16, 12)
+        path = self._make_events(tmp_path, random_stream(rng, geometry, 500, duration_us=100_000))
         out = tmp_path / "tore"
-        rc = cli.main(["tore", "--events", str(path), "--out", str(out),
-                       "--window-us", "10000", "--text-dump"])
+        rc = cli.main(["tore", "--events", str(path), "--out", str(out), "--emit-empty",
+                       "--origin-us", "1000000"])
         assert rc == 0
-        binary = rep.read_tensor(out / "tore_00000.tore")
-        text = rep.read_tensor_text(out / "tore_00000.txt")
-        assert np.array_equal(binary, text)
+        assert capsys.readouterr().out == f"wrote 1 tensor(s) to {out}\n"
+        assert [p.name for p in out.glob("*.tore")] == ["tore_00000.tore"]
+        data = rep.read_tensor(out / "tore_00000.tore")
+        assert data.shape == (2 * rep.DEFAULT_K, 12, 16)
+        assert not data.any()
 
 
 class TestFilterCommand:
@@ -838,6 +842,52 @@ class TestBenchCommand:
         assert "70000x260" in capsys.readouterr().err
 
 
+class TestManifestRerun:
+    """A run's manifest, read back with --config, reruns it exactly."""
+
+    def _argv(self, tmp_path, rng, command):
+        """The arguments, all but --out, of a tiny run of command."""
+        if command == "simulate":
+            write_frame_dir(tmp_path / "frames", rng.uniform(0.1, 0.9, (4, 12, 16)), fps=50.0)
+            joints = np.column_stack([rng.uniform(-50, 50, 13), rng.uniform(-50, 50, 13),
+                                      rng.uniform(900, 1100, 13)])
+            sim.write_skeleton_csv(tmp_path / "skeleton.csv",
+                                   [sim.SkeletonFrame(t_us=20_000, joints=joints)])
+            cam_mod.save_camera(tmp_path / "camera.txt", cam_mod.CameraModel(
+                intrinsic=np.array([[300.0, 0, 8.0], [0, 300.0, 6.0], [0, 0, 1.0]]),
+                extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))])))
+            return ["simulate", "--frames", str(tmp_path / "frames"),
+                    "--skeleton", str(tmp_path / "skeleton.csv"),
+                    "--cam", str(tmp_path / "camera.txt"), "--shot-noise-scale", "5.0",
+                    "--seed", "3", "--heatmap-resolution", "16"]
+        path = tmp_path / "events.evt1"
+        ev.write_stream(path, random_stream(rng, ev.SensorGeometry(16, 12), 3000,
+                                            duration_us=99_999))
+        extra = ["--beta", "0.85"] if command == "filter" else ["--window-us", "10000"]
+        return [command, "--events", str(path)] + extra
+
+    @pytest.mark.parametrize("command", ["tore", "filter", "simulate"])
+    def test_manifest_reruns_its_run(self, tmp_path, rng, capsys, command):
+        argv = self._argv(tmp_path, rng, command)
+        first, second = tmp_path / "first", tmp_path / "second"
+        m, m2 = tmp_path / "m.cfg", tmp_path / "m2.cfg"
+        assert cli.main(argv + ["--out", str(first), "--manifest", str(m)]) == 0
+        assert cli.main([command, "--config", str(m), "--out", str(second),
+                         "--manifest", str(m2)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert sorted(p.name for p in second.iterdir()) == names
+        assert len(names) > 2  # outputs beside manifest.cfg
+        for name in names:
+            if name != "manifest.cfg":
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert (first / "manifest.cfg").read_bytes() == m.read_bytes()
+        assert (second / "manifest.cfg").read_bytes() == m2.read_bytes()
+        out_line = f"out = {json.dumps(str(first))}\n"
+        assert out_line in m.read_text()
+        assert m2.read_text() == m.read_text().replace(
+            out_line, f"out = {json.dumps(str(second))}\n")
+
+
 class TestExitCodes:
     def test_missing_required_is_config_error(self, capsys):
         assert cli.main(["tore", "--out", "/tmp/x"]) == 2
@@ -853,6 +903,8 @@ class TestExitCodes:
         (b'window_us = "20000"\n', "config key 'window_us' should be int"),
         (b"k = 4\nwindow_us = 20_000\n", "config line 2: cannot parse value '20_000'"),
         (b"k = 4\n\xff = 1\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"window_us = 10000\n# later\nwindow_us = 20000\n",
+         "config line 3: key 'window_us' repeats line 1"),
     ])
     def test_config_error_names_its_file(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "bad.cfg"
@@ -860,6 +912,7 @@ class TestExitCodes:
         assert cli.main(["tore", "--config", str(cfg), "--events", str(tmp_path / "in.evt1"),
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_json_non_finite_fails_the_setting_check(self, tmp_path, small_geometry, rng,

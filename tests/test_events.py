@@ -328,23 +328,6 @@ class TestCsv:
             ev.read_csv(io.StringIO(f"{ev.CSV_HEADER}\n{body}"), small_geometry)
 
 
-class TestRestrict:
-    def stream(self, geometry):
-        t = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
-        return ev.EventStream.from_arrays(geometry, t, [0, 1, 2], [0, 0, 0], [1, 1, -1])
-
-    def test_negative_lower_bound_acts_as_zero(self, small_geometry):
-        s = self.stream(small_geometry)
-        assert s.restrict(-1, 5).t.tolist() == [0]
-        assert len(s.restrict(-10, -1)) == 0
-
-    def test_upper_bound_past_u64_keeps_the_last_event(self, small_geometry):
-        s = self.stream(small_geometry)
-        assert s.restrict(0, 2**64).t.tolist() == [0, 5, 2**64 - 1]
-        assert s.restrict(2**64 - 1, 2**70).t.tolist() == [2**64 - 1]
-        assert len(s.restrict(2**64, 2**64 + 1)) == 0
-
-
 class TestSliceConstantTime:
     def test_example_buckets(self, small_geometry):
         ms = 1000
@@ -427,7 +410,6 @@ class TestIterWindows:
         assert len(calls) == 1
         windows = [w for _, w in ev.iter_windows(s, 7_000, 0)]
         windows += [s[i:i + 300] for i in range(0, len(s), 300)]
-        windows.append(s.restrict(10_000, 60_000))
         assert len(calls) == 1
         for w in windows:
             assert w.geometry == s.geometry and w.tolerance_us == s.tolerance_us
