@@ -72,7 +72,7 @@ def to_camera_frame(cam: CameraModel, pts_world: np.ndarray) -> np.ndarray:
 
 def _check_depth(z: np.ndarray) -> np.ndarray:
     """z once every depth is positive, else BehindCamera, its `point` the first that is not."""
-    behind = np.flatnonzero(z <= 0)
+    behind = np.flatnonzero(~(z > 0))
     if behind.size:
         err = BehindCamera(f"point {behind[0]} at non-positive depth {z[behind[0]]} mm")
         err.point = int(behind[0])

@@ -160,8 +160,9 @@ def cmd_simulate(args) -> int:
     if "skeleton" in config:
         cam = cam_mod.load_camera(config["cam"])
         skeletons = sim.read_skeleton_csv(config["skeleton"])
+        heatmap = config["heatmap_resolution"], config["heatmap_sigma"]
         with from_file(config["skeleton"]):
-            labels = [sim.normalize_labels(s, cam) for s in skeletons]
+            labels = [sim.normalize_labels(s, cam, heatmap) for s in skeletons]
     # iter_events draws two frames, so every input is checked before out_dir exists
     chunks = sim.iter_events(frames, fg.geometry, fg.fps * config["interpolate"], params)
     out_dir = Path(config["out"])
@@ -176,8 +177,7 @@ def cmd_simulate(args) -> int:
         sim.write_skeleton_csv(out_dir / "skeleton.csv", skeletons)
         cam_mod.save_camera(out_dir / "camera.txt", cam)
         for s, norm in zip(skeletons, labels):
-            triplets = sim.make_heatmaps(norm, config["heatmap_resolution"],
-                                         config["heatmap_sigma"])
+            triplets = sim.make_heatmaps(norm, *heatmap)
             stack = np.concatenate([np.stack([t.xy, t.xz, t.zy]) for t in triplets])
             rep.write_tensor(out_dir / f"heatmaps_{s.t_us:012d}.tore",
                              stack.astype(np.float32))

@@ -23,8 +23,8 @@ of input, whatever the file's length.
 
 Every CSV of the toolkit is a text table, a header line and then one
 comma-separated line per row, with one codec here: `table_writer` and
-`read_table`. The event CSV (header ``t_us,x,y,p``) is a lossless text path;
-`gating`, `simulator` and `pose_math` declare the schedule, skeleton and pose tables.
+`read_table`. `gating`, `simulator`, `pose_math` and `metrics` declare the
+schedule, skeleton, pose and evaluation-report tables.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -408,20 +407,13 @@ class EventStreamWriter(RecordFileWriter):
 # -- text tables ----------------------------------------------------------------
 
 
-def _text_file(fp, mode: str):
-    """fp opened in mode when it names a file (closed when the `with` ends),
-    or fp itself, left open, when it is already a file object."""
-    own = isinstance(fp, (str, bytes)) or hasattr(fp, "__fspath__")
-    return open(fp, mode) if own else nullcontext(fp)
-
-
 @contextmanager
-def table_writer(fp, header: str, row_format: str):
-    """Write a text table to fp, a path or an open text file: the header line
-    on entry, then, per call of the yielded function with an iterable of row
-    tuples, one line per row, printf-style row_format % row."""
+def table_writer(path, header: str, row_format: str):
+    """Write a text table to path: the header line on entry, then, per call
+    of the yielded function with an iterable of row tuples, one line per
+    row, printf-style row_format % row."""
     line = (row_format + "\n").__mod__
-    with _text_file(fp, "w") as out:
+    with open(path, "w") as out:
         out.write(header + "\n")
         yield lambda rows: out.write("".join(map(line, rows)))
 
@@ -435,44 +427,20 @@ def read_table(f, header: str, types: Sequence) -> tuple[list[int], list[list]]:
     first = f.readline().rstrip("\r\n")
     if first != header:
         raise BadMagic(f"expected header {header!r}, got {first!r}")
-    lines = f.read().splitlines()
-    line_nos = [n for n, line in enumerate(lines, start=2) if line.strip()]
-    rows = [lines[n - 2] for n in line_nos]
-    k = len(types)
-    try:  # all rows at once, a column at a time: no list per row is built
-        if set(map(str.count, rows, repeat(","))) - {k - 1}:
-            raise ValueError("field count")
-        fields = ",".join(rows).split(",") if rows else []
-        return line_nos, [list(map(parse, fields[i::k])) for i, parse in enumerate(types)]
-    except ValueError:  # find the first bad row
-        for n, row in zip(line_nos, rows):
-            fields = row.split(",")
-            try:
-                if len(fields) != k:
-                    raise ValueError(f"expected {k} fields, got {len(fields)}")
-                for parse, v in zip(types, fields):
-                    parse(v)
-            except ValueError as e:
-                raise DataError(f"line {n}: {e}") from None
-        raise
-
-
-CSV_HEADER = "t_us,x,y,p"
-
-
-def write_csv(fp, s: EventStream) -> None:
-    with table_writer(fp, CSV_HEADER, "%d,%d,%d,%d") as write:
-        write(zip(s.t.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()))
-
-
-def read_csv(fp, geometry: SensorGeometry) -> EventStream:
-    """Inverse of write_csv. Values parse as exact integers, so every u64
-    timestamp round-trips; a row that is not four integers is a DataError
-    naming its line, and, when fp is a path, every error names the file."""
-    with _text_file(fp, "r") as inp, (nullcontext() if inp is fp else from_file(fp)):
-        _, columns = read_table(inp, CSV_HEADER, (int, int, int, int))
-        # Python ints in object columns: EventStream checks each against its stored dtype
-        return EventStream.from_arrays(geometry, *(np.array(c, dtype=object) for c in columns))
+    line_nos, columns = [], [[] for _ in types]
+    for n, line in enumerate(f.read().splitlines(), start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != len(types):
+                raise ValueError(f"expected {len(types)} fields, got {len(fields)}")
+            for column, parse, v in zip(columns, types, fields):
+                column.append(parse(v))
+        except ValueError as e:
+            raise DataError(f"line {n}: {e}") from None
+        line_nos.append(n)
+    return line_nos, columns
 
 
 # -- slicing -------------------------------------------------------------------

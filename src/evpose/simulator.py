@@ -358,16 +358,23 @@ def project_skeleton(s: SkeletonFrame, cam: CameraModel) -> np.ndarray:
     return project_camera_points(cam, skeleton_camera_joints(s, cam))
 
 
-def normalize_labels(s: SkeletonFrame, cam: CameraModel) -> np.ndarray:
+def normalize_labels(s: SkeletonFrame, cam: CameraModel,
+                     heatmap: tuple[int, float] | None = None) -> np.ndarray:
     """Joints in the [-1, 1]^3 cube anchored at the head joint's depth.
 
-    The head joint's normalized depth is exactly 0 by construction.
+    The head joint's normalized depth is exactly 0 by construction. A joint
+    behind the camera is BehindCamera and, given heatmap = (resolution,
+    sigma), one that leaves a plane of make_heatmaps no mass is ZeroMass;
+    either error names the label's t_us and the joint.
     """
     pts = skeleton_camera_joints(s, cam)
     try:
-        return normalize_camera_points(cam, pts, head_depth_mm(s, cam))
-    except BehindCamera as e:
-        raise BehindCamera(f"label t_us {s.t_us}, joint {JOINT_NAMES_13[e.point]!r}: {e}") from e
+        norm = normalize_camera_points(cam, pts, head_depth_mm(s, cam))
+        if heatmap is not None:
+            check_heatmap_mass(norm, *heatmap)
+        return norm
+    except (BehindCamera, ZeroMass) as e:
+        raise type(e)(f"label t_us {s.t_us}, joint {JOINT_NAMES_13[e.point]!r}: {e}") from e
 
 
 def head_depth_mm(s: SkeletonFrame, cam: CameraModel) -> float:
@@ -382,14 +389,39 @@ def check_heatmap_settings(resolution: int, sigma: float) -> None:
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
 
 
+# the heatmap planes in HeatmapTriplet's order, and the joint coordinate
+# each one's col and row axes carry
+_PLANES = ("xy", "xz", "zy")
+_COLS, _ROWS = np.array([0, 0, 2]), np.array([1, 2, 1])
+
+
+def check_heatmap_mass(joints_norm: np.ndarray, resolution: int, sigma: float) -> None:
+    """Raise ZeroMass, its `point` the first joint, unless every plane
+    make_heatmaps builds of joints_norm has mass. Every step of a cell's
+    value is monotone in its squared distances to the joint along each
+    axis, so the cell nearest on both axes holds the plane's maximum, and
+    that one value, found by the plane's own operations, decides."""
+    joints = np.asarray(joints_norm, dtype=np.float64)
+    near = ((cell_centers(resolution) - joints[..., None]) ** 2).min(axis=-1)
+    sig = sigma * 2.0 / resolution
+    peak = np.exp(-(near[:, _COLS] + near[:, _ROWS]) / (2.0 * sig * sig))
+    for point, plane in np.argwhere(peak <= 0)[:1]:
+        err = ZeroMass(f"plane {_PLANES[plane]} at ({joints[point, _COLS[plane]]:.3f},"
+                       f"{joints[point, _ROWS[plane]]:.3f}) leaves no mass on the grid")
+        err.point = int(point)
+        raise err
+
+
 def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
                   sigma: float = HEATMAP_SIGMA) -> list[HeatmapTriplet]:
     """Gaussian marginal heatmaps of normalized joints, one triplet each.
 
-    sigma is in grid cells; every plane is normalized to sum to 1.
+    sigma is in grid cells; every plane is normalized to sum to 1, and one
+    with no mass is a ZeroMass error (check_heatmap_mass).
     """
     check_heatmap_settings(resolution, sigma)
     joints = np.asarray(joints_norm, dtype=np.float64)
+    check_heatmap_mass(joints, resolution, sigma)
     centers = cell_centers(resolution)
     sig = sigma * 2.0 / resolution
 
@@ -397,15 +429,9 @@ def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
         # col axis carries a, row axis carries b
         g = np.exp(-((centers[None, :] - a) ** 2 + (centers[:, None] - b) ** 2)
                    / (2.0 * sig * sig))
-        total = g.sum()
-        if total <= 0:
-            raise ZeroMass(f"joint at ({a:.3f},{b:.3f}) leaves no mass on the grid")
-        return g / total
+        return g / g.sum()
 
-    out = []
-    for x, y, z in joints:
-        out.append(HeatmapTriplet(xy=plane(x, y), xz=plane(x, z), zy=plane(z, y)))
-    return out
+    return [HeatmapTriplet(*map(plane, j[_COLS], j[_ROWS])) for j in joints]
 
 
 # -- skeleton CSV ---------------------------------------------------------------------

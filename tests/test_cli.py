@@ -344,6 +344,7 @@ class TestSimulateStreaming:
         ("short_row", "skeleton.csv"),
         ("short_camera", "camera file must hold 9 + 12 floats, got 3"),
         ("behind_camera", "non-positive depth"),
+        ("zero_mass", "leaves no mass on the grid"),
         ("one_frame", "need at least 2 frames, got 1"),
     ])
     def test_bad_input_exits_3_before_any_output(self, tmp_path, capsys, case, message):
@@ -351,8 +352,11 @@ class TestSimulateStreaming:
         write_frame_dir(tmp_path / "frames", np.linspace(0.1, 0.9, n)[:, None, None]
                         * np.ones((n, 6, 8)), fps=50.0)
         joints = np.column_stack([np.zeros(13), np.zeros(13), np.full(13, 1000.0)])
+        hand_r = sim.JOINT_NAMES_13.index("hand_r")
         if case == "behind_camera":
-            joints[sim.JOINT_NAMES_13.index("hand_r"), 2] = -5.0
+            joints[hand_r, 2] = -5.0
+        if case == "zero_mass":  # so far past the heatmap grid that a plane underflows
+            joints[hand_r, 2] = 9000.0
         skeleton, camera = tmp_path / "skeleton.csv", tmp_path / "camera.txt"
         sim.write_skeleton_csv(skeleton, [sim.SkeletonFrame(t_us=100, joints=joints)])
         cam_mod.save_camera(camera, cam_mod.CameraModel(
@@ -370,6 +374,8 @@ class TestSimulateStreaming:
         assert message in captured.err
         if case == "behind_camera":  # the file, the label's time and the joint
             assert f"{skeleton}: label t_us 100, joint 'hand_r': point 5 at " in captured.err
+        if case == "zero_mass":  # ... and the plane
+            assert f"{skeleton}: label t_us 100, joint 'hand_r': plane xz at " in captured.err
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,4 +1,3 @@
-import io
 import os
 
 import numpy as np
@@ -279,55 +278,6 @@ class TestStreamWriter:
             fmt.read(path.read_bytes())
 
 
-class TestCsv:
-    def test_round_trip(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 200)
-        buf = io.StringIO()
-        ev.write_csv(buf, s)
-        back = ev.read_csv(io.StringIO(buf.getvalue()), small_geometry)
-        assert np.array_equal(back.t, s.t)
-        assert np.array_equal(back.p, s.p)
-
-    def test_empty(self, small_geometry):
-        buf = io.StringIO()
-        ev.write_csv(buf, ev.EventStream.empty(small_geometry))
-        back = ev.read_csv(io.StringIO(buf.getvalue()), small_geometry)
-        assert len(back) == 0
-
-    def test_bad_header(self, small_geometry):
-        with pytest.raises(BadMagic):
-            ev.read_csv(io.StringIO("a,b,c\n"), small_geometry)
-
-    def test_matches_per_event_format(self, small_geometry, rng):
-        s = random_stream(rng, small_geometry, 300, t_start=2**62)
-        buf = io.StringIO()
-        ev.write_csv(buf, s)
-        expect = ev.CSV_HEADER + "\n" + "".join(
-            f"{int(s.t[i])},{int(s.x[i])},{int(s.y[i])},{int(s.p[i])}\n"
-            for i in range(len(s)))
-        assert buf.getvalue() == expect
-
-    def test_every_u64_timestamp_round_trips(self, small_geometry):
-        t = np.array([0, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
-        s = ev.EventStream.from_arrays(small_geometry, t, [0, 1, 2, 3, 4], [4, 3, 2, 1, 0],
-                                       [1, -1, 1, -1, 1])
-        buf = io.StringIO()
-        ev.write_csv(buf, s)
-        back = ev.read_csv(io.StringIO(buf.getvalue()), small_geometry)
-        for name in "txyp":
-            assert np.array_equal(getattr(back, name), getattr(s, name))
-
-    @pytest.mark.parametrize("body, message", [
-        ("5,3,2\n", "line 2: expected 4 fields, got 3"),
-        ("5,3,2,1\n6,3,2\n", "line 3: expected 4 fields, got 3"),
-        ("5,3,2,1\n6,3,2,1,0\n", "line 3: expected 4 fields, got 5"),
-        ("1.5,3,2,1\n", "line 2: .*'1.5'"),
-    ])
-    def test_malformed_row_is_data_error_naming_its_line(self, small_geometry, body, message):
-        with pytest.raises(DataError, match=f"^{message}"):
-            ev.read_csv(io.StringIO(f"{ev.CSV_HEADER}\n{body}"), small_geometry)
-
-
 class TestSliceConstantTime:
     def test_example_buckets(self, small_geometry):
         ms = 1000
@@ -589,16 +539,18 @@ class TestStreamValidation:
             ev.EventStream.from_arrays(small_geometry, [1], [small_geometry.width],
                                        [0], [1])
 
-    @pytest.mark.parametrize("row, column", [("-5,3,2,1", "t"), ("5,65539,2,1", "x"),
-                                             ("5,3,-1,1", "y"), ("5,3,2,257", "p")])
-    def test_csv_value_outside_stored_dtype_rejected(self, small_geometry, row, column):
+    @pytest.mark.parametrize("t, x, y, p, column", [
+        pytest.param([5], [65539], [2], [1], "x", id="t0-x0-x"),
+        pytest.param([1.5], [3], [2], [1], "t", id="t1-x1-t"),
+        pytest.param([-5], [3], [2], [1], "t", id="-5,3,2,1-t"),
+        pytest.param([5], np.array([65539], np.int64), [2], [1], "x", id="5,65539,2,1-x"),
+        pytest.param([5], [3], [-1], [1], "y", id="5,3,-1,1-y"),
+        pytest.param([5], [3], [2], [257], "p", id="5,3,2,257-p"),
+        pytest.param(np.array([2**64], dtype=object), [3], [2], [1], "t", id="2**64,3,2,1-t"),
+    ])
+    def test_array_value_outside_stored_dtype_rejected(self, small_geometry, t, x, y, p, column):
         with pytest.raises(OutOfBounds, match=f"^record 0 has {column} = "):
-            ev.read_csv(io.StringIO(f"{ev.CSV_HEADER}\n{row}\n"), small_geometry)
-
-    @pytest.mark.parametrize("t, x, column", [([5], [65539], "x"), ([1.5], [3], "t")])
-    def test_array_value_outside_stored_dtype_rejected(self, small_geometry, t, x, column):
-        with pytest.raises(OutOfBounds, match=f"^record 0 has {column} = "):
-            ev.EventStream.from_arrays(small_geometry, t, x, [2], [1])
+            ev.EventStream.from_arrays(small_geometry, t, x, y, p)
 
     def test_values_the_stored_dtype_holds_are_accepted(self, small_geometry):
         s = ev.EventStream.from_arrays(small_geometry, [7.0, 2.0**63], np.array([0, 3], np.int64),

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from evpose import simulator as sim
-from evpose.camera import CameraModel, load_camera, save_camera, view_half_extents
+from evpose.camera import (
+    CameraModel,
+    denormalize_camera_points,
+    load_camera,
+    normalize_camera_points,
+    project_camera_points,
+    save_camera,
+    view_half_extents,
+)
 from evpose.errors import (
     BehindCamera,
     ConfigError,
@@ -16,9 +24,10 @@ from evpose.errors import (
     GeometryMismatch,
     InvalidDepth,
     LengthMismatch,
+    ZeroMass,
 )
 from evpose.events import SensorGeometry, serialize_stream
-from evpose.pose_math import denormalize, soft_argmax
+from evpose.pose_math import cell_centers, denormalize, soft_argmax
 
 from oracles import frames_to_events_direct, frames_to_events_whole_clip, interpolate_whole_clip
 
@@ -386,6 +395,11 @@ class TestProjection:
         s = sim.SkeletonFrame(t_us=0, joints=joints, frame="camera")
         with pytest.raises(BehindCamera):
             sim.project_skeleton(s, cam)
+        # a label cannot hold NaN, but a camera-frame point can
+        joints[4, 2] = math.nan
+        with pytest.raises(BehindCamera) as info:
+            project_camera_points(cam, joints)
+        assert info.value.point == 4
 
 
 class TestNormalization:
@@ -425,6 +439,12 @@ class TestNormalization:
         s = sim.SkeletonFrame(t_us=0, joints=joints, frame="camera")
         with pytest.raises(BehindCamera):
             sim.normalize_labels(s, cam)
+        # NaN depth, which a label cannot hold, either way through the cube
+        nan_point = [[0.0, 0.0, 1.0], [0.0, 0.0, math.nan]]
+        for convert in (normalize_camera_points, denormalize_camera_points):
+            with pytest.raises(BehindCamera) as info:
+                convert(cam, nan_point, 1000.0)
+            assert info.value.point == 1
 
     def test_cube_origin_lands_on_optical_axis_at_head_depth(self):
         cam = simple_camera()
@@ -472,6 +492,34 @@ class TestHeatmaps:
             cz, cy_ = soft_argmax(t.zy)
             for got, want in ((ax, x), (ay, y), (bx, x), (bz, z), (cz, z), (cy_, y)):
                 assert abs(got - want) <= 0.5 * cell
+
+    def test_mass_check_meets_the_grid_at_the_underflow_edge(self):
+        """The last depth whose planes keep mass, and the next float, which
+        leaves none, found by summing whole planes: the one-cell check agrees."""
+        resolution, sigma = 16, 2.0
+        centers = cell_centers(resolution)
+        sig = sigma * 2.0 / resolution
+
+        def mass(a, b):
+            return np.exp(-((centers[None, :] - a) ** 2 + (centers[:, None] - b) ** 2)
+                          / (2.0 * sig * sig)).sum()
+
+        inside, outside = 1.0, 1e3
+        while np.nextafter(inside, outside) < outside:
+            mid = (inside + outside) / 2
+            inside, outside = (mid, outside) if mass(0.0, mid) > 0 else (inside, mid)
+        assert mass(0.0, outside) == 0 < mass(0.0, inside)
+        t = sim.make_heatmaps([[0.0, 0.0, inside]], resolution, sigma)[0]
+        for _, grid in t.planes():
+            assert np.isfinite(grid).all() and abs(grid.sum() - 1.0) < 1e-6
+        joints = np.zeros((3, 3))
+        joints[1, 2] = outside
+        with pytest.raises(ZeroMass, match=r"^plane xz at \(0.000,") as info:
+            sim.make_heatmaps(joints, resolution, sigma)
+        assert info.value.point == 1
+        joints[1] = [-outside, 0.0, 0.0]  # the edge is the same on the far side of x
+        with pytest.raises(ZeroMass, match=r"^plane xy at "):
+            sim.check_heatmap_mass(joints, resolution, sigma)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):

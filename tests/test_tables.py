@@ -1,35 +1,20 @@
 """The text-table contract, checked once per comma-separated format.
 
-Event CSVs, schedules, skeleton labels and poses are each a header line
-and one comma-separated line per row, read and written through one codec
-in `evpose.events`. Each adapter below gives one format's reader, writer,
-a sample value and the exact text the writer makes of it.
+Schedules, skeleton labels and poses are each a header line and one
+comma-separated line per row, read from and written to a path through one
+codec in `evpose.events`. Each adapter below gives one format's reader,
+writer, a sample value and the exact text the writer makes of it.
 """
 
-import io
 import re
 
 import numpy as np
 import pytest
 
-from evpose import events as ev
 from evpose import gating
 from evpose import pose_math as pm
 from evpose import simulator as sim
 from evpose.errors import BadMagic, DataError
-
-GEO = ev.SensorGeometry(width=16, height=12)
-
-
-class EventCsv:
-    """Event CSV: exact u64 timestamps, x, y and polarity."""
-
-    value = ev.EventStream.from_arrays(GEO, np.array([5, 2**64 - 1], dtype=np.uint64),
-                                       [3, 15], [2, 11], [1, -1])
-    text = "t_us,x,y,p\n5,3,2,1\n18446744073709551615,15,11,-1\n"
-    write = staticmethod(ev.write_csv)
-    read = staticmethod(lambda path: ev.read_csv(path, GEO))
-    plain = staticmethod(lambda s: [c.tolist() for c in (s.t, s.x, s.y, s.p)])
 
 
 class ScheduleCsv:
@@ -70,13 +55,29 @@ class PoseCsv:
     plain = staticmethod(lambda value: (list(value[0]), value[1].joints.tolist()))
 
 
-EACH_TABLE = pytest.mark.parametrize("fmt", [EventCsv, ScheduleCsv, SkeletonCsv, PoseCsv],
-                                     ids=["events", "schedule", "skeleton", "pose"])
+EACH_TABLE = pytest.mark.parametrize("fmt", [ScheduleCsv, SkeletonCsv, PoseCsv],
+                                     ids=["schedule", "skeleton", "pose"])
 
 
 def _header_and_rows(fmt):
     header, *rows = fmt.text.splitlines()
     return header, rows
+
+
+def _keep(row):
+    return row
+
+
+def _short(row):
+    return row.rsplit(",", 1)[0]
+
+
+def _long(row):
+    return row + ",0"
+
+
+def _unparsable(row):
+    return _short(row) + ",x"
 
 
 def _raises_naming(fmt, path, error, message):
@@ -109,29 +110,19 @@ class TestTableContract:
         path.write_text("\n".join(["a,b,c", *rows]) + "\n")
         _raises_naming(fmt, path, BadMagic, "expected header ")
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda row: row.rsplit(",", 1)[0], "line 3: expected {k} fields, got {short}$"),
-        (lambda row: row + ",0", "line 3: expected {k} fields, got {long}$"),
-        (lambda row: row.rsplit(",", 1)[0] + ",x", "line 3: .*'x'"),
-    ], ids=["short", "long", "unparsable"])
-    def test_bad_row_is_data_error_naming_file_and_line(self, tmp_path, fmt, edit, message):
+    @pytest.mark.parametrize("edit_first, edit_second, message", [
+        (_keep, _short, "line 3: expected {k} fields, got {short}$"),
+        (_keep, _long, "line 3: expected {k} fields, got {long}$"),
+        (_keep, _unparsable, "line 3: .*'x'"),
+        (_unparsable, _long, "line 2: .*'x'"),
+    ], ids=["short", "long", "unparsable", "first_of_two"])
+    def test_bad_row_is_data_error_naming_file_and_line(self, tmp_path, fmt, edit_first,
+                                                        edit_second, message):
         header, rows = _header_and_rows(fmt)
         k = header.count(",") + 1
         path = tmp_path / "table.csv"
-        path.write_text("\n".join([header, rows[0], edit(rows[1])]) + "\n")
+        path.write_text("\n".join([header, edit_first(rows[0]), edit_second(rows[1])]) + "\n")
         _raises_naming(fmt, path, DataError, message.format(k=k, short=k - 1, long=k + 1))
-
-
-def test_event_csv_over_an_open_crlf_file():
-    back = ev.read_csv(io.StringIO(EventCsv.text.replace("\n", "\r\n")), GEO)
-    assert EventCsv.plain(back) == EventCsv.plain(EventCsv.value)
-
-
-def test_event_csv_path_named_in_stream_errors(tmp_path):
-    path = tmp_path / "events.csv"
-    path.write_text(f"{ev.CSV_HEADER}\n5,3,2,1\n6,200,3,1\n")
-    with pytest.raises(DataError, match=f"^{path}: record 1 at \\(200,3\\) outside 16x12"):
-        ev.read_csv(path, GEO)
 
 
 def test_pose_names_that_would_split_a_row_are_rejected(tmp_path):
