@@ -187,7 +187,7 @@ def cmd_simulate(args) -> int:
 
 # -- tore -------------------------------------------------------------------------
 
-# the event file, output directory and windowing that `tore` and `filter` share
+# the event file, output directory and windowing: `tore`'s settings, all shared by `filter`
 WINDOW_PARAMS = [
     Param("events", str, required=True, help="EVT1 input file"),
     Param("out", str, required=True, help="output directory"),
@@ -197,14 +197,9 @@ WINDOW_PARAMS = [
     Param("origin_us", int, 0),
 ]
 
-TORE_PARAMS = WINDOW_PARAMS + [
-    Param("emit_empty", bool, False,
-          help="emit one all-zero tensor when no event lies at or after the origin"),
-]
-
 
 def cmd_tore(args) -> int:
-    config = _resolve(TORE_PARAMS, args)
+    config = _resolve(WINDOW_PARAMS, args)
     stream = ev.EventFile(config["events"])
     volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
                                  config["window_us"], config["origin_us"])
@@ -214,10 +209,6 @@ def cmd_tore(args) -> int:
     for i, vol in enumerate(volumes):
         rep.write_tensor(out_dir / f"tore_{i:05d}.tore", vol.data)
         written += 1
-    if written == 0 and config["emit_empty"]:
-        shape = (2 * config["k"], stream.geometry.height, stream.geometry.width)
-        rep.write_tensor(out_dir / "tore_00000.tore", np.zeros(shape, np.float32))
-        written = 1
     print(f"wrote {written} tensor(s) to {out_dir}")
     _write_config(config, args.manifest, out_dir / "manifest.cfg")
     return 0
@@ -255,6 +246,7 @@ def cmd_filter(args) -> int:
     else:
         backend = gating.ReferenceMaskBackend(
             horizon=config["horizon"], activity_percentile=config["activity_percentile"])
+        backend.check_geometry(stream.geometry)
     volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
                                  config["window_us"], config["origin_us"])
     scheduled = gating.iter_schedule(volumes, backend, config["beta"])
@@ -368,7 +360,7 @@ def cmd_bench(args) -> int:
 _COMMANDS = {
     "simulate": (cmd_simulate, SIMULATE_PARAMS,
                  "render frame sequences into events and paired labels"),
-    "tore": (cmd_tore, TORE_PARAMS, "build decay-volume tensors per time window"),
+    "tore": (cmd_tore, WINDOW_PARAMS, "build decay-volume tensors per time window"),
     "filter": (cmd_filter, FILTER_PARAMS,
                "apply scheduled body masks to decay volumes"),
     "eval": (cmd_eval, EVAL_PARAMS, "score predicted poses against ground truth"),

@@ -3,7 +3,8 @@
 Two families matter to callers: ConfigError (bad parameters or config
 files) and DataError (malformed or inconsistent input data). The CLI maps
 them to exit codes 2 and 3; any other exception is a bug and exits 4.
-`check_range` is the one closed-interval check the modules share.
+`check_range` is the one closed-interval check the modules share, and
+`check_budget` the one bound on the bytes a setting asks to allocate.
 """
 
 from contextlib import contextmanager
@@ -40,6 +41,20 @@ def check_range(name: str, x, lo, hi, error=ConfigError):
         got = f", got {x}" if a.ndim == 0 else ""
         raise error(f"{name} must lie in [{lo}, {hi}]{got}")
     return x
+
+
+# Most bytes one array sized by a setting may take: the TORE FIFO (`k`), a
+# mask plan and an external score table (`horizon`). Checked before the
+# array exists and before any output is written.
+MAX_ARRAY_BYTES = 2**31
+
+
+def check_budget(name: str, value, nbytes: int) -> None:
+    """Raise ConfigError, naming the setting and the bytes, when setting
+    name = value asks for an array of more than MAX_ARRAY_BYTES bytes."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{name} = {value} asks for {nbytes} bytes, "
+                          f"more than the {MAX_ARRAY_BYTES}-byte budget")
 
 
 # -- event stream / binary format --------------------------------------------

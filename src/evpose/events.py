@@ -13,13 +13,14 @@ record_count fixed-size records. EVT1's record is one event:
               | record_count u64                              (18 bytes)
     record  = t u64 | x u16 | y u16 | polarity i8 | pad[3]    (16 bytes)
 
-`read_stream` and `parse_stream` hold a whole EVT1 file in memory.
-`EventFile` reads one in two passes over fixed chunks of READ_CHUNK_EVENTS
-records, into one reused buffer: the first checks every record, so a bad
-file fails before any event is used; the second checks them again as it
+`parse_stream` holds a whole EVT1 blob in memory. Files are read only by
+`EventFile`, in two passes over fixed chunks of READ_CHUNK_EVENTS records,
+into one reused buffer: the first checks every record, so a bad file
+fails before any event is used; the second checks them again as it
 yields them as sorted EventStream chunks, which `iter_windows` cuts as it
 cuts one stream. A consumer of its windows holds one chunk and one window
-of input, whatever the file's length.
+of input, whatever the file's length; `read_stream` collects the chunks
+into one stream.
 
 Every CSV of the toolkit is a text table, a header line and then one
 comma-separated line per row, with one codec here: `table_writer` and
@@ -304,8 +305,9 @@ def serialize_stream(s: EventStream) -> bytes:
 
 
 def read_stream(path) -> EventStream:
-    with open(path, "rb") as f, from_file(path):
-        return parse_stream(f.read())
+    """The events of an EVT1 file, read through `EventFile`, as one stream."""
+    f = EventFile(path)
+    return concatenate(f, f.geometry)
 
 
 # Records an `EventFile` pass reads at once (256 KiB): with one window, the

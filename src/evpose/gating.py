@@ -23,7 +23,6 @@ vectorised root hooking and pointer jumping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -36,6 +35,7 @@ from .errors import (
     GeometryMismatch,
     LengthMismatch,
     ProbabilityOutOfRange,
+    check_budget,
     check_range,
     from_file,
 )
@@ -193,25 +193,20 @@ def read_schedule_csv(path) -> list[ScheduleEntry]:
 
 
 # 3x3 morphology as shifted ORs / ANDs of a zero-padded mask, separable into
-# a row pass and a column pass; fewer than one iteration returns the mask.
+# a row pass and a column pass.
 
-def _dilate(mask: np.ndarray, iterations: int) -> np.ndarray:
-    """3x3 binary dilation repeated `iterations` times; outside pixels are 0."""
-    for _ in range(iterations):
-        p = np.pad(mask, 1)
-        rows = p[:, :-2] | p[:, 1:-1] | p[:, 2:]
-        mask = rows[:-2] | rows[1:-1] | rows[2:]
-    return mask
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """3x3 binary dilation; outside pixels are 0."""
+    p = np.pad(mask, 1)
+    rows = p[:, :-2] | p[:, 1:-1] | p[:, 2:]
+    return rows[:-2] | rows[1:-1] | rows[2:]
 
 
-def _erode(mask: np.ndarray, iterations: int) -> np.ndarray:
-    """3x3 binary erosion repeated `iterations` times; outside pixels are 0,
-    so every step clears the image border."""
-    for _ in range(iterations):
-        p = np.pad(mask, 1)
-        rows = p[:, :-2] & p[:, 1:-1] & p[:, 2:]
-        mask = rows[:-2] & rows[1:-1] & rows[2:]
-    return mask
+def _erode(mask: np.ndarray) -> np.ndarray:
+    """3x3 binary erosion; outside pixels are 0, so it clears the image border."""
+    p = np.pad(mask, 1)
+    rows = p[:, :-2] & p[:, 1:-1] & p[:, 2:]
+    return rows[:-2] & rows[1:-1] & rows[2:]
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
@@ -262,42 +257,39 @@ class ReferenceMaskBackend:
     """Stand-in predictor: no training, pure image morphology.
 
     Foreground is the set of pixels whose max channel activity exceeds
-    the configured percentile of the activity image, cleaned by a binary
-    closing, reduced to the single largest connected component (the
-    toolkit is single-person). Future masks dilate the current one to
-    absorb plausible motion, with scores decaying per step down to a
-    floor; an empty mask scores the floor everywhere.
+    the configured percentile of the activity image, cleaned by one 3x3
+    binary closing, reduced to the single largest connected component
+    (the toolkit is single-person). Future mask k dilates mask k - 1 once
+    to absorb plausible motion and scores max(0.2, 1 - 0.1 k); an empty
+    mask scores 0.2 everywhere.
     """
 
     horizon: int = 4
     activity_percentile: float = 80.0
-    closing_iterations: int = 1
-    dilation_iterations: int = 1     # growth per future step
-    score_decay: float = 0.1
-    score_floor: float = 0.2
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         check_range("activity_percentile", self.activity_percentile, 0, 100)
-        check_range("score_floor", self.score_floor, 0, 1)
-        if not 0 <= self.score_decay < math.inf:
-            raise ConfigError(f"score_decay must be finite and >= 0, got {self.score_decay}")
+
+    def check_geometry(self, geometry: SensorGeometry) -> None:
+        """ConfigError unless a plan on geometry, horizon masks of one byte
+        per pixel, fits the byte budget."""
+        check_budget("horizon", self.horizon, self.horizon * geometry.num_pixels)
 
     def predict(self, vol: ToreVolume) -> MaskPlan:
+        self.check_geometry(vol.geometry)
         activity = vol.data.max(axis=0)
         threshold = float(np.percentile(activity, self.activity_percentile))
-        closing = self.closing_iterations
-        fg = _largest_component(_erode(_dilate(activity > threshold, closing), closing))
+        fg = _largest_component(_erode(_dilate(activity > threshold)))
         masks = np.empty((self.horizon,) + fg.shape, dtype=bool)
         masks[0] = fg
         for k in range(1, self.horizon):
-            masks[k] = _dilate(masks[k - 1], self.dilation_iterations)
+            masks[k] = _dilate(masks[k - 1])
         if fg.any():
-            scores = np.maximum(self.score_floor,
-                                1.0 - self.score_decay * np.arange(self.horizon))
+            scores = np.maximum(0.2, 1.0 - 0.1 * np.arange(self.horizon))
         else:
-            scores = np.full(self.horizon, self.score_floor)
+            scores = np.full(self.horizon, 0.2)
         return MaskPlan(masks=masks, scores=scores)
 
 
@@ -315,6 +307,9 @@ class ExternalMaskBackend:
         if horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon}")
         self.masks = np.asarray(masks, dtype=bool)  # the caller's bool stack, not a copy
+        n, pixels = self.masks.shape[0], int(np.prod(self.masks.shape[1:]))
+        # the score table, 8 bytes a score, and each plan, 1 byte a pixel
+        check_budget("horizon", horizon, horizon * max(8 * n, pixels))
         self.window_us = window_us
         self.origin_us = origin_us
         self.horizon = horizon

@@ -36,6 +36,7 @@ from .errors import (
     OutOfBounds,
     TimeRegression,
     TruncatedRecord,
+    check_budget,
     from_file,
 )
 from .events import Event, EventStream, SensorGeometry, freeze
@@ -98,6 +99,7 @@ class ToreState:
             raise InvalidTau(f"K must be positive, got {self.k}")
         if self.tau_us <= 1:
             raise InvalidTau(f"tau_us must exceed 1us, got {self.tau_us}")
+        check_budget("k", self.k, 16 * self.k * self.geometry.num_pixels)
         self.fifo = np.full((2 * self.k, self.geometry.height, self.geometry.width),
                             EMPTY_SLOT, dtype=np.uint64)
 

@@ -23,8 +23,8 @@ the events rather than the sensor size. The noise-rate frame is built
 only when a noise rate is configured.
 
 The module also produces the paired ground truth a simulated recording
-needs downstream: skeleton label files, pinhole projections, normalized
-cube coordinates, and Gaussian marginal heatmaps.
+needs downstream: skeleton label files, normalized cube coordinates,
+and Gaussian marginal heatmaps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .camera import CameraModel, normalize_camera_points, project_camera_points, to_camera_frame
+from .camera import CameraModel, normalize_camera_points, to_camera_frame
 from .errors import (
     BehindCamera,
     ConfigError,
@@ -65,9 +65,6 @@ JOINT_NAMES_13 = (
     "foot_r", "foot_l",
 )
 
-REC601_WEIGHTS = np.array([0.299, 0.587, 0.114])
-
-LABEL_FPS = 300  # canonical skeleton label rate
 HEATMAP_RESOLUTION = 64  # grid cells per side
 HEATMAP_SIGMA = 2.0  # grid cells
 
@@ -150,14 +147,6 @@ class SkeletonFrame:
 
     def head_index(self) -> int:
         return JOINT_NAMES_13.index("head")
-
-
-def rgb_to_grayscale(rgb: np.ndarray) -> np.ndarray:
-    """Rec.601 luma of (..., 3) RGB in [0, 1]."""
-    a = np.asarray(rgb, dtype=np.float64)
-    if a.shape[-1] != 3:
-        raise DataError(f"expected trailing RGB axis, got shape {a.shape}")
-    return a @ REC601_WEIGHTS
 
 
 # -- compositing and interpolation ----------------------------------------------
@@ -353,11 +342,6 @@ def skeleton_camera_joints(s: SkeletonFrame, cam: CameraModel) -> np.ndarray:
     return to_camera_frame(cam, s.joints)
 
 
-def project_skeleton(s: SkeletonFrame, cam: CameraModel) -> np.ndarray:
-    """Pinhole projection of all joints to (J, 2) pixel coordinates."""
-    return project_camera_points(cam, skeleton_camera_joints(s, cam))
-
-
 def normalize_labels(s: SkeletonFrame, cam: CameraModel,
                      heatmap: tuple[int, float] | None = None) -> np.ndarray:
     """Joints in the [-1, 1]^3 cube anchored at the head joint's depth.
@@ -462,13 +446,6 @@ def read_skeleton_csv(path) -> list[SkeletonFrame]:
     times = sorted(rows)
     joints = np.array(xyz, dtype=np.float64).T[[rows[t][n] for t in times for n in JOINT_NAMES_13]]
     return list(map(SkeletonFrame, times, joints.reshape(-1, len(JOINT_NAMES_13), 3)))
-
-
-def nearest_skeleton(frames: Sequence[SkeletonFrame], t_us: int) -> SkeletonFrame:
-    """Label whose timestamp is nearest to t_us; earlier wins ties."""
-    if not frames:
-        raise EmptySequence("no skeleton frames")
-    return min(frames, key=lambda s: (abs(s.t_us - t_us), s.t_us))
 
 
 # -- frame and mask directories ------------------------------------------------------

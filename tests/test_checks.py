@@ -25,7 +25,9 @@ from evpose.errors import (
     FpsMismatch,
     GeometryMismatch,
     InvalidDistribution,
+    MAX_ARRAY_BYTES,
     ProbabilityOutOfRange,
+    check_budget,
     check_range,
 )
 from evpose.events import SensorGeometry
@@ -97,9 +99,6 @@ RANGE_SITES = {
     "ReferenceMaskBackend.activity_percentile": (
         lambda v: gating.ReferenceMaskBackend(activity_percentile=v), 0, 100, ConfigError,
         "activity_percentile", np.float64),
-    "ReferenceMaskBackend.score_floor": (
-        lambda v: gating.ReferenceMaskBackend(score_floor=v), 0, 1, ConfigError,
-        "score_floor", np.float64),
     "ExternalMaskBackend.scores": (_external_scores, 0, 1, ProbabilityOutOfRange,
                                    "external scores", np.float64),
     "bce": (_bce, 0, 1, ProbabilityOutOfRange, "probabilities", np.float64),
@@ -142,6 +141,30 @@ class TestCheckRange:
             check_range("beta", math.nan, 0, 1)
         with pytest.raises(DataError, match=r"^frames must lie in \[0, 1\]$"):
             check_range("frames", np.array([0.5, 2.0]), 0, 1, DataError)
+
+
+class TestCheckBudget:
+    def test_the_budget_passes_and_one_byte_more_names_setting_and_bytes(self):
+        check_budget("k", 1, MAX_ARRAY_BYTES)
+        with pytest.raises(ConfigError, match=rf"^k = 2 asks for {MAX_ARRAY_BYTES + 1} bytes, "
+                                              rf"more than the {MAX_ARRAY_BYTES}-byte budget$"):
+            check_budget("k", 2, MAX_ARRAY_BYTES + 1)
+
+    # petabyte requests: were a check missing, the allocation would fail at
+    # once rather than fill memory
+    def test_each_site_checks_before_it_allocates(self):
+        big = 2**50
+        with pytest.raises(ConfigError, match=f"^k = {big} asks for {16 * big * GEO.num_pixels} "):
+            rep.ToreState(GEO, k=big)
+        plan_bytes = f"^horizon = {big} asks for {big * GEO.num_pixels} "
+        with pytest.raises(ConfigError, match=plan_bytes):
+            gating.ReferenceMaskBackend(horizon=big).check_geometry(GEO)
+        with pytest.raises(ConfigError, match=plan_bytes):
+            gating.ReferenceMaskBackend(horizon=big).predict(_volume())
+        with pytest.raises(ConfigError, match=plan_bytes):  # a plan outweighs 2 scores
+            gating.ExternalMaskBackend(np.zeros((2, GEO.height, GEO.width), bool), 10, 0, big)
+        with pytest.raises(ConfigError, match=f"^horizon = {big} asks for {8 * 10**6 * big} "):
+            gating.ExternalMaskBackend(np.zeros((10**6, 1, 1), bool), 10, 0, big)
 
 
 def _transposed(ndim):
@@ -225,9 +248,3 @@ class TestNonFiniteSettings:
         planes["xz"][1, 2] = value
         with pytest.raises(InvalidDistribution, match="xz plane"):
             pm.HeatmapTriplet(**planes)
-
-    def test_score_decay(self):
-        for bad in (math.nan, math.inf, -0.1):
-            with pytest.raises(ConfigError, match="score_decay"):
-                gating.ReferenceMaskBackend(score_decay=bad)
-        gating.ReferenceMaskBackend(score_decay=0.0)

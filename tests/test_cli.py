@@ -85,7 +85,6 @@ class TestConfigFormat:
             **CONFIG,
             "out": "/tmp/somewhere with spaces",
             "seed": 7,
-            "emit_empty": True,
             "tricky": "5",
             "also_tricky": "true",
             "null_string": "null",
@@ -450,48 +449,24 @@ class TestToreCommand:
         assert rc == 0
         assert list(out.glob("*.tore")) == []
 
-    def test_empty_stream_emit_flag(self, tmp_path):
-        path = self._make_events(tmp_path, ev.EventStream.empty(ev.SensorGeometry(8, 8)))
-        out = tmp_path / "tore"
-        rc = cli.main(["tore", "--events", str(path), "--out", str(out),
-                       "--emit-empty"])
-        assert rc == 0
-        data = rep.read_tensor(out / "tore_00000.tore")
-        assert data.shape == (2 * rep.DEFAULT_K, 8, 8)
-        assert not data.any()
-
-    def test_empty_stream_emit_flag_near_u64_end(self, tmp_path):
-        path = self._make_events(tmp_path, ev.EventStream.empty(ev.SensorGeometry(8, 8)))
-        out = tmp_path / "tore"
-        rc = cli.main(["tore", "--events", str(path), "--out", str(out), "--emit-empty",
-                       "--origin-us", str(2**64 - 10)])
-        assert rc == 0
-        assert [p.name for p in out.glob("*.tore")] == ["tore_00000.tore"]
-        data = rep.read_tensor(out / "tore_00000.tore")
-        assert data.shape == (2 * rep.DEFAULT_K, 8, 8)
-        assert not data.any()
-
     @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--tau-us", "1"),
                                              ("--window-us", "0")])
     def test_empty_stream_emit_flag_still_checks_config(self, tmp_path, flag, value):
         path = self._make_events(tmp_path, ev.EventStream.empty(ev.SensorGeometry(8, 8)))
         rc = cli.main(["tore", "--events", str(path), "--out", str(tmp_path / "tore"),
-                       "--emit-empty", flag, value])
+                       flag, value])
         assert rc == 2
 
     def test_emit_flag_when_every_event_precedes_the_origin(self, tmp_path, rng, capsys):
-        # events, but no window: the same one all-zero tensor as an empty file
+        # events, but no window: no tensor, as for an empty file
         geometry = ev.SensorGeometry(16, 12)
         path = self._make_events(tmp_path, random_stream(rng, geometry, 500, duration_us=100_000))
         out = tmp_path / "tore"
-        rc = cli.main(["tore", "--events", str(path), "--out", str(out), "--emit-empty",
+        rc = cli.main(["tore", "--events", str(path), "--out", str(out),
                        "--origin-us", "1000000"])
         assert rc == 0
-        assert capsys.readouterr().out == f"wrote 1 tensor(s) to {out}\n"
-        assert [p.name for p in out.glob("*.tore")] == ["tore_00000.tore"]
-        data = rep.read_tensor(out / "tore_00000.tore")
-        assert data.shape == (2 * rep.DEFAULT_K, 12, 16)
-        assert not data.any()
+        assert capsys.readouterr().out == f"wrote 0 tensor(s) to {out}\n"
+        assert list(out.glob("*.tore")) == []
 
 
 class TestFilterCommand:
@@ -906,6 +881,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, message", [
         (b"k = 4\nwindow_us = oops\n", "config line 2: cannot parse value 'oops'"),
         (b"nope = 1\n", "unknown config key 'nope'"),
+        (b"emit_empty = false\n", "unknown config key 'emit_empty'"),
         (b'window_us = "20000"\n', "config key 'window_us' should be int"),
         (b"k = 4\nwindow_us = 20_000\n", "config line 2: cannot parse value '20_000'"),
         (b"k = 4\n\xff = 1\n", "'utf-8' codec can't decode byte 0xff"),
@@ -919,6 +895,27 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: {message}")
         assert not (tmp_path / "o").exists()
+
+    # petabyte requests: were a check missing, the allocation would fail at
+    # once rather than fill memory
+    @pytest.mark.parametrize("args, setting", [
+        (["tore", "--k", str(2**50)], "k"),
+        (["filter", "--horizon", str(2**50)], "horizon"),
+        (["filter", "--external-masks", "MASKS", "--horizon", str(2**50)], "horizon"),
+    ])
+    def test_setting_over_the_byte_budget_leaves_no_output(self, tmp_path, small_geometry, rng,
+                                                           capsys, args, setting):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 500))
+        masks = tmp_path / "m.msk1"
+        masks.write_bytes(gating.serialize_masks(small_geometry, np.ones((3, 24, 32), bool)))
+        out = tmp_path / "o"
+        args = [str(masks) if a == "MASKS" else a for a in args]
+        assert cli.main(args + ["--events", str(events_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {setting} = {2**50} asks for ")
+        assert "-byte budget" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_json_non_finite_fails_the_setting_check(self, tmp_path, small_geometry, rng,

@@ -247,11 +247,11 @@ class TestReferenceBackend:
         return volume_from(data)
 
     def test_zero_volume_gives_empty_mask_and_floor_scores(self):
-        plan = gating.ReferenceMaskBackend(horizon=3, score_floor=0.25).predict(
+        plan = gating.ReferenceMaskBackend(horizon=3).predict(
             volume_from(np.zeros((2, GEO.height, GEO.width))))
         assert plan.horizon == 3
         assert not plan.masks.any()
-        assert np.allclose(plan.scores, 0.25)
+        assert np.array_equal(plan.scores, [0.2, 0.2, 0.2])
 
     def test_single_blob_covered(self):
         vol = self._volume_with_blobs([(3, 8, 4, 10)])
@@ -275,12 +275,11 @@ class TestReferenceBackend:
 
     def test_future_masks_grow_and_scores_decay(self):
         vol = self._volume_with_blobs([(5, 9, 5, 9)])
-        plan = gating.ReferenceMaskBackend(horizon=4, score_decay=0.1,
-                                           score_floor=0.2).predict(vol)
-        for k in range(1, 4):
+        plan = gating.ReferenceMaskBackend(horizon=10).predict(vol)
+        for k in range(1, 10):
             assert plan.masks[k][plan.masks[k - 1]].all()
             assert plan.masks[k].sum() >= plan.masks[k - 1].sum()
-        assert np.allclose(plan.scores, [1.0, 0.9, 0.8, 0.7])
+        assert np.allclose(plan.scores, [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.2])
 
     @pytest.mark.parametrize("settings", [
         {"horizon": 0}, {"activity_percentile": -1.0}, {"activity_percentile": 100.5},
@@ -330,21 +329,21 @@ def largest_by_bfs(mask):
 
 class TestMaskKernels:
     @settings(max_examples=200, deadline=None)
-    @given(bool_masks(), st.integers(0, 3))
-    def test_dilate_matches_oracle(self, mask, iterations):
+    @given(bool_masks())
+    def test_dilate_matches_oracle(self, mask):
         before = mask.copy()
-        out = gating._dilate(mask, iterations)
+        out = gating._dilate(mask)
         assert out.dtype == bool and out.shape == mask.shape
-        assert np.array_equal(out, dilate3x3_direct(mask, iterations))
+        assert np.array_equal(out, dilate3x3_direct(mask))
         assert np.array_equal(mask, before)
 
     @settings(max_examples=200, deadline=None)
-    @given(bool_masks(), st.integers(0, 3))
-    def test_erode_matches_oracle(self, mask, iterations):
+    @given(bool_masks())
+    def test_erode_matches_oracle(self, mask):
         before = mask.copy()
-        out = gating._erode(mask, iterations)
+        out = gating._erode(mask)
         assert out.dtype == bool and out.shape == mask.shape
-        assert np.array_equal(out, erode3x3_direct(mask, iterations))
+        assert np.array_equal(out, erode3x3_direct(mask))
         assert np.array_equal(mask, before)
 
     @settings(max_examples=300, deadline=None)
@@ -380,12 +379,6 @@ class TestMaskKernels:
         for y, x in first:
             expected[y, x] = True
         assert np.array_equal(gating._largest_component(mask), expected)
-        # the same holds through the backend's first mask
-        plan = gating.ReferenceMaskBackend(
-            activity_percentile=0.0, closing_iterations=0).predict(
-                volume_from(mask[None].astype(np.float32),
-                            geometry=SensorGeometry(width=9, height=7)))
-        assert np.array_equal(plan.masks[0], expected)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -393,20 +386,16 @@ class TestMaskKernels:
         h, w = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
         params = gating.ReferenceMaskBackend(
             horizon=data.draw(st.integers(1, 4)),
-            activity_percentile=data.draw(st.sampled_from([0.0, 50.0, 80.0, 95.0])),
-            closing_iterations=data.draw(st.integers(0, 2)),
-            dilation_iterations=data.draw(st.integers(0, 2)))
+            activity_percentile=data.draw(st.sampled_from([0.0, 50.0, 80.0, 95.0])))
         seed = data.draw(st.integers(0, 2**32 - 1))
         values = np.random.default_rng(seed).random((2, h, w)).astype(np.float32)
         plan = params.predict(
             volume_from(values, geometry=SensorGeometry(width=w, height=h)))
         activity = values.max(axis=0)
         fg = activity > float(np.percentile(activity, params.activity_percentile))
-        fg = erode3x3_direct(dilate3x3_direct(fg, params.closing_iterations),
-                             params.closing_iterations)
-        expected = [largest_by_bfs(fg)]
+        expected = [largest_by_bfs(erode3x3_direct(dilate3x3_direct(fg)))]
         for _ in range(1, params.horizon):
-            expected.append(dilate3x3_direct(expected[-1], params.dilation_iterations))
+            expected.append(dilate3x3_direct(expected[-1]))
         assert np.array_equal(plan.masks, np.stack(expected))
 
 

@@ -372,7 +372,7 @@ class TestProjection:
         cam = simple_camera(f=300.0, cx=160.0, cy=120.0)
         s = sim.SkeletonFrame(t_us=0, joints=np.tile([0.0, 0.0, 1000.0], (13, 1)),
                               frame="camera")
-        uv = sim.project_skeleton(s, cam)
+        uv = project_camera_points(cam, sim.skeleton_camera_joints(s, cam))
         assert np.allclose(uv, [160.0, 120.0])
 
     def test_translation_matches_matrix_oracle(self, rng):
@@ -383,7 +383,7 @@ class TestProjection:
                                   rng.uniform(-200, 200, 13),
                                   rng.uniform(500, 2000, 13)])
         s = sim.SkeletonFrame(t_us=0, joints=joints, frame="world")
-        uv = sim.project_skeleton(s, cam)
+        uv = project_camera_points(cam, sim.skeleton_camera_joints(s, cam))
         for j in range(13):
             hom = intrinsic @ (extrinsic @ np.append(joints[j], 1.0))
             assert np.allclose(uv[j], hom[:2] / hom[2])
@@ -394,7 +394,7 @@ class TestProjection:
         joints[4, 2] = -5.0
         s = sim.SkeletonFrame(t_us=0, joints=joints, frame="camera")
         with pytest.raises(BehindCamera):
-            sim.project_skeleton(s, cam)
+            project_camera_points(cam, sim.skeleton_camera_joints(s, cam))
         # a label cannot hold NaN, but a camera-frame point can
         joints[4, 2] = math.nan
         with pytest.raises(BehindCamera) as info:
@@ -567,17 +567,6 @@ class TestSkeletonIO:
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             sim.read_skeleton_csv(path)
 
-    def test_nearest_label(self, rng):
-        frames = [sim.SkeletonFrame(t_us=t, joints=np.zeros((13, 3)))
-                  for t in (0, 3333, 6667, 10000)]
-        assert sim.nearest_skeleton(frames, 3000).t_us == 3333
-        assert sim.nearest_skeleton(frames, 5000).t_us == 3333  # tie -> earlier
-        assert sim.nearest_skeleton(frames, 9999).t_us == 10000
-
-    def test_label_rate_spacing(self):
-        # canonical labels arrive at 300 FPS
-        assert round(1e6 / sim.LABEL_FPS) == 3333
-
 
 class TestCameraIO:
     def test_camera_file_round_trip(self, tmp_path, rng):
@@ -647,9 +636,3 @@ class TestImageIO:
         with pytest.raises(DataError):
             sim.load_frame_sequence(d)
 
-
-class TestGrayscale:
-    def test_rec601_weights(self):
-        rgb = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-        gray = sim.rgb_to_grayscale(rgb)
-        assert np.allclose(gray[0], [0.299, 0.587, 0.114])
