@@ -247,18 +247,18 @@ def cmd_filter(args) -> int:
         backend = gating.ReferenceMaskBackend(
             horizon=config["horizon"], activity_percentile=config["activity_percentile"])
         backend.check_geometry(stream.geometry)
-    volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
-                                 config["window_us"], config["origin_us"])
-    scheduled = gating.iter_schedule(volumes, backend, config["beta"])
+    frames = rep.window_frames(stream, config["k"], config["tau_us"],
+                               config["window_us"], config["origin_us"])
+    scheduled = gating.iter_schedule(frames, backend, config["beta"])
     # every setting is checked above, so a bad one leaves no output behind
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     calls = 0
     with gating.schedule_writer(out_dir / "schedule.csv") as schedule, \
             gating.MaskStackWriter(out_dir / "masks.msk1", stream.geometry) as masks_out:
-        for vol, entry, mask in scheduled:
-            masked = gating.apply_mask(vol, mask)
-            rep.write_tensor(out_dir / f"masked_{entry.frame:05d}.tore", masked.data)
+        # a frame decays only its mask's pixels, and its activity if the backend reads it
+        for frame, entry, mask in scheduled:
+            rep.write_tensor(out_dir / f"masked_{entry.frame:05d}.tore", frame.masked(mask).data)
             schedule([entry])
             masks_out.append(mask)
             calls += entry.recompute

@@ -42,7 +42,7 @@ from .errors import (
 from .events import (HEADER_SIZE, RecordFileWriter, SensorGeometry, freeze, pack_header,
                      parse_header, read_table, table_writer)
 from .pose_math import mask_errors
-from .representations import ToreVolume
+from .representations import ToreVolume, WindowFrame
 
 MASK_THRESHOLD = 0.1  # binarization cut for predicted soft masks
 
@@ -71,9 +71,15 @@ class MaskPlan:
 
 
 class MaskPredictorBackend(Protocol):
-    """Seam for the trained predictor; must be deterministic."""
+    """Seam for the trained predictor; must be deterministic.
 
-    def predict(self, vol: ToreVolume) -> MaskPlan: ...
+    `vol` is a `ToreVolume` or a `representations.WindowFrame`. A frame is
+    valid until the next frame is drawn, so a backend must not keep it;
+    its `activity` equals the channel maximum `data.max(axis=0)`, and its
+    `data` materializes the whole volume.
+    """
+
+    def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan: ...
 
 
 def binarize_mask(soft: np.ndarray, threshold: float = MASK_THRESHOLD) -> np.ndarray:
@@ -116,16 +122,23 @@ class ScheduleResult:
     backend_calls: int = 0
 
 
-def iter_schedule(frames: Iterable[ToreVolume], backend: MaskPredictorBackend,
-                  beta: float) -> Iterator[tuple[ToreVolume, ScheduleEntry, np.ndarray]]:
+def iter_schedule(frames: Iterable[ToreVolume | WindowFrame], backend: MaskPredictorBackend,
+                  beta: float) -> Iterator[tuple[ToreVolume | WindowFrame, ScheduleEntry,
+                                                 np.ndarray]]:
     """Run the early-exit mask schedule over frames, one frame at a time.
 
     Frame 0 always invokes the backend. Frame k reuses the most recent
     plan's mask for k when that mask's score is >= beta; otherwise the
-    backend runs on frame k's volume and starts a new plan. Only the
-    newest plan is retained. Yields (volume, entry, mask) per frame and
+    backend runs on frame k and starts a new plan. The decision reads only
+    the plan's scores, so a reused frame is never read here. Only the
+    newest plan is retained. Yields (frame, entry, mask) per frame and
     draws the next frame only after the caller has taken the last one;
     beta is checked when this is called, before the first frame is drawn.
+
+    Frames are `ToreVolume`s or the lazy `representations.WindowFrame`s:
+    a WindowFrame is valid until the next frame is drawn, its `activity`
+    equals the channel maximum `data.max(axis=0)`, and its `data`
+    materializes the whole volume.
     """
     check_range("beta", beta, 0, 1)
     return _schedule(frames, backend, beta)
@@ -256,12 +269,12 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
 class ReferenceMaskBackend:
     """Stand-in predictor: no training, pure image morphology.
 
-    Foreground is the set of pixels whose max channel activity exceeds
-    the configured percentile of the activity image, cleaned by one 3x3
-    binary closing, reduced to the single largest connected component
-    (the toolkit is single-person). Future mask k dilates mask k - 1 once
-    to absorb plausible motion and scores max(0.2, 1 - 0.1 k); an empty
-    mask scores 0.2 everywhere.
+    Foreground is the set of pixels whose activity, the maximum over the
+    channels, exceeds the configured percentile of the activity image,
+    cleaned by one 3x3 binary closing, reduced to the single largest
+    connected component (the toolkit is single-person). Future mask k
+    dilates mask k - 1 once to absorb plausible motion and scores
+    max(0.2, 1 - 0.1 k); an empty mask scores 0.2 everywhere.
     """
 
     horizon: int = 4
@@ -277,9 +290,9 @@ class ReferenceMaskBackend:
         per pixel, fits the byte budget."""
         check_budget("horizon", self.horizon, self.horizon * geometry.num_pixels)
 
-    def predict(self, vol: ToreVolume) -> MaskPlan:
+    def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan:
         self.check_geometry(vol.geometry)
-        activity = vol.data.max(axis=0)
+        activity = vol.activity
         threshold = float(np.percentile(activity, self.activity_percentile))
         fg = _largest_component(_erode(_dilate(activity > threshold)))
         masks = np.empty((self.horizon,) + fg.shape, dtype=bool)
@@ -322,7 +335,7 @@ class ExternalMaskBackend:
                 f"got {self.scores.shape}")
         check_range("external scores", self.scores, 0, 1, ProbabilityOutOfRange)
 
-    def predict(self, vol: ToreVolume) -> MaskPlan:
+    def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan:
         k = (vol.query_time_us - self.origin_us) // self.window_us - 1
         if not 0 <= k < self.masks.shape[0]:
             raise DataError(f"no external mask for window {k}")

@@ -78,6 +78,19 @@ def decay_value(delta_us, tau_us):
     return vp if vp.shape else float(vp)
 
 
+def _decay_into(out: np.ndarray, stamps: np.ndarray, t_query: int, tau_us,
+                index: np.ndarray | None = None) -> None:
+    """Gather, age, `_decay`, scatter: write the decay at t_query of every
+    filled slot of the flat array stamps, or of stamps[index], to the same
+    position of the flat array out. Empty slots leave out as it is."""
+    if index is not None:
+        stamps = stamps[index]
+    live = np.flatnonzero(stamps != EMPTY_SLOT)
+    # ages are exact in the uint64 subtraction and rounded once into float64
+    age = (np.uint64(t_query) - stamps[live]).astype(np.float64)
+    out[live if index is None else index[live]] = _decay(age, tau_us)
+
+
 @dataclass
 class ToreState:
     """Per-pixel, per-polarity FIFO queues of absolute event timestamps.
@@ -187,27 +200,99 @@ class ToreState:
         # one channel at a time keeps the float64 temporaries small
         for stamps, values in zip(self.fifo.reshape(self.num_channels, -1),
                                   out.reshape(self.num_channels, -1)):
-            live = np.flatnonzero(stamps != EMPTY_SLOT)
-            # ages are exact in the uint64 subtraction and rounded once into float64
-            age = (np.uint64(t_query) - stamps[live]).astype(np.float64)
-            values[live] = _decay(age, self.tau_us)
+            _decay_into(values, stamps, t_query, self.tau_us)
         return ToreVolume(geometry=self.geometry, data=out, query_time_us=int(t_query))
+
+
+class WindowFrame:
+    """The state at the end of one window of `window_frames`, decayed only
+    as far as a reader asks.
+
+    A frame is valid until the next frame is drawn; a read after that
+    raises RuntimeError, so a frame never returns another window's values.
+    `data` materializes the whole 2K-channel volume (what a trained mask
+    backend needs). `activity` equals `data.max(axis=0)` bit for bit, yet
+    decays only each pixel's newest stamp over both polarities (channels 0
+    and K): float32 decay never rises with age. `masked(mask)` equals
+    `gating.apply_mask` of that volume, yet decays only the mask's pixels.
+    """
+
+    def __init__(self, state: ToreState, query_time_us: int):
+        self._state: ToreState | None = state
+        self.geometry = state.geometry
+        self.query_time_us = query_time_us
+
+    def _live_state(self) -> ToreState:
+        if self._state is None:
+            raise RuntimeError(f"frame at {self.query_time_us}us read after the next "
+                               "frame was drawn")
+        return self._state
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._live_state().materialize(self.query_time_us).data
+
+    @property
+    def activity(self) -> np.ndarray:
+        """(H, W) float32: the decay of each pixel's newest stamp."""
+        state = self._live_state()
+        fifo = state.fifo.reshape(state.num_channels, -1)
+        # EMPTY_SLOT + 1 wraps to 0, below every filled stamp + 1, so this is
+        # the newer filled stamp of the two polarities, or EMPTY_SLOT if neither is
+        one = np.uint64(1)
+        newest = np.maximum(fifo[0] + one, fifo[state.k] + one) - one
+        out = np.zeros(self.geometry.num_pixels, dtype=np.float32)
+        _decay_into(out, newest, self.query_time_us, state.tau_us)
+        return out.reshape(self.geometry.height, self.geometry.width)
+
+    def masked(self, mask: np.ndarray) -> "ToreVolume":
+        """The volume inside the bool (H, W) mask and exactly 0 outside it."""
+        state = self._live_state()
+        pixels = np.flatnonzero(self.geometry.check_shape("mask", np.asarray(mask)))
+        hw, channels = self.geometry.num_pixels, state.num_channels
+        out = np.zeros(channels * hw, dtype=np.float32)
+        fifo = state.fifo.reshape(-1)
+        # blocks of at most half a channel's slots: the temporaries stay below
+        # materialize's whatever K is, and small enough beside the output that
+        # freeing them does not make malloc trim the heap (and fault it back
+        # in) every window
+        block = max(1, hw // 2 // max(1, pixels.size))
+        index = (np.arange(block)[:, None] * hw + pixels).reshape(-1)
+        for c0 in range(0, channels, block):
+            n = min(block, channels - c0) * pixels.size
+            _decay_into(out[c0 * hw:], fifo[c0 * hw:], self.query_time_us, state.tau_us,
+                        index[:n])
+        return ToreVolume(geometry=self.geometry, data=out.reshape(state.fifo.shape),
+                          query_time_us=self.query_time_us)
+
+
+def window_frames(s: EventStream | events.EventFile, k: int, tau_us: int, window_us: int,
+                  origin_us: int = 0):
+    """An iterator of a `WindowFrame` at the end of each window of
+    events.iter_windows over s, a stream or an EVT1 file. One state ingests
+    the windows in order: drawing a frame ingests its window and ends the
+    frame before it. The settings and the window bounds are checked when
+    this is called, before the first frame is drawn."""
+    state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
+    return _frames(state, events.iter_windows(s, window_us, origin_us))
+
+
+def _frames(state: ToreState, windows):
+    frame = None
+    for end_us, window in windows:
+        if frame is not None:
+            frame._state = None
+        state.ingest_stream(window)
+        frame = WindowFrame(state, end_us)
+        yield frame
 
 
 def window_volumes(s: EventStream | events.EventFile, k: int, tau_us: int, window_us: int,
                    origin_us: int = 0):
-    """An iterator of the volume at the end of each window of
-    events.iter_windows over s, a stream or an EVT1 file; one state ingests
-    the windows in order. The settings and the window bounds are checked
-    when this is called, before the first volume is drawn."""
-    state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
-    return _volumes(state, events.iter_windows(s, window_us, origin_us))
-
-
-def _volumes(state: ToreState, windows):
-    for end_us, window in windows:
-        state.ingest_stream(window)
-        yield state.materialize(end_us)
+    """`window_frames` with each frame's whole volume materialized: an
+    iterator of fresh `ToreVolume`s, checked as window_frames checks."""
+    frames = window_frames(s, k, tau_us, window_us, origin_us)
+    return (ToreVolume(f.geometry, f.data, f.query_time_us) for f in frames)
 
 
 @dataclass(frozen=True)
@@ -224,6 +309,11 @@ class ToreVolume:
     @property
     def num_channels(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def activity(self) -> np.ndarray:
+        """(H, W) float32: each pixel's maximum over the channels."""
+        return self.data.max(axis=0)
 
 
 # -- tensor container -----------------------------------------------------------

@@ -49,6 +49,7 @@ from .errors import (
     GeometryMismatch,
     LengthMismatch,
     ZeroMass,
+    check_budget,
     check_range,
     from_file,
 )
@@ -366,9 +367,12 @@ def head_depth_mm(s: SkeletonFrame, cam: CameraModel) -> float:
 
 
 def check_heatmap_settings(resolution: int, sigma: float) -> None:
-    """Raise ConfigError unless make_heatmaps takes resolution and sigma."""
+    """Raise ConfigError unless make_heatmaps takes resolution and sigma:
+    a label's three float64 planes per joint must fit the byte budget."""
     if resolution < 8:
         raise ConfigError(f"resolution must be >= 8, got {resolution}")
+    check_budget("heatmap_resolution", resolution,
+                 3 * len(JOINT_NAMES_13) * resolution * resolution * 8)
     if not 0 < sigma < math.inf:
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
 

@@ -310,3 +310,43 @@ def frames_to_events_whole_clip(f, p):
     pix = pix[order]
     return EventStream(f.geometry, ts[order], (pix % w).astype(np.uint16),
                        (pix // w).astype(np.uint16), ps[order])
+
+
+def schedule_rule_problems(entries, beta, backend_calls):
+    """The early-exit rules a schedule.csv breaks, one message each: rows
+    number the frames 0, 1, 2, ..., frame 0 recomputes, a frame reuses only
+    when its score is >= beta, and the recomputes equal the backend calls
+    the run reported."""
+    problems = []
+    for i, (frame, recompute, score) in enumerate(entries):
+        if frame != i:
+            problems.append(f"row {i} numbers frame {frame}")
+        if i == 0 and not recompute:
+            problems.append("frame 0 reuses")
+        if not recompute and not score >= beta:
+            problems.append(f"frame {i} reuses at score {score} < beta {beta}")
+    recomputes = sum(bool(e[1]) for e in entries)
+    if recomputes != backend_calls:
+        problems.append(f"{recomputes} recomputes but {backend_calls} backend calls")
+    return problems
+
+
+def replay_schedule(volumes, backend, entries, beta):
+    """The list of masks a schedule used, one per row, replayed from its rows.
+
+    A recompute row calls backend.predict on its own frame's volume; a reuse
+    row takes the newest plan's mask at its offset from that plan's frame.
+    Asserts that every row's score is its plan's, and that a row recomputes
+    exactly when no plan covers it with a score >= beta.
+    """
+    masks = []
+    plan, start = None, 0
+    for i, (vol, (frame, recompute, score)) in enumerate(zip(volumes, entries)):
+        covered = (plan is not None and i - start < plan.horizon
+                   and plan.scores[i - start] >= beta)
+        assert bool(recompute) != covered, f"frame {frame}: recompute {recompute}"
+        if recompute:
+            plan, start = backend.predict(vol), i
+        assert score == float(plan.scores[i - start]), f"frame {frame}: score {score}"
+        masks.append(plan.masks[i - start])
+    return masks

@@ -165,6 +165,9 @@ class TestCheckBudget:
             gating.ExternalMaskBackend(np.zeros((2, GEO.height, GEO.width), bool), 10, 0, big)
         with pytest.raises(ConfigError, match=f"^horizon = {big} asks for {8 * 10**6 * big} "):
             gating.ExternalMaskBackend(np.zeros((10**6, 1, 1), bool), 10, 0, big)
+        with pytest.raises(ConfigError, match=f"^heatmap_resolution = {big} asks for "
+                                              f"{3 * 13 * big * big * 8} "):
+            sim.make_heatmaps(np.zeros((1, 3)), resolution=big)
 
 
 def _transposed(ndim):

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import camera as cam_mod
 from evpose import cli
@@ -23,6 +28,8 @@ from oracles import (
     frames_to_events_whole_clip,
     interpolate_whole_clip,
     random_stream,
+    replay_schedule,
+    schedule_rule_problems,
     tore_brute_force,
 )
 
@@ -326,6 +333,9 @@ class TestSimulateStreaming:
         (["--background", "frames"], "masks and background must be given together"),
         (["--theta-pos", "0"], "contrast thresholds must be positive"),
         (["--heatmap-resolution", "4"], "resolution must be >= 8, got 4"),
+        # 3 planes of 13 joints of 10^10 float64 cells
+        (["--heatmap-resolution", "100000"],
+         "heatmap_resolution = 100000 asks for 3120000000000 bytes"),
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, extra, message):
         write_frame_dir(tmp_path / "frames", np.linspace(0.1, 0.9, 4)[:, None, None]
@@ -526,6 +536,77 @@ class TestFilterCommand:
         # scores default to 1.0, so beta=1 still reuses: plan masks line up
         # with the externally supplied stack
         assert np.array_equal(used, masks)
+
+
+class TestFilterDifferential:
+    """`filter` end to end against the oracles on tiny random inputs: each
+    masked tensor is `apply_mask` of the full-history replay at its window's
+    end under that window's mask from masks.msk1, schedule.csv keeps the
+    early-exit rules, and replaying it with the backend gives masks.msk1."""
+
+    GEO = ev.SensorGeometry(9, 7)
+
+    # beta is often a score the backends give (the reference's 1.0, 0.9, ...,
+    # 0.2 and the external default 1.0), where reuse turns on >= beta
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 200), k=st.integers(1, 5),
+           tau_us=st.sampled_from([2, 40, 3_000, rep.DEFAULT_TAU_US]),
+           window=st.integers(2_000, 40_000), origin=st.integers(0, 60_000),
+           beta=st.one_of(st.sampled_from([0.0, 0.2, 0.8, 0.85, 1.0]), st.floats(0, 1)),
+           horizon=st.integers(1, 6), percentile=st.floats(0, 100),
+           backend=st.sampled_from(["reference", "external", "external_scored"]),
+           seed=st.integers(0, 2**16))
+    def test_outputs_match_oracles(self, n, k, tau_us, window, origin, beta, horizon,
+                                   percentile, backend, seed):
+        rng = np.random.default_rng(seed)
+        s = random_stream(rng, self.GEO, n, duration_us=100_000)
+        ends = []
+        if n and int(s.t[-1]) >= origin:
+            count = (int(s.t[-1]) - origin) // window + 1
+            ends = [origin + (i + 1) * window for i in range(count)]
+        with tempfile.TemporaryDirectory() as d:
+            tmp = Path(d)
+            ev.write_stream(tmp / "in.evt1", s)
+            out = tmp / "out"
+            argv = ["filter", "--events", str(tmp / "in.evt1"), "--out", str(out),
+                    "--k", str(k), "--tau-us", str(tau_us), "--window-us", str(window),
+                    "--origin-us", str(origin), "--beta", repr(beta),
+                    "--horizon", str(horizon), "--activity-percentile", repr(percentile)]
+            if backend == "reference":
+                oracle_backend = gating.ReferenceMaskBackend(horizon, percentile)
+            else:
+                masks = rng.random((len(ends) + int(rng.integers(1, 4)), 7, 9)) > 0.6
+                gating.write_masks(tmp / "ext.msk1", self.GEO, masks)
+                argv += ["--external-masks", str(tmp / "ext.msk1")]
+                scores = None
+                if backend == "external_scored":
+                    np.savetxt(tmp / "ext.csv", rng.random((len(masks), horizon)), delimiter=",")
+                    argv += ["--external-scores", str(tmp / "ext.csv")]
+                    scores = np.loadtxt(tmp / "ext.csv", delimiter=",", ndmin=2)
+                oracle_backend = gating.ExternalMaskBackend(masks, window, origin, horizon,
+                                                            scores)
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert cli.main(argv) == 0
+            calls = int(printed.getvalue().split(", ")[1].split()[0])
+
+            _, used = gating.read_masks(out / "masks.msk1")
+            entries = gating.read_schedule_csv(out / "schedule.csv")
+            assert len(used) == len(entries) == len(ends)
+            assert sorted(p.name for p in out.glob("masked_*.tore")) == \
+                [f"masked_{i:05d}.tore" for i in range(len(ends))]
+            volumes = []
+            for i, end in enumerate(ends):
+                i0, i1 = np.searchsorted(s.t, [origin, end])
+                vol = rep.ToreVolume(self.GEO, tore_brute_force(s[i0:i1], k, tau_us, end), end)
+                assert (out / f"masked_{i:05d}.tore").read_bytes() == \
+                    rep.serialize_tensor(gating.apply_mask(vol, used[i]).data)
+                volumes.append(vol)
+        assert schedule_rule_problems(entries, beta, calls) == []
+        replayed = replay_schedule(volumes, oracle_backend, entries, beta)
+        assert len(replayed) == len(used)
+        for mask, want in zip(replayed, used):
+            assert np.array_equal(mask, want)
 
 
 class TestFilterStreaming:

@@ -1,10 +1,12 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evpose import gating
 from evpose import representations as rep
 from evpose.errors import (
     BadMagic,
@@ -460,6 +462,91 @@ class TestDecayOrdering:
         vol = state.materialize(state.last_t + lag).data.view(np.uint32)  # bitwise
         for c0 in (0, k):
             assert np.array_equal(vol[c0], vol[c0:c0 + k].max(axis=0))
+
+
+def filled_state(geometry, k, tau_us, fill, t_query, rng):
+    """A state whose FIFO holds, in each (polarity, pixel) column, a
+    newest-first run of stamps and then empty slots, a share `fill` of all
+    slots filled. Ages at t_query are 0, up to tau**0.3 (where decay
+    saturates at 1), tau or more (where it reads 0) or anywhere between."""
+    state = rep.ToreState(geometry, k=k, tau_us=tau_us)
+    shape = (2, k, geometry.num_pixels)  # polarity, slot, pixel
+    kind = rng.integers(0, 4, shape)
+    age = np.select([kind == 0, kind == 1, kind == 2],
+                    [0, rng.integers(1, int(tau_us**0.3) + 1, shape),
+                     rng.integers(tau_us, 3 * tau_us, shape)],
+                    rng.integers(0, 3 * tau_us, shape))
+    stamps = (t_query - np.sort(age, axis=1)).astype(np.uint64)
+    counts = rng.binomial(k, fill, (2, 1, geometry.num_pixels))
+    stamps[np.arange(k)[None, :, None] >= counts] = rep.EMPTY_SLOT
+    state.fifo[...] = stamps.reshape(state.fifo.shape)
+    return state
+
+
+class TestWindowFrame:
+    GEO = SensorGeometry(23, 17)
+    TAU = 1_000
+    T = 10**6
+
+    @pytest.mark.parametrize("k", [1, 5])  # at K = 1 channels 0 and K are adjacent
+    @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
+    def test_activity_is_channel_maximum(self, rng, k, fill):
+        state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
+        want = state.materialize(self.T)
+        got = rep.WindowFrame(state, self.T).activity
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.data.max(axis=0).view(np.uint32))
+        assert np.array_equal(want.activity.view(np.uint32), got.view(np.uint32))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("cover", ["empty", "full", "random"])
+    def test_masked_is_apply_mask(self, rng, k, fill, cover):
+        state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
+        mask = {"empty": np.zeros((self.GEO.height, self.GEO.width), bool),
+                "full": np.ones((self.GEO.height, self.GEO.width), bool),
+                "random": rng.random((self.GEO.height, self.GEO.width)) < 0.3}[cover]
+        want = gating.apply_mask(state.materialize(self.T), mask)
+        got = rep.WindowFrame(state, self.T).masked(mask)
+        assert (got.geometry, got.query_time_us) == (self.GEO, self.T)
+        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+
+    def test_data_is_materialize(self, rng):
+        state = filled_state(self.GEO, 3, self.TAU, 0.5, self.T, rng)
+        assert np.array_equal(rep.WindowFrame(state, self.T).data,
+                              state.materialize(self.T).data)
+
+    def test_frame_read_after_the_next_is_drawn_raises(self, small_geometry, rng):
+        s = random_stream(rng, small_geometry, 400, duration_us=60_000)
+        frames = rep.window_frames(s, 2, TAU, 20_000)
+        first = next(frames)
+        assert np.array_equal(first.data, tore_brute_force(s[:np.searchsorted(s.t, 20_000)],
+                                                           2, TAU, 20_000))
+        second = next(frames)
+        mask = np.ones((small_geometry.height, small_geometry.width), bool)
+        for read in (lambda f: f.data, lambda f: f.activity, lambda f: f.masked(mask)):
+            with pytest.raises(RuntimeError, match="read after the next frame was drawn"):
+                read(first)
+        assert first.query_time_us == 20_000
+        *_, last = [second, *frames]
+        # the last frame stays valid once the windows run out
+        assert np.array_equal(last.data, tore_brute_force(s, 2, TAU, last.query_time_us))
+
+    def test_masked_temporaries_do_not_grow_with_k(self, rng):
+        geometry = SensorGeometry(64, 48)
+        mask = rng.random((geometry.height, geometry.width)) < 0.2
+        peaks = {}
+        for k in (4, 64):
+            frame = rep.WindowFrame(filled_state(geometry, k, self.TAU, 0.5, self.T, rng),
+                                    self.T)
+            tracemalloc.start()
+            try:
+                frame.masked(mask)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output_bytes = 2 * 64 * geometry.num_pixels * 4
+        assert peaks[64] - peaks[4] <= output_bytes
 
 
 class TestTensorContainer:
