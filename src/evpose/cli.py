@@ -177,10 +177,8 @@ def cmd_simulate(args) -> int:
         sim.write_skeleton_csv(out_dir / "skeleton.csv", skeletons)
         cam_mod.save_camera(out_dir / "camera.txt", cam)
         for s, norm in zip(skeletons, labels):
-            triplets = sim.make_heatmaps(norm, *heatmap)
-            stack = np.concatenate([np.stack([t.xy, t.xz, t.zy]) for t in triplets])
             rep.write_tensor(out_dir / f"heatmaps_{s.t_us:012d}.tore",
-                             stack.astype(np.float32))
+                             sim.make_heatmaps(norm, *heatmap).astype(np.float32))
     _write_config(config, args.manifest, out_dir / "manifest.cfg", echo=True)
     return 0
 

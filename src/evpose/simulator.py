@@ -54,7 +54,7 @@ from .errors import (
     from_file,
 )
 from .events import EventStream, SensorGeometry, freeze, read_table, table_writer
-from .pose_math import HeatmapTriplet, cell_centers
+from .pose_math import cell_centers
 
 JOINT_NAMES_13 = (
     "head",
@@ -318,7 +318,12 @@ def _synthesize(prev, cur, frames, geometry, fps, p, noise_rate):
         if parts:
             ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
             ts = np.rint(ts).astype(np.uint64)
-            order = np.argsort(ts, kind="stable")
+            # every rounded timestamp lies in [t0, t1]: t0 and t1 are whole
+            # floats and t0 + frac * (t1 - t0) rounds monotonically, as does
+            # uniform(t0, t1); so the offsets fit t1 - t0's type, uint16 at
+            # video rates, whose stable sort is a radix sort
+            order = np.argsort((ts - np.uint64(t0)).astype(np.min_scalar_type(t1 - t0)),
+                               kind="stable")
             pix = pix[order]
             yield ts[order], (pix % w).astype(np.uint16), (pix // w).astype(np.uint16), ps[order]
         prev, l_prev = cur, l_new
@@ -377,7 +382,7 @@ def check_heatmap_settings(resolution: int, sigma: float) -> None:
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
 
 
-# the heatmap planes in HeatmapTriplet's order, and the joint coordinate
+# the heatmap planes in make_heatmaps' order, and the joint coordinate
 # each one's col and row axes carry
 _PLANES = ("xy", "xz", "zy")
 _COLS, _ROWS = np.array([0, 0, 2]), np.array([1, 2, 1])
@@ -401,25 +406,31 @@ def check_heatmap_mass(joints_norm: np.ndarray, resolution: int, sigma: float) -
 
 
 def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
-                  sigma: float = HEATMAP_SIGMA) -> list[HeatmapTriplet]:
-    """Gaussian marginal heatmaps of normalized joints, one triplet each.
+                  sigma: float = HEATMAP_SIGMA) -> np.ndarray:
+    """Gaussian marginal heatmaps of normalized joints as one (3J, R, R)
+    float64 stack, joint-major: plane 3j + i is joint j's xy, xz or zy
+    plane for i = 0, 1, 2, its columns carrying the first coordinate and
+    its rows the second.
 
     sigma is in grid cells; every plane is normalized to sum to 1, and one
-    with no mass is a ZeroMass error (check_heatmap_mass).
+    with no mass is a ZeroMass error (check_heatmap_mass). Each cell is
+    exp(-((c - a)^2 + (c' - b)^2) / (2 sig^2)), built in place in the
+    stack, so the stack is the only allocation that grows with R^2.
     """
     check_heatmap_settings(resolution, sigma)
     joints = np.asarray(joints_norm, dtype=np.float64)
     check_heatmap_mass(joints, resolution, sigma)
     centers = cell_centers(resolution)
     sig = sigma * 2.0 / resolution
-
-    def plane(a: float, b: float) -> np.ndarray:
-        # col axis carries a, row axis carries b
-        g = np.exp(-((centers[None, :] - a) ** 2 + (centers[:, None] - b) ** 2)
-                   / (2.0 * sig * sig))
-        return g / g.sum()
-
-    return [HeatmapTriplet(*map(plane, j[_COLS], j[_ROWS])) for j in joints]
+    # per plane, squared distances along the col axis (to a) and the row axis (to b)
+    da = (centers[None, :] - joints[:, _COLS].reshape(-1, 1)) ** 2
+    db = (centers[None, :] - joints[:, _ROWS].reshape(-1, 1)) ** 2
+    g = np.add(da[:, None, :], db[:, :, None])
+    np.negative(g, out=g)
+    np.divide(g, 2.0 * sig * sig, out=g)
+    np.exp(g, out=g)
+    g /= g.reshape(len(g), -1).sum(axis=1)[:, None, None]
+    return g
 
 
 # -- skeleton CSV ---------------------------------------------------------------------

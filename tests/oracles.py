@@ -350,3 +350,21 @@ def replay_schedule(volumes, backend, entries, beta):
         assert score == float(plan.scores[i - start]), f"frame {frame}: score {score}"
         masks.append(plan.masks[i - start])
     return masks
+
+
+def heatmaps_per_plane(joints_norm, resolution, sigma):
+    """Each joint's xy, xz and zy Gaussian planes built one at a time, each
+    divided by its own sum, stacked joint-major as (3J, R, R)."""
+    from evpose.pose_math import cell_centers
+
+    centers = cell_centers(resolution)
+    sig = sigma * 2.0 / resolution
+
+    def plane(a, b):
+        # col axis carries a, row axis carries b
+        g = np.exp(-((centers[None, :] - a) ** 2 + (centers[:, None] - b) ** 2)
+                   / (2.0 * sig * sig))
+        return g / g.sum()
+
+    return np.stack([plane(x, y) for jx, jy, jz in np.asarray(joints_norm, dtype=np.float64)
+                     for x, y in ((jx, jy), (jx, jz), (jz, jy))])

@@ -538,6 +538,40 @@ class TestFilterCommand:
         assert np.array_equal(used, masks)
 
 
+class TestToreDifferential:
+    """`tore` end to end against the oracle on tiny random inputs: one tensor
+    per window from the origin to the last event, each the full-history
+    replay at its window's end, bit for bit."""
+
+    GEO = ev.SensorGeometry(9, 7)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 200), k=st.integers(1, 5),
+           tau_us=st.sampled_from([2, 40, 3_000, rep.DEFAULT_TAU_US]),
+           window=st.integers(2_000, 40_000), origin=st.integers(0, 60_000),
+           seed=st.integers(0, 2**16))
+    def test_tensors_match_oracle(self, n, k, tau_us, window, origin, seed):
+        s = random_stream(np.random.default_rng(seed), self.GEO, n, duration_us=100_000)
+        ends = []
+        if n and int(s.t[-1]) >= origin:
+            count = (int(s.t[-1]) - origin) // window + 1
+            ends = [origin + (i + 1) * window for i in range(count)]
+        with tempfile.TemporaryDirectory() as d:
+            tmp = Path(d)
+            ev.write_stream(tmp / "in.evt1", s)
+            out = tmp / "out"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["tore", "--events", str(tmp / "in.evt1"), "--out", str(out),
+                                 "--k", str(k), "--tau-us", str(tau_us),
+                                 "--window-us", str(window), "--origin-us", str(origin)]) == 0
+            assert sorted(p.name for p in out.glob("tore_*.tore")) == \
+                [f"tore_{i:05d}.tore" for i in range(len(ends))]
+            for i, end in enumerate(ends):
+                i0, i1 = np.searchsorted(s.t, [origin, end])
+                assert (out / f"tore_{i:05d}.tore").read_bytes() == \
+                    rep.serialize_tensor(tore_brute_force(s[i0:i1], k, tau_us, end))
+
+
 class TestFilterDifferential:
     """`filter` end to end against the oracles on tiny random inputs: each
     masked tensor is `apply_mask` of the full-history replay at its window's

@@ -107,8 +107,10 @@ class TestFusePlanes:
         resolution = 64
         cell = 2.0 / resolution
         joints = rng.uniform(-0.7, 0.7, size=(6, 3))
-        for joint, t in zip(joints, make_heatmaps(joints, resolution, sigma=2.0)):
-            recovered = pm.fuse_planes(t)
+        stack = make_heatmaps(joints, resolution, sigma=2.0)
+        for j, joint in enumerate(joints):
+            # joint j's xy, xz and zy planes are stack[3j + plane]
+            recovered = pm.fuse_planes(pm.HeatmapTriplet(*stack[3 * j:3 * j + 3]))
             assert np.all(np.abs(recovered - joint) <= 0.5 * cell)
 
 

@@ -1,9 +1,13 @@
+import dataclasses
+import functools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import simulator as sim
 from evpose.camera import (
@@ -26,10 +30,15 @@ from evpose.errors import (
     LengthMismatch,
     ZeroMass,
 )
-from evpose.events import SensorGeometry, serialize_stream
-from evpose.pose_math import cell_centers, denormalize, soft_argmax
+from evpose.events import EventStream, SensorGeometry, serialize_stream
+from evpose.pose_math import DISTRIBUTION_ATOL, cell_centers, denormalize, soft_argmax
 
-from oracles import frames_to_events_direct, frames_to_events_whole_clip, interpolate_whole_clip
+from oracles import (
+    frames_to_events_direct,
+    frames_to_events_whole_clip,
+    heatmaps_per_plane,
+    interpolate_whole_clip,
+)
 
 GEO = SensorGeometry(width=16, height=12)
 
@@ -335,6 +344,33 @@ class TestFramesToEvents:
         assert serialize_stream(got) == serialize_stream(
             frames_to_events_whole_clip(interpolate_whole_clip(f, 2), params))
 
+    @pytest.mark.parametrize("fps, offset_type", [
+        (10_000.0, np.uint8), (100.0, np.uint16), (10.0, np.uint32)])
+    def test_interval_sort_at_each_offset_width_matches_whole_clip_oracle(
+            self, rng, fps, offset_type):
+        """Each interval is sorted by its offsets from t0 in the smallest type
+        that holds t1 - t0; its chunks still join to the one global stable
+        sort, with crossings and noise tied on some rounded microseconds."""
+        geometry = SensorGeometry(32, 24)
+        f = sim.FrameSequence(geometry, fps, rng.uniform(0.05, 0.95, (5, 24, 32)))
+        interval_us = f.frame_time_us(1)
+        assert np.min_scalar_type(interval_us) == offset_type
+        # about 500 noise events per interval, whatever its length
+        rate_hz = 1.3e6 / interval_us
+        params = sim.PixelModelParams(theta_pos=0.1, theta_neg=0.13, shot_noise_scale=rate_hz,
+                                      hot_pixels=((2, 3), (30, 20)),
+                                      hot_pixel_rate_hz=10 * rate_hz, seed=5)
+        chunks = list(sim.iter_events(f.frames, geometry, fps, params))
+        got = EventStream(geometry, *(np.concatenate(col) for col in zip(*chunks)))
+        assert serialize_stream(got) == serialize_stream(frames_to_events_whole_clip(f, params))
+        # the noise draws do not depend on the thresholds, so these two runs
+        # hold the crossings and the noise of the run above
+        crossings = sim.frames_to_events(f, dataclasses.replace(
+            params, shot_noise_scale=0.0, hot_pixel_rate_hz=0.0))
+        noise = sim.frames_to_events(f, dataclasses.replace(params, theta_pos=1e9, theta_neg=1e9))
+        assert len(crossings) + len(noise) == len(got)
+        assert np.intersect1d(crossings.t, noise.t).size > 0
+
     def test_peak_memory_is_per_frame_not_per_clip(self):
         # a slow edge: the bright side advances by 0.16 px a frame
         n, geometry = 400, SensorGeometry(64, 48)
@@ -465,11 +501,30 @@ class TestNormalization:
             view_half_extents(simple_camera(), z_ref)
 
 
+@functools.lru_cache(maxsize=64)
+def mass_edge(resolution, sigma):
+    """The last depth b whose plane centred at col 0, row b keeps mass, and
+    the next float, which leaves none, found by summing whole planes."""
+    centers = cell_centers(resolution)
+    sig = sigma * 2.0 / resolution
+
+    def mass(a, b):
+        return np.exp(-((centers[None, :] - a) ** 2 + (centers[:, None] - b) ** 2)
+                      / (2.0 * sig * sig)).sum()
+
+    inside, outside = 1.0, 1e3
+    while np.nextafter(inside, outside) < outside:
+        mid = (inside + outside) / 2
+        inside, outside = (mid, outside) if mass(0.0, mid) > 0 else (inside, mid)
+    assert mass(0.0, outside) == 0 < mass(0.0, inside)
+    return inside, outside
+
+
 class TestHeatmaps:
     def test_centered_joint(self):
-        triplets = sim.make_heatmaps(np.zeros((1, 3)), resolution=16, sigma=2.0)
-        t = triplets[0]
-        for _, grid in t.planes():
+        stack = sim.make_heatmaps(np.zeros((1, 3)), resolution=16, sigma=2.0)
+        assert stack.shape == (3, 16, 16) and stack.dtype == np.float64
+        for grid in stack:
             assert abs(grid.sum() - 1.0) < 1e-6
             assert np.allclose(soft_argmax(grid), [0.0, 0.0], atol=1e-12)
             # symmetric plateau around the center for even resolutions
@@ -477,40 +532,74 @@ class TestHeatmaps:
 
     def test_sums_to_one(self, rng):
         joints = rng.uniform(-0.8, 0.8, size=(13, 3))
-        for t in sim.make_heatmaps(joints, resolution=32, sigma=1.5):
-            for _, grid in t.planes():
-                assert abs(grid.sum() - 1.0) < 1e-6
+        stack = sim.make_heatmaps(joints, resolution=32, sigma=1.5)
+        assert stack.shape == (39, 32, 32)
+        for grid in stack:
+            assert abs(grid.sum() - 1.0) < 1e-6
 
     def test_soft_argmax_recovers_joint(self, rng):
         resolution = 64
         cell = 2.0 / resolution
         joints = rng.uniform(-0.7, 0.7, size=(8, 3))
-        triplets = sim.make_heatmaps(joints, resolution=resolution, sigma=2.0)
-        for (x, y, z), t in zip(joints, triplets):
-            ax, ay = soft_argmax(t.xy)
-            bx, bz = soft_argmax(t.xz)
-            cz, cy_ = soft_argmax(t.zy)
+        stack = sim.make_heatmaps(joints, resolution=resolution, sigma=2.0)
+        for j, (x, y, z) in enumerate(joints):
+            xy, xz, zy = stack[3 * j:3 * j + 3]
+            ax, ay = soft_argmax(xy)
+            bx, bz = soft_argmax(xz)
+            cz, cy_ = soft_argmax(zy)
             for got, want in ((ax, x), (ay, y), (bx, x), (bz, z), (cz, z), (cy_, y)):
                 assert abs(got - want) <= 0.5 * cell
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n_joints=st.integers(1, 13),
+           resolution=st.sampled_from([8, 9, 33, 64]),
+           sigma=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 10.0]), st.floats(0.5, 10.0)))
+    def test_stack_is_the_per_plane_oracle_bit_for_bit(self, data, n_joints, resolution,
+                                                       sigma):
+        """Random joints in the cube, often one coordinate moved to either
+        side of the underflow edge: the stack equals the per-plane oracle's
+        bits, every plane is a distribution, and ZeroMass is raised exactly
+        when an oracle plane has no mass to divide by."""
+        inside, outside = mass_edge(resolution, sigma)
+        joints = np.reshape(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=3 * n_joints,
+                                               max_size=3 * n_joints)), (n_joints, 3))
+        edge = data.draw(st.none() | st.tuples(
+            st.integers(0, joints.size - 1), st.sampled_from([inside, -inside, outside, -outside])))
+        if edge is not None:
+            joints.flat[edge[0]] = edge[1]
+        with np.errstate(invalid="ignore"):
+            want = heatmaps_per_plane(joints, resolution, sigma)
+        if not np.isfinite(want).all():
+            with pytest.raises(ZeroMass):
+                sim.make_heatmaps(joints, resolution, sigma)
+            return
+        got = sim.make_heatmaps(joints, resolution, sigma)
+        assert got.shape == (3 * n_joints, resolution, resolution)
+        assert got.tobytes() == want.tobytes()
+        assert got.min() >= 0
+        assert np.all(np.abs(got.reshape(len(got), -1).sum(axis=1) - 1.0)
+                      <= DISTRIBUTION_ATOL)
+
+    def test_peak_memory_is_the_stack(self, rng):
+        # the operations run in place, so no R^2 temporary sits beside the stack
+        resolution = 256
+        joints = rng.uniform(-0.8, 0.8, size=(13, 3))
+        tracemalloc.start()
+        try:
+            stack = sim.make_heatmaps(joints, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.nbytes == 312 * resolution**2
+        assert peak <= 1.25 * stack.nbytes
 
     def test_mass_check_meets_the_grid_at_the_underflow_edge(self):
         """The last depth whose planes keep mass, and the next float, which
         leaves none, found by summing whole planes: the one-cell check agrees."""
         resolution, sigma = 16, 2.0
-        centers = cell_centers(resolution)
-        sig = sigma * 2.0 / resolution
-
-        def mass(a, b):
-            return np.exp(-((centers[None, :] - a) ** 2 + (centers[:, None] - b) ** 2)
-                          / (2.0 * sig * sig)).sum()
-
-        inside, outside = 1.0, 1e3
-        while np.nextafter(inside, outside) < outside:
-            mid = (inside + outside) / 2
-            inside, outside = (mid, outside) if mass(0.0, mid) > 0 else (inside, mid)
-        assert mass(0.0, outside) == 0 < mass(0.0, inside)
-        t = sim.make_heatmaps([[0.0, 0.0, inside]], resolution, sigma)[0]
-        for _, grid in t.planes():
+        inside, outside = mass_edge(resolution, sigma)
+        stack = sim.make_heatmaps([[0.0, 0.0, inside]], resolution, sigma)
+        for grid in stack:
             assert np.isfinite(grid).all() and abs(grid.sum() - 1.0) < 1e-6
         joints = np.zeros((3, 3))
         joints[1, 2] = outside
