@@ -29,7 +29,7 @@ from . import gating
 from . import metrics as met
 from . import representations as rep
 from . import simulator as sim
-from .errors import ConfigError, DataError, GeometryMismatch, from_file
+from .errors import ConfigError, DataError, GeometryMismatch, check_range, from_file
 
 
 # -- config file: `key = value` lines, each value a JSON scalar, # comments ---------
@@ -59,8 +59,8 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"config line {ln}: empty key")
         if lines.setdefault(key, ln) != ln:
             raise ConfigError(f"config line {ln}: key {key!r} repeats line {lines[key]}")
-        out[key] = None  # text that is not JSON fails as null does
-        with contextlib.suppress(json.JSONDecodeError):
+        out[key] = None  # text that is not JSON, or an int of too many digits, fails as null does
+        with contextlib.suppress(ValueError):
             out[key] = json.loads(val)
         if not isinstance(out[key], SCALARS):
             raise ConfigError(f"config line {ln}: cannot parse value {val!r} "
@@ -86,7 +86,7 @@ def _resolve(params: list[Param], args: argparse.Namespace) -> dict:
                 if key not in known:
                     raise ConfigError(f"unknown config key {key!r}")
                 want = known[key].type
-                if want is float and isinstance(val, int):
+                if want is float and type(val) is int and abs(val) <= sys.float_info.max:
                     val = float(val)
                 if not isinstance(val, want) or (want is not bool and isinstance(val, bool)):
                     raise ConfigError(f"config key {key!r} should be {want.__name__}")
@@ -97,6 +97,8 @@ def _resolve(params: list[Param], args: argparse.Namespace) -> dict:
         v = getattr(args, p.name)
         if v is not None:
             config[p.name] = v
+        if p.type is int and p.name in config:  # no setting needs more, nor can numpy hold it
+            check_range(p.name, config[p.name], -2**63, 2**64 - 1)
     missing = [p.name for p in params if p.required and p.name not in config]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")

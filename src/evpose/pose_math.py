@@ -1,10 +1,11 @@
 """Marginal-heatmap triangulation and training losses.
 
-A joint's 3D position is represented by three marginal heatmaps, one per
-coordinate plane. Grids are indexed [row, col] and each plane name gives
-the column axis first: xy holds col=x/row=y, xz holds col=x/row=z, zy
-holds col=z/row=y. Cell centers sit at (2k + 1) / R - 1 so a symmetric
-grid soft-argmaxes to exactly 0.
+A label's joints are represented by marginal heatmaps in one (3J, R, R)
+stack, the layout of every `heatmaps_*.tore` file: plane 3j + i is joint
+j's PLANES[i] plane. Grids are indexed [row, col] and a plane's name gives
+its column axis first: xy holds col=x/row=y, xz col=x/row=z, zy col=z/row=y
+(PLANE_COLS, PLANE_ROWS). Cell centers sit at (2k + 1) / R - 1 so a
+symmetric grid soft-argmaxes to exactly 0.
 
 Triangulation takes x and y from the xy plane and averages the two z
 readings (rows of xz, columns of zy). Losses: a per-block sum of L2
@@ -45,37 +46,31 @@ def cell_centers(resolution: int) -> np.ndarray:
     return (2.0 * np.arange(resolution) + 1.0) / resolution - 1.0
 
 
+# a joint's planes in stack order, and the coordinate (0 = x, 1 = y, 2 = z)
+# each one's columns and rows carry, read from its name
+PLANES = ("xy", "xz", "zy")
+PLANE_COLS, PLANE_ROWS = np.array([["xyz".index(c) for c in p] for p in PLANES]).T
+
+
 @dataclass(frozen=True)
-class HeatmapTriplet:
-    """Marginal heatmaps of one joint on the xy, xz and zy planes.
+class Heatmaps:
+    """A label's marginal heatmaps as one (3J, R, R) float64 stack, each
+    plane a square probability grid: non-negative, summing to 1 within
+    1e-6. Checked at construction, the error naming the joint and plane."""
 
-    Each plane is a square probability grid: non-negative, summing to 1
-    within 1e-6. Enforced at construction, so downstream consumers can
-    trust any triplet they receive.
-    """
-
-    xy: np.ndarray = field(repr=False)
-    xz: np.ndarray = field(repr=False)
-    zy: np.ndarray = field(repr=False)
+    stack: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = np.shape(self.xy)
-        for name in ("xy", "xz", "zy"):
-            g = freeze(self, name, np.float64)
-            if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape != shape:
-                raise InvalidDistribution(f"{name} plane must be square, got {g.shape}")
-            total = float(g.sum())
-            if not abs(total - 1.0) <= DISTRIBUTION_ATOL:  # NaN too
-                raise InvalidDistribution(f"{name} plane sums to {total:.9f}, expected 1")
-            if not g.min() >= 0:
-                raise InvalidDistribution(f"{name} plane has negative mass")
-
-    @property
-    def resolution(self) -> int:
-        return self.xy.shape[0]
-
-    def planes(self):
-        return (("xy", self.xy), ("xz", self.xz), ("zy", self.zy))
+        h = freeze(self, "stack", np.float64)
+        if h.ndim != 3 or len(h) % 3 or h.shape[1] != h.shape[2]:
+            raise InvalidDistribution(f"heatmaps must be (3J, R, R), got {h.shape}")
+        totals = h.sum(axis=(1, 2))
+        off = ~(np.abs(totals - 1.0) <= DISTRIBUTION_ATOL)  # NaN and +-inf too
+        for i in np.flatnonzero(off | (h < 0).any(axis=(1, 2))):
+            plane = f"joint {i // 3} {PLANES[i % 3]} plane"
+            if off[i]:
+                raise InvalidDistribution(f"{plane} sums to {totals[i]:.9f}, expected 1")
+            raise InvalidDistribution(f"{plane} has negative mass")
 
 
 @dataclass(frozen=True)
@@ -129,13 +124,11 @@ def soft_argmax_grad(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ab, jac
 
 
-def fuse_planes(t: HeatmapTriplet) -> np.ndarray:
-    """Triangulate (x, y, z): x and y from the xy plane, z averaged from
-    the xz rows and zy columns."""
-    x, y = soft_argmax(t.xy)
-    _, z_from_xz = soft_argmax(t.xz)
-    z_from_zy, _ = soft_argmax(t.zy)
-    return np.array([x, y, (z_from_xz + z_from_zy) / 2.0])
+def fuse_planes(h: Heatmaps) -> np.ndarray:
+    """Triangulate the (J, 3) joints: x and y from the xy plane, z averaged
+    from the xz rows and zy columns."""
+    xy, xz, zy = np.array([soft_argmax(g) for g in h.stack]).reshape(-1, 3, 2).transpose(1, 0, 2)
+    return np.column_stack([xy, (xz[:, 1] + zy[:, 0]) / 2.0])
 
 
 # -- divergences and elementwise losses -----------------------------------------
@@ -207,34 +200,32 @@ def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockPrediction:
-    """One refinement block's output: a pose and per-joint heatmaps."""
+    """One refinement block's output: a pose and its joints' heatmaps."""
 
     pose: np.ndarray = field(repr=False)             # (J, 3) normalized
-    heatmaps: Sequence[HeatmapTriplet] = field(repr=False)
+    heatmaps: Heatmaps = field(repr=False)
 
 
 def hpe_loss(blocks: Sequence[BlockPrediction], gt_pose: np.ndarray,
-             gt_heatmaps: Sequence[HeatmapTriplet]) -> float:
-    """Sum over blocks of L2 joint error plus the three per-plane JSDs.
+             gt_heatmaps: Heatmaps) -> float:
+    """Sum over blocks of L2 joint error plus the per-plane JSDs.
 
-    The L2 term sums Euclidean distances over joints within each block.
-    Zero exactly when every block reproduces the ground truth. Heatmap
-    validity (InvalidDistribution) is enforced by the HeatmapTriplet type.
+    The L2 term sums Euclidean distances over joints within each block,
+    then the JSDs follow in stack order. Zero exactly when every block
+    reproduces the ground truth; the Heatmaps type enforces validity.
     """
     gt = np.asarray(gt_pose, dtype=np.float64)
-    n_joints = gt.shape[0]
-    if len(gt_heatmaps) != n_joints:
-        raise LengthMismatch(
-            f"{len(gt_heatmaps)} ground-truth triplets for {n_joints} joints")
+    n_planes = 3 * gt.shape[0]
+    if len(gt_heatmaps.stack) != n_planes:
+        raise LengthMismatch(f"{len(gt_heatmaps.stack)} ground-truth planes for {n_planes}")
     total = 0.0
     for blk in blocks:
         pose = np.asarray(blk.pose, dtype=np.float64)
-        if pose.shape != gt.shape or len(blk.heatmaps) != n_joints:
+        if pose.shape != gt.shape or len(blk.heatmaps.stack) != n_planes:
             raise LengthMismatch("block prediction does not match ground truth shape")
         total += float(np.linalg.norm(pose - gt, axis=1).sum())
-        for pred_t, gt_t in zip(blk.heatmaps, gt_heatmaps):
-            for (_, hp), (_, hg) in zip(pred_t.planes(), gt_t.planes()):
-                total += jsd(hg, hp)
+        for hp, hg in zip(blk.heatmaps.stack, gt_heatmaps.stack):
+            total += jsd(hg, hp)
     return total
 
 

@@ -33,6 +33,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -54,7 +55,7 @@ from .errors import (
     from_file,
 )
 from .events import EventStream, SensorGeometry, freeze, read_table, table_writer
-from .pose_math import cell_centers
+from .pose_math import PLANE_COLS, PLANE_ROWS, PLANES, cell_centers
 
 JOINT_NAMES_13 = (
     "head",
@@ -77,9 +78,8 @@ class FrameSequence:
     frames: np.ndarray = field(repr=False)  # (T, H, W) in [0, 1]
 
     def __post_init__(self):
-        if not 0 < self.fps < math.inf:
-            raise FpsMismatch(f"fps must be positive and finite, got {self.fps}")
         f = self.geometry.check_shape("frames", freeze(self, "frames", np.float64), 3)
+        _check_frame_times(len(f), self.fps)
         check_range("frame intensities", f, 0, 1, DataError)
 
     def __len__(self) -> int:
@@ -91,6 +91,15 @@ class FrameSequence:
 
 def _frame_time_us(index: int, fps: float) -> int:
     return round(index * 1e6 / fps)
+
+
+def _check_frame_times(count: int, fps: float) -> None:
+    """Raise FpsMismatch unless fps is positive and finite and the last of
+    count frames, whose time interpolation keeps, has a u64 time in us."""
+    if not 0 < fps < math.inf:
+        raise FpsMismatch(f"fps must be positive and finite, got {fps}")
+    if not (count - 1) * 1e6 / fps < 2.0**64:  # a float below 2^64 rounds to itself
+        raise FpsMismatch(f"frame {count - 1} at fps {fps} lies past the u64 range of times")
 
 
 @dataclass(frozen=True)
@@ -382,12 +391,6 @@ def check_heatmap_settings(resolution: int, sigma: float) -> None:
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
 
 
-# the heatmap planes in make_heatmaps' order, and the joint coordinate
-# each one's col and row axes carry
-_PLANES = ("xy", "xz", "zy")
-_COLS, _ROWS = np.array([0, 0, 2]), np.array([1, 2, 1])
-
-
 def check_heatmap_mass(joints_norm: np.ndarray, resolution: int, sigma: float) -> None:
     """Raise ZeroMass, its `point` the first joint, unless every plane
     make_heatmaps builds of joints_norm has mass. Every step of a cell's
@@ -397,39 +400,39 @@ def check_heatmap_mass(joints_norm: np.ndarray, resolution: int, sigma: float) -
     joints = np.asarray(joints_norm, dtype=np.float64)
     near = ((cell_centers(resolution) - joints[..., None]) ** 2).min(axis=-1)
     sig = sigma * 2.0 / resolution
-    peak = np.exp(-(near[:, _COLS] + near[:, _ROWS]) / (2.0 * sig * sig))
+    peak = np.exp(-(near[:, PLANE_COLS] + near[:, PLANE_ROWS]) / (2.0 * sig * sig))
     for point, plane in np.argwhere(peak <= 0)[:1]:
-        err = ZeroMass(f"plane {_PLANES[plane]} at ({joints[point, _COLS[plane]]:.3f},"
-                       f"{joints[point, _ROWS[plane]]:.3f}) leaves no mass on the grid")
+        err = ZeroMass(f"plane {PLANES[plane]} at ({joints[point, PLANE_COLS[plane]]:.3f},"
+                       f"{joints[point, PLANE_ROWS[plane]]:.3f}) leaves no mass on the grid")
         err.point = int(point)
         raise err
 
 
 def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
                   sigma: float = HEATMAP_SIGMA) -> np.ndarray:
-    """Gaussian marginal heatmaps of normalized joints as one (3J, R, R)
-    float64 stack, joint-major: plane 3j + i is joint j's xy, xz or zy
-    plane for i = 0, 1, 2, its columns carrying the first coordinate and
-    its rows the second.
+    """Gaussian marginal heatmaps of normalized joints as the (3J, R, R)
+    float64 stack of `pose_math.Heatmaps`, laid out by its plane table.
 
     sigma is in grid cells; every plane is normalized to sum to 1, and one
-    with no mass is a ZeroMass error (check_heatmap_mass). Each cell is
-    exp(-((c - a)^2 + (c' - b)^2) / (2 sig^2)), built in place in the
-    stack, so the stack is the only allocation that grows with R^2.
+    with no mass is the ZeroMass error check_heatmap_mass raises. Each
+    cell is exp(-((c - a)^2 + (c' - b)^2) / (2 sig^2)), built in place in
+    the stack, so the stack is the only allocation that grows with R^2.
     """
     check_heatmap_settings(resolution, sigma)
     joints = np.asarray(joints_norm, dtype=np.float64)
-    check_heatmap_mass(joints, resolution, sigma)
     centers = cell_centers(resolution)
     sig = sigma * 2.0 / resolution
     # per plane, squared distances along the col axis (to a) and the row axis (to b)
-    da = (centers[None, :] - joints[:, _COLS].reshape(-1, 1)) ** 2
-    db = (centers[None, :] - joints[:, _ROWS].reshape(-1, 1)) ** 2
+    da = (centers[None, :] - joints[:, PLANE_COLS].reshape(-1, 1)) ** 2
+    db = (centers[None, :] - joints[:, PLANE_ROWS].reshape(-1, 1)) ** 2
     g = np.add(da[:, None, :], db[:, :, None])
     np.negative(g, out=g)
     np.divide(g, 2.0 * sig * sig, out=g)
     np.exp(g, out=g)
-    g /= g.reshape(len(g), -1).sum(axis=1)[:, None, None]
+    sums = g.reshape(len(g), -1).sum(axis=1)
+    if not sums.all():  # non-negative cells sum to 0 exactly when the peak the check reads is 0
+        check_heatmap_mass(joints, resolution, sigma)
+    g /= sums[:, None, None]
     return g
 
 
@@ -561,7 +564,7 @@ def list_frames(dirpath) -> FrameDirectory:
             if type(manifest[key]) is not int or manifest[key] <= 0:
                 raise DataError(f"{key} must be a positive integer, got {manifest[key]!r}")
         fps = manifest["fps"]
-        if type(fps) not in (int, float) or not 0 < fps < math.inf:
+        if type(fps) not in (int, float) or not 0 < fps <= sys.float_info.max:
             raise DataError(f"fps must be a positive number, got {fps!r}")
         fmt = manifest.get("format", "pgm")
         if fmt not in ("pgm", "f32"):
@@ -571,6 +574,8 @@ def list_frames(dirpath) -> FrameDirectory:
                    key=_numeric_key)
     if not names:
         raise DataError(f"no .{fmt} files in {dirpath}")
+    with from_file(mf):
+        _check_frame_times(len(names), fps)
     return FrameDirectory(dirpath, geometry, float(fps), fmt, tuple(names))
 
 

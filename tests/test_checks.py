@@ -237,6 +237,19 @@ class TestNonFiniteSettings:
         with pytest.raises(FpsMismatch):
             sim.FrameSequence(GEO, fps, np.zeros((2, GEO.height, GEO.width)))
 
+    def test_frame_times_fit_u64(self):
+        frames = np.stack([np.zeros((GEO.height, GEO.width)), np.ones((GEO.height, GEO.width))])
+        with pytest.raises(FpsMismatch, match="^frame 1 at fps 1e-14 lies past the u64 range"):
+            sim.FrameSequence(GEO, 1e-14, frames)
+        edge = 1e6 / 2**64  # frame 1 at 2^64 us
+        with pytest.raises(FpsMismatch, match="^frame 1 at fps "):
+            sim.FrameSequence(GEO, edge, frames)
+        # the next fps puts frame 1 at the last float below 2^64, and its events fit u64
+        f = sim.FrameSequence(GEO, float(np.nextafter(edge, 1.0)), frames)
+        assert f.frame_time_us(1) == 2**64 - 2048
+        stream = sim.frames_to_events(f, sim.PixelModelParams())
+        assert len(stream) and int(stream.t.max()) <= 2**64 - 2048
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_camera_entries_finite(self, value):
         for index in range(21):
@@ -247,7 +260,7 @@ class TestNonFiniteSettings:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_heatmap_plane_finite(self, value):
-        planes = {p: np.full((4, 4), 1 / 16) for p in ("xy", "xz", "zy")}
-        planes["xz"][1, 2] = value
-        with pytest.raises(InvalidDistribution, match="xz plane"):
-            pm.HeatmapTriplet(**planes)
+        stack = np.full((3, 4, 4), 1 / 16)
+        stack[1, 1, 2] = value  # joint 0's xz plane
+        with pytest.raises(InvalidDistribution, match=f"^joint 0 xz plane sums to {value}, "):
+            pm.Heatmaps(stack)

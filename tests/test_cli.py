@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evpose import camera as cam_mod
@@ -21,7 +21,7 @@ from evpose import gating
 from evpose import pose_math as pm
 from evpose import representations as rep
 from evpose import simulator as sim
-from evpose.errors import ConfigError, DataError
+from evpose.errors import MAX_ARRAY_BYTES, ConfigError, DataError
 
 from oracles import (
     composite_whole_clip,
@@ -188,6 +188,39 @@ class TestSimulateCommand:
         assert stack.shape == (39, 16, 16)  # 13 joints x 3 planes
         sums = stack.reshape(39, -1).sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-5)
+
+    def test_written_heatmaps_fuse_to_the_written_labels(self, tmp_path, rng):
+        """simulate's heatmap files, read back as pm.Heatmaps, triangulate to
+        within half a grid cell of the labels normalized from its own
+        skeleton.csv and camera.txt: one layout across the three modules."""
+        resolution = 32
+        frames = np.full((3, 12, 16), 0.5)
+        write_frame_dir(tmp_path / "frames", frames, fps=100.0)
+        cam = cam_mod.CameraModel(
+            intrinsic=np.array([[300.0, 0, 8.0], [0, 300.0, 6.0], [0, 0, 1.0]]),
+            extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))]))
+        cam_mod.save_camera(tmp_path / "camera.txt", cam)
+        skeletons = []
+        for t_us in (0, 10_000):  # normalized joints within 0.7 of the cube's center
+            norm = rng.uniform(-0.7, 0.7, (13, 3))
+            norm[0, 2] = 0.0  # the head, whose depth anchors the cube
+            joints = pm.denormalize(norm, cam, 1000.0).joints
+            skeletons.append(sim.SkeletonFrame(t_us=t_us, joints=joints, frame="camera"))
+        sim.write_skeleton_csv(tmp_path / "skeleton.csv", skeletons)
+        out = tmp_path / "out"
+        assert self._run(["--frames", str(tmp_path / "frames"), "--out", str(out),
+                          "--skeleton", str(tmp_path / "skeleton.csv"),
+                          "--cam", str(tmp_path / "camera.txt"),
+                          "--heatmap-resolution", str(resolution)]) == 0
+        written_cam = cam_mod.load_camera(out / "camera.txt")
+        labels = sim.read_skeleton_csv(out / "skeleton.csv")
+        assert [s.t_us for s in labels] == [0, 10_000]
+        for s in labels:
+            norm = sim.normalize_labels(s, written_cam)
+            assert np.abs(norm).max() <= 0.7 + 1e-9
+            heatmaps = pm.Heatmaps(rep.read_tensor(out / f"heatmaps_{s.t_us:012d}.tore"))
+            assert heatmaps.stack.shape == (39, resolution, resolution)
+            assert np.all(np.abs(pm.fuse_planes(heatmaps) - norm) <= 0.5 * 2.0 / resolution)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("name", [p.name for p in cli.SIMULATE_PARAMS if p.type is float])
@@ -1032,6 +1065,28 @@ class TestExitCodes:
         assert "-byte budget" in err
         assert not out.exists()
 
+    # ints past what numpy holds, past Python's 4,300-digit limit on int
+    # text or past every float, and a bool, which Python counts as an int
+    @pytest.mark.parametrize("line, message", [
+        ("k = " + "9" * 4299, "k must lie in [-9223372036854775808, 18446744073709551615], got 9"),
+        ("horizon = " + str(2**64), "horizon must lie in"),
+        ("origin_us = -" + "9" * 4299, "origin_us must lie in"),
+        ("k = " + "9" * 4301, "config line 1: cannot parse value '999"),
+        ("activity_percentile = " + "9" * 400, "config key 'activity_percentile' should be float"),
+        ("beta = true", "config key 'beta' should be float"),
+    ])
+    def test_int_the_setting_cannot_take_is_a_config_error(self, tmp_path, small_geometry, rng,
+                                                           capsys, line, message):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["filter", "--config", str(cfg), "--events", str(events_path),
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_json_non_finite_fails_the_setting_check(self, tmp_path, small_geometry, rng,
                                                      capsys, value):
@@ -1186,6 +1241,8 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("key, value", [
         ("width", "346"), ("width", 346.5), ("height", -260), ("fps", "fast"),
+        ("fps", 10**400),  # an int that no float holds
+        ("fps", 1e-14),  # frame 1 at 10^20 us, past the u64 range
     ])
     def test_frame_manifest_value(self, tmp_path, capsys, key, value):
         frames = tmp_path / "frames"
@@ -1195,6 +1252,7 @@ class TestMalformedFiles:
                                    key: value}))
         self._run(["simulate", "--frames", str(frames), "--out", str(tmp_path / "o")],
                   bad, capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_frame_geometry_beyond_u16(self, tmp_path, capsys):
         frames = tmp_path / "frames"
@@ -1263,3 +1321,151 @@ class TestMalformedFiles:
         argv, cam, _ = self._labelled_clip(tmp_path, cam_text, rows)
         self._run(argv, cam, capsys)
         assert list((tmp_path / "o").glob("heatmaps_*.tore")) == []
+
+
+
+def _mutate(blob, ops):
+    """blob with each (kind, position, chunk) applied in turn: overwrite,
+    delete or insert chunk at position mod length."""
+    b = bytearray(blob)
+    for kind, pos, chunk in ops:
+        pos %= len(b) + 1
+        if kind == "set":
+            b[pos:pos + len(chunk)] = chunk
+        elif kind == "cut":
+            del b[pos:pos + len(chunk)]
+        else:
+            b[pos:pos] = chunk
+    return bytes(b)
+
+
+def _mutations(chunks):
+    return st.lists(st.tuples(st.sampled_from(["set", "cut", "insert"]), st.integers(0, 2**16),
+                              chunks), min_size=1, max_size=3)
+
+
+BINARY_MUTATIONS = _mutations(st.binary(min_size=1, max_size=4))
+TEXT_MUTATIONS = _mutations(st.text("0123456789.-+e =,#\"\nNaIfity_k", min_size=1,
+                                    max_size=4).map(str.encode))
+# config values: ints within and past Python's 4,300-digit limit on int
+# text, numbers JSON or numpy cannot hold, other JSON scalars and non-JSON
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["9" * 4299, "-" + "9" * 4300, "9" * 4301, "9" * 5000, "1e400", "-1e400",
+                     "NaN", "Infinity", "-0", "0.0", "true", "null", '"2"', "", "2 2", "1_0"]),
+    st.integers(-2**65, 2**65).map(str), st.floats().map(repr))
+
+
+class TestBadInputFuzz:
+    """`tore`, `filter` and `filter --external-masks`, each example breaking
+    one input: mutated EVT1, MSK1, score CSV or config bytes, config values
+    no setting takes, or one setting at or just past a bound. The exit is
+    0, 2 or 3, never 4; after a failure no masks.msk1 is left that reads
+    back; and tracemalloc's peak stays under PEAK_BYTES.
+
+    The unmutated run is tiny: 9x7 pixels, 40 events within 32 us. A
+    mutation that leaves a valid but larger run (a wider sensor, a last
+    event at 64 us or later, or a k or horizon above 64 yet within the
+    byte budget) is a good input that rightly asks for more memory or
+    time, and is not drawn; so no run has more than 64 windows. Nor is
+    the budget's own edge: there a setting rightly allocates 2 GiB. No
+    setting here starts a thread or a process."""
+
+    GEO = ev.SensorGeometry(9, 7)
+    PEAK_BYTES = 4 * 2**20
+    WINDOW_CONFIG = {"k": "2", "tau_us": "40", "window_us": "8", "origin_us": "0"}
+    FILTER_CONFIG = {**WINDOW_CONFIG, "beta": "0.85", "horizon": "2",
+                     "activity_percentile": "50.0"}
+    # one value past each setting's byte budget: the FIFO's 16 K bytes a
+    # pixel, a plan's horizon bytes a pixel (more than the score table's
+    # 8 * 6 bytes a horizon step)
+    K_PAST = MAX_ARRAY_BYTES // (16 * 63) + 1
+    HORIZON_PAST = MAX_ARRAY_BYTES // 63 + 1
+    WINDOW_BOUNDS = {
+        "k": [0, 1, K_PAST, 2**64 - 1, 2**64],
+        "tau_us": [-1, 0, 1, 2**64 - 1, 2**64],
+        "window_us": [-1, 0, 1, 2**64 - 1, 2**64],
+        "origin_us": [-1, 0, 2**64 - 1, 2**64],
+    }
+    FILTER_BOUNDS = {
+        **WINDOW_BOUNDS,
+        "horizon": [0, 1, HORIZON_PAST, 2**64],
+        "beta": [-5e-324, 0.0, 1.0, 1.0000000000000002, math.nan, math.inf],
+        "activity_percentile": [-5e-324, 0.0, 100.0, 100.00000000000001, math.nan],
+    }
+
+    def _inputs(self):
+        rng = np.random.default_rng(5)
+        masks = rng.random((6, 7, 9)) > 0.5
+        return {
+            "events": ev.serialize_stream(random_stream(rng, self.GEO, 40, duration_us=32)),
+            "masks": gating.serialize_masks(self.GEO, masks),
+            "scores": "".join(f"{a:.3f},{b:.3f}\n" for a, b in rng.random((6, 2))).encode(),
+        }
+
+    def _small_if_valid(self, blobs):
+        """False when the mutated inputs make a valid run that outgrows the
+        tiny one (see the class docstring)."""
+        with contextlib.suppress(DataError):
+            s = ev.parse_stream(blobs["events"])
+            if s.geometry.num_pixels > self.GEO.num_pixels or (len(s) and s.t[-1] >= 64):
+                return False
+        with contextlib.suppress(ConfigError, UnicodeDecodeError):
+            config = cli.parse_config(blobs["config"].decode())
+            for key, past in (("k", self.K_PAST), ("horizon", self.HORIZON_PAST)):
+                v = config.get(key)
+                if type(v) is int and 64 < v < past:
+                    return False
+        return True
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["tore", "filter", "external",
+                                                    "external_scored"]))
+    def test_exit_is_never_4(self, data, command):
+        blobs = self._inputs()
+        config = dict(self.WINDOW_CONFIG if command == "tore" else self.FILTER_CONFIG)
+        used = {"tore": ["events", "config"], "filter": ["events", "config"],
+                "external": ["events", "config", "masks"],
+                "external_scored": ["events", "config", "masks", "scores"]}[command]
+        # one input is broken per example, so each reaches the run
+        target = data.draw(st.sampled_from([None, "values", "setting", *used]), label="target")
+        if target == "values":
+            for key in data.draw(st.lists(st.sampled_from(sorted(config)), min_size=1,
+                                          max_size=2, unique=True), label="keys"):
+                config[key] = data.draw(CONFIG_VALUES, label=key)
+        blobs["config"] = "".join(f"{key} = {v}\n" for key, v in config.items()).encode()
+        if target in used:
+            blobs[target] = _mutate(blobs[target], data.draw(
+                TEXT_MUTATIONS if target in ("config", "scores") else BINARY_MUTATIONS,
+                label="mutations"))
+        setting = None
+        if target == "setting":
+            bounds = self.WINDOW_BOUNDS if command == "tore" else self.FILTER_BOUNDS
+            setting = data.draw(st.sampled_from(
+                [(key, v) for key, values in bounds.items() for v in values]), label="setting")
+        assume(self._small_if_valid(blobs))
+        with tempfile.TemporaryDirectory() as d:
+            tmp = Path(d)
+            for name, blob in blobs.items():
+                (tmp / name).write_bytes(blob)
+            out = tmp / "out"
+            argv = ["tore" if command == "tore" else "filter", "--config", str(tmp / "config"),
+                    "--events", str(tmp / "events"), "--out", str(out)]
+            if command.startswith("external"):
+                argv += ["--external-masks", str(tmp / "masks")]
+            if command == "external_scored":
+                argv += ["--external-scores", str(tmp / "scores")]
+            if setting is not None:  # joined, so argparse reads "-5e-324" as a value
+                argv.append(f"--{setting[0].replace('_', '-')}={setting[1]!r}")
+            err = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc in (0, 2, 3), err.getvalue()
+            assert peak < self.PEAK_BYTES, (peak, argv)
+            if rc and (out / "masks.msk1").exists():
+                with pytest.raises(DataError):
+                    gating.read_masks(out / "masks.msk1")

@@ -11,7 +11,7 @@ import pytest
 from evpose.camera import CameraModel
 from evpose.events import EventStream, SensorGeometry
 from evpose.gating import MaskPlan
-from evpose.pose_math import HeatmapTriplet, Pose3D
+from evpose.pose_math import Heatmaps, Pose3D
 from evpose.representations import ToreVolume
 from evpose.simulator import FrameSequence, MaskSequence, SkeletonFrame
 
@@ -35,8 +35,8 @@ def _fields(name):
         return dict(masks=rng.random(shape) > 0.5)
     if name in ("SkeletonFrame", "Pose3D"):
         return dict(joints=rng.normal(size=(13, 3)))
-    if name == "HeatmapTriplet":
-        return {plane: np.full((8, 8), 1 / 64) for plane in ("xy", "xz", "zy")}
+    if name == "Heatmaps":
+        return dict(stack=np.full((6, 8, 8), 1 / 64))
     if name == "CameraModel":
         return dict(intrinsic=np.array([[200.0, 0, 3], [0, 200.0, 2], [0, 0, 1]]),
                     extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))]))
@@ -51,7 +51,7 @@ BUILD = {
     "MaskSequence": lambda **f: MaskSequence(GEO, 30.0, **f),
     "SkeletonFrame": lambda **f: SkeletonFrame(0, **f),
     "Pose3D": Pose3D,
-    "HeatmapTriplet": HeatmapTriplet,
+    "Heatmaps": Heatmaps,
     "CameraModel": CameraModel,
 }
 

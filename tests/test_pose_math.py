@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evpose import pose_math as pm
 from evpose.errors import (
@@ -13,7 +15,7 @@ from evpose.errors import (
     ZeroMass,
 )
 
-from oracles import bce_direct, jsd_direct, mse_direct
+from oracles import bce_direct, fuse_triplet, hpe_loss_per_triplet, jsd_direct, mse_direct
 
 
 def one_hot(resolution, row, col):
@@ -29,9 +31,34 @@ def random_distribution(rng, shape, floor=0.05):
     return mixed.reshape(shape)
 
 
-def uniform_triplet(resolution=8):
-    g = np.full((resolution, resolution), 1.0 / resolution**2)
-    return pm.HeatmapTriplet(xy=g, xz=g, zy=g)
+def uniform_heatmaps(n_joints=1, resolution=8):
+    return pm.Heatmaps(np.full((3 * n_joints, resolution, resolution), 1.0 / resolution**2))
+
+
+def random_stack(rng, n_joints, resolution):
+    """(3J, R, R) planes, each an interior point of the simplex."""
+    planes = [random_distribution(rng, (resolution, resolution)) for _ in range(3 * n_joints)]
+    return np.array(planes).reshape(3 * n_joints, resolution, resolution)
+
+
+class TestHeatmaps:
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (3, 4, 5), (4, 4), (3, 2, 4, 4)])
+    def test_rejects_a_shape_other_than_3j_r_r(self, shape):
+        with pytest.raises(InvalidDistribution, match=r"^heatmaps must be \(3J, R, R\)"):
+            pm.Heatmaps(np.full(shape, 1.0 / 16))
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "joint 1 zy plane sums to nan, expected 1"),
+        (0.5, "joint 1 zy plane sums to 1.437500000, expected 1"),
+        (-1 / 16, "joint 1 zy plane has negative mass"),
+    ])
+    def test_error_names_the_joint_and_plane(self, value, message):
+        stack = np.full((6, 4, 4), 1.0 / 16)
+        stack[5, 0, 0] = value
+        if value < 0:  # negative, yet summing to 1
+            stack[5, 0, 1] += 2 / 16
+        with pytest.raises(InvalidDistribution, match=f"^{message}$"):
+            pm.Heatmaps(stack)
 
 
 class TestSoftArgmax:
@@ -78,7 +105,7 @@ class TestSoftArgmax:
 
 class TestFusePlanes:
     def test_all_centered(self):
-        assert np.allclose(pm.fuse_planes(uniform_triplet()), [0.0, 0.0, 0.0],
+        assert np.allclose(pm.fuse_planes(uniform_heatmaps()), [[0.0, 0.0, 0.0]],
                            atol=1e-15)
 
     def test_z_is_average_of_xz_and_zy(self):
@@ -87,19 +114,18 @@ class TestFusePlanes:
         uniform = np.full((resolution, resolution), 1.0 / resolution**2)
         xz = one_hot(resolution, 3, 2)   # row index 3 -> z = 0.4
         zy = one_hot(resolution, 2, 2)   # col index 2 -> z = 0.0
-        t = pm.HeatmapTriplet(xy=uniform, xz=xz, zy=zy)
-        fused = pm.fuse_planes(t)
-        assert math.isclose(fused[2], (centers[3] + centers[2]) / 2.0, rel_tol=1e-12)
+        fused = pm.fuse_planes(pm.Heatmaps(np.stack([uniform, xz, zy])))
+        assert fused.shape == (1, 3)
+        assert math.isclose(fused[0, 2], (centers[3] + centers[2]) / 2.0, rel_tol=1e-12)
 
     def test_xy_controls_x_and_y(self):
         resolution = 5
         xy = one_hot(resolution, 1, 3)  # y from row 1, x from col 3
         uniform = np.full((resolution, resolution), 1.0 / resolution**2)
-        t = pm.HeatmapTriplet(xy=xy, xz=uniform, zy=uniform)
-        fused = pm.fuse_planes(t)
+        fused = pm.fuse_planes(pm.Heatmaps(np.stack([xy, uniform, uniform])))
         centers = pm.cell_centers(resolution)
-        assert fused[0] == centers[3]
-        assert fused[1] == centers[1]
+        assert fused[0, 0] == centers[3]
+        assert fused[0, 1] == centers[1]
 
     def test_round_trip_with_generated_heatmaps(self, rng):
         from evpose.simulator import make_heatmaps
@@ -107,11 +133,26 @@ class TestFusePlanes:
         resolution = 64
         cell = 2.0 / resolution
         joints = rng.uniform(-0.7, 0.7, size=(6, 3))
-        stack = make_heatmaps(joints, resolution, sigma=2.0)
-        for j, joint in enumerate(joints):
-            # joint j's xy, xz and zy planes are stack[3j + plane]
-            recovered = pm.fuse_planes(pm.HeatmapTriplet(*stack[3 * j:3 * j + 3]))
-            assert np.all(np.abs(recovered - joint) <= 0.5 * cell)
+        recovered = pm.fuse_planes(pm.Heatmaps(make_heatmaps(joints, resolution, sigma=2.0)))
+        assert np.all(np.abs(recovered - joints) <= 0.5 * cell)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_joints=st.integers(0, 13), resolution=st.integers(1, 24),
+           generated=st.booleans(), seed=st.integers(0, 2**16))
+    def test_rows_are_the_per_triplet_fusion_bit_for_bit(self, n_joints, resolution,
+                                                         generated, seed):
+        from evpose.simulator import make_heatmaps
+
+        rng = np.random.default_rng(seed)
+        if generated and resolution >= 8 and n_joints:
+            stack = make_heatmaps(rng.uniform(-1, 1, (n_joints, 3)), resolution,
+                                  float(rng.uniform(0.5, 4.0)))
+        else:
+            stack = random_stack(rng, n_joints, resolution)
+        fused = pm.fuse_planes(pm.Heatmaps(stack))
+        assert fused.shape == (n_joints, 3)
+        for j in range(n_joints):
+            assert fused[j].tobytes() == fuse_triplet(*stack[3 * j:3 * j + 3]).tobytes()
 
 
 class TestJsd:
@@ -148,60 +189,79 @@ class TestJsd:
 
 
 class TestHpeLoss:
-    def _blocks(self, pose, triplets, n_blocks=3):
-        return [pm.BlockPrediction(pose=pose, heatmaps=triplets)
+    def _blocks(self, pose, heatmaps, n_blocks=3):
+        return [pm.BlockPrediction(pose=pose, heatmaps=heatmaps)
                 for _ in range(n_blocks)]
 
     def test_perfect_prediction_is_zero(self, rng):
         pose = rng.uniform(-0.5, 0.5, (13, 3))
-        triplets = [uniform_triplet() for _ in range(13)]
-        loss = pm.hpe_loss(self._blocks(pose, triplets), pose, triplets)
+        heatmaps = uniform_heatmaps(13)
+        loss = pm.hpe_loss(self._blocks(pose, heatmaps), pose, heatmaps)
         assert loss == 0.0
 
     def test_single_joint_offset(self, rng):
         pose = rng.uniform(-0.5, 0.5, (13, 3))
-        triplets = [uniform_triplet() for _ in range(13)]
+        heatmaps = uniform_heatmaps(13)
         shifted = pose.copy()
         shifted[4, 0] += 0.3
-        blocks = self._blocks(pose, triplets, 3)
-        blocks[1] = pm.BlockPrediction(pose=shifted, heatmaps=triplets)
-        loss = pm.hpe_loss(blocks, pose, triplets)
+        blocks = self._blocks(pose, heatmaps, 3)
+        blocks[1] = pm.BlockPrediction(pose=shifted, heatmaps=heatmaps)
+        loss = pm.hpe_loss(blocks, pose, heatmaps)
         assert math.isclose(loss, 0.3, rel_tol=1e-12)
 
     def test_matches_decomposed_sum(self, rng):
         n_joints = 4
         gt_pose = rng.uniform(-0.5, 0.5, (n_joints, 3))
-        gt_triplets = [pm.HeatmapTriplet(xy=random_distribution(rng, (6, 6)),
-                                         xz=random_distribution(rng, (6, 6)),
-                                         zy=random_distribution(rng, (6, 6)))
-                       for _ in range(n_joints)]
-        blocks = []
-        for _ in range(3):
-            pose = rng.uniform(-0.5, 0.5, (n_joints, 3))
-            triplets = [pm.HeatmapTriplet(xy=random_distribution(rng, (6, 6)),
-                                          xz=random_distribution(rng, (6, 6)),
-                                          zy=random_distribution(rng, (6, 6)))
-                        for _ in range(n_joints)]
-            blocks.append(pm.BlockPrediction(pose=pose, heatmaps=triplets))
-        loss = pm.hpe_loss(blocks, gt_pose, gt_triplets)
+        gt = pm.Heatmaps(random_stack(rng, n_joints, 6))
+        blocks = [pm.BlockPrediction(pose=rng.uniform(-0.5, 0.5, (n_joints, 3)),
+                                     heatmaps=pm.Heatmaps(random_stack(rng, n_joints, 6)))
+                  for _ in range(3)]
+        loss = pm.hpe_loss(blocks, gt_pose, gt)
         expected = 0.0
         for blk in blocks:
             for j in range(n_joints):
                 expected += float(np.linalg.norm(blk.pose[j] - gt_pose[j]))
-                for plane in ("xy", "xz", "zy"):
-                    expected += jsd_direct(getattr(gt_triplets[j], plane),
-                                           getattr(blk.heatmaps[j], plane))
+                for i in range(3 * j, 3 * j + 3):  # joint j's xy, xz and zy planes
+                    expected += jsd_direct(gt.stack[i], blk.heatmaps.stack[i])
         assert math.isclose(loss, expected, rel_tol=1e-9)
 
     def test_bad_distribution_rejected(self):
-        good = uniform_triplet()
-        with pytest.raises(InvalidDistribution):
-            pm.HeatmapTriplet(xy=np.full((8, 8), 0.5), xz=good.xz, zy=good.zy)
-        neg = np.full((8, 8), 1.0 / 64)
-        neg = neg.copy()
-        neg[0, 0] = -neg[0, 0]
-        with pytest.raises(InvalidDistribution):
-            pm.HeatmapTriplet(xy=neg, xz=good.xz, zy=good.zy)
+        good = uniform_heatmaps().stack
+        with pytest.raises(InvalidDistribution, match="^joint 0 xy plane sums to 32.0"):
+            pm.Heatmaps(np.stack([np.full((8, 8), 0.5), good[1], good[2]]))
+        neg = good.copy()
+        neg[0, 0, 0] = -neg[0, 0, 0]
+        neg[0, 0, 1] *= 3  # the plane still sums to 1
+        with pytest.raises(InvalidDistribution, match="^joint 0 xy plane has negative mass"):
+            pm.Heatmaps(neg)
+
+    def test_joint_count_mismatch(self, rng):
+        pose = rng.uniform(-0.5, 0.5, (3, 3))
+        three, two = uniform_heatmaps(3), uniform_heatmaps(2)
+        with pytest.raises(LengthMismatch, match="^6 ground-truth planes for 9$"):
+            pm.hpe_loss([], pose, two)
+        with pytest.raises(LengthMismatch, match="block prediction"):
+            pm.hpe_loss(self._blocks(pose, two, 1), pose, three)
+        with pytest.raises(LengthMismatch, match="block prediction"):
+            pm.hpe_loss(self._blocks(pose[:2], three, 1), pose, three)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_joints=st.integers(0, 13), resolution=st.integers(1, 12),
+           n_blocks=st.integers(0, 4), seed=st.integers(0, 2**16))
+    def test_is_the_per_triplet_loss_bit_for_bit(self, n_joints, resolution, n_blocks, seed):
+        rng = np.random.default_rng(seed)
+        gt_pose = rng.uniform(-1, 1, (n_joints, 3))
+        gt = random_stack(rng, n_joints, resolution)
+        blocks = [(rng.uniform(-1, 1, (n_joints, 3)), random_stack(rng, n_joints, resolution))
+                  for _ in range(n_blocks)]
+        if n_blocks:  # a block that reproduces the ground truth adds exactly 0
+            blocks[0] = (gt_pose, gt)
+        loss = pm.hpe_loss([pm.BlockPrediction(pose, pm.Heatmaps(h)) for pose, h in blocks],
+                           gt_pose, pm.Heatmaps(gt))
+        want = hpe_loss_per_triplet([(pose, h.reshape(-1, 3, resolution, resolution))
+                                     for pose, h in blocks],
+                                    gt_pose, gt.reshape(-1, 3, resolution, resolution))
+        assert loss == want
 
 
 class TestMaskLoss:
