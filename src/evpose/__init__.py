@@ -2,9 +2,9 @@
 
 Deterministic core of an event-based pose pipeline: EVT1 event streams,
 decay-volume representations, video-to-event simulation with paired
-labels, mask gating with early-exit scheduling, marginal
-heatmap triangulation and losses, and MPJPE/PCK/AUC evaluation. Neural
-predictors plug in behind backend interfaces.
+labels, mask gating with early-exit scheduling, heatmap triangulation
+with gradients checked by finite differences, and MPJPE/PCK/AUC
+evaluation. Neural predictors plug in behind backend interfaces.
 """
 
 from . import camera, errors, events, gating, metrics, pose_math, representations, simulator

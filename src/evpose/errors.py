@@ -44,9 +44,9 @@ def check_range(name: str, x, lo, hi, error=ConfigError):
 
 
 # Most bytes one array sized by a setting may take: the TORE FIFO (`k`), a
-# mask plan and an external score table (`horizon`), a label's heatmaps
-# (`heatmap_resolution`). Checked before the array exists and before any
-# output is written.
+# plan and a score table (`horizon`), a label's heatmaps (`heatmap_resolution`),
+# an interval's simulated events (thresholds, noise rates). Checked before
+# the array exists and before any output is written.
 MAX_ARRAY_BYTES = 2**31
 
 

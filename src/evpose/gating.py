@@ -44,8 +44,6 @@ from .events import (HEADER_SIZE, RecordFileWriter, SensorGeometry, freeze, pack
 from .pose_math import mask_errors
 from .representations import ToreVolume, WindowFrame
 
-MASK_THRESHOLD = 0.1  # binarization cut for predicted soft masks
-
 
 @dataclass(frozen=True)
 class MaskPlan:
@@ -80,16 +78,6 @@ class MaskPredictorBackend(Protocol):
     """
 
     def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan: ...
-
-
-def binarize_mask(soft: np.ndarray, threshold: float = MASK_THRESHOLD) -> np.ndarray:
-    """Strictly-above-threshold cut of a soft mask in [0, 1].
-
-    The threshold is deliberately small so the binary mask errs toward
-    covering the whole body; leaked background beats missing limbs.
-    """
-    a = np.asarray(soft, dtype=np.float64)
-    return check_range("soft mask values", a, 0, 1, ProbabilityOutOfRange) > threshold
 
 
 def apply_mask(vol: ToreVolume, mask: np.ndarray) -> ToreVolume:

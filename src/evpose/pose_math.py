@@ -1,4 +1,4 @@
-"""Marginal-heatmap triangulation and training losses.
+"""Marginal-heatmap triangulation.
 
 A label's joints are represented by marginal heatmaps in one (3J, R, R)
 stack, the layout of every `heatmaps_*.tore` file: plane 3j + i is joint
@@ -8,13 +8,11 @@ its column axis first: xy holds col=x/row=y, xz col=x/row=z, zy col=z/row=y
 symmetric grid soft-argmaxes to exactly 0.
 
 Triangulation takes x and y from the xy plane and averages the two z
-readings (rows of xz, columns of zy). Losses: a per-block sum of L2
-joint error plus Jensen-Shannon divergences per plane, and a mask loss
-of BCE over the whole mask series, BCE over the current mask again, and
-an MSE between predicted quality scores and their targets. Every loss
-here has an analytic gradient that gradient_check verifies against
-central finite differences. Poses are saved as pose CSVs, `events` text
-tables whose layout `POSE_HEADER` and `write_pose_csv` hold.
+readings (rows of xz, columns of zy). The soft-argmax, the plane JSD and
+the elementwise BCE and MSE have analytic gradients that gradient_check
+verifies against central finite differences. Poses are saved as pose
+CSVs, `events` text tables whose layout `POSE_HEADER` and
+`write_pose_csv` hold.
 """
 
 from __future__ import annotations
@@ -195,68 +193,10 @@ def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return 2.0 * (a - b) / a.size
 
 
-# -- composite losses ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockPrediction:
-    """One refinement block's output: a pose and its joints' heatmaps."""
-
-    pose: np.ndarray = field(repr=False)             # (J, 3) normalized
-    heatmaps: Heatmaps = field(repr=False)
-
-
-def hpe_loss(blocks: Sequence[BlockPrediction], gt_pose: np.ndarray,
-             gt_heatmaps: Heatmaps) -> float:
-    """Sum over blocks of L2 joint error plus the per-plane JSDs.
-
-    The L2 term sums Euclidean distances over joints within each block,
-    then the JSDs follow in stack order. Zero exactly when every block
-    reproduces the ground truth; the Heatmaps type enforces validity.
-    """
-    gt = np.asarray(gt_pose, dtype=np.float64)
-    n_planes = 3 * gt.shape[0]
-    if len(gt_heatmaps.stack) != n_planes:
-        raise LengthMismatch(f"{len(gt_heatmaps.stack)} ground-truth planes for {n_planes}")
-    total = 0.0
-    for blk in blocks:
-        pose = np.asarray(blk.pose, dtype=np.float64)
-        if pose.shape != gt.shape or len(blk.heatmaps.stack) != n_planes:
-            raise LengthMismatch("block prediction does not match ground truth shape")
-        total += float(np.linalg.norm(pose - gt, axis=1).sum())
-        for hp, hg in zip(blk.heatmaps.stack, gt_heatmaps.stack):
-            total += jsd(hg, hp)
-    return total
-
-
 def mask_errors(pred_masks: np.ndarray, gt_masks: np.ndarray) -> np.ndarray:
     """Mean absolute error of each mask of an (N, ...) stack, float64 (N,)."""
     p, g = _same_shape(pred_masks, gt_masks)
     return np.abs(p - g).reshape(p.shape[0], -1).mean(axis=1)
-
-
-def score_targets(pred_masks: np.ndarray, gt_masks: np.ndarray) -> np.ndarray:
-    """Quality-score targets: 1 - MAE per mask, higher = better."""
-    return 1.0 - mask_errors(pred_masks, gt_masks)
-
-
-def mask_loss(pred_masks: np.ndarray, gt_masks: np.ndarray,
-              pred_scores: np.ndarray) -> float:
-    """BCE over the mask series, BCE over the current mask again (so the
-    current frame is double-weighted), plus MSE between the predicted
-    quality scores and their 1 - MAE targets.
-
-    pred_masks holds pre-binarization probabilities, shape (N, H, W) with
-    mask 0 the current frame.
-    """
-    p, g = _same_shape(pred_masks, gt_masks)
-    s = np.asarray(pred_scores, dtype=np.float64)
-    if p.ndim != 3:
-        raise LengthMismatch(f"pred_masks must be (N, H, W), got {p.shape}")
-    if s.shape != (p.shape[0],):
-        raise LengthMismatch(f"series mismatch: {p.shape[0]} masks, scores {s.shape}")
-    check_range("scores", s, 0, 1, ProbabilityOutOfRange)
-    return (bce(g, p) + bce(g[0], p[0]) + mse(s, score_targets(p, g)))
 
 
 # -- numeric gradient verification ------------------------------------------------

@@ -259,10 +259,15 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
     any other pixel would add exactly 0.0 to its reference. The quotient
     that picks them is the one the counts floor.
 
-    The hot pixels and the two-frame minimum are checked when this is
-    called: the first two frames are drawn then, before the first chunk.
+    The hot pixels, the event budget and the two-frame minimum are checked
+    on call: the first two frames are drawn then, before the first chunk.
     """
     h, w = geometry.height, geometry.width
+    # 8 bytes a timestamp: a pixel crosses at most ln((1 + eps) / eps) / theta + 1 levels
+    span, theta = math.log1p(p.eps) - math.log(p.eps), min(p.theta_pos, p.theta_neg)
+    check_budget("contrast threshold", theta, 8 * geometry.num_pixels * (span / theta + 1))
+    rate = p.leak_rate_hz + p.shot_noise_scale + p.hot_pixel_rate_hz
+    check_budget("noise rate", rate, 8 * geometry.num_pixels * rate * (1 / fps + 1e-6))
     noise_rate = np.zeros((h, w))
     for hx, hy in p.hot_pixels:
         if not (0 <= hx < w and 0 <= hy < h):
@@ -363,12 +368,13 @@ def normalize_labels(s: SkeletonFrame, cam: CameraModel,
 
     The head joint's normalized depth is exactly 0 by construction. A joint
     behind the camera is BehindCamera and, given heatmap = (resolution,
-    sigma), one that leaves a plane of make_heatmaps no mass is ZeroMass;
-    either error names the label's t_us and the joint.
+    sigma), one with a plane of make_heatmaps of no mass, non-finite ones
+    too, is ZeroMass; either error names the label's t_us and the joint.
     """
-    pts = skeleton_camera_joints(s, cam)
     try:
-        norm = normalize_camera_points(cam, pts, head_depth_mm(s, cam))
+        with np.errstate(all="ignore"):
+            norm = normalize_camera_points(cam, skeleton_camera_joints(s, cam),
+                                           head_depth_mm(s, cam))
         if heatmap is not None:
             check_heatmap_mass(norm, *heatmap)
         return norm
@@ -391,6 +397,8 @@ def check_heatmap_settings(resolution: int, sigma: float) -> None:
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
 
 
+# exp(-inf) = 0, and the NaN of a non-finite joint or an underflowed 2 sig^2, are no mass
+@np.errstate(all="ignore")
 def check_heatmap_mass(joints_norm: np.ndarray, resolution: int, sigma: float) -> None:
     """Raise ZeroMass, its `point` the first joint, unless every plane
     make_heatmaps builds of joints_norm has mass. Every step of a cell's
@@ -401,7 +409,7 @@ def check_heatmap_mass(joints_norm: np.ndarray, resolution: int, sigma: float) -
     near = ((cell_centers(resolution) - joints[..., None]) ** 2).min(axis=-1)
     sig = sigma * 2.0 / resolution
     peak = np.exp(-(near[:, PLANE_COLS] + near[:, PLANE_ROWS]) / (2.0 * sig * sig))
-    for point, plane in np.argwhere(peak <= 0)[:1]:
+    for point, plane in np.argwhere(~(peak > 0))[:1]:
         err = ZeroMass(f"plane {PLANES[plane]} at ({joints[point, PLANE_COLS[plane]]:.3f},"
                        f"{joints[point, PLANE_ROWS[plane]]:.3f}) leaves no mass on the grid")
         err.point = int(point)
@@ -429,7 +437,7 @@ def make_heatmaps(joints_norm: np.ndarray, resolution: int = HEATMAP_RESOLUTION,
     np.negative(g, out=g)
     np.divide(g, 2.0 * sig * sig, out=g)
     np.exp(g, out=g)
-    sums = g.reshape(len(g), -1).sum(axis=1)
+    sums = g.reshape(len(g), resolution * resolution).sum(axis=1)
     if not sums.all():  # non-negative cells sum to 0 exactly when the peak the check reads is 0
         check_heatmap_mass(joints, resolution, sigma)
     g /= sums[:, None, None]
@@ -502,6 +510,8 @@ def parse_pgm(blob: bytes) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise DataError("only maxval 255 is supported")
+    if not (w > 0 and h > 0 and w * h <= len(blob) - pos):
+        raise DataError(f"PGM size {w}x{h} does not fit its {len(blob) - pos} pixel bytes")
     a = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
     return a.reshape(h, w).astype(np.float64) / 255.0
 
@@ -538,7 +548,8 @@ class FrameDirectory:
             if self.format == "pgm":
                 img = parse_pgm(fp.read_bytes())
             else:
-                img = np.fromfile(fp, dtype="<f4").astype(np.float64)
+                with np.errstate(invalid="ignore"):  # a signalling NaN reads as a quiet one
+                    img = np.fromfile(fp, dtype="<f4").astype(np.float64)
                 if img.size != h * w:
                     raise DataError(f"expected {h * w} floats, got {img.size}")
                 img = img.reshape(h, w)

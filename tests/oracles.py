@@ -379,19 +379,3 @@ def fuse_triplet(xy, xz, zy):
     _, z_from_xz = soft_argmax(xz)
     z_from_zy, _ = soft_argmax(zy)
     return np.array([x, y, (z_from_xz + z_from_zy) / 2.0])
-
-
-def hpe_loss_per_triplet(blocks, gt_pose, gt_triplets):
-    """The pose loss over per-joint (xy, xz, zy) plane triplets: per block,
-    (pose, triplets), the joints' summed L2 error, then each joint's three
-    plane JSDs in xy, xz, zy order."""
-    from evpose.pose_math import jsd
-
-    gt = np.asarray(gt_pose, dtype=np.float64)
-    total = 0.0
-    for pose, triplets in blocks:
-        total += float(np.linalg.norm(np.asarray(pose, dtype=np.float64) - gt, axis=1).sum())
-        for pred_t, gt_t in zip(triplets, gt_triplets):
-            for hp, hg in zip(pred_t, gt_t):
-                total += jsd(hg, hp)
-    return total

@@ -44,10 +44,6 @@ def _plan_scores(v):
     gating.MaskPlan(masks=np.zeros((2, GEO.height, GEO.width), bool), scores=[1.0, v])
 
 
-def _soft_mask(v):
-    gating.binarize_mask(np.array([[0.5, v]]))
-
-
 def _beta(v):
     backend = gating.ReferenceMaskBackend()
     list(gating.iter_schedule([_volume()], backend, v))
@@ -60,11 +56,6 @@ def _external_scores(v):
 
 def _bce(v):
     pm.bce(np.array([0.0, 1.0]), np.array([0.5, v]))
-
-
-def _mask_loss(v):
-    masks = np.full((2, 3, 3), 0.5)
-    pm.mask_loss(masks, masks > 0.4, np.array([1.0, v]))
 
 
 def _step(v):
@@ -94,7 +85,6 @@ def _frame_file(v):
 # site: (call, lo, hi, error type, name in the message, dtype the value is stored in)
 RANGE_SITES = {
     "MaskPlan.scores": (_plan_scores, 0, 1, ProbabilityOutOfRange, "plan scores", np.float64),
-    "binarize_mask": (_soft_mask, 0, 1, ProbabilityOutOfRange, "soft mask values", np.float64),
     "iter_schedule.beta": (_beta, 0, 1, ConfigError, "beta", np.float64),
     "ReferenceMaskBackend.activity_percentile": (
         lambda v: gating.ReferenceMaskBackend(activity_percentile=v), 0, 100, ConfigError,
@@ -102,7 +92,6 @@ RANGE_SITES = {
     "ExternalMaskBackend.scores": (_external_scores, 0, 1, ProbabilityOutOfRange,
                                    "external scores", np.float64),
     "bce": (_bce, 0, 1, ProbabilityOutOfRange, "probabilities", np.float64),
-    "mask_loss": (_mask_loss, 0, 1, ProbabilityOutOfRange, "scores", np.float64),
     "gradient_check.step": (_step, 1e-6, 1e-3, DataError, "step", np.float64),
     "occlude.prob": (_occlude, 0, 1, ConfigError, "prob", np.float64),
     "FrameSequence.frames": (_frames, 0, 1, DataError, "frame intensities", np.float64),

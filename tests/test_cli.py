@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -1469,3 +1470,186 @@ class TestBadInputFuzz:
             if rc and (out / "masks.msk1").exists():
                 with pytest.raises(DataError):
                     gating.read_masks(out / "masks.msk1")
+
+
+
+def _swap_number(blob, index, number):
+    """blob with its index-th number, counted modulo how many it holds,
+    replaced by the text number."""
+    spans = [m.span() for m in re.finditer(rb"[-+]?[0-9.]+(?:e[-+]?[0-9]+)?", blob)]
+    if not spans:
+        return blob
+    a, b = spans[index % len(spans)]
+    return blob[:a] + number.encode() + blob[b:]
+
+
+class TestSimulateBadInputFuzz:
+    """`simulate` on a tiny labelled clip, each example breaking one input:
+    a frame, mask or background image, a directory's manifest.json, the
+    skeleton CSV, the camera text or the config bytes (their bytes mutated
+    or one number swapped; a PGM's numbers are its header's), config
+    values no setting takes, or one setting at or just past a bound. The
+    exit is 0, 2 or 3, never 4; after a failure no events.evt1 is left
+    that reads back; and tracemalloc's peak stays under PEAK_BYTES.
+
+    The unmutated run is tiny: three 9x7 frames at 100 fps with masks and
+    a background, intensities within [0.1, 0.9], shot noise on, two labels
+    with 8x8 heatmaps. A mutation that leaves a valid but larger run is a
+    good input that rightly asks for more memory or time, and is not
+    drawn: an interpolate factor above 4 (each frame interval loops that
+    many times), a heatmap_resolution above 16 yet within the byte budget,
+    a contrast threshold below 0.05, a noise rate above 100 Hz or an fps
+    below 1. Past the event budget, a threshold or a noise rate is drawn
+    among the bounds. No setting here starts a thread or a process."""
+
+    H, W = 7, 9
+    PEAK_BYTES = 4 * 2**20
+    CONFIG = {"interpolate": "2", "theta_pos": "0.2", "theta_neg": "0.2",
+              "leak_rate_hz": "0.0", "shot_noise_scale": "2.0", "eps": "0.02", "seed": "0",
+              "heatmap_resolution": "8", "heatmap_sigma": "2.0"}
+    # the first resolution whose 13 joints' float64 planes pass the byte budget
+    RES_PAST = math.isqrt(MAX_ARRAY_BYTES // (3 * 13 * 8)) + 1
+    MAX_FLOAT = sys.float_info.max
+    RATE_BOUNDS = [-5e-324, 0.0, MAX_FLOAT, math.inf, math.nan]
+    THETA_BOUNDS = [0.0, 5e-324, MAX_FLOAT, math.inf, math.nan]
+    BOUNDS = {
+        "interpolate": [-1, 0, 1, 4, 2**64],
+        "heatmap_resolution": [7, 8, RES_PAST, 2**64],
+        "heatmap_sigma": [0.0, 5e-324, MAX_FLOAT, math.inf, math.nan],
+        "theta_pos": THETA_BOUNDS,
+        "theta_neg": THETA_BOUNDS,
+        "leak_rate_hz": RATE_BOUNDS,
+        "shot_noise_scale": RATE_BOUNDS,
+        "eps": [0.0, 5e-324, 0.9999999999999999, 1.0, math.nan],
+        "seed": [-1, 0, 2**64 - 1, 2**64],
+    }
+    # (minimum, maximum) of the values a drawn config may set and still run small
+    SMALL = {"interpolate": (-math.inf, 4), "heatmap_resolution": (-math.inf, 16),
+             "theta_pos": (0.05, math.inf), "theta_neg": (0.05, math.inf),
+             "leak_rate_hz": (-math.inf, 100), "shot_noise_scale": (-math.inf, 100)}
+
+    def _inputs(self, config=CONFIG):
+        rng = np.random.default_rng(6)
+        clip = rng.uniform(0.1, 0.9, (3, self.H, self.W))
+        blobs = {"config": "".join(f"{key} = {v}\n" for key, v in config.items()).encode()}
+        for name, frames, fmt in (("frames", clip, "pgm"), ("masks", clip > 0.5, "pgm"),
+                                  ("background", clip[::-1], "f32")):
+            for i, frame in enumerate(frames):
+                if fmt == "pgm":
+                    blobs[f"{name}/{i:04d}.pgm"] = (f"P5\n{self.W} {self.H}\n255\n".encode()
+                                                    + np.rint(frame * 255).astype(np.uint8)
+                                                    .tobytes())
+                else:
+                    blobs[f"{name}/{i:04d}.f32"] = frame.astype("<f4").tobytes()
+            blobs[f"{name}/manifest.json"] = json.dumps(
+                {"fps": 100, "width": self.W, "height": self.H, "format": fmt}).encode()
+        joints = np.column_stack([rng.uniform(-5, 5, 13), rng.uniform(-5, 5, 13),
+                                  rng.uniform(995, 1005, 13)])
+        blobs["skeleton.csv"] = ("t_us,joint_name,x_mm,y_mm,z_mm\n" + "".join(
+            f"{t},{name},{x + t / 1e3!r},{y!r},{z!r}\n" for t in (0, 10000)
+            for name, (x, y, z) in zip(sim.JOINT_NAMES_13, joints.tolist()))).encode()
+        blobs["camera.txt"] = b"300 0 4.5\n0 300 3.5\n0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"
+        return blobs
+
+    def _small_if_valid(self, blobs):
+        """False when the mutated inputs make a valid run that outgrows the
+        tiny one (see the class docstring)."""
+        with contextlib.suppress(ConfigError, UnicodeDecodeError):
+            config = cli.parse_config(blobs["config"].decode())
+            for key, (lo, hi) in self.SMALL.items():
+                v = config.get(key)
+                if type(v) in (int, float) and not lo <= v <= hi and 0 < v < math.inf:
+                    return False
+        for name in ("frames", "masks", "background"):
+            with contextlib.suppress(ValueError, LookupError, TypeError):
+                fps = json.loads(blobs[f"{name}/manifest.json"])["fps"]
+                if type(fps) in (int, float) and 0 < fps < 1:
+                    return False
+        return True
+
+    def _run(self, blobs, setting=None):
+        """simulate's exit code, standard error and tracemalloc peak on the
+        inputs, with one setting given as an option; after a failure, any
+        events.evt1 left behind is checked not to read back."""
+        with tempfile.TemporaryDirectory() as d:
+            tmp = Path(d)
+            for name, blob in blobs.items():
+                (tmp / name).parent.mkdir(exist_ok=True)
+                (tmp / name).write_bytes(blob)
+            out = tmp / "out"
+            argv = ["simulate", "--config", str(tmp / "config"), "--frames", str(tmp / "frames"),
+                    "--masks", str(tmp / "masks"), "--background", str(tmp / "background"),
+                    "--skeleton", str(tmp / "skeleton.csv"), "--cam", str(tmp / "camera.txt"),
+                    "--out", str(out)]
+            if setting is not None:  # joined, so argparse reads "-5e-324" as a value
+                argv.append(f"--{setting[0].replace('_', '-')}={setting[1]!r}")
+            err = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if rc and (out / "events.evt1").exists():
+                with pytest.raises(DataError):
+                    ev.EventFile(out / "events.evt1")
+            return rc, err.getvalue(), peak
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_is_never_4(self, data):
+        config = dict(self.CONFIG)
+        files = sorted(self._inputs())
+        target = data.draw(st.sampled_from([None, "values", "setting", *files]), label="target")
+        if target == "values":
+            for key in data.draw(st.lists(st.sampled_from(sorted(config)), min_size=1,
+                                          max_size=2, unique=True), label="keys"):
+                config[key] = data.draw(CONFIG_VALUES, label=key)
+        blobs = self._inputs(config)
+        if target in blobs:
+            blob = blobs[target]
+            header = blob.index(b"255\n") + 4 if target.endswith(".pgm") else len(blob)
+            if not target.endswith(".f32") and data.draw(st.booleans(), label="swap a number"):
+                blobs[target] = _swap_number(blob[:header], data.draw(st.integers(0, 200)),
+                                             data.draw(CONFIG_VALUES)) + blob[header:]
+            else:
+                blobs[target] = _mutate(blob, data.draw(
+                    TEXT_MUTATIONS if header == len(blob) and not target.endswith(".f32")
+                    else BINARY_MUTATIONS, label="mutations"))
+        setting = None
+        if target == "setting":
+            setting = data.draw(st.sampled_from(
+                [(key, v) for key, values in self.BOUNDS.items() for v in values]),
+                label="setting")
+        assume(self._small_if_valid(blobs))
+        rc, err, peak = self._run(blobs, setting)
+        assert rc in (0, 2, 3), err
+        assert rc == 0 or target is not None, err
+        assert peak < self.PEAK_BYTES, (peak, target, setting)
+
+    # inputs that once exited 4: a setting that asks for unbounded events or
+    # whose heatmap variance underflows, a signalling NaN pixel, a PGM size its
+    # bytes cannot hold, and cameras that send a joint past the float64 range
+    @pytest.mark.parametrize("target, change, code, message", [
+        ("setting", ("theta_pos", 5e-324), 2, "contrast threshold = 5e-324 asks for"),
+        ("setting", ("shot_noise_scale", MAX_FLOAT), 2, "noise rate = 1.7976931348623157e+308"),
+        ("setting", ("heatmap_sigma", 5e-324), 3,
+         "joint 'head': plane xy at (0.092,-0.078) leaves no mass"),
+        ("setting", ("heatmap_sigma", 1e-160), 3, "leaves no mass on the grid"),
+        ("background/0001.f32", lambda b: b[:8] + b"\x01\x00\x80\x7f" + b[12:], 3,
+         "frame intensities must lie in [0, 1]"),
+        ("frames/0001.pgm", lambda b: b.replace(b"9 7", b"9" * 20 + b" 7", 1), 3,
+         "PGM size 99999999999999999999x7 does not fit its 63 pixel bytes"),
+        ("frames/0001.pgm", lambda b: b.replace(b"9 7", b"-1 7", 1), 3, "PGM size -1x7"),
+        ("camera.txt", lambda b: b.replace(b"4.5", b"0"), 3,
+         "joint 'head': plane xy at (inf,-0.078) leaves no mass"),
+        ("camera.txt", lambda b: b.replace(b"\n1 0 0 0", b"\n1e308 0 0 0"), 3,
+         "joint 'head': plane xy at (inf,-0.078) leaves no mass"),
+    ])
+    def test_found_inputs_are_typed_errors(self, target, change, code, message):
+        blobs = self._inputs()
+        if target != "setting":
+            blobs[target] = change(blobs[target])
+        rc, err, _ = self._run(blobs, change if target == "setting" else None)
+        assert rc == code and message in err, err

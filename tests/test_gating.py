@@ -53,27 +53,6 @@ class ScriptedBackend:
         return gating.MaskPlan(masks=masks, scores=self.scores_by_frame[frame])
 
 
-class TestBinarize:
-    def test_all_zeros(self):
-        assert not gating.binarize_mask(np.zeros((4, 4))).any()
-
-    def test_threshold_is_strict(self):
-        soft = np.array([[0.10, 0.11], [0.09, 1.0]])
-        out = gating.binarize_mask(soft, threshold=0.1)
-        assert out.tolist() == [[False, True], [False, True]]
-
-    def test_matches_pixel_oracle(self, rng):
-        soft = rng.random((10, 12))
-        out = gating.binarize_mask(soft)
-        for y in range(10):
-            for x in range(12):
-                assert out[y, x] == (soft[y, x] > 0.1)
-
-    def test_out_of_range(self):
-        with pytest.raises(ProbabilityOutOfRange):
-            gating.binarize_mask(np.array([[1.2]]))
-
-
 class TestApplyMask:
     def test_all_ones_identity(self, rng):
         vol = volume_from(rng.random((3, GEO.height, GEO.width)))

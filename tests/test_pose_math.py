@@ -11,11 +11,10 @@ from evpose.errors import (
     InvalidDistribution,
     LengthMismatch,
     NonFinite,
-    ProbabilityOutOfRange,
     ZeroMass,
 )
 
-from oracles import bce_direct, fuse_triplet, hpe_loss_per_triplet, jsd_direct, mse_direct
+from oracles import bce_direct, fuse_triplet, jsd_direct, mse_direct
 
 
 def one_hot(resolution, row, col):
@@ -59,6 +58,16 @@ class TestHeatmaps:
             stack[5, 0, 1] += 2 / 16
         with pytest.raises(InvalidDistribution, match=f"^{message}$"):
             pm.Heatmaps(stack)
+
+    def test_bad_distribution_rejected(self):
+        good = uniform_heatmaps().stack
+        with pytest.raises(InvalidDistribution, match="^joint 0 xy plane sums to 32.0"):
+            pm.Heatmaps(np.stack([np.full((8, 8), 0.5), good[1], good[2]]))
+        neg = good.copy()
+        neg[0, 0, 0] = -neg[0, 0, 0]
+        neg[0, 0, 1] *= 3  # the plane still sums to 1
+        with pytest.raises(InvalidDistribution, match="^joint 0 xy plane has negative mass"):
+            pm.Heatmaps(neg)
 
 
 class TestSoftArgmax:
@@ -188,130 +197,13 @@ class TestJsd:
             assert math.isclose(pm.jsd(p, q), jsd_direct(p, q), rel_tol=1e-10)
 
 
-class TestHpeLoss:
-    def _blocks(self, pose, heatmaps, n_blocks=3):
-        return [pm.BlockPrediction(pose=pose, heatmaps=heatmaps)
-                for _ in range(n_blocks)]
-
-    def test_perfect_prediction_is_zero(self, rng):
-        pose = rng.uniform(-0.5, 0.5, (13, 3))
-        heatmaps = uniform_heatmaps(13)
-        loss = pm.hpe_loss(self._blocks(pose, heatmaps), pose, heatmaps)
-        assert loss == 0.0
-
-    def test_single_joint_offset(self, rng):
-        pose = rng.uniform(-0.5, 0.5, (13, 3))
-        heatmaps = uniform_heatmaps(13)
-        shifted = pose.copy()
-        shifted[4, 0] += 0.3
-        blocks = self._blocks(pose, heatmaps, 3)
-        blocks[1] = pm.BlockPrediction(pose=shifted, heatmaps=heatmaps)
-        loss = pm.hpe_loss(blocks, pose, heatmaps)
-        assert math.isclose(loss, 0.3, rel_tol=1e-12)
-
-    def test_matches_decomposed_sum(self, rng):
-        n_joints = 4
-        gt_pose = rng.uniform(-0.5, 0.5, (n_joints, 3))
-        gt = pm.Heatmaps(random_stack(rng, n_joints, 6))
-        blocks = [pm.BlockPrediction(pose=rng.uniform(-0.5, 0.5, (n_joints, 3)),
-                                     heatmaps=pm.Heatmaps(random_stack(rng, n_joints, 6)))
-                  for _ in range(3)]
-        loss = pm.hpe_loss(blocks, gt_pose, gt)
-        expected = 0.0
-        for blk in blocks:
-            for j in range(n_joints):
-                expected += float(np.linalg.norm(blk.pose[j] - gt_pose[j]))
-                for i in range(3 * j, 3 * j + 3):  # joint j's xy, xz and zy planes
-                    expected += jsd_direct(gt.stack[i], blk.heatmaps.stack[i])
-        assert math.isclose(loss, expected, rel_tol=1e-9)
-
-    def test_bad_distribution_rejected(self):
-        good = uniform_heatmaps().stack
-        with pytest.raises(InvalidDistribution, match="^joint 0 xy plane sums to 32.0"):
-            pm.Heatmaps(np.stack([np.full((8, 8), 0.5), good[1], good[2]]))
-        neg = good.copy()
-        neg[0, 0, 0] = -neg[0, 0, 0]
-        neg[0, 0, 1] *= 3  # the plane still sums to 1
-        with pytest.raises(InvalidDistribution, match="^joint 0 xy plane has negative mass"):
-            pm.Heatmaps(neg)
-
-    def test_joint_count_mismatch(self, rng):
-        pose = rng.uniform(-0.5, 0.5, (3, 3))
-        three, two = uniform_heatmaps(3), uniform_heatmaps(2)
-        with pytest.raises(LengthMismatch, match="^6 ground-truth planes for 9$"):
-            pm.hpe_loss([], pose, two)
-        with pytest.raises(LengthMismatch, match="block prediction"):
-            pm.hpe_loss(self._blocks(pose, two, 1), pose, three)
-        with pytest.raises(LengthMismatch, match="block prediction"):
-            pm.hpe_loss(self._blocks(pose[:2], three, 1), pose, three)
-
-    @settings(max_examples=60, deadline=None)
-    @given(n_joints=st.integers(0, 13), resolution=st.integers(1, 12),
-           n_blocks=st.integers(0, 4), seed=st.integers(0, 2**16))
-    def test_is_the_per_triplet_loss_bit_for_bit(self, n_joints, resolution, n_blocks, seed):
-        rng = np.random.default_rng(seed)
-        gt_pose = rng.uniform(-1, 1, (n_joints, 3))
-        gt = random_stack(rng, n_joints, resolution)
-        blocks = [(rng.uniform(-1, 1, (n_joints, 3)), random_stack(rng, n_joints, resolution))
-                  for _ in range(n_blocks)]
-        if n_blocks:  # a block that reproduces the ground truth adds exactly 0
-            blocks[0] = (gt_pose, gt)
-        loss = pm.hpe_loss([pm.BlockPrediction(pose, pm.Heatmaps(h)) for pose, h in blocks],
-                           gt_pose, pm.Heatmaps(gt))
-        want = hpe_loss_per_triplet([(pose, h.reshape(-1, 3, resolution, resolution))
-                                     for pose, h in blocks],
-                                    gt_pose, gt.reshape(-1, 3, resolution, resolution))
-        assert loss == want
-
-
-class TestMaskLoss:
-    def test_perfect_masks_and_scores(self, rng):
-        masks = (rng.random((4, 6, 6)) > 0.5).astype(np.float64)
-        scores = pm.score_targets(masks, masks)
-        loss = pm.mask_loss(masks, masks, scores)
-        # loss is pure clip residue here, ~2e-7; oracle uses log(1-p) vs
-        # the library's log1p(-p), so allow a tiny relative slack
-        expected = bce_direct(masks, masks) + bce_direct(masks[0], masks[0])
-        assert math.isclose(loss, expected, rel_tol=1e-8)
-        assert np.allclose(scores, 1.0)
-
-    def test_score_offset_adds_mse(self, rng):
-        masks = (rng.random((5, 4, 4)) > 0.5).astype(np.float64)
-        base = pm.score_targets(masks, masks)
-        loss_perfect = pm.mask_loss(masks, masks, base)
-        offset = np.clip(base - 0.1, 0.0, 1.0)
-        loss_offset = pm.mask_loss(masks, masks, offset)
-        assert math.isclose(loss_offset - loss_perfect, 0.01, rel_tol=1e-9)
-
-    def test_matches_direct_oracle(self, rng):
-        pred = rng.uniform(0.05, 0.95, (3, 5, 5))
-        gt = (rng.random((3, 5, 5)) > 0.5).astype(np.float64)
-        scores = rng.uniform(0.0, 1.0, 3)
-        loss = pm.mask_loss(pred, gt, scores)
-        targets = [1.0 - np.abs(pred[i] - gt[i]).mean() for i in range(3)]
-        expected = (bce_direct(gt, pred) + bce_direct(gt[0], pred[0])
-                    + mse_direct(scores, targets))
-        assert math.isclose(loss, expected, rel_tol=1e-10)
-
-    def test_current_frame_double_weighted(self, rng):
-        gt = np.zeros((2, 4, 4))
-        pred = np.full((2, 4, 4), 0.3)
-        scores = pm.score_targets(pred, gt)
-        loss = pm.mask_loss(pred, gt, scores)
-        series_term = bce_direct(gt, pred)
-        first_term = bce_direct(gt[0], pred[0])
-        assert math.isclose(loss, series_term + first_term, rel_tol=1e-12)
-
-    def test_length_mismatch(self, rng):
-        with pytest.raises(LengthMismatch):
-            pm.mask_loss(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), np.zeros(2))
-        with pytest.raises(LengthMismatch):
-            pm.mask_loss(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), np.zeros(3))
-
-    def test_probability_out_of_range(self):
-        bad = np.full((1, 2, 2), 1.5)
-        with pytest.raises(ProbabilityOutOfRange):
-            pm.mask_loss(bad, np.ones((1, 2, 2)), np.ones(1))
+class TestElementwiseLosses:
+    def test_bce_and_mse_match_their_direct_oracles(self, rng):
+        y = (rng.random((3, 5, 5)) > 0.5).astype(np.float64)
+        p = rng.uniform(0.05, 0.95, (3, 5, 5))
+        assert math.isclose(pm.bce(y, p), bce_direct(y, p), rel_tol=1e-10)
+        a, b = rng.normal(size=(2, 7))
+        assert math.isclose(pm.mse(a, b), mse_direct(a, b), rel_tol=1e-12)
 
 
 class TestGradientCheck:

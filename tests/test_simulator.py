@@ -31,7 +31,8 @@ from evpose.errors import (
     ZeroMass,
 )
 from evpose.events import EventStream, SensorGeometry, serialize_stream
-from evpose.pose_math import DISTRIBUTION_ATOL, cell_centers, denormalize, soft_argmax
+from evpose.pose_math import (DISTRIBUTION_ATOL, Heatmaps, cell_centers, denormalize,
+                              fuse_planes, soft_argmax)
 
 from oracles import (
     frames_to_events_direct,
@@ -529,6 +530,12 @@ class TestHeatmaps:
             assert np.allclose(soft_argmax(grid), [0.0, 0.0], atol=1e-12)
             # symmetric plateau around the center for even resolutions
             assert grid[7, 7] == grid.max()
+
+    @pytest.mark.parametrize("resolution", [8, 16])
+    def test_zero_joints_make_an_empty_stack_that_fuses_to_no_joints(self, resolution):
+        stack = sim.make_heatmaps(np.zeros((0, 3)), resolution)
+        assert stack.shape == (0, resolution, resolution) and stack.dtype == np.float64
+        assert fuse_planes(Heatmaps(stack)).shape == (0, 3)
 
     def test_sums_to_one(self, rng):
         joints = rng.uniform(-0.8, 0.8, size=(13, 3))
