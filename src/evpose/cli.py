@@ -201,13 +201,13 @@ WINDOW_PARAMS = [
 def cmd_tore(args) -> int:
     config = _resolve(WINDOW_PARAMS, args)
     stream = ev.EventFile(config["events"])
-    volumes = rep.window_volumes(stream, config["k"], config["tau_us"],
-                                 config["window_us"], config["origin_us"])
+    frames = rep.window_frames(stream, config["k"], config["tau_us"],
+                               config["window_us"], config["origin_us"])
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
-    for i, vol in enumerate(volumes):
-        rep.write_tensor(out_dir / f"tore_{i:05d}.tore", vol.data)
+    for i, frame in enumerate(frames):
+        frame.write(out_dir / f"tore_{i:05d}.tore")
         written += 1
     print(f"wrote {written} tensor(s) to {out_dir}")
     _write_config(config, args.manifest, out_dir / "manifest.cfg")
@@ -258,7 +258,7 @@ def cmd_filter(args) -> int:
             gating.MaskStackWriter(out_dir / "masks.msk1", stream.geometry) as masks_out:
         # a frame decays only its mask's pixels, and its activity if the backend reads it
         for frame, entry, mask in scheduled:
-            rep.write_tensor(out_dir / f"masked_{entry.frame:05d}.tore", frame.masked(mask).data)
+            frame.write(out_dir / f"masked_{entry.frame:05d}.tore", mask)
             schedule([entry])
             masks_out.append(mask)
             calls += entry.recompute

@@ -475,6 +475,16 @@ def iter_windows(s: EventStream | EventFile, window_us: int, origin_us: int = 0)
     drawn; each is cut by one searchsorted when the consumer asks for it,
     as a view of the chunk holding it, and copied only when it spans chunks.
     """
+    return _whole_windows(iter_window_pieces(s, window_us, origin_us))
+
+
+def iter_window_pieces(s: EventStream | EventFile, window_us: int, origin_us: int = 0):
+    """The windows of iter_windows, checked as it checks them, in pieces
+    that are never copied: an iterator of (end_us, piece, last), where each
+    piece is the view of one chunk that falls in the window ending at
+    end_us, in order, and last marks a window's final piece, which may be
+    empty. A window that spans chunks comes in several pieces.
+    """
     check_window(window_us, origin_us)
     if len(s) == 0:
         return iter(())
@@ -490,19 +500,28 @@ def iter_windows(s: EventStream | EventFile, window_us: int, origin_us: int = 0)
 
 def _cut_windows(s: EventStream | EventFile, window_us: int, origin_us: int):
     end_us = origin_us + window_us
-    held = []  # the open window's events from earlier chunks
     for chunk in (s,) if isinstance(s, EventStream) else s:
         i0 = int(np.searchsorted(chunk.t, np.uint64(origin_us), side="left"))
         # a window closes once an event at or past its end is seen, so
         # end_us never passes the last window's end
         while (i1 := int(np.searchsorted(chunk.t, np.uint64(end_us), side="left"))) < len(chunk):
-            yield end_us, concatenate(held + [chunk[i0:i1]]) if held else chunk[i0:i1]
-            held = []
+            yield end_us, chunk[i0:i1], True
             i0 = i1
             end_us += window_us
         if i0 < len(chunk):
-            held.append(chunk[i0:])
-    yield end_us, held[0] if len(held) == 1 else concatenate(held)
+            yield end_us, chunk[i0:], False
+    # the window holding the last event closes after the last chunk
+    yield end_us, chunk[len(chunk):], True
+
+
+def _whole_windows(pieces):
+    held = []
+    for end_us, piece, last in pieces:
+        if len(piece) or not held:
+            held.append(piece)
+        if last:
+            yield end_us, held[0] if len(held) == 1 else concatenate(held)
+            held = []
 
 
 def slice_constant_time(s: EventStream, window_us: int, origin_us: int = 0) -> list[EventStream]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +49,15 @@ DEFAULT_TAU_US = 5_000_000  # retain history up to five seconds
 # for it: the FIFO refuses events that carry it.
 EMPTY_SLOT = 2**64 - 1
 
-# Most events `ToreState.ingest_stream` sorts at once; it bounds the
-# composite sort key (see `_push_sorted`).
-INGEST_PIECE_EVENTS = 2**20
+# Most events `ToreState.ingest_stream` pushes at once: each of its int64
+# temporaries takes 32 KiB, whatever the window's event count.
+INGEST_PIECE_EVENTS = 2**12
+
+# Slots of one channel decayed at once, in scratch arrays the state owns
+# (17 bytes a slot): a mostly filled block allocates nothing, a mostly
+# empty one at most 64 KiB a temporary, and the scratch stays small beside
+# one channel.
+DECAY_BLOCK_SLOTS = 2**14
 
 _POL_INDEX = {1: 0, -1: 1}
 
@@ -63,7 +70,8 @@ def _decay(delta: np.ndarray, tau_us) -> np.ndarray:
     np.log(delta, out=delta)
     np.divide(delta, math.log(tau_us), out=delta)
     np.subtract(1.0, delta, out=delta)
-    np.clip(delta, 0.0, 0.7, out=delta)
+    np.maximum(delta, 0.0, out=delta)  # the clip to [0, 0.7], without np.clip's wrapper
+    np.minimum(delta, 0.7, out=delta)
     np.divide(delta, 0.7, out=delta)
     return delta
 
@@ -78,17 +86,36 @@ def decay_value(delta_us, tau_us):
     return vp if vp.shape else float(vp)
 
 
-def _decay_into(out: np.ndarray, stamps: np.ndarray, t_query: int, tau_us,
+def _decay_into(out: np.ndarray, stamps: np.ndarray, t_query: int, tau_us, scratch,
                 index: np.ndarray | None = None) -> None:
-    """Gather, age, `_decay`, scatter: write the decay at t_query of every
-    filled slot of the flat array stamps, or of stamps[index], to the same
-    position of the flat array out. Empty slots leave out as it is."""
+    """Write the decay at t_query of each slot of the flat array stamps, or
+    of stamps[index], to the same position of the flat float32 array out;
+    empty slots read exactly 0, and out is left as it is at the positions
+    index does not name. scratch is a uint64, a float64 and a bool array of
+    at least that many slots, which this overwrites."""
+    n = len(stamps) if index is None else len(index)
+    age, value, filled = (a[:n] for a in scratch)
     if index is not None:
-        stamps = stamps[index]
-    live = np.flatnonzero(stamps != EMPTY_SLOT)
+        stamps = np.take(stamps, index, out=age, mode="clip")  # unbuffered; index is valid
+    np.not_equal(stamps, EMPTY_SLOT, out=filled)
     # ages are exact in the uint64 subtraction and rounded once into float64
-    age = (np.uint64(t_query) - stamps[live]).astype(np.float64)
-    out[live if index is None else index[live]] = _decay(age, tau_us)
+    if 2 * np.count_nonzero(filled) < n:  # mostly empty: decay the filled slots alone
+        live = filled.nonzero()[0]
+        if index is None:
+            out.fill(0)
+        else:
+            out[index] = 0
+        value = (np.uint64(t_query) - stamps[live]).astype(np.float64)
+        out[live if index is None else index[live]] = _decay(value, tau_us)
+        return
+    # an empty slot's age wraps, and its decay, finite, times 0 is exactly 0
+    np.subtract(np.uint64(t_query), stamps, out=age)
+    value[...] = age
+    np.multiply(_decay(value, tau_us), filled, out=value)
+    if index is None:
+        out[...] = value
+    else:
+        out[index] = value
 
 
 @dataclass
@@ -98,7 +125,9 @@ class ToreState:
     Single-writer: ingest order is the event order. The fifo array is
     uint64 in the volume's own layout, shape (2K, H, W): channel p*K + slot
     holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp.
-    Slots that were never filled hold EMPTY_SLOT.
+    Slots that were never filled hold EMPTY_SLOT. The state also owns the
+    buffers its decays reuse: one channel of float32 values, which a
+    `WindowFrame.write` streams to its file, and the scratch of one block.
     """
 
     geometry: SensorGeometry
@@ -106,6 +135,8 @@ class ToreState:
     tau_us: int = DEFAULT_TAU_US
     fifo: np.ndarray = field(init=False, repr=False)
     last_t: int = field(init=False, default=0)
+    _channel: np.ndarray = field(init=False, repr=False)
+    _scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k <= 0:
@@ -115,6 +146,10 @@ class ToreState:
         check_budget("k", self.k, 16 * self.k * self.geometry.num_pixels)
         self.fifo = np.full((2 * self.k, self.geometry.height, self.geometry.width),
                             EMPTY_SLOT, dtype=np.uint64)
+        hw = self.geometry.num_pixels
+        self._channel = np.empty(hw, dtype=np.float32)
+        block = min(DECAY_BLOCK_SLOTS, hw)
+        self._scratch = tuple(np.empty(block, dtype) for dtype in (np.uint64, np.float64, bool))
 
     @property
     def num_channels(self) -> int:
@@ -142,8 +177,8 @@ class ToreState:
 
         Runs in O(N log N) over consecutive pieces of at most
         INGEST_PIECE_EVENTS events. Within a piece of n events, one sort of
-        the unique key `(polarity, pixel) * n + arrival index` groups events
-        by pixel and polarity in time order; then each FIFO slot takes
+        the unique key `slot-0 index << bits(n) | arrival index` groups
+        events by FIFO column in time order; then each FIFO slot takes
         either one of its group's newest <=K timestamps or the entry that
         these push down from an older slot.
         """
@@ -167,41 +202,91 @@ class ToreState:
         """Push time-sorted, validated event columns into the FIFO."""
         n = len(t)
         hw = self.geometry.num_pixels
-        keys = (p < 0).astype(np.int64) * hw + y.astype(np.int64) * self.geometry.width + x
-        # keys * n + index < 2 * hw * n <= 2 * 65535^2 * 2^20 < 2^53: no int64 wrap
-        comp = np.sort(keys * n + np.arange(n))
-        skeys, order = np.divmod(comp, n)
-        st = t[order]
-        group_end = np.nonzero(np.concatenate((skeys[1:] != skeys[:-1], [True])))[0]
-        counts = np.diff(group_end, prepend=-1)
+        bits = (n - 1).bit_length()
+        # each event's key is the flat FIFO index of its column's slot 0, below
+        # 2K * hw <= 2^28 (the FIFO's budget), shifted above its arrival index,
+        # below 2^bits: no int64 wrap, and a sort orders each column by time
+        key = y.astype(np.int64)
+        key *= self.geometry.width
+        key += x
+        np.add(key, self.k * hw, out=key, where=p < 0)
+        key <<= bits
+        key |= np.arange(n)
+        key.sort()
+        st = t[key & ((1 << bits) - 1)]
+        key >>= bits
+        last = np.flatnonzero(np.append(key[1:] != key[:-1], True))  # each column's newest
+        counts = np.diff(last, prepend=-1)
+        base = key[last]
 
         fifo = self.fifo.reshape(-1)
-        pol, pix = np.divmod(skeys[group_end], hw)
-        base = pol * (self.k * hw) + pix  # flat index of each group's slot 0
-        # oldest slot first, so every entry is read before it is overwritten
-        for slot in range(self.k - 1, -1, -1):
-            src = slot - counts
-            old = fifo[base + np.maximum(src, 0) * hw]
-            new = st[np.maximum(group_end - slot, 0)]
-            fifo[base + slot * hw] = np.where(src >= 0, old, new)
+        shift = counts * hw
+        # oldest slot first, so every entry is read before it is overwritten:
+        # slot s takes the entry `counts` slots newer, or, in a column with
+        # more than s new events, its (s+1)-th newest
+        for slot in range(self.k - 1, 0, -1):
+            dst = base + slot * hw
+            value = fifo[dst - np.minimum(shift, slot * hw)]
+            pushed = counts > slot
+            value[pushed] = st[last[pushed] - slot]
+            fifo[dst] = value
+        fifo[base] = st[last]
+
+    def _decay_channels(self, t_query: int, rows=None, pixels: np.ndarray | None = None,
+                        out: np.ndarray | None = None):
+        """The decay at t_query of rows of H*W stamps, by default the FIFO's
+        channels (the volume), one row at a time: yields each row's float32
+        decay, computed in blocks of at most DECAY_BLOCK_SLOTS slots. Every
+        slot is decayed, or, given the sorted flat pixel indices `pixels`,
+        only those at these pixels, and the rest read 0. Each row is the
+        state's channel buffer, which the next row overwrites, or, given a
+        flat float32 array of all rows' size, the view of `out` at its place."""
+        if rows is None:
+            rows = self.fifo.reshape(self.num_channels, -1)
+        hw = self.geometry.num_pixels
+        size = len(self._scratch[0])
+        for c, stamps in enumerate(rows):
+            values = self._channel if out is None else out[c * hw:(c + 1) * hw]
+            if pixels is None:
+                for p0 in range(0, hw, size):
+                    _decay_into(values[p0:p0 + size], stamps[p0:p0 + size], t_query,
+                                self.tau_us, self._scratch)
+            else:
+                values.fill(0)
+                for i0 in range(0, len(pixels), size):
+                    _decay_into(values, stamps, t_query, self.tau_us, self._scratch,
+                                pixels[i0:i0 + size])
+            yield values
 
     def materialize(self, t_query: int) -> "ToreVolume":
         """Dense 2K-channel volume of decay values at t_query.
 
-        Only filled slots are computed; empty ones stay exactly 0. Reads
-        the state without changing it; the volume is a fresh array.
+        Empty slots read exactly 0. Reads the state without changing it;
+        the volume is a fresh array that collects `_decay_channels`.
         """
         if not 0 <= t_query < 2**64:
             raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
         if t_query < self.last_t:
             raise TimeRegression(
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
-        out = np.zeros(self.fifo.shape, dtype=np.float32)
-        # one channel at a time keeps the float64 temporaries small
-        for stamps, values in zip(self.fifo.reshape(self.num_channels, -1),
-                                  out.reshape(self.num_channels, -1)):
-            _decay_into(values, stamps, t_query, self.tau_us)
-        return ToreVolume(geometry=self.geometry, data=out, query_time_us=int(t_query))
+        out = np.empty(self.fifo.size, dtype=np.float32)
+        deque(self._decay_channels(t_query, out=out), maxlen=0)
+        return ToreVolume(geometry=self.geometry, data=out.reshape(self.fifo.shape),
+                          query_time_us=int(t_query))
+
+
+class _Newest:
+    """Each pixel's newest filled stamp over both polarities (channels 0
+    and K) as a row of `ToreState._decay_channels`, or EMPTY_SLOT if neither
+    is filled; each slice is computed when it is taken."""
+
+    def __init__(self, state: ToreState):
+        self.pos, self.neg = state.fifo[0].reshape(-1), state.fifo[state.k].reshape(-1)
+
+    def __getitem__(self, pixels: slice) -> np.ndarray:
+        # EMPTY_SLOT + 1 wraps to 0, below every filled stamp + 1
+        one = np.uint64(1)
+        return np.maximum(self.pos[pixels] + one, self.neg[pixels] + one) - one
 
 
 class WindowFrame:
@@ -215,6 +300,8 @@ class WindowFrame:
     decays only each pixel's newest stamp over both polarities (channels 0
     and K): float32 decay never rises with age. `masked(mask)` equals
     `gating.apply_mask` of that volume, yet decays only the mask's pixels.
+    `write(path, mask)` writes the tensor of `data`, or of `masked(mask)`,
+    one channel at a time, without building the volume.
     """
 
     def __init__(self, state: ToreState, query_time_us: int):
@@ -236,55 +323,57 @@ class WindowFrame:
     def activity(self) -> np.ndarray:
         """(H, W) float32: the decay of each pixel's newest stamp."""
         state = self._live_state()
-        fifo = state.fifo.reshape(state.num_channels, -1)
-        # EMPTY_SLOT + 1 wraps to 0, below every filled stamp + 1, so this is
-        # the newer filled stamp of the two polarities, or EMPTY_SLOT if neither is
-        one = np.uint64(1)
-        newest = np.maximum(fifo[0] + one, fifo[state.k] + one) - one
-        out = np.zeros(self.geometry.num_pixels, dtype=np.float32)
-        _decay_into(out, newest, self.query_time_us, state.tau_us)
+        out = np.empty(self.geometry.num_pixels, dtype=np.float32)
+        deque(state._decay_channels(self.query_time_us, [_Newest(state)], out=out), maxlen=0)
         return out.reshape(self.geometry.height, self.geometry.width)
+
+    def _channels(self, mask: np.ndarray | None, out: np.ndarray | None = None):
+        pixels = None
+        if mask is not None:
+            pixels = np.flatnonzero(self.geometry.check_shape("mask", np.asarray(mask)))
+        return self._live_state()._decay_channels(self.query_time_us, None, pixels, out)
 
     def masked(self, mask: np.ndarray) -> "ToreVolume":
         """The volume inside the bool (H, W) mask and exactly 0 outside it."""
-        state = self._live_state()
-        pixels = np.flatnonzero(self.geometry.check_shape("mask", np.asarray(mask)))
-        hw, channels = self.geometry.num_pixels, state.num_channels
-        out = np.zeros(channels * hw, dtype=np.float32)
-        fifo = state.fifo.reshape(-1)
-        # blocks of at most half a channel's slots: the temporaries stay below
-        # materialize's whatever K is, and small enough beside the output that
-        # freeing them does not make malloc trim the heap (and fault it back
-        # in) every window
-        block = max(1, hw // 2 // max(1, pixels.size))
-        index = (np.arange(block)[:, None] * hw + pixels).reshape(-1)
-        for c0 in range(0, channels, block):
-            n = min(block, channels - c0) * pixels.size
-            _decay_into(out[c0 * hw:], fifo[c0 * hw:], self.query_time_us, state.tau_us,
-                        index[:n])
-        return ToreVolume(geometry=self.geometry, data=out.reshape(state.fifo.shape),
+        fifo = self._live_state().fifo
+        out = np.empty(fifo.size, dtype=np.float32)
+        deque(self._channels(mask, out), maxlen=0)
+        return ToreVolume(geometry=self.geometry, data=out.reshape(fifo.shape),
                           query_time_us=self.query_time_us)
+
+    def write(self, path, mask: np.ndarray | None = None) -> None:
+        """Write the bytes of `write_tensor(path, self.data)`, or, given a
+        mask, of `write_tensor(path, self.masked(mask).data)`, one channel
+        at a time from the state's channel buffer."""
+        channels = self._channels(mask)
+        with open(path, "wb") as f:
+            f.write(_TENSOR_HEADER.pack(TENSOR_MAGIC, *self._state.fifo.shape))
+            for values in channels:
+                f.write(values)
 
 
 def window_frames(s: EventStream | events.EventFile, k: int, tau_us: int, window_us: int,
                   origin_us: int = 0):
     """An iterator of a `WindowFrame` at the end of each window of
     events.iter_windows over s, a stream or an EVT1 file. One state ingests
-    the windows in order: drawing a frame ingests its window and ends the
-    frame before it. The settings and the window bounds are checked when
-    this is called, before the first frame is drawn."""
+    the windows in order, each a piece of one chunk at a time, never
+    copied: drawing a frame ingests its window and ends the frame before
+    it. The settings and the window bounds are checked when this is
+    called, before the first frame is drawn."""
     state = ToreState(geometry=s.geometry, k=k, tau_us=tau_us)
-    return _frames(state, events.iter_windows(s, window_us, origin_us))
+    return _frames(state, events.iter_window_pieces(s, window_us, origin_us))
 
 
-def _frames(state: ToreState, windows):
+def _frames(state: ToreState, pieces):
     frame = None
-    for end_us, window in windows:
+    for end_us, piece, last in pieces:
         if frame is not None:
             frame._state = None
-        state.ingest_stream(window)
-        frame = WindowFrame(state, end_us)
-        yield frame
+            frame = None
+        state.ingest_stream(piece)
+        if last:
+            frame = WindowFrame(state, end_us)
+            yield frame
 
 
 def window_volumes(s: EventStream | events.EventFile, k: int, tau_us: int, window_us: int,

@@ -48,7 +48,9 @@ from .errors import (
     EmptySequence,
     FpsMismatch,
     GeometryMismatch,
+    InvalidDepth,
     LengthMismatch,
+    NonFinite,
     ZeroMass,
     check_budget,
     check_range,
@@ -367,9 +369,11 @@ def normalize_labels(s: SkeletonFrame, cam: CameraModel,
     """Joints in the [-1, 1]^3 cube anchored at the head joint's depth.
 
     The head joint's normalized depth is exactly 0 by construction. A joint
-    behind the camera is BehindCamera and, given heatmap = (resolution,
-    sigma), one with a plane of make_heatmaps of no mass, non-finite ones
-    too, is ZeroMass; either error names the label's t_us and the joint.
+    behind the camera is BehindCamera; a head at infinite depth, or a joint
+    whose normalized position is not finite, is NonFinite; and, given
+    heatmap = (resolution, sigma), a joint with a plane of make_heatmaps of
+    no mass, non-finite ones first, is ZeroMass. Each error names the
+    label's t_us and the joint.
     """
     try:
         with np.errstate(all="ignore"):
@@ -377,8 +381,16 @@ def normalize_labels(s: SkeletonFrame, cam: CameraModel,
                                            head_depth_mm(s, cam))
         if heatmap is not None:
             check_heatmap_mass(norm, *heatmap)
+        bad = np.flatnonzero(~np.isfinite(norm).all(axis=1))
+        if bad.size:
+            err = NonFinite(f"normalized position {norm[bad[0]]} is not finite")
+            err.point = int(bad[0])
+            raise err
         return norm
-    except (BehindCamera, ZeroMass) as e:
+    except InvalidDepth as e:  # only the head's depth, the reference, can be infinite here
+        raise NonFinite(f"label t_us {s.t_us}, joint "
+                        f"{JOINT_NAMES_13[s.head_index()]!r}: {e}") from e
+    except (BehindCamera, NonFinite, ZeroMass) as e:
         raise type(e)(f"label t_us {s.t_us}, joint {JOINT_NAMES_13[e.point]!r}: {e}") from e
 
 

@@ -784,9 +784,10 @@ class TestBoundedInput:
             rng.integers(0, self.GEO.height, n), rng.choice(np.array([-1, 1]), n)))
         return path
 
-    def _peak(self, tmp_path, rng, command, windows):
-        path = self._events(tmp_path, rng, windows, 8_000, f"events_{windows}.evt1")
-        out = tmp_path / f"{command}_{windows}"
+    def _peak(self, tmp_path, rng, command, windows, per_window=8_000):
+        path = self._events(tmp_path, rng, windows, per_window,
+                            f"events_{windows}_{per_window}.evt1")
+        out = tmp_path / f"{command}_{windows}_{per_window}"
         tracemalloc.start()
         try:
             rc = cli.main([command, "--events", str(path), "--out", str(out)])
@@ -804,6 +805,14 @@ class TestBoundedInput:
         short = self._peak(tmp_path, rng, command, 5)
         long = self._peak(tmp_path, rng, command, 50)  # ten times the events
         assert abs(long - short) < volume_bytes, (short, long)
+
+    @pytest.mark.parametrize("command", ["tore", "filter"])
+    def test_peak_memory_flat_in_window_density(self, tmp_path, rng, command, capsys):
+        volume_bytes = 2 * rep.DEFAULT_K * self.GEO.num_pixels * 4
+        self._peak(tmp_path, rng, command, 2)  # one-time imports and caches
+        sparse = self._peak(tmp_path, rng, command, 5)  # past two whole read chunks
+        dense = self._peak(tmp_path, rng, command, 5, 200_000)  # 25 times the events per window
+        assert abs(dense - sparse) < volume_bytes, (sparse, dense)
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     @pytest.mark.parametrize("command", ["tore", "filter"])
@@ -825,14 +834,14 @@ class TestBoundedInput:
                                             command):
         monkeypatch.setattr(ev, "READ_CHUNK_EVENTS", 7)
         path = self._events(tmp_path, rng, 5, 400)  # past the reader's 8 KiB buffer
-        write_tensor = rep.write_tensor
+        write = rep.WindowFrame.write
 
         def write_then_cut(*args):
-            write_tensor(*args)
+            write(*args)
             with open(path, "r+b") as f:
                 f.truncate(ev.HEADER_SIZE + 100 * ev.RECORD_SIZE)
 
-        monkeypatch.setattr(rep, "write_tensor", write_then_cut)
+        monkeypatch.setattr(rep.WindowFrame, "write", write_then_cut)
         assert cli.main([command, "--events", str(path), "--out", str(tmp_path / "o")]) == 3
         assert f"data error: {path}: file ends within records" in capsys.readouterr().err
 
@@ -1653,3 +1662,19 @@ class TestSimulateBadInputFuzz:
             blobs[target] = change(blobs[target])
         rc, err, _ = self._run(blobs, change if target == "setting" else None)
         assert rc == code and message in err, err
+
+    def test_camera_at_infinite_depth_exits_3_with_no_output(self, tmp_path, capsys):
+        blobs = self._inputs()
+        blobs["camera.txt"] = blobs["camera.txt"].replace(b"\n0 0 1 0\n", b"\n0 0 1e306 0\n")
+        for name, blob in blobs.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(blob)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(tmp_path / "config"),
+                         "--frames", str(tmp_path / "frames"), "--masks", str(tmp_path / "masks"),
+                         "--background", str(tmp_path / "background"),
+                         "--skeleton", str(tmp_path / "skeleton.csv"),
+                         "--cam", str(tmp_path / "camera.txt"), "--out", str(out)]) == 3
+        assert ("label t_us 0, joint 'head': reference depth must be positive and finite, "
+                "got inf") in capsys.readouterr().err
+        assert not out.exists()

@@ -11,6 +11,7 @@ from evpose import representations as rep
 from evpose.errors import (
     BadMagic,
     ConfigError,
+    GeometryMismatch,
     InvalidTau,
     NonMonotonic,
     OutOfBounds,
@@ -21,7 +22,7 @@ from evpose.errors import (
 )
 from evpose.events import Event, EventStream, SensorGeometry
 
-from oracles import fifo_replay, random_stream, tore_brute_force
+from oracles import decay_fifo, fifo_replay, random_stream, tore_brute_force
 
 TAU = 5_000_000
 
@@ -250,18 +251,34 @@ class TestMaterializeSparsity:
 class TestIngestPieces:
     def test_stream_past_one_piece(self, small_geometry, rng):
         n = rep.INGEST_PIECE_EVENTS + 5000
-        s = random_stream(rng, small_geometry, n)  # ~680 events per pixel and polarity
+        s = random_stream(rng, small_geometry, n)  # ~9 events per pixel and polarity
         whole = rep.ToreState(s.geometry, 4, TAU).ingest_stream(s)
         t_query = int(s.t[-1]) + 1000
         assert (whole.materialize(t_query).data.tobytes()
                 == tore_brute_force(s, 4, TAU, t_query).tobytes())
         split = rep.ToreState(geometry=small_geometry, k=4, tau_us=TAU)
-        cuts = (0, 300_000, rep.INGEST_PIECE_EVENTS + 10, n)
+        cuts = (0, rep.INGEST_PIECE_EVENTS // 3, rep.INGEST_PIECE_EVENTS + 10, n)
         for i0, i1 in zip(cuts[:-1], cuts[1:]):
             split.ingest_stream(EventStream(s.geometry, s.t[i0:i1], s.x[i0:i1],
                                             s.y[i0:i1], s.p[i0:i1]))
         assert np.array_equal(split.fifo, whole.fifo)
         assert split.last_t == whole.last_t
+
+    @pytest.mark.parametrize("piece", [1, 2, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_small_pieces_match_per_event_ingest(self, rng, monkeypatch, piece, k):
+        monkeypatch.setattr(rep, "INGEST_PIECE_EVENTS", piece)
+        geometry = SensorGeometry(5, 3)
+        s = random_stream(rng, geometry, 300, duration_us=20_000)  # ~10 per column, some equal
+        per_event = rep.ToreState(geometry, k, TAU)
+        for e in s:
+            per_event.ingest(e)
+        bulk = rep.ToreState(geometry, k, TAU).ingest_stream(s)
+        assert bulk.fifo.tobytes() == per_event.fifo.tobytes()
+        assert bulk.last_t == per_event.last_t
+        t_query = int(s.t[-1]) + 500
+        assert (bulk.materialize(t_query).data.tobytes()
+                == tore_brute_force(s, k, TAU, t_query).tobytes())
 
 
 class TestStreamingBatchEquivalence:
@@ -547,6 +564,65 @@ class TestWindowFrame:
                 tracemalloc.stop()
         output_bytes = 2 * 64 * geometry.num_pixels * 4
         assert peaks[64] - peaks[4] <= output_bytes
+
+
+class TestWindowFrameWrite:
+    GEO = SensorGeometry(23, 17)
+    TAU = 1_000
+    T = 10**6
+
+    @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])  # the last is a whole channel
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
+    def test_bytes_are_the_collected_tensor(self, rng, monkeypatch, tmp_path, block, k, fill):
+        monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
+        state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
+        frame = rep.WindowFrame(state, self.T)
+        data = frame.data
+        assert data.tobytes() == decay_fifo(state.fifo, self.TAU, self.T).tobytes()
+        frame.write(tmp_path / "whole.tore")
+        assert (tmp_path / "whole.tore").read_bytes() == rep.serialize_tensor(data)
+        shape = (self.GEO.height, self.GEO.width)
+        for cover, mask in (("empty", np.zeros(shape, bool)), ("full", np.ones(shape, bool)),
+                            ("random", rng.random(shape) < 0.3)):
+            masked = frame.masked(mask).data
+            assert masked.tobytes() == (data * mask).tobytes(), cover
+            frame.write(tmp_path / f"{cover}.tore", mask)
+            assert (tmp_path / f"{cover}.tore").read_bytes() == rep.serialize_tensor(masked), cover
+
+    @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])
+    def test_empty_slots_read_0_before_tau(self, rng, monkeypatch, tmp_path, block):
+        # an empty slot's age wraps to t_query + 1, here below tau: it alone
+        # would decay above 0
+        monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
+        s = random_stream(rng, self.GEO, 2000, duration_us=100_000)
+        t_query = int(s.t[-1]) + 10
+        want = tore_brute_force(s, 3, TAU, t_query)
+        frame = rep.WindowFrame(rep.ToreState(self.GEO, 3, TAU).ingest_stream(s), t_query)
+        mask = rng.random((self.GEO.height, self.GEO.width)) < 0.6
+        frame.write(tmp_path / "whole.tore")
+        frame.write(tmp_path / "masked.tore", mask)
+        assert (tmp_path / "whole.tore").read_bytes() == rep.serialize_tensor(want)
+        assert (tmp_path / "masked.tore").read_bytes() == rep.serialize_tensor(want * mask)
+
+    def test_collectors_do_not_alias_the_state_buffers(self, rng, tmp_path):
+        state = filled_state(self.GEO, 2, self.TAU, 0.5, self.T, rng)
+        frame = rep.WindowFrame(state, self.T)
+        mask = rng.random((self.GEO.height, self.GEO.width)) < 0.5
+        kept = [frame.data, frame.masked(mask).data, frame.activity,
+                state.materialize(self.T).data]
+        copies = [a.copy() for a in kept]
+        frame.write(tmp_path / "t.tore", mask)
+        rep.WindowFrame(state, 3 * self.T).write(tmp_path / "u.tore")
+        for a, b in zip(kept, copies):
+            assert a.tobytes() == b.tobytes()
+            assert not any(np.shares_memory(a, buf) for buf in (state._channel, *state._scratch))
+
+    def test_bad_mask_writes_no_file(self, rng, tmp_path):
+        frame = rep.WindowFrame(filled_state(self.GEO, 2, self.TAU, 0.5, self.T, rng), self.T)
+        with pytest.raises(GeometryMismatch):
+            frame.write(tmp_path / "t.tore", np.ones((self.GEO.width, self.GEO.height), bool))
+        assert not (tmp_path / "t.tore").exists()
 
 
 class TestTensorContainer:

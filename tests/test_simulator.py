@@ -28,6 +28,7 @@ from evpose.errors import (
     GeometryMismatch,
     InvalidDepth,
     LengthMismatch,
+    NonFinite,
     ZeroMass,
 )
 from evpose.events import EventStream, SensorGeometry, serialize_stream
@@ -468,6 +469,31 @@ class TestNormalization:
         s = sim.SkeletonFrame(t_us=0, joints=joints, frame="camera")
         norm = sim.normalize_labels(s, cam)
         assert np.allclose(norm[1], [1.0, 1.0, 1.0])
+
+    # cameras whose data send a normalized joint past float64: cx = cy = 0
+    # divides by a zero half extent, and an extrinsic gain of 1e308 on x
+    # overflows the head's x
+    @pytest.mark.parametrize("camera", ["centre at 0", "x gain 1e308"])
+    def test_non_finite_position_names_label_and_joint(self, camera):
+        joints = np.tile([2.0, -1.0, 1000.0], (13, 1))
+        s = sim.SkeletonFrame(t_us=7, joints=joints, frame="world")
+        cam = simple_camera(cx=0.0, cy=0.0) if camera == "centre at 0" else CameraModel(
+            simple_camera().intrinsic, np.diag([1e308, 1.0, 1.0, 1.0])[:3])
+        with pytest.raises(NonFinite, match=r"^label t_us 7, joint 'head': normalized "
+                                            r"position \[.*\] is not finite$"):
+            sim.normalize_labels(s, cam)
+        # with heatmaps, as simulate asks, the same joint has no mass
+        with pytest.raises(ZeroMass, match=r"^label t_us 7, joint 'head': plane xy at \(inf,"):
+            sim.normalize_labels(s, cam, (8, 2.0))
+
+    @pytest.mark.parametrize("heatmap", [None, (8, 2.0)])
+    def test_head_at_infinite_depth_is_a_data_error(self, heatmap):
+        cam = CameraModel(simple_camera().intrinsic, np.diag([1.0, 1.0, 1e306, 1.0])[:3])
+        s = sim.SkeletonFrame(t_us=7, joints=np.tile([2.0, -1.0, 1000.0], (13, 1)),
+                              frame="world")
+        with pytest.raises(NonFinite, match=r"^label t_us 7, joint 'head': reference depth "
+                                            r"must be positive and finite, got inf$"):
+            sim.normalize_labels(s, cam, heatmap)
 
     def test_behind_camera_rejected(self):
         cam = simple_camera()

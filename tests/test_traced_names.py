@@ -74,6 +74,9 @@ NEVER_CALLED = {
     # filter writes each frame's `masked`, decaying only the mask's pixels;
     # apply_mask stays the library function and the tests' oracle
     "gating.apply_mask",
+    # tore and filter write each frame with `WindowFrame.write`, channel by
+    # channel; materialize stays the collector of window_volumes and bench
+    "rep.ToreState.materialize",
     "sim.load_frame_sequence", "sim.load_mask_sequence", "sim.composite",
     "sim.interpolate_linear", "sim.frames_to_events",
 }
