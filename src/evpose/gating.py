@@ -71,10 +71,9 @@ class MaskPlan:
 class MaskPredictorBackend(Protocol):
     """Seam for the trained predictor; must be deterministic.
 
-    `vol` is a `ToreVolume` or a `representations.WindowFrame`. A frame is
-    valid until the next frame is drawn, so a backend must not keep it;
-    its `activity` equals the channel maximum `data.max(axis=0)`, and its
-    `data` materializes the whole volume.
+    `vol` is a `ToreVolume` or a `representations.WindowFrame`, whose
+    docstring states what a frame offers and how long it stays valid; a
+    backend must not keep it.
     """
 
     def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan: ...
@@ -123,10 +122,8 @@ def iter_schedule(frames: Iterable[ToreVolume | WindowFrame], backend: MaskPredi
     draws the next frame only after the caller has taken the last one;
     beta is checked when this is called, before the first frame is drawn.
 
-    Frames are `ToreVolume`s or the lazy `representations.WindowFrame`s:
-    a WindowFrame is valid until the next frame is drawn, its `activity`
-    equals the channel maximum `data.max(axis=0)`, and its `data`
-    materializes the whole volume.
+    Frames are `ToreVolume`s or the lazy `representations.WindowFrame`s,
+    whose contract `WindowFrame` states.
     """
     check_range("beta", beta, 0, 1)
     return _schedule(frames, backend, beta)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,9 +89,10 @@ def _decay_into(out: np.ndarray, stamps: np.ndarray, t_query: int, tau_us, scrat
                 index: np.ndarray | None = None) -> None:
     """Write the decay at t_query of each slot of the flat array stamps, or
     of stamps[index], to the same position of the flat float32 array out;
-    empty slots read exactly 0, and out is left as it is at the positions
-    index does not name. scratch is a uint64, a float64 and a bool array of
-    at least that many slots, which this overwrites."""
+    empty slots read exactly 0. Given index, out must already read 0 at the
+    positions of index, as only its filled slots may be written, and is
+    left as it is elsewhere. scratch is a uint64, a float64 and a bool
+    array of at least that many slots, which this overwrites."""
     n = len(stamps) if index is None else len(index)
     age, value, filled = (a[:n] for a in scratch)
     if index is not None:
@@ -103,8 +103,6 @@ def _decay_into(out: np.ndarray, stamps: np.ndarray, t_query: int, tau_us, scrat
         live = filled.nonzero()[0]
         if index is None:
             out.fill(0)
-        else:
-            out[index] = 0
         value = (np.uint64(t_query) - stamps[live]).astype(np.float64)
         out[live if index is None else index[live]] = _decay(value, tau_us)
         return
@@ -126,8 +124,9 @@ class ToreState:
     uint64 in the volume's own layout, shape (2K, H, W): channel p*K + slot
     holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp.
     Slots that were never filled hold EMPTY_SLOT. The state also owns the
-    buffers its decays reuse: one channel of float32 values, which a
-    `WindowFrame.write` streams to its file, and the scratch of one block.
+    buffers its decays reuse: one channel of float32 values, which every
+    decay writes and its reader streams to a file or copies out, and the
+    scratch of one block.
     """
 
     geometry: SensorGeometry
@@ -150,10 +149,6 @@ class ToreState:
         self._channel = np.empty(hw, dtype=np.float32)
         block = min(DECAY_BLOCK_SLOTS, hw)
         self._scratch = tuple(np.empty(block, dtype) for dtype in (np.uint64, np.float64, bool))
-
-    @property
-    def num_channels(self) -> int:
-        return 2 * self.k
 
     def ingest(self, e: Event) -> "ToreState":
         """Push one event; the oldest timestamp falls off a full FIFO."""
@@ -232,21 +227,26 @@ class ToreState:
             fifo[dst] = value
         fifo[base] = st[last]
 
-    def _decay_channels(self, t_query: int, rows=None, pixels: np.ndarray | None = None,
-                        out: np.ndarray | None = None):
+    def _check_query(self, t_query: int) -> None:
+        if not 0 <= t_query < 2**64:
+            raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
+        if t_query < self.last_t:
+            raise TimeRegression(
+                f"query at {t_query}us precedes latest ingested {self.last_t}us")
+
+    def _decay_channels(self, t_query: int, rows=None, pixels: np.ndarray | None = None):
         """The decay at t_query of rows of H*W stamps, by default the FIFO's
         channels (the volume), one row at a time: yields each row's float32
         decay, computed in blocks of at most DECAY_BLOCK_SLOTS slots. Every
         slot is decayed, or, given the sorted flat pixel indices `pixels`,
         only those at these pixels, and the rest read 0. Each row is the
-        state's channel buffer, which the next row overwrites, or, given a
-        flat float32 array of all rows' size, the view of `out` at its place."""
+        state's channel buffer, which the next row overwrites."""
         if rows is None:
-            rows = self.fifo.reshape(self.num_channels, -1)
+            rows = self.fifo.reshape(2 * self.k, -1)
         hw = self.geometry.num_pixels
         size = len(self._scratch[0])
-        for c, stamps in enumerate(rows):
-            values = self._channel if out is None else out[c * hw:(c + 1) * hw]
+        values = self._channel
+        for stamps in rows:
             if pixels is None:
                 for p0 in range(0, hw, size):
                     _decay_into(values[p0:p0 + size], stamps[p0:p0 + size], t_query,
@@ -262,15 +262,12 @@ class ToreState:
         """Dense 2K-channel volume of decay values at t_query.
 
         Empty slots read exactly 0. Reads the state without changing it;
-        the volume is a fresh array that collects `_decay_channels`.
+        the volume is a fresh array that copies each of `_decay_channels`.
         """
-        if not 0 <= t_query < 2**64:
-            raise ConfigError(f"t_query must lie in the u64 range, got {t_query}")
-        if t_query < self.last_t:
-            raise TimeRegression(
-                f"query at {t_query}us precedes latest ingested {self.last_t}us")
-        out = np.empty(self.fifo.size, dtype=np.float32)
-        deque(self._decay_channels(t_query, out=out), maxlen=0)
+        self._check_query(t_query)
+        out = np.empty((2 * self.k, self.geometry.num_pixels), dtype=np.float32)
+        for row, values in zip(out, self._decay_channels(t_query)):
+            row[...] = values
         return ToreVolume(geometry=self.geometry, data=out.reshape(self.fifo.shape),
                           query_time_us=int(t_query))
 
@@ -295,16 +292,18 @@ class WindowFrame:
 
     A frame is valid until the next frame is drawn; a read after that
     raises RuntimeError, so a frame never returns another window's values.
-    `data` materializes the whole 2K-channel volume (what a trained mask
-    backend needs). `activity` equals `data.max(axis=0)` bit for bit, yet
-    decays only each pixel's newest stamp over both polarities (channels 0
-    and K): float32 decay never rises with age. `masked(mask)` equals
-    `gating.apply_mask` of that volume, yet decays only the mask's pixels.
-    `write(path, mask)` writes the tensor of `data`, or of `masked(mask)`,
-    one channel at a time, without building the volume.
+    Its query time is checked as `ToreState.materialize` checks it, when
+    the frame is made. `data` materializes the whole 2K-channel volume
+    (what a trained mask backend needs). `activity` equals
+    `data.max(axis=0)` bit for bit, yet decays only each pixel's newest
+    stamp over both polarities (channels 0 and K): float32 decay never
+    rises with age. `write(path, mask)` writes the tensor of `data`, or of
+    `gating.apply_mask` of that volume, one channel at a time, without
+    building the volume; given a mask, it decays only the mask's pixels.
     """
 
     def __init__(self, state: ToreState, query_time_us: int):
+        state._check_query(query_time_us)
         self._state: ToreState | None = state
         self.geometry = state.geometry
         self.query_time_us = query_time_us
@@ -323,31 +322,20 @@ class WindowFrame:
     def activity(self) -> np.ndarray:
         """(H, W) float32: the decay of each pixel's newest stamp."""
         state = self._live_state()
-        out = np.empty(self.geometry.num_pixels, dtype=np.float32)
-        deque(state._decay_channels(self.query_time_us, [_Newest(state)], out=out), maxlen=0)
-        return out.reshape(self.geometry.height, self.geometry.width)
-
-    def _channels(self, mask: np.ndarray | None, out: np.ndarray | None = None):
-        pixels = None
-        if mask is not None:
-            pixels = np.flatnonzero(self.geometry.check_shape("mask", np.asarray(mask)))
-        return self._live_state()._decay_channels(self.query_time_us, None, pixels, out)
-
-    def masked(self, mask: np.ndarray) -> "ToreVolume":
-        """The volume inside the bool (H, W) mask and exactly 0 outside it."""
-        fifo = self._live_state().fifo
-        out = np.empty(fifo.size, dtype=np.float32)
-        deque(self._channels(mask, out), maxlen=0)
-        return ToreVolume(geometry=self.geometry, data=out.reshape(fifo.shape),
-                          query_time_us=self.query_time_us)
+        (values,) = state._decay_channels(self.query_time_us, [_Newest(state)])
+        return values.reshape(self.geometry.height, self.geometry.width).copy()
 
     def write(self, path, mask: np.ndarray | None = None) -> None:
         """Write the bytes of `write_tensor(path, self.data)`, or, given a
-        mask, of `write_tensor(path, self.masked(mask).data)`, one channel
+        bool (H, W) mask, of `write_tensor(path, data * mask)`, one channel
         at a time from the state's channel buffer."""
-        channels = self._channels(mask)
+        state = self._live_state()
+        pixels = None
+        if mask is not None:
+            pixels = np.flatnonzero(self.geometry.check_shape("mask", np.asarray(mask)))
+        channels = state._decay_channels(self.query_time_us, None, pixels)
         with open(path, "wb") as f:
-            f.write(_TENSOR_HEADER.pack(TENSOR_MAGIC, *self._state.fifo.shape))
+            f.write(_TENSOR_HEADER.pack(TENSOR_MAGIC, *state.fifo.shape))
             for values in channels:
                 f.write(values)
 
@@ -394,10 +382,6 @@ class ToreVolume:
 
     def __post_init__(self):
         self.geometry.check_shape("data", freeze(self, "data", np.float32), 3)
-
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[0]
 
     @property
     def activity(self) -> np.ndarray:

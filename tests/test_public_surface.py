@@ -4,8 +4,11 @@ Each public module-level function and class of `src/evpose`, and each
 public method of such a class, counts as reached when its name is used
 outside its own body: in `src/evpose` or `benchmark/` (a name
 `benchmark/child.py` wraps by string counts), in the CI workflow or in
-the acceptance suite. The sources are read with `ast`, never run.
-Matching is by bare name, so a name shared with another that is reached
+the acceptance suite. The sources are read with `ast`, never run. The
+workflow's Python calls everything through a module (`rep.window_volumes`,
+`gating.read_masks`), so there a use is an attribute access, `.name`: a
+local variable or a shell word of the same name does not count. Matching
+is by bare name otherwise, so a name shared with another that is reached
 counts as reached too.
 
 A name that joins the pinned set states why it stays; one that leaves it
@@ -73,7 +76,7 @@ def unreached():
     out = []
     for path, dotted, node in public_definitions():
         name = node.name
-        reached = (name in wrapped or re.search(rf"\b{name}\b", workflow)
+        reached = (name in wrapped or re.search(rf"\.{name}\b", workflow)
                    or any(used == name and not (reader == path
                                                 and node.lineno <= line <= node.end_lineno)
                           for reader in READERS for used, line in uses[reader]))

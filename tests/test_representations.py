@@ -518,22 +518,21 @@ class TestWindowFrame:
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("cover", ["empty", "full", "random"])
-    def test_masked_is_apply_mask(self, rng, k, fill, cover):
+    def test_masked_is_apply_mask(self, rng, tmp_path, k, fill, cover):
         state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
         mask = {"empty": np.zeros((self.GEO.height, self.GEO.width), bool),
                 "full": np.ones((self.GEO.height, self.GEO.width), bool),
                 "random": rng.random((self.GEO.height, self.GEO.width)) < 0.3}[cover]
         want = gating.apply_mask(state.materialize(self.T), mask)
-        got = rep.WindowFrame(state, self.T).masked(mask)
-        assert (got.geometry, got.query_time_us) == (self.GEO, self.T)
-        assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+        rep.WindowFrame(state, self.T).write(tmp_path / "m.tore", mask)
+        assert (tmp_path / "m.tore").read_bytes() == rep.serialize_tensor(want.data)
 
     def test_data_is_materialize(self, rng):
         state = filled_state(self.GEO, 3, self.TAU, 0.5, self.T, rng)
         assert np.array_equal(rep.WindowFrame(state, self.T).data,
                               state.materialize(self.T).data)
 
-    def test_frame_read_after_the_next_is_drawn_raises(self, small_geometry, rng):
+    def test_frame_read_after_the_next_is_drawn_raises(self, small_geometry, rng, tmp_path):
         s = random_stream(rng, small_geometry, 400, duration_us=60_000)
         frames = rep.window_frames(s, 2, TAU, 20_000)
         first = next(frames)
@@ -541,15 +540,19 @@ class TestWindowFrame:
                                                            2, TAU, 20_000))
         second = next(frames)
         mask = np.ones((small_geometry.height, small_geometry.width), bool)
-        for read in (lambda f: f.data, lambda f: f.activity, lambda f: f.masked(mask)):
+        for read in (lambda f: f.data, lambda f: f.activity,
+                     lambda f: f.write(tmp_path / "whole.tore"),
+                     lambda f: f.write(tmp_path / "masked.tore", mask)):
             with pytest.raises(RuntimeError, match="read after the next frame was drawn"):
                 read(first)
+        assert not any(tmp_path.iterdir())
         assert first.query_time_us == 20_000
         *_, last = [second, *frames]
         # the last frame stays valid once the windows run out
         assert np.array_equal(last.data, tore_brute_force(s, 2, TAU, last.query_time_us))
 
-    def test_masked_temporaries_do_not_grow_with_k(self, rng):
+    def test_masked_temporaries_do_not_grow_with_k(self, rng, tmp_path):
+        # a masked write that built the masked volume would take ~2K channels more
         geometry = SensorGeometry(64, 48)
         mask = rng.random((geometry.height, geometry.width)) < 0.2
         peaks = {}
@@ -558,12 +561,23 @@ class TestWindowFrame:
                                     self.T)
             tracemalloc.start()
             try:
-                frame.masked(mask)
+                frame.write(tmp_path / f"k{k}.tore", mask)
                 peaks[k] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        output_bytes = 2 * 64 * geometry.num_pixels * 4
-        assert peaks[64] - peaks[4] <= output_bytes
+        channel_bytes = 4 * geometry.num_pixels
+        assert peaks[64] - peaks[4] < channel_bytes
+
+    @pytest.mark.parametrize("t_query, error", [(150, TimeRegression), (-1, ConfigError),
+                                                (2**64 + 5, ConfigError)])
+    def test_query_time_is_checked_when_the_frame_is_made(self, tmp_path, t_query, error):
+        # the pixel that fired at 200us would wrap to age ~2^64 at 150us and read 0
+        state = rep.ToreState(SensorGeometry(4, 3), k=2, tau_us=TAU)
+        state.ingest(Event(t=100, x=0, y=0, polarity=1))
+        state.ingest(Event(t=200, x=3, y=2, polarity=-1))
+        with pytest.raises(error, match=str(t_query)):
+            rep.WindowFrame(state, t_query).write(tmp_path / "t.tore")
+        assert not (tmp_path / "t.tore").exists()
 
 
 class TestWindowFrameWrite:
@@ -585,10 +599,9 @@ class TestWindowFrameWrite:
         shape = (self.GEO.height, self.GEO.width)
         for cover, mask in (("empty", np.zeros(shape, bool)), ("full", np.ones(shape, bool)),
                             ("random", rng.random(shape) < 0.3)):
-            masked = frame.masked(mask).data
-            assert masked.tobytes() == (data * mask).tobytes(), cover
             frame.write(tmp_path / f"{cover}.tore", mask)
-            assert (tmp_path / f"{cover}.tore").read_bytes() == rep.serialize_tensor(masked), cover
+            assert ((tmp_path / f"{cover}.tore").read_bytes()
+                    == rep.serialize_tensor(data * mask)), cover
 
     @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])
     def test_empty_slots_read_0_before_tau(self, rng, monkeypatch, tmp_path, block):
@@ -609,8 +622,7 @@ class TestWindowFrameWrite:
         state = filled_state(self.GEO, 2, self.TAU, 0.5, self.T, rng)
         frame = rep.WindowFrame(state, self.T)
         mask = rng.random((self.GEO.height, self.GEO.width)) < 0.5
-        kept = [frame.data, frame.masked(mask).data, frame.activity,
-                state.materialize(self.T).data]
+        kept = [frame.data, frame.activity, state.materialize(self.T).data]
         copies = [a.copy() for a in kept]
         frame.write(tmp_path / "t.tore", mask)
         rep.WindowFrame(state, 3 * self.T).write(tmp_path / "u.tore")
