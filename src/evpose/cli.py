@@ -296,7 +296,6 @@ BENCH_PARAMS = [
     Param("seed", int, 0),
     Param("k", int, rep.DEFAULT_K),
     Param("tau_us", int, rep.DEFAULT_TAU_US),
-    Param("window_us", int, ev.DEFAULT_WINDOW_US),
     Param("width", int, ev.DAVIS346.width),
     Param("height", int, ev.DAVIS346.height),
     Param("out", str, help="write the report as key = value text"),
@@ -329,11 +328,6 @@ def run_bench(config) -> dict:
     state.ingest_stream(parsed)
     ingest_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    windows = sum(1 for _ in rep.window_volumes(parsed, config["k"], config["tau_us"],
-                                                config["window_us"], 0))
-    windows_s = time.perf_counter() - start
-
     n = len(parsed)
     return {
         "events": n,
@@ -342,9 +336,6 @@ def run_bench(config) -> dict:
         "ingest_s": ingest_s,
         "ingest_events_per_s": n / ingest_s,
         "combined_events_per_s": n / (parse_s + ingest_s),
-        "windows": windows,
-        "windows_s": windows_s,
-        "windows_per_s": windows / windows_s if windows_s > 0 else 0.0,
     }
 
 
@@ -364,7 +355,7 @@ _COMMANDS = {
     "filter": (cmd_filter, FILTER_PARAMS,
                "apply scheduled body masks to decay volumes"),
     "eval": (cmd_eval, EVAL_PARAMS, "score predicted poses against ground truth"),
-    "bench": (cmd_bench, BENCH_PARAMS, "parse/ingest throughput and the window loop rate"),
+    "bench": (cmd_bench, BENCH_PARAMS, "parse and ingest throughput"),
 }
 
 

@@ -17,10 +17,10 @@ record_count fixed-size records. EVT1's record is one event:
 `EventFile`, in two passes over fixed chunks of READ_CHUNK_EVENTS records,
 into one reused buffer: the first checks every record, so a bad file
 fails before any event is used; the second checks them again as it
-yields them as sorted EventStream chunks, which `iter_windows` cuts as it
-cuts one stream. A consumer of its windows holds one chunk and one window
-of input, whatever the file's length; `read_stream` collects the chunks
-into one stream.
+yields them as sorted EventStream chunks, which `iter_window_pieces` cuts
+as it cuts one stream. A consumer of its windows holds one chunk and one
+window of input, whatever the file's length; `read_stream` collects the
+chunks into one stream.
 
 Every CSV of the toolkit is a text table, a header line and then one
 comma-separated line per row, with one codec here: `table_writer` and
@@ -317,7 +317,7 @@ READ_CHUNK_EVENTS = 2**14
 
 class EventFile:
     """An EVT1 file read in two passes of READ_CHUNK_EVENTS records at a
-    time, for `iter_windows` to cut like one EventStream.
+    time, for `iter_window_pieces` to cut like one EventStream.
 
     Construction checks the header, the payload size against the file's,
     and then every record (bounds, polarity, time order within and across
@@ -463,27 +463,19 @@ def check_window(window_us: int, origin_us: int, end_us: int = 0) -> None:
         raise WindowLimit(f"last window ends at {end_us}us, past the u64 timestamp range")
 
 
-def iter_windows(s: EventStream | EventFile, window_us: int, origin_us: int = 0):
-    """An iterator of (end_us, window) for consecutive half-open windows
+def iter_window_pieces(s: EventStream | EventFile, window_us: int, origin_us: int = 0):
+    """An iterator of (end_us, piece, last) for consecutive half-open windows
     of s, an EventStream or the sorted EventStream chunks of an EventFile.
 
     Window k covers [origin + k*w, origin + (k+1)*w) and ends at
     origin + (k+1)*w. Events before the origin are dropped. Every window
-    from the origin through the one holding the last event is yielded,
-    empty ones included, so the windows partition [origin, last event].
-    The windows are bounded when this is called, before the first is
-    drawn; each is cut by one searchsorted when the consumer asks for it,
-    as a view of the chunk holding it, and copied only when it spans chunks.
-    """
-    return _whole_windows(iter_window_pieces(s, window_us, origin_us))
-
-
-def iter_window_pieces(s: EventStream | EventFile, window_us: int, origin_us: int = 0):
-    """The windows of iter_windows, checked as it checks them, in pieces
-    that are never copied: an iterator of (end_us, piece, last), where each
-    piece is the view of one chunk that falls in the window ending at
-    end_us, in order, and last marks a window's final piece, which may be
-    empty. A window that spans chunks comes in several pieces.
+    from the origin through the one holding the last event is cut, empty
+    ones included, so the windows partition [origin, last event]. The
+    windows are bounded when this is called, before the first is drawn;
+    each is cut by one searchsorted when the consumer asks for it. A piece
+    is the never-copied view of one chunk that falls in the window ending
+    at end_us, in order, and last marks a window's final piece, which may
+    be empty: a window that spans chunks comes in several pieces.
     """
     check_window(window_us, origin_us)
     if len(s) == 0:
@@ -514,19 +506,19 @@ def _cut_windows(s: EventStream | EventFile, window_us: int, origin_us: int):
     yield end_us, chunk[len(chunk):], True
 
 
-def _whole_windows(pieces):
-    held = []
-    for end_us, piece, last in pieces:
+def slice_constant_time(s: EventStream | EventFile, window_us: int,
+                        origin_us: int = 0) -> list[EventStream]:
+    """The windows of iter_window_pieces, each as one stream, in a list: a
+    window inside one chunk is that chunk's view, and one that spans
+    chunks is a copy."""
+    windows, held = [], []
+    for _, piece, last in iter_window_pieces(s, window_us, origin_us):
         if len(piece) or not held:
             held.append(piece)
         if last:
-            yield end_us, held[0] if len(held) == 1 else concatenate(held)
+            windows.append(held[0] if len(held) == 1 else concatenate(held))
             held = []
-
-
-def slice_constant_time(s: EventStream, window_us: int, origin_us: int = 0) -> list[EventStream]:
-    """The windows of iter_windows as a list."""
-    return [window for _, window in iter_windows(s, window_us, origin_us)]
+    return windows
 
 
 def concatenate(streams, geometry: SensorGeometry | None = None) -> EventStream:

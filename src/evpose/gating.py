@@ -80,8 +80,9 @@ class MaskPredictorBackend(Protocol):
 
 
 def apply_mask(vol: ToreVolume, mask: np.ndarray) -> ToreVolume:
-    """Zero every channel outside the mask."""
-    m = vol.geometry.check_shape("mask", np.asarray(mask))
+    """Zero every channel outside the mask, read as bool like every mask of
+    the toolkit: a nonzero value is foreground, its pixel kept unscaled."""
+    m = vol.geometry.check_shape("mask", np.asarray(mask, dtype=bool))
     return replace(vol, data=vol.data * m.astype(vol.data.dtype))
 
 
@@ -295,9 +296,10 @@ class ExternalMaskBackend:
     """Backend serving precomputed per-window masks.
 
     The plan for a query volume starts at the window whose end time
-    matches the volume's query timestamp; masks past the end of the
-    stack repeat the last mask. Score rows come from an optional CSV
-    (one row per frame, horizon columns), defaulting to 1.0.
+    matches the volume's query timestamp: a view of the stack's next
+    horizon masks, fewer at its end, so a window past the stack is a
+    DataError. Score rows come from an optional CSV (one row per frame,
+    horizon columns), defaulting to 1.0.
     """
 
     def __init__(self, masks: np.ndarray, window_us: int, origin_us: int,
@@ -322,10 +324,11 @@ class ExternalMaskBackend:
 
     def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan:
         k = (vol.query_time_us - self.origin_us) // self.window_us - 1
-        if not 0 <= k < self.masks.shape[0]:
-            raise DataError(f"no external mask for window {k}")
-        idx = np.minimum(np.arange(k, k + self.horizon), self.masks.shape[0] - 1)
-        return MaskPlan(masks=self.masks[idx], scores=self.scores[k])
+        n = self.masks.shape[0]
+        if not 0 <= k < n:
+            raise DataError(f"no external mask for window {k}: the stack holds {n} mask(s)")
+        plan = self.masks[k:k + self.horizon]
+        return MaskPlan(masks=plan, scores=self.scores[k, :len(plan)])
 
 
 # -- MSK1 mask stack format -------------------------------------------------------

@@ -343,8 +343,8 @@ class WindowFrame:
 def window_frames(s: EventStream | events.EventFile, k: int, tau_us: int, window_us: int,
                   origin_us: int = 0):
     """An iterator of a `WindowFrame` at the end of each window of
-    events.iter_windows over s, a stream or an EVT1 file. One state ingests
-    the windows in order, each a piece of one chunk at a time, never
+    events.iter_window_pieces over s, a stream or an EVT1 file. One state
+    ingests the windows in order, a piece of one chunk at a time, never
     copied: drawing a frame ingests its window and ends the frame before
     it. The settings and the window bounds are checked when this is
     called, before the first frame is drawn."""

@@ -761,9 +761,10 @@ class TestFilterStreaming:
         rc = cli.main(["filter", "--events", str(path), "--out", str(out),
                        "--window-us", "10000", "--external-masks", str(mask_path)])
         assert rc == 3
-        assert "no external mask for window 8" in capsys.readouterr().err
-        # frames 0-7 were written before the backend ran out at frame 8
-        assert len(list(out.glob("masked_*.tore"))) == 8
+        assert "no external mask for window 6: the stack holds 6 mask(s)" in \
+            capsys.readouterr().err
+        # frames 0-5 were written before the backend ran out at frame 6
+        assert len(list(out.glob("masked_*.tore"))) == 6
         with pytest.raises(DataError):
             gating.read_masks(out / "masks.msk1")
 
@@ -963,18 +964,15 @@ class TestBenchCommand:
         assert math.isclose(report["combined_events_per_s"],
                             report["events"] / (report["parse_s"] + report["ingest_s"]),
                             rel_tol=1e-9)
-        assert math.isclose(report["windows_per_s"],
-                            report["windows"] / report["windows_s"], rel_tol=1e-9)
 
-    def test_fixture_deterministic(self, tmp_path):
-        reports = []
-        for name in ("a", "b"):
-            out = tmp_path / f"{name}.txt"
-            rc = cli.main(["bench", "--n-events", "20000", "--out", str(out)])
-            assert rc == 0
-            reports.append(cli.parse_config(out.read_text()))
-        assert reports[0]["events"] == reports[1]["events"]
-        assert reports[0]["windows"] == reports[1]["windows"]
+    def test_fixture_deterministic(self):
+        def fixture(seed):
+            config = {"n_events": 2000, "duration_us": 100_000, "seed": seed,
+                      "width": 32, "height": 24}
+            return ev.serialize_stream(cli.bench_fixture(config))
+
+        assert fixture(0) == fixture(0)
+        assert fixture(0) != fixture(1)
 
     def test_geometry_beyond_u16_is_data_error(self, capsys):
         assert cli.main(["bench", "--n-events", "10", "--width", "70000"]) == 3

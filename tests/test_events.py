@@ -327,6 +327,11 @@ class TestSliceConstantTime:
             ev.slice_constant_time(ev.EventStream.empty(small_geometry), 0)
 
 
+def window_ends(s, window_us, origin_us=0):
+    """The end time of each window of s, from its final piece."""
+    return [end for end, _, last in ev.iter_window_pieces(s, window_us, origin_us) if last]
+
+
 class TestIterWindows:
     @settings(max_examples=60, deadline=None)
     @given(n_events=st.integers(0, 300), window=st.integers(1, 40_000),
@@ -335,14 +340,15 @@ class TestIterWindows:
         geometry = ev.SensorGeometry(8, 8)
         s = random_stream(np.random.default_rng(seed), geometry, n_events,
                           duration_us=100_000)
-        pairs = list(ev.iter_windows(s, window, origin))
+        windows = ev.slice_constant_time(s, window, origin)
+        ends = window_ends(s, window, origin)
         kept = s.t[s.t >= np.uint64(origin)]
         if kept.size == 0:
-            assert pairs == []
+            assert windows == ends == []
             return
-        assert len(pairs) == (int(s.t[-1]) - origin) // window + 1
-        assert np.array_equal(np.concatenate([w.t for _, w in pairs]), kept)
-        for k, (end_us, w) in enumerate(pairs):
+        assert len(windows) == len(ends) == (int(s.t[-1]) - origin) // window + 1
+        assert np.array_equal(np.concatenate([w.t for w in windows]), kept)
+        for k, (end_us, w) in enumerate(zip(ends, windows)):
             assert end_us == origin + (k + 1) * window
             assert np.all(w.t >= np.uint64(end_us - window))
             assert np.all(w.t < np.uint64(end_us))
@@ -358,7 +364,7 @@ class TestIterWindows:
         monkeypatch.setattr(ev, "validate_columns", counted)
         s = random_stream(rng, small_geometry, 2000, duration_us=100_000)
         assert len(calls) == 1
-        windows = [w for _, w in ev.iter_windows(s, 7_000, 0)]
+        windows = ev.slice_constant_time(s, 7_000, 0)
         windows += [s[i:i + 300] for i in range(0, len(s), 300)]
         assert len(calls) == 1
         for w in windows:
@@ -376,28 +382,28 @@ class TestIterWindows:
 
     def test_gap_within_bound(self, small_geometry):
         s = ev.EventStream.from_arrays(small_geometry, [0, 10**9], [0, 1], [0, 1], [1, 1])
-        windows = ev.iter_windows(s, 20_000)
-        end_us, first = next(windows)
-        assert (end_us, len(first)) == (20_000, 1)
-        assert sum(1 for _ in windows) == 50_000
+        windows = ev.slice_constant_time(s, 20_000)
+        assert (window_ends(s, 20_000)[0], len(windows[0])) == (20_000, 1)
+        assert len(windows) == 50_001
 
     def test_window_count_bounded(self, small_geometry):
         s = ev.EventStream.from_arrays(small_geometry, [0, 10**12], [0, 1], [0, 1], [1, 1])
         with pytest.raises(WindowLimit, match="50000001 windows"):
-            next(ev.iter_windows(s, 20_000))
+            ev.slice_constant_time(s, 20_000)
 
     def test_last_end_within_u64(self, small_geometry):
         s = ev.EventStream.from_arrays(small_geometry, [2**64 - 30_000, 2**64 - 2],
                                        [0, 1], [0, 1], [1, 1])
         with pytest.raises(WindowLimit, match=str(2**64)):
-            next(ev.iter_windows(s, 20_000, 2**64 - 40_000))
-        pairs = list(ev.iter_windows(s, 20_001, 2**64 - 40_003))
-        assert [(end, len(w)) for end, w in pairs] == [(2**64 - 20_002, 1), (2**64 - 1, 1)]
+            ev.slice_constant_time(s, 20_000, 2**64 - 40_000)
+        windows = ev.slice_constant_time(s, 20_001, 2**64 - 40_003)
+        assert window_ends(s, 20_001, 2**64 - 40_003) == [2**64 - 20_002, 2**64 - 1]
+        assert [len(w) for w in windows] == [1, 1]
 
     def test_origin_past_last_event(self, small_geometry):
         s = ev.EventStream.from_arrays(small_geometry, [5], [0], [0], [1])
-        assert list(ev.iter_windows(s, 10, 6)) == []
-        assert list(ev.iter_windows(s, 10, 2**70)) == []
+        assert ev.slice_constant_time(s, 10, 6) == window_ends(s, 10, 6) == []
+        assert ev.slice_constant_time(s, 10, 2**70) == window_ends(s, 10, 2**70) == []
 
 
 def ramp_file(path, geometry, n):
@@ -434,10 +440,11 @@ class TestEventFile:
         assert all(0 < len(c) <= chunk for c in chunks)
         assert all(not getattr(c, name).flags.writeable for c in chunks for name in "txyp")
         for window, origin in [(7_000, 0), (3_000, 30_000), (1, 99_000), (200_000, 0)]:
-            got = list(ev.iter_windows(f, window, origin))
-            want = list(ev.iter_windows(s, window, origin))
-            assert [end for end, _ in got] == [end for end, _ in want]
-            for (_, a), (_, b) in zip(got, want):
+            got = ev.slice_constant_time(f, window, origin)
+            want = ev.slice_constant_time(s, window, origin)
+            assert window_ends(f, window, origin) == window_ends(s, window, origin)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
                 for name in "txyp":
                     assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -472,14 +479,14 @@ class TestEventFile:
         with open(path, "r+b") as out:
             out.truncate(ev.HEADER_SIZE + keep * ev.RECORD_SIZE)
         with pytest.raises(TruncatedRecord, match=str(path)):
-            list(ev.iter_windows(f, 5_000))
+            ev.slice_constant_time(f, 5_000)
 
     def test_record_changed_before_second_pass(self, tmp_path, small_geometry, chunk):
         path = ramp_file(tmp_path / "events.evt1", small_geometry, 20)
         f = ev.EventFile(path)
         edit_records(path, lambda rec: rec["x"].__setitem__(13, 32))
         with pytest.raises(OutOfBounds, match=f"{path}: record 13 "):
-            list(ev.iter_windows(f, 5_000))
+            ev.slice_constant_time(f, 5_000)
 
     def test_pipe_is_refused_by_name(self, tmp_path, small_geometry):
         blob = ramp_file(tmp_path / "events.evt1", small_geometry, 20).read_bytes()
@@ -496,7 +503,7 @@ class TestEventFile:
     def test_file_shrunk_during_second_pass(self, tmp_path, small_geometry, chunk):
         # past the reader's 8 KiB buffer, so the cut shows before the last chunk
         path = ramp_file(tmp_path / "events.evt1", small_geometry, 2000)
-        windows = ev.iter_windows(ev.EventFile(path), 50_000)
+        windows = ev.iter_window_pieces(ev.EventFile(path), 50_000)
         next(windows)
         with open(path, "r+b") as out:
             out.truncate(ev.HEADER_SIZE + 100 * ev.RECORD_SIZE)

@@ -424,8 +424,30 @@ class TestMaskStackIO:
 
     def test_external_backend_shares_the_stack(self, rng):
         masks = rng.random((3, GEO.height, GEO.width)) > 0.5
-        backend = gating.ExternalMaskBackend(masks, 10, 0, 2)
+        scores = rng.random((3, 2))
+        backend = gating.ExternalMaskBackend(masks, 10, 0, 2, scores)
         assert np.shares_memory(backend.masks, masks)
+        for k in range(3):  # each plan a view, one mask long at the stack's end
+            plan = backend.predict(volume_from(np.zeros((2, GEO.height, GEO.width)),
+                                               query_time_us=10 * (k + 1)))
+            assert np.shares_memory(plan.masks, masks)
+            assert np.array_equal(plan.masks, masks[k:k + 2])
+            assert np.array_equal(plan.scores, scores[k, :len(plan.masks)])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_external_stack_fails_at_the_first_window_past_it(self, rng, n, horizon, beta):
+        masks = rng.random((n, GEO.height, GEO.width)) > 0.5
+        backend = gating.ExternalMaskBackend(masks, 10, 0, horizon)
+        frames = [volume_from(np.zeros((2, GEO.height, GEO.width)), query_time_us=10 * (k + 1))
+                  for k in range(n + 2)]
+        scheduled = gating.iter_schedule(frames, backend, beta)
+        for k in range(n):
+            assert np.array_equal(next(scheduled)[2], masks[k])
+        with pytest.raises(DataError, match=f"no external mask for window {n}: "
+                                            f"the stack holds {n} mask"):
+            next(scheduled)
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
     def test_external_backend_checks_its_score_table(self, rng, bad):

@@ -527,6 +527,16 @@ class TestWindowFrame:
         rep.WindowFrame(state, self.T).write(tmp_path / "m.tore", mask)
         assert (tmp_path / "m.tore").read_bytes() == rep.serialize_tensor(want.data)
 
+    @pytest.mark.parametrize("value", [0.5, 2.0])
+    def test_valued_mask_reads_as_bool(self, rng, tmp_path, value):
+        state = filled_state(self.GEO, 2, self.TAU, 0.5, self.T, rng)
+        cover = rng.random((self.GEO.height, self.GEO.width)) < 0.3
+        mask = np.where(cover, value, 0.0).astype(np.float32)
+        want = gating.apply_mask(state.materialize(self.T), mask)
+        assert np.array_equal(want.data, gating.apply_mask(state.materialize(self.T), cover).data)
+        rep.WindowFrame(state, self.T).write(tmp_path / "m.tore", mask)
+        assert (tmp_path / "m.tore").read_bytes() == rep.serialize_tensor(want.data)
+
     def test_data_is_materialize(self, rng):
         state = filled_state(self.GEO, 3, self.TAU, 0.5, self.T, rng)
         assert np.array_equal(rep.WindowFrame(state, self.T).data,

@@ -75,7 +75,8 @@ NEVER_CALLED = {
     # apply_mask stays the library function and the tests' oracle
     "gating.apply_mask",
     # tore and filter write each frame with `WindowFrame.write`, channel by
-    # channel; materialize stays the collector of window_volumes and bench
+    # channel; materialize stays the collector behind WindowFrame.data and
+    # window_volumes, which tests and the CI readback call
     "rep.ToreState.materialize",
     "sim.load_frame_sequence", "sim.load_mask_sequence", "sim.composite",
     "sim.interpolate_linear", "sim.frames_to_events",
