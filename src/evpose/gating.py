@@ -307,9 +307,8 @@ class ExternalMaskBackend:
         if horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon}")
         self.masks = np.asarray(masks, dtype=bool)  # the caller's bool stack, not a copy
-        n, pixels = self.masks.shape[0], int(np.prod(self.masks.shape[1:]))
-        # the score table, 8 bytes a score, and each plan, 1 byte a pixel
-        check_budget("horizon", horizon, horizon * max(8 * n, pixels))
+        # the score table, 8 bytes a score; a plan is a view of the stack
+        check_budget("horizon", horizon, 8 * self.masks.shape[0] * horizon)
         self.window_us = window_us
         self.origin_us = origin_us
         self.horizon = horizon

@@ -19,8 +19,11 @@ the change against the reference and its quotient by the threshold, and
 to list the pixels whose quotient reaches +1 or -1. Counts, crossing
 times and reference updates are computed at those fired pixels alone,
 typically a few percent of the sensor, so the rest of the work follows
-the events rather than the sensor size. The noise-rate frame is built
-only when a noise rate is configured.
+the events rather than the sensor size. The log intensities and the
+quotient live in frame-sized float64 buffers made once per clip; the
+noise rate reuses the quotient's buffer, and it and the random generator
+exist only when a noise rate is configured. 8-bit frame files are
+blended as stored and converted to float64 once per frame.
 
 The module also produces the paired ground truth a simulated recording
 needs downstream: skeleton label files, normalized cube coordinates,
@@ -138,6 +141,9 @@ class PixelModelParams:
             raise ConfigError("noise rates must be finite and non-negative")
         if not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
+        # the generator's seeding takes only integers, and a noise-free run never seeds it
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         check_range("seed", self.seed, 0, math.inf)
 
 
@@ -189,8 +195,15 @@ def iter_composite(fg: FrameDirectory, fg_masks: FrameDirectory,
 
     The directories' manifests are checked against each other before this
     returns; each frame is read, range-checked and blended when consumed.
+    When foreground and background both hold PGM files, their 8-bit images
+    are blended as stored and the blend converted once, as
+    `FrameDirectory.read` converts each image, to the same bits. Each
+    frame is a fresh array.
     """
     _check_aligned(fg, fg_masks, bg)
+    if fg.format == bg.format == "pgm":
+        return (_unit(np.where(fg_masks.read_mask(i), fg._read(i), bg._read(i)))
+                for i in range(len(fg)))
     return (np.where(fg_masks.read_mask(i), fg.read(i), bg.read(i)) for i in range(len(fg)))
 
 
@@ -200,7 +213,7 @@ def iter_interpolated(frames: Iterable[np.ndarray], factor: int) -> Iterator[np.
     Each neighboring pair (prev, cur) yields (1 - w) * prev + w * cur for
     w = j / factor, j = 0 .. factor - 1, and the last frame follows, so T
     frames become (T - 1) * factor + 1 at fps * factor. A cheap stand-in
-    for learned frame interpolation.
+    for learned frame interpolation. Each blend is a fresh array.
     """
     if factor < 1:
         raise ConfigError(f"factor must be >= 1, got {factor}")
@@ -209,13 +222,22 @@ def iter_interpolated(frames: Iterable[np.ndarray], factor: int) -> Iterator[np.
     return _blends(frames, factor)
 
 
+_BLEND_ROWS = 32  # rows per w * cur product
+
+
 def _blends(frames, factor):
-    prev = None
+    prev = product = None  # product holds w * cur, _BLEND_ROWS rows at a time
     for cur in frames:
         if prev is not None:
+            if product is None:
+                product = np.empty_like(cur[:_BLEND_ROWS])
             for j in range(factor):
                 w = j / factor
-                yield (1.0 - w) * prev + w * cur
+                blend = np.multiply(1.0 - w, prev)
+                for r in range(0, len(cur), _BLEND_ROWS):
+                    rows = cur[r:r + _BLEND_ROWS]
+                    blend[r:r + _BLEND_ROWS] += np.multiply(w, rows, out=product[:len(rows)])
+                yield blend
         prev = cur
     if prev is not None:
         yield prev
@@ -270,7 +292,7 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
     check_budget("contrast threshold", theta, 8 * geometry.num_pixels * (span / theta + 1))
     rate = p.leak_rate_hz + p.shot_noise_scale + p.hot_pixel_rate_hz
     check_budget("noise rate", rate, 8 * geometry.num_pixels * rate * (1 / fps + 1e-6))
-    noise_rate = np.zeros((h, w))
+    noise_rate = np.zeros((h, w)) if p.hot_pixels else None
     for hx, hy in p.hot_pixels:
         if not (0 <= hx < w and 0 <= hy < h):
             raise ConfigError(f"hot pixel ({hx},{hy}) outside geometry")
@@ -282,31 +304,75 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
     return _synthesize(prev, cur, frames, geometry, fps, p, noise_rate)
 
 
-def _synthesize(prev, cur, frames, geometry, fps, p, noise_rate):
-    """iter_events from its first two frames on, holding each frame one interval."""
-    h, w = geometry.height, geometry.width
-    noisy = p.leak_rate_hz > 0 or p.shot_noise_scale > 0 or noise_rate.any()
-    lam = np.empty((h, w)) if noisy else None  # the noise-rate frame, rebuilt each interval
+_NOISE_BLOCK = 2**13  # pixels per Poisson draw
 
-    rng = np.random.default_rng(p.seed)
-    l_prev = np.log(prev + p.eps).reshape(-1)
-    ref = l_prev.copy()
-    for i in itertools.count():
-        t0, t1 = _frame_time_us(i, fps), _frame_time_us(i + 1, fps)
-        l_new = np.log(cur + p.eps).reshape(-1)
-        d = l_new - ref
-        q_neg = d / p.theta_neg
-        q_pos = q_neg if p.theta_pos == p.theta_neg else d / p.theta_pos
+
+def _log_intensity(frame, eps, out):
+    """ln(frame + eps) in out, a flat float64 buffer of the frame's size."""
+    np.add(frame.reshape(-1), eps, out=out)
+    return np.log(out, out=out)
+
+
+def _synthesize(prev, cur, frames, geometry, fps, p, noise_rate):
+    """iter_events from its first two frames on, holding one interval at a time.
+
+    Its frame-sized float64 arrays are buffers made once: the log
+    intensities l_prev and l_new, which swap each interval, the reference,
+    and the quotient q by theta_neg, with q_pos by theta_pos only when the
+    thresholds differ. An interval's noise reads only its first frame, so
+    it is drawn first, its rate in q, and that frame is dropped before the
+    crossings are found. The interval's Poisson counts and event columns
+    are dropped before its chunk is yielded.
+    """
+    shape, n = (geometry.height, geometry.width), geometry.num_pixels
+    noisy = p.leak_rate_hz > 0 or p.shot_noise_scale > 0 or (
+        noise_rate is not None and noise_rate.any())
+    rng = np.random.default_rng(p.seed) if noisy else None
+    l_prev, l_new, q = np.empty(n), np.empty(n), np.empty(n)
+    q_pos = q if p.theta_pos == p.theta_neg else np.empty(n)
+    ref = _log_intensity(prev, p.eps, l_prev).copy()
+
+    def noise(t0, t1, first):
+        """The interval's noise events, from its first frame, as a list of at
+        most one (t, flat pixel, polarity) part."""
+        lam = q.reshape(shape)
+        np.subtract(1.0, first, out=lam)
+        lam *= p.shot_noise_scale
+        lam += p.leak_rate_hz
+        if noise_rate is not None:
+            lam += noise_rate
+        lam *= (t1 - t0) * 1e-6
+        # a block at a time, the counts take 64 KiB, not a frame: the same
+        # draws in the same order as one draw over the frame, and a rate of
+        # 0 draws nothing
+        pix = []
+        for start in range(0, n, _NOISE_BLOCK):
+            counts = rng.poisson(q[start:start + _NOISE_BLOCK])
+            hit = np.flatnonzero(counts)
+            pix.append(np.repeat(hit + start, counts[hit]))
+        pix = np.concatenate(pix)
+        if not pix.size:
+            return []
+        return [(rng.uniform(t0, t1, pix.size), pix,
+                 (rng.integers(0, 2, pix.size) * 2 - 1).astype(np.int8))]
+
+    def crossings(t0, t1, l_prev, l_new):
+        """The interval's threshold crossings as (t, flat pixel, polarity)
+        parts, positive then negative; ref moves by them."""
+        np.subtract(l_new, ref, out=q)
+        if q_pos is not q:
+            np.divide(q, p.theta_pos, out=q_pos)
+        np.divide(q, p.theta_neg, out=q)
         # the same quotients the counts floor: a pixel fires iff its count is >= 1
-        fired = np.flatnonzero((q_pos >= 1.0) | (q_neg <= -1.0))
+        fired = np.flatnonzero((q_pos >= 1.0) | (q <= -1.0))
         up = q_pos[fired] >= 1.0
-        parts = []  # (t, flat pixel, polarity) per source
-        for sign, theta, q, pix in ((+1, p.theta_pos, q_pos, fired[up]),
-                                    (-1, p.theta_neg, q_neg, fired[~up])):
+        parts = []
+        for sign, theta, quotient, pix in ((+1, p.theta_pos, q_pos, fired[up]),
+                                           (-1, p.theta_neg, q, fired[~up])):
             if not pix.size:
                 continue
             step = sign * theta
-            counts = np.floor(sign * q[pix]).astype(np.int64)
+            counts = np.floor(sign * quotient[pix]).astype(np.int64)
             pix_rep, rank = _expand_counts(pix, counts)
             level = ref[pix_rep] + rank * step
             lp = l_prev[pix_rep]
@@ -317,34 +383,34 @@ def _synthesize(prev, cur, frames, geometry, fps, p, noise_rate):
                                      where=span != 0), 0.0, 1.0)
             parts.append((t0 + frac * (t1 - t0), pix_rep, np.full(pix_rep.size, sign, np.int8)))
             ref[pix] += counts * step
+        return parts
 
-        if lam is not None:
-            np.subtract(1.0, prev, out=lam)
-            lam *= p.shot_noise_scale
-            lam += p.leak_rate_hz
-            lam += noise_rate
-            lam *= (t1 - t0) * 1e-6
-            if np.any(lam > 0):
-                counts = rng.poisson(lam).reshape(-1)
-                pix = np.flatnonzero(counts > 0)
-                pix, _ = _expand_counts(pix, counts[pix])
-                if pix.size:
-                    parts.append((rng.uniform(t0, t1, pix.size), pix,
-                                  (rng.integers(0, 2, pix.size) * 2 - 1).astype(np.int8)))
+    for i in itertools.count():
+        t0, t1 = _frame_time_us(i, fps), _frame_time_us(i + 1, fps)
+        parts = [] if rng is None else noise(t0, t1, prev)
+        prev = cur
+        parts = crossings(t0, t1, l_prev, _log_intensity(cur, p.eps, l_new)) + parts
+        l_prev, l_new = l_new, l_prev
         if parts:
-            ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
-            ts = np.rint(ts).astype(np.uint64)
-            # every rounded timestamp lies in [t0, t1]: t0 and t1 are whole
-            # floats and t0 + frac * (t1 - t0) rounds monotonically, as does
-            # uniform(t0, t1); so the offsets fit t1 - t0's type, uint16 at
-            # video rates, whose stable sort is a radix sort
-            order = np.argsort((ts - np.uint64(t0)).astype(np.min_scalar_type(t1 - t0)),
-                               kind="stable")
-            pix = pix[order]
-            yield ts[order], (pix % w).astype(np.uint16), (pix // w).astype(np.uint16), ps[order]
-        prev, l_prev = cur, l_new
+            yield _sorted_chunk(parts, t0, t1, geometry.width)
         if (cur := next(frames, None)) is None:
             return
+
+
+def _sorted_chunk(parts, t0, t1, width):
+    """The (t, flat pixel, polarity) parts of the interval [t0, t1] as one
+    chunk of (t, x, y, polarity) columns, stably sorted by rounded
+    timestamp. parts is emptied once its columns are joined."""
+    ts, pix, ps = (np.concatenate(col) for col in zip(*parts))
+    parts.clear()
+    ts = np.rint(ts).astype(np.uint64)
+    # every rounded timestamp lies in [t0, t1]: t0 and t1 are whole
+    # floats and t0 + frac * (t1 - t0) rounds monotonically, as does
+    # uniform(t0, t1); so the offsets fit t1 - t0's type, uint16 at
+    # video rates, whose stable sort is a radix sort
+    order = np.argsort((ts - np.uint64(t0)).astype(np.min_scalar_type(t1 - t0)), kind="stable")
+    pix = pix[order]
+    return ts[order], (pix % width).astype(np.uint16), (pix // width).astype(np.uint16), ps[order]
 
 
 def frames_to_events(f: FrameSequence, p: PixelModelParams) -> EventStream:
@@ -504,7 +570,15 @@ def write_pgm(path, image01: np.ndarray) -> None:
         f.write(b.tobytes())
 
 
-def parse_pgm(blob: bytes) -> np.ndarray:
+def _unit(u8: np.ndarray) -> np.ndarray:
+    """8-bit pixels as float64 intensities u8 / 255, which lie in [0, 1]."""
+    a = u8.astype(np.float64)
+    a /= 255.0
+    return a
+
+
+def _pgm_pixels(blob: bytes) -> np.ndarray:
+    """A binary PGM's pixels as stored: an (H, W) uint8 view of blob."""
     if not blob.startswith(b"P5"):
         raise DataError("not a binary PGM")
     fields, pos = [], 2
@@ -524,8 +598,8 @@ def parse_pgm(blob: bytes) -> np.ndarray:
         raise DataError("only maxval 255 is supported")
     if not (w > 0 and h > 0 and w * h <= len(blob) - pos):
         raise DataError(f"PGM size {w}x{h} does not fit its {len(blob) - pos} pixel bytes")
-    a = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
-    return a.reshape(h, w).astype(np.float64) / 255.0
+    return np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
+
 
 
 @dataclass(frozen=True)
@@ -547,25 +621,30 @@ class FrameDirectory:
 
     def read(self, i: int) -> np.ndarray:
         """Image i as (H, W) float64 intensities, checked to lie in [0, 1]."""
-        return self._read(i, lambda img: check_range("frame intensities", img, 0, 1, DataError))
+        return self._read(i, lambda img: _unit(img) if img.dtype == np.uint8
+                          else check_range("frame intensities", img, 0, 1, DataError))
 
     def read_mask(self, i: int) -> np.ndarray:
         """Image i as an (H, W) bool mask: pixels above 0.5 are foreground."""
-        return self._read(i, lambda img: img > 0.5)
+        # u8 / 255 > 0.5 is u8 >= 128
+        return self._read(i, lambda img: img >= 128 if img.dtype == np.uint8 else img > 0.5)
 
-    def _read(self, i, convert):
+    def _read(self, i, convert=None):
+        """convert of image i as stored, uint8 for PGM and float64 for f32,
+        or the stored image itself; errors name the file."""
         fp = self.path / self.names[i]
         h, w = self.geometry.height, self.geometry.width
         with from_file(fp):
             if self.format == "pgm":
-                img = parse_pgm(fp.read_bytes())
+                img = _pgm_pixels(fp.read_bytes())
             else:
                 with np.errstate(invalid="ignore"):  # a signalling NaN reads as a quiet one
                     img = np.fromfile(fp, dtype="<f4").astype(np.float64)
                 if img.size != h * w:
                     raise DataError(f"expected {h * w} floats, got {img.size}")
                 img = img.reshape(h, w)
-            return convert(self.geometry.check_shape("image", img))
+            img = self.geometry.check_shape("image", img)
+            return img if convert is None else convert(img)
 
 
 def list_frames(dirpath) -> FrameDirectory:

@@ -150,7 +150,8 @@ class TestCheckBudget:
             gating.ReferenceMaskBackend(horizon=big).check_geometry(GEO)
         with pytest.raises(ConfigError, match=plan_bytes):
             gating.ReferenceMaskBackend(horizon=big).predict(_volume())
-        with pytest.raises(ConfigError, match=plan_bytes):  # a plan outweighs 2 scores
+        with pytest.raises(ConfigError, match=f"^horizon = {big} asks for {16 * big} "):
+            # a plan is a view of the stack: only the 2 masks' scores count
             gating.ExternalMaskBackend(np.zeros((2, GEO.height, GEO.width), bool), 10, 0, big)
         with pytest.raises(ConfigError, match=f"^horizon = {big} asks for {8 * 10**6 * big} "):
             gating.ExternalMaskBackend(np.zeros((10**6, 1, 1), bool), 10, 0, big)

@@ -448,6 +448,52 @@ class TestSimulateStreaming:
         assert len(ev.read_stream(tmp_path / f"n{n}" / "out" / "events.evt1")) > 0
         return peak
 
+    def test_peak_memory_on_davis346_is_about_nine_frames(self, tmp_path, capsys):
+        """With masks, background, shot noise and --interpolate 2, simulate
+        holds the synthesis buffers (log intensities, reference, quotient),
+        the two input frames a blend reads, the frame being synthesized and
+        one interval's events: about nine frame-sized float64 arrays."""
+        n, h, w = 6, 260, 346
+        yy, xx = np.mgrid[0:h, 0:w]
+        k = np.arange(n)[:, None, None]
+        layers = {
+            "frames": np.broadcast_to(0.7 + 0.2 * np.sin(xx / 3.0 + yy / 5.0), (n, h, w)),
+            "masks": ((xx - 8 * k) % w < 60).astype(np.float64),
+            "background": 0.2 + 0.1 * np.cos(xx / 7.0) * np.sin(yy / 4.0)
+            + 0.3 * (np.abs((yy - 6 * k) % h - h / 2) < 20),
+        }
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--shot-noise-scale", "2",
+                "--interpolate", "2"]
+        for name, frames in layers.items():
+            write_frame_dir(tmp_path / name, frames, fps=50.0, fmt="pgm")
+            argv += [f"--{name}", str(tmp_path / name)]
+        assert cli.main(argv) == 0  # first run: one-time imports and caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ev.read_stream(tmp_path / "out" / "events.evt1")) > 100_000
+        assert peak < 11 * 8 * h * w, peak / (8 * h * w)
+
+    @pytest.mark.parametrize("noise, loaded", [([], False), (["--leak-rate-hz", "5"], True)])
+    def test_numpy_random_loads_only_for_a_noisy_clip(self, tmp_path, noise, loaded):
+        # a fresh interpreter, so modules the test session loaded do not count
+        write_frame_dir(tmp_path / "frames", np.linspace(0.1, 0.9, 3)[:, None, None]
+                        * np.ones((3, 6, 8)), fps=50.0, fmt="pgm")
+        argv = ["simulate", "--frames", str(tmp_path / "frames"), "--out", str(tmp_path / "out"),
+                *noise]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (f"import sys; from evpose import cli; code = cli.main({argv!r}); "
+                 "print(code, 'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == f"0 {loaded}"
+        assert len(ev.read_stream(tmp_path / "out" / "events.evt1")) > 0
+
     def test_peak_memory_flat_in_clip_length(self, tmp_path, capsys):
         frame_bytes = 64 * 48 * 8  # one float64 frame
         self._peak(tmp_path, 20)  # first run: one-time imports and caches

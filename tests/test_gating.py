@@ -434,6 +434,19 @@ class TestMaskStackIO:
             assert np.array_equal(plan.masks, masks[k:k + 2])
             assert np.array_equal(plan.scores, scores[k, :len(plan.masks)])
 
+    def test_long_horizon_budgets_only_the_score_table(self):
+        # on DAVIS346, 10 masks at horizon 30000: a 2.4 MB score table,
+        # where plans of horizon * H * W bytes would ask for 2.7 GB
+        geometry = SensorGeometry(width=346, height=260)
+        masks = np.zeros((10, geometry.height, geometry.width), bool)
+        backend = gating.ExternalMaskBackend(masks, 10, 0, 30_000)
+        assert backend.scores.nbytes == 8 * 10 * 30_000
+        for k in (0, 9):
+            plan = backend.predict(volume_from(np.zeros((2, geometry.height, geometry.width)),
+                                               query_time_us=10 * (k + 1), geometry=geometry))
+            assert np.shares_memory(plan.masks, masks)
+            assert len(plan.masks) == 10 - k
+
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("beta", [0.0, 1.0])

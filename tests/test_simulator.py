@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from evpose.pose_math import (DISTRIBUTION_ATOL, Heatmaps, cell_centers, denorma
                               fuse_planes, soft_argmax)
 
 from oracles import (
+    composite_whole_clip,
     frames_to_events_direct,
     frames_to_events_whole_clip,
     heatmaps_per_plane,
@@ -109,6 +112,87 @@ class TestComposite:
         other = SensorGeometry(8, 8)
         with pytest.raises(GeometryMismatch):
             sim.composite(fg, masks, const_frames(0.5, 2, geometry=other))
+
+
+def _image_dir(path, images, fmt, fps=50.0):
+    """(T, H, W) uint8 images as a PGM directory, or as float32 u8 / 255 in an f32 one."""
+    path.mkdir()
+    for i, img in enumerate(images):
+        if fmt == "pgm":
+            sim.write_pgm(path / f"{i:04d}.pgm", img / 255)
+        else:
+            (img / 255).astype("<f4").tofile(path / f"{i:04d}.f32")
+    _, h, w = images.shape
+    (path / "manifest.json").write_text(json.dumps(
+        {"fps": fps, "width": w, "height": h, "format": fmt}))
+    return sim.list_frames(path)
+
+
+def _as_read(images, fmt):
+    """What a directory of _image_dir reads back as: float64 intensities."""
+    return images / 255 if fmt == "pgm" else (images / 255).astype(np.float32).astype(np.float64)
+
+
+class TestCompositeDirectories:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), formats=st.tuples(*[st.sampled_from(["pgm", "f32"])] * 3))
+    def test_blend_is_the_float_blend_bit_for_bit(self, data, formats):
+        """8-bit foreground, mask and background images, the mask always
+        holding 127 and 128: on PGM directories the 8-bit blend equals
+        np.where(m / 255 > 0.5, fg / 255, bg / 255), and any set with an f32
+        directory blends the images as they read, each frame a fresh array."""
+        t, h, w = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(2, 6)))
+        images = [np.array(data.draw(st.lists(st.integers(0, 255), min_size=t * h * w,
+                                              max_size=t * h * w)), np.uint8).reshape(t, h, w)
+                  for _ in range(3)]
+        images[1][:, 0, :2] = (127, 128)
+        with tempfile.TemporaryDirectory() as d:
+            dirs = [_image_dir(Path(d) / name, img, fmt)
+                    for name, img, fmt in zip(("fg", "masks", "bg"), images, formats)]
+            got = list(sim.iter_composite(*dirs))
+        fg, m, bg = (_as_read(img, fmt) for img, fmt in zip(images, formats))
+        assert len(got) == t and all(frame.dtype == np.float64 for frame in got)
+        assert np.stack(got).tobytes() == np.where(m > 0.5, fg, bg).tobytes()
+
+
+class TestStreamingMatchesWholeClip:
+    """iter_composite, iter_interpolated and iter_events collected into lists
+    equal the whole-clip oracles: a generator that reused an array it had
+    already yielded would change the frames or chunks collected before."""
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("params", [
+        quiet_params(),
+        quiet_params(theta_pos=0.13, theta_neg=0.27),
+        sim.PixelModelParams(leak_rate_hz=5.0, shot_noise_scale=30.0, seed=3),
+        sim.PixelModelParams(theta_pos=0.15, theta_neg=0.25, hot_pixels=((1, 2), (7, 5), (1, 2)),
+                             hot_pixel_rate_hz=500.0, seed=4),
+    ], ids=["quiet", "thresholds", "noise", "hot"])
+    def test_collected_generators_match_whole_clip_oracles(self, tmp_path, rng, factor, params):
+        t, fps = 5, 50.0
+        fg = rng.integers(20, 240, (t, GEO.height, GEO.width), np.uint8)
+        bg = rng.integers(20, 240, (t, GEO.height, GEO.width), np.uint8)
+        columns, frames = np.arange(GEO.width)[None, None, :], np.arange(t)[:, None, None]
+        bar = (columns - 3 * frames) % GEO.width < 6
+        masks = np.broadcast_to(np.where(bar, 128, 127), fg.shape).astype(np.uint8)
+        dirs = [_image_dir(tmp_path / name, img, "pgm")
+                for name, img in (("fg", fg), ("masks", masks), ("bg", bg))]
+        whole = composite_whole_clip(sim.FrameSequence(GEO, fps, fg / 255),
+                                     sim.MaskSequence(GEO, fps, masks / 255 > 0.5),
+                                     sim.FrameSequence(GEO, fps, bg / 255))
+        composited = list(sim.iter_composite(*dirs))
+        assert np.stack(composited).tobytes() == whole.frames.tobytes()
+
+        whole = interpolate_whole_clip(whole, factor)
+        interpolated = list(sim.iter_interpolated(iter(composited), factor))
+        assert np.stack(interpolated).tobytes() == whole.frames.tobytes()
+        assert len({id(frame) for frame in interpolated}) == len(interpolated)
+
+        chunks = list(sim.iter_events(sim.iter_interpolated(sim.iter_composite(*dirs), factor),
+                                      GEO, whole.fps, params))
+        got = EventStream(GEO, *(np.concatenate(col) for col in zip(*chunks)))
+        assert len(chunks) > 1 and len(got) > 0
+        assert serialize_stream(got) == serialize_stream(frames_to_events_whole_clip(whole, params))
 
 
 class TestInterpolate:
@@ -403,6 +487,18 @@ class TestFramesToEvents:
             sim.PixelModelParams(leak_rate_hz=-1.0)
         with pytest.raises(ConfigError):
             sim.PixelModelParams(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, None])
+    def test_seed_that_is_not_an_integer_is_refused_at_construction(self, seed):
+        # refused whether or not the run would draw noise, never at its first chunk
+        with pytest.raises(ConfigError, match="^seed must be an integer, got "):
+            sim.PixelModelParams(seed=seed)
+
+    def test_numpy_integer_seed_is_a_seed(self):
+        f = sim.FrameSequence(GEO, 100.0, np.random.default_rng(1).uniform(0.1, 0.9, (3, 12, 16)))
+        got, want = (sim.frames_to_events(f, sim.PixelModelParams(seed=seed, shot_noise_scale=50.0))
+                     for seed in (np.int64(7), 7))
+        assert serialize_stream(got) == serialize_stream(want)
 
 
 class TestProjection:
@@ -711,10 +807,10 @@ class TestCameraIO:
 class TestImageIO:
     def test_pgm_round_trip(self, tmp_path, rng):
         img = rng.random((12, 16))
-        path = tmp_path / "a.pgm"
-        sim.write_pgm(path, img)
-        back = sim.parse_pgm(path.read_bytes())
-        assert back.shape == img.shape
+        sim.write_pgm(tmp_path / "0.pgm", img)
+        (tmp_path / "manifest.json").write_text(json.dumps({"fps": 30, "width": 16, "height": 12}))
+        back = sim.list_frames(tmp_path).read(0)
+        assert back.shape == img.shape and back.dtype == np.float64
         assert np.allclose(back, img, atol=1.0 / 255.0 / 2.0 + 1e-12)
 
     def test_frame_directory(self, tmp_path, rng):
