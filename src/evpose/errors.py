@@ -91,7 +91,8 @@ class ZeroWindow(ConfigError):
 # -- representations ----------------------------------------------------------
 
 class InvalidTau(ConfigError):
-    """Retention age tau must exceed 1 microsecond."""
+    """Retention age tau must exceed 1 microsecond and lie below 2^31, which
+    keeps the TORE FIFO's offsets in 32 bits."""
 
 
 # -- simulator / camera -------------------------------------------------------

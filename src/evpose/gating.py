@@ -23,6 +23,7 @@ vectorised root hooking and pointer jumping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -251,6 +252,27 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     return np.cumsum(marks, dtype=np.int8).view(bool)[:-1].reshape(h, stride)[:, 1:].copy()
 
 
+def _percentile(values: np.ndarray, q: float) -> np.float32:
+    """np.percentile(values, q) of a float32 array, bit for bit, from one
+    np.partition of a copy: numpy's linear interpolation between order
+    statistics (Hyndman and Fan's type 7), with numpy's float64 index and
+    weight and its float32 arithmetic. (np.percentile itself imports
+    numpy.ma on its first call.)"""
+    n = values.size
+    index = (n - 1) * (q / 100)
+    if index >= n - 1:  # numpy takes the top value twice, its weight from index -1
+        lo = hi = n - 1
+        gamma = index + 1
+    else:
+        lo = math.floor(index)
+        hi, gamma = lo + 1, index - lo
+    part = np.partition(values.reshape(-1), (lo, hi))
+    a, b = part[lo], part[hi]
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
 @dataclass(frozen=True)
 class ReferenceMaskBackend:
     """Stand-in predictor: no training, pure image morphology.
@@ -279,7 +301,7 @@ class ReferenceMaskBackend:
     def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan:
         self.check_geometry(vol.geometry)
         activity = vol.activity
-        threshold = float(np.percentile(activity, self.activity_percentile))
+        threshold = float(_percentile(activity, self.activity_percentile))
         fg = _largest_component(_erode(_dilate(activity > threshold)))
         masks = np.empty((self.horizon,) + fg.shape, dtype=bool)
         masks[0] = fg

@@ -9,14 +9,19 @@ a flipped and rescaled log-age transform:
     v     = ln(delta)
     v'    = clamp(1 - v / ln(tau), 0, 0.7) / 0.7
 
-so a just-fired pixel reads 1, anything older than tau reads 0, and a
-pixel that never fired reads exactly 0 in all channels. Values are
+so a just-fired pixel reads 1, anything older than tau reads exactly 0,
+and a pixel that never fired reads exactly 0 in all channels. Values are
 computed in float64 and stored as float32.
 
 The FIFO is stored in the layout of the materialized volume: channels
 [0, K) hold positive polarity, [K, 2K) negative, ordered newest first
-within each polarity. A slot that was never filled holds EMPTY_SLOT
-(2^64 - 1), which reads as infinitely old and so decays to exactly 0.
+within each polarity. Each slot is a uint32 offset t - base from a base
+that follows the newest timestamp, last_t: last_t - tau rounded down to
+a multiple of 2^31. A slot that was never filled, or whose stamp fell
+below the base, holds EMPTY_SLOT (2^32 - 1) and reads exactly 0: such a
+stamp is older than tau at every query the state allows. A tau below
+2^31 keeps every offset from the base to last_t below EMPTY_SLOT, and an
+age, (t_query - base) - offset, is the same integer as t_query - t.
 """
 
 from __future__ import annotations
@@ -44,18 +49,25 @@ from .events import Event, EventStream, SensorGeometry, freeze
 DEFAULT_K = 4
 DEFAULT_TAU_US = 5_000_000  # retain history up to five seconds
 
-# Content of a never-filled FIFO slot. The timestamp 2^64 - 1 is reserved
-# for it: the FIFO refuses events that carry it.
-EMPTY_SLOT = 2**64 - 1
+# Content of a FIFO slot that reads 0: never filled, or below the base.
+EMPTY_SLOT = 2**32 - 1
+
+# The FIFO refuses events at this timestamp.
+RESERVED_US = 2**64 - 1
+
+# The base is a multiple of BASE_STEP_US, and tau_us at most MAX_TAU_US:
+# last_t - base <= MAX_TAU_US + BASE_STEP_US - 1 = EMPTY_SLOT - 1.
+BASE_STEP_US = 2**31
+MAX_TAU_US = 2**31 - 1
 
 # Most events `ToreState.ingest_stream` pushes at once: each of its int64
 # temporaries takes 32 KiB, whatever the window's event count.
 INGEST_PIECE_EVENTS = 2**12
 
-# Slots of one channel decayed at once, in scratch arrays the state owns
-# (17 bytes a slot): a mostly filled block allocates nothing, a mostly
-# empty one at most 64 KiB a temporary, and the scratch stays small beside
-# one channel.
+# Slots of one channel decayed or rebased at once, in scratch arrays the
+# state owns (21 bytes a slot): a mostly filled block allocates nothing, a
+# mostly empty one at most 64 KiB a temporary, and the scratch stays small
+# beside one channel.
 DECAY_BLOCK_SLOTS = 2**14
 
 _POL_INDEX = {1: 0, -1: 1}
@@ -78,36 +90,46 @@ def _decay(delta: np.ndarray, tau_us) -> np.ndarray:
 def decay_value(delta_us, tau_us):
     """Log-age transform of one event age. Accepts scalars or arrays.
 
-    Ages at or beyond tau_us map to exactly 0; ages at or below the 1us
-    floor map to exactly 1; the saturation edge sits at tau_us**0.3.
+    Ages older than tau_us map to exactly 0 (an age of exactly tau_us
+    may read a few 1e-16, as np.log and math.log round apart); ages at or
+    below the 1us floor map to exactly 1; the saturation edge sits at
+    tau_us**0.3.
     """
     vp = _decay(np.array(delta_us, dtype=np.float64), tau_us)
     return vp if vp.shape else float(vp)
 
 
-def _decay_into(out: np.ndarray, stamps: np.ndarray, t_query: int, tau_us, scratch,
+def _decay_into(out: np.ndarray, slots: np.ndarray, age0: int, tau_us, scratch,
                 index: np.ndarray | None = None) -> None:
-    """Write the decay at t_query of each slot of the flat array stamps, or
-    of stamps[index], to the same position of the flat float32 array out;
-    empty slots read exactly 0. Given index, out must already read 0 at the
-    positions of index, as only its filled slots may be written, and is
-    left as it is elsewhere. scratch is a uint64, a float64 and a bool
-    array of at least that many slots, which this overwrites."""
-    n = len(stamps) if index is None else len(index)
-    age, value, filled = (a[:n] for a in scratch)
-    if index is not None:
-        stamps = np.take(stamps, index, out=age, mode="clip")  # unbuffered; index is valid
-    np.not_equal(stamps, EMPTY_SLOT, out=filled)
+    """Write the decay of each slot of the flat uint32 FIFO array slots, or
+    of slots[index], at age age0 - slot to the same position of the flat
+    float32 array out; EMPTY_SLOT reads exactly 0. Given index, out must
+    already read 0 at the positions of index, as only its filled slots may
+    be written, and is left as it is elsewhere. scratch is a uint64, a
+    float64, a bool and a uint32 array of at least that many slots, which
+    this overwrites."""
+    n = len(slots) if index is None else len(index)
+    age, value, filled, shifted = (a[:n] for a in scratch)
+    if index is None:
+        np.add(slots, np.uint32(1), out=shifted)
+    else:
+        np.take(slots, index, out=shifted, mode="clip")  # unbuffered; index is valid
+        shifted += np.uint32(1)
+    # slot + 1 wraps EMPTY_SLOT to 0, so an empty slot's age is age0 + 1, not
+    # a wrapped value near 2^64: uint64s at or above 2^63 convert to float64
+    # slowly, the more so mixed among small ones
+    np.not_equal(shifted, 0, out=filled)
+    top = np.uint64((age0 + 1) % 2**64)
     # ages are exact in the uint64 subtraction and rounded once into float64
     if 2 * np.count_nonzero(filled) < n:  # mostly empty: decay the filled slots alone
         live = filled.nonzero()[0]
         if index is None:
             out.fill(0)
-        value = (np.uint64(t_query) - stamps[live]).astype(np.float64)
+        value = np.subtract(top, shifted[live], dtype=np.uint64).astype(np.float64)
         out[live if index is None else index[live]] = _decay(value, tau_us)
         return
-    # an empty slot's age wraps, and its decay, finite, times 0 is exactly 0
-    np.subtract(np.uint64(t_query), stamps, out=age)
+    # an empty slot's decay, finite, times 0 is exactly 0
+    np.subtract(top, shifted, out=age, dtype=np.uint64)
     value[...] = age
     np.multiply(_decay(value, tau_us), filled, out=value)
     if index is None:
@@ -118,15 +140,17 @@ def _decay_into(out: np.ndarray, stamps: np.ndarray, t_query: int, tau_us, scrat
 
 @dataclass
 class ToreState:
-    """Per-pixel, per-polarity FIFO queues of absolute event timestamps.
+    """Per-pixel, per-polarity FIFO queues of recent event timestamps.
 
     Single-writer: ingest order is the event order. The fifo array is
-    uint64 in the volume's own layout, shape (2K, H, W): channel p*K + slot
-    holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp.
-    Slots that were never filled hold EMPTY_SLOT. The state also owns the
-    buffers its decays reuse: one channel of float32 values, which every
-    decay writes and its reader streams to a file or copies out, and the
-    scratch of one block.
+    uint32 in the volume's own layout, shape (2K, H, W): channel p*K + slot
+    holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp,
+    each as its offset t - base. base is last_t - tau_us rounded down to a
+    multiple of BASE_STEP_US, or 0; it depends on last_t alone. Slots that
+    were never filled, or whose stamp lies below base, hold EMPTY_SLOT.
+    The state also owns the buffers its decays reuse: one channel of
+    float32 values, which every decay writes and its reader streams to a
+    file or copies out, and the scratch of one block.
     """
 
     geometry: SensorGeometry
@@ -134,21 +158,23 @@ class ToreState:
     tau_us: int = DEFAULT_TAU_US
     fifo: np.ndarray = field(init=False, repr=False)
     last_t: int = field(init=False, default=0)
+    base: int = field(init=False, default=0)
     _channel: np.ndarray = field(init=False, repr=False)
     _scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k <= 0:
             raise InvalidTau(f"K must be positive, got {self.k}")
-        if self.tau_us <= 1:
-            raise InvalidTau(f"tau_us must exceed 1us, got {self.tau_us}")
-        check_budget("k", self.k, 16 * self.k * self.geometry.num_pixels)
+        if not 1 < self.tau_us <= MAX_TAU_US:
+            raise InvalidTau(f"tau_us must exceed 1us and lie below 2^31us, got {self.tau_us}")
+        check_budget("k", self.k, 8 * self.k * self.geometry.num_pixels)
         self.fifo = np.full((2 * self.k, self.geometry.height, self.geometry.width),
-                            EMPTY_SLOT, dtype=np.uint64)
+                            EMPTY_SLOT, dtype=np.uint32)
         hw = self.geometry.num_pixels
         self._channel = np.empty(hw, dtype=np.float32)
         block = min(DECAY_BLOCK_SLOTS, hw)
-        self._scratch = tuple(np.empty(block, dtype) for dtype in (np.uint64, np.float64, bool))
+        self._scratch = tuple(np.empty(block, dtype)
+                              for dtype in (np.uint64, np.float64, bool, np.uint32))
 
     def ingest(self, e: Event) -> "ToreState":
         """Push one event; the oldest timestamp falls off a full FIFO."""
@@ -156,15 +182,15 @@ class ToreState:
             raise OutOfBounds(f"event at ({e.x},{e.y}) outside geometry")
         if e.polarity not in _POL_INDEX:
             raise OutOfBounds(f"polarity {e.polarity} not in (+1, -1)")
-        if e.t >= EMPTY_SLOT:
+        if e.t >= RESERVED_US:
             raise OutOfBounds(f"timestamp {e.t}us is reserved for empty FIFO slots")
         if e.t < self.last_t:
             raise TimeRegression(f"event at {e.t}us precedes latest {self.last_t}us")
+        self._advance(int(e.t))
         c0 = _POL_INDEX[e.polarity] * self.k
         column = self.fifo[c0:c0 + self.k, e.y, e.x]
         column[1:] = column[:-1].copy()
-        column[0] = e.t
-        self.last_t = int(e.t)
+        column[0] = int(e.t) - self.base
         return self
 
     def ingest_stream(self, s: EventStream) -> "ToreState":
@@ -185,21 +211,44 @@ class ToreState:
         if int(s.t[0]) < self.last_t:
             raise TimeRegression(
                 f"stream starts at {int(s.t[0])}us, before latest {self.last_t}us")
-        if s.t[-1] == EMPTY_SLOT:
+        if s.t[-1] == RESERVED_US:
             raise OutOfBounds(f"timestamp {int(s.t[-1])}us is reserved for empty FIFO slots")
         for i0 in range(0, n, INGEST_PIECE_EVENTS):
             i1 = i0 + INGEST_PIECE_EVENTS
+            self._advance(int(s.t[min(i1, n) - 1]))
             self._push_sorted(s.t[i0:i1], s.x[i0:i1], s.y[i0:i1], s.p[i0:i1])
-        self.last_t = int(s.t[-1])
         return self
 
+    def _advance(self, last_t: int) -> None:
+        """Set last_t, and move base to its value for last_t: every offset
+        drops by the move, in blocks, and a stamp left below base becomes
+        EMPTY_SLOT."""
+        base = max(last_t - self.tau_us, 0) // BASE_STEP_US * BASE_STEP_US
+        move = base - self.base
+        self.last_t, self.base = last_t, base
+        if not move:
+            return
+        fifo = self.fifo.reshape(-1)
+        if move >= EMPTY_SLOT:
+            fifo.fill(EMPTY_SLOT)
+            return
+        # offsets wrap: a stamp at or above base lands below EMPTY_SLOT - move,
+        # one below base or an empty slot at or above it
+        stale = self._scratch[2]
+        for i0 in range(0, len(fifo), len(stale)):
+            block = fifo[i0:i0 + len(stale)]
+            np.subtract(block, np.uint32(move), out=block)
+            np.greater_equal(block, EMPTY_SLOT - move, out=stale[:len(block)])
+            np.copyto(block, EMPTY_SLOT, where=stale[:len(block)])
+
     def _push_sorted(self, t, x, y, p) -> None:
-        """Push time-sorted, validated event columns into the FIFO."""
+        """Push time-sorted, validated event columns into the FIFO, whose
+        base is already that of their newest timestamp."""
         n = len(t)
         hw = self.geometry.num_pixels
         bits = (n - 1).bit_length()
         # each event's key is the flat FIFO index of its column's slot 0, below
-        # 2K * hw <= 2^28 (the FIFO's budget), shifted above its arrival index,
+        # 2K * hw <= 2^29 (the FIFO's budget), shifted above its arrival index,
         # below 2^bits: no int64 wrap, and a sort orders each column by time
         key = y.astype(np.int64)
         key *= self.geometry.width
@@ -208,11 +257,13 @@ class ToreState:
         key <<= bits
         key |= np.arange(n)
         key.sort()
-        st = t[key & ((1 << bits) - 1)]
+        offsets = np.subtract(t, np.uint64(self.base)).astype(np.uint32)
+        offsets[:np.searchsorted(t, np.uint64(self.base))] = EMPTY_SLOT  # the stamps below base
+        st = offsets[key & ((1 << bits) - 1)]
         key >>= bits
         last = np.flatnonzero(np.append(key[1:] != key[:-1], True))  # each column's newest
         counts = np.diff(last, prepend=-1)
-        base = key[last]
+        col0 = key[last]
 
         fifo = self.fifo.reshape(-1)
         shift = counts * hw
@@ -220,12 +271,12 @@ class ToreState:
         # slot s takes the entry `counts` slots newer, or, in a column with
         # more than s new events, its (s+1)-th newest
         for slot in range(self.k - 1, 0, -1):
-            dst = base + slot * hw
+            dst = col0 + slot * hw
             value = fifo[dst - np.minimum(shift, slot * hw)]
             pushed = counts > slot
             value[pushed] = st[last[pushed] - slot]
             fifo[dst] = value
-        fifo[base] = st[last]
+        fifo[col0] = st[last]
 
     def _check_query(self, t_query: int) -> None:
         if not 0 <= t_query < 2**64:
@@ -235,26 +286,28 @@ class ToreState:
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
 
     def _decay_channels(self, t_query: int, rows=None, pixels: np.ndarray | None = None):
-        """The decay at t_query of rows of H*W stamps, by default the FIFO's
-        channels (the volume), one row at a time: yields each row's float32
-        decay, computed in blocks of at most DECAY_BLOCK_SLOTS slots. Every
-        slot is decayed, or, given the sorted flat pixel indices `pixels`,
-        only those at these pixels, and the rest read 0. Each row is the
-        state's channel buffer, which the next row overwrites."""
+        """The decay at t_query of rows of H*W FIFO slots, by default the
+        FIFO's channels (the volume), one row at a time: yields each row's
+        float32 decay, computed in blocks of at most DECAY_BLOCK_SLOTS
+        slots. Every slot is decayed, or, given the sorted flat pixel
+        indices `pixels`, only those at these pixels, and the rest read 0.
+        Each row is the state's channel buffer, which the next row
+        overwrites."""
         if rows is None:
             rows = self.fifo.reshape(2 * self.k, -1)
         hw = self.geometry.num_pixels
         size = len(self._scratch[0])
         values = self._channel
-        for stamps in rows:
+        age0 = t_query - self.base  # a slot's age is age0 - slot
+        for slots in rows:
             if pixels is None:
                 for p0 in range(0, hw, size):
-                    _decay_into(values[p0:p0 + size], stamps[p0:p0 + size], t_query,
+                    _decay_into(values[p0:p0 + size], slots[p0:p0 + size], age0,
                                 self.tau_us, self._scratch)
             else:
                 values.fill(0)
                 for i0 in range(0, len(pixels), size):
-                    _decay_into(values, stamps, t_query, self.tau_us, self._scratch,
+                    _decay_into(values, slots, age0, self.tau_us, self._scratch,
                                 pixels[i0:i0 + size])
             yield values
 
@@ -273,7 +326,7 @@ class ToreState:
 
 
 class _Newest:
-    """Each pixel's newest filled stamp over both polarities (channels 0
+    """Each pixel's newest filled slot over both polarities (channels 0
     and K) as a row of `ToreState._decay_channels`, or EMPTY_SLOT if neither
     is filled; each slice is computed when it is taken."""
 
@@ -281,8 +334,8 @@ class _Newest:
         self.pos, self.neg = state.fifo[0].reshape(-1), state.fifo[state.k].reshape(-1)
 
     def __getitem__(self, pixels: slice) -> np.ndarray:
-        # EMPTY_SLOT + 1 wraps to 0, below every filled stamp + 1
-        one = np.uint64(1)
+        # EMPTY_SLOT + 1 wraps to 0, below every filled slot + 1
+        one = np.uint32(1)
         return np.maximum(self.pos[pixels] + one, self.neg[pixels] + one) - one
 
 

@@ -283,8 +283,10 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
     any other pixel would add exactly 0.0 to its reference. The quotient
     that picks them is the one the counts floor.
 
-    The hot pixels, the event budget and the two-frame minimum are checked
-    on call: the first two frames are drawn then, before the first chunk.
+    Each frame must be (H, W), or it is a GeometryMismatch. The hot
+    pixels, the event budget and the two-frame minimum are checked on
+    call: the first two frames are drawn, and checked, then, before the
+    first chunk.
     """
     h, w = geometry.height, geometry.width
     # 8 bytes a timestamp: a pixel crosses at most ln((1 + eps) / eps) / theta + 1 levels
@@ -297,7 +299,7 @@ def iter_events(frames: Iterable[np.ndarray], geometry: SensorGeometry, fps: flo
         if not (0 <= hx < w and 0 <= hy < h):
             raise ConfigError(f"hot pixel ({hx},{hy}) outside geometry")
         noise_rate[hy, hx] += p.hot_pixel_rate_hz
-    frames = iter(frames)
+    frames = (geometry.check_shape("frame", f) for f in frames)
     prev, cur = next(frames, None), next(frames, None)
     if cur is None:
         raise EmptySequence(f"need at least 2 frames, got {int(prev is not None)}")

@@ -47,11 +47,13 @@ def tore_brute_force(stream, k, tau_us, t_query):
     return vol
 
 
-def decay_fifo(fifo, tau_us, t_query):
-    """The volume of a FIFO array in the library's layout, in one pass over
-    its filled slots: each one's flipped log-age at t_query, the rest 0."""
-    filled = fifo != 2**64 - 1
-    delta = np.array([float(t_query - t) for t in fifo[filled].tolist()], dtype=np.float64)
+def decay_fifo(fifo, base, tau_us, t_query):
+    """The volume of a FIFO array in the library's layout, uint32 offsets
+    from base with 2^32 - 1 for a slot that reads 0, in one pass over its
+    filled slots: each one's flipped log-age at t_query, the rest 0."""
+    filled = fifo != 2**32 - 1
+    delta = np.array([float(t_query - (base + t)) for t in fifo[filled].tolist()],
+                     dtype=np.float64)
     np.maximum(delta, 1.0, out=delta)
     vol = np.zeros(fifo.shape, dtype=np.float32)
     vol[filled] = np.clip(1.0 - np.log(delta) / math.log(tau_us), 0.0, 0.7) / 0.7

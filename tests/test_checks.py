@@ -143,7 +143,7 @@ class TestCheckBudget:
     # once rather than fill memory
     def test_each_site_checks_before_it_allocates(self):
         big = 2**50
-        with pytest.raises(ConfigError, match=f"^k = {big} asks for {16 * big * GEO.num_pixels} "):
+        with pytest.raises(ConfigError, match=f"^k = {big} asks for {8 * big * GEO.num_pixels} "):
             rep.ToreState(GEO, k=big)
         plan_bytes = f"^horizon = {big} asks for {big * GEO.num_pixels} "
         with pytest.raises(ConfigError, match=plan_bytes):

@@ -1180,6 +1180,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["tore", "filter"])
+    def test_tau_the_fifo_cannot_offset_exits_2_before_output(self, tmp_path, small_geometry,
+                                                              rng, capsys, command):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 500))
+        for tau_us in (2**31, 2**64 - 1):
+            out = tmp_path / f"o{tau_us}"
+            assert cli.main([command, "--events", str(events_path), "--out", str(out),
+                             "--tau-us", str(tau_us)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: tau_us must exceed 1us and lie below 2^31us, got {tau_us}\n")
+            assert not out.exists()
+        assert cli.main([command, "--events", str(events_path), "--out", str(tmp_path / "ok"),
+                         "--tau-us", str(2**31 - 1)]) == 0
+
     def test_bad_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.evt1"
         bad.write_bytes(b"not an event file")
@@ -1429,14 +1444,14 @@ class TestBadInputFuzz:
     WINDOW_CONFIG = {"k": "2", "tau_us": "40", "window_us": "8", "origin_us": "0"}
     FILTER_CONFIG = {**WINDOW_CONFIG, "beta": "0.85", "horizon": "2",
                      "activity_percentile": "50.0"}
-    # one value past each setting's byte budget: the FIFO's 16 K bytes a
-    # pixel, a plan's horizon bytes a pixel (more than the score table's
-    # 8 * 6 bytes a horizon step)
-    K_PAST = MAX_ARRAY_BYTES // (16 * 63) + 1
-    HORIZON_PAST = MAX_ARRAY_BYTES // 63 + 1
+    # one value past each setting's byte budget: the FIFO's 8 K bytes a
+    # pixel, and both the reference plan's horizon bytes a pixel and the
+    # external score table's 8 * 6 bytes a horizon step, the lesser
+    K_PAST = MAX_ARRAY_BYTES // (8 * 63) + 1
+    HORIZON_PAST = MAX_ARRAY_BYTES // (8 * 6) + 1
     WINDOW_BOUNDS = {
         "k": [0, 1, K_PAST, 2**64 - 1, 2**64],
-        "tau_us": [-1, 0, 1, 2**64 - 1, 2**64],
+        "tau_us": [-1, 0, 1, 2**31 - 1, 2**31, 2**64 - 1, 2**64],
         "window_us": [-1, 0, 1, 2**64 - 1, 2**64],
         "origin_us": [-1, 0, 2**64 - 1, 2**64],
     }

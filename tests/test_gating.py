@@ -276,6 +276,51 @@ class TestReferenceBackend:
 
 
 @st.composite
+def activity_images(draw):
+    """float32 (H, W) images of values in [0, 1]: all zero, drawn from a few
+    values (ties), or any float32, from one pixel up."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["zero", "ties", "any"]))
+    if kind == "zero":
+        return np.zeros((h, w), np.float32)
+    value = (st.sampled_from([0.0, 0.25, 1 / 3, 1.0]) if kind == "ties"
+             else st.floats(0.0, 1.0, width=32))
+    return np.array(draw(st.lists(value, min_size=h * w, max_size=h * w)),
+                    np.float32).reshape(h, w)
+
+
+class TestPercentile:
+    @settings(max_examples=400, deadline=None)
+    @given(image=activity_images(), data=st.data())
+    def test_is_np_percentile_bit_for_bit(self, image, data):
+        # q at random, at the backend's default and the ends, or halfway
+        # between two order statistics, where numpy switches formula
+        n = image.size
+        q = data.draw(st.one_of(
+            st.sampled_from([0.0, 80.0, 100.0]), st.floats(0.0, 100.0),
+            st.integers(0, max(n - 2, 0)).map(lambda i: min(100 * (i + 0.5) / max(n - 1, 1),
+                                                            100.0))))
+        got = gating._percentile(image, q)
+        assert type(got) is np.float32
+        assert got.view(np.uint32) == np.float32(np.percentile(image, q)).view(np.uint32)
+
+    def test_sweep_is_np_percentile_bit_for_bit(self, rng):
+        for _ in range(3000):
+            n = int(rng.integers(1, 60))
+            image = (rng.random(n) ** rng.choice([1, 8])).astype(np.float32)
+            half = 100 * (int(rng.integers(0, n)) + 0.5) / max(n - 1, 1)
+            q = min(float(rng.choice([rng.uniform(0, 100), half])), 100.0)
+            got = gating._percentile(image, q)
+            assert got.view(np.uint32) == np.float32(np.percentile(image, q)).view(np.uint32)
+
+    def test_reads_a_copy(self, rng):
+        image = rng.random((14, 20)).astype(np.float32)
+        kept = image.copy()
+        gating._percentile(image, 80.0)
+        assert image.tobytes() == kept.tobytes()
+
+
+@st.composite
 def bool_masks(draw, max_side=12):
     """Bool masks: 1xW and Hx1 strips, all-false, all-true, random
     densities and rectangles that may touch or cross the border."""

@@ -41,6 +41,9 @@ TEST_ONLY = {
     "pose_math.write_pose_csv": "ROADMAP item 5: the writer of the pose CSVs eval reads",
     "representations.serialize_tensor": "the reference tensor bytes write_tensor is "
                                         "compared with",
+    "representations.window_volumes": "the whole-volume iterator of the library API; the "
+                                      "CI read-back checks tore and filter against the "
+                                      "oracles instead",
     "simulator.FrameSequence.frame_time_us": "the frame clock of the simulator's oracles",
 }
 

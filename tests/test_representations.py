@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from evpose.errors import (
     WindowLimit,
     ZeroWindow,
 )
-from evpose.events import Event, EventStream, SensorGeometry
+from evpose.events import DAVIS346, Event, EventStream, SensorGeometry
 
 from oracles import decay_fifo, fifo_replay, random_stream, tore_brute_force
 
@@ -91,10 +92,10 @@ class TestIngest:
     def test_reserved_timestamp_rejected(self, small_geometry):
         state = rep.ToreState(geometry=small_geometry)
         with pytest.raises(OutOfBounds):
-            state.ingest(Event(t=rep.EMPTY_SLOT, x=0, y=0, polarity=1))
+            state.ingest(Event(t=rep.RESERVED_US, x=0, y=0, polarity=1))
         with pytest.raises(OutOfBounds):
             state.ingest_stream(one_pixel_stream(
-                small_geometry, np.array([5, rep.EMPTY_SLOT], dtype=np.uint64)))
+                small_geometry, np.array([5, rep.RESERVED_US], dtype=np.uint64)))
         assert np.all(state.fifo == rep.EMPTY_SLOT)
         assert state.last_t == 0
 
@@ -177,9 +178,21 @@ class TestMaterialize:
         with pytest.raises(TimeRegression):
             state.materialize(99)
 
+    @settings(max_examples=300, deadline=None)
+    @given(tau_us=st.integers(2, 2**31 - 1),
+           past=st.one_of(st.integers(1, 2**10), st.integers(1, 2**64 - 2**31)))
+    def test_ages_older_than_tau_decay_to_exactly_0(self, tau_us, past):
+        # the FIFO marks stamps older than tau as empty slots on this ground
+        assert rep.decay_value(tau_us + past, tau_us) == 0.0
+        ages = np.arange(tau_us + 1, tau_us + 2**10 + 1)
+        assert not rep.decay_value(ages, tau_us).any()
+
     def test_invalid_tau(self, small_geometry):
         with pytest.raises(InvalidTau):
             rep.ToreState(geometry=small_geometry, tau_us=1)
+        with pytest.raises(InvalidTau, match=f"below 2\\^31us, got {2**31}$"):
+            rep.ToreState(geometry=small_geometry, tau_us=2**31)
+        rep.ToreState(geometry=small_geometry, tau_us=2**31 - 1)
         with pytest.raises(InvalidTau):
             rep.decay_value(10, 1)
 
@@ -279,6 +292,100 @@ class TestIngestPieces:
         t_query = int(s.t[-1]) + 500
         assert (bulk.materialize(t_query).data.tobytes()
                 == tore_brute_force(s, k, TAU, t_query).tobytes())
+
+
+@st.composite
+def long_recordings(draw):
+    """(tau_us, k, stream) on a 3x2 sensor: a recording that starts anywhere
+    up to 2^64 - 2 and spans more than 2^32 us, with gaps of a few us, up
+    to tau and longer than tau."""
+    tau_us = draw(st.one_of(st.sampled_from([2, 9170, 2**31 - 1]), st.integers(2, 2**31 - 1)))
+    gaps = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, tau_us),
+                                   st.integers(tau_us + 1, 2**33)), min_size=1, max_size=30))
+    gaps.insert(draw(st.integers(0, len(gaps))), draw(st.integers(2**32 + 1, 2**34)))
+    start = min(draw(st.integers(0, 2**64 - 2)), 2**64 - 2 - sum(gaps))
+    t = [start + sum(gaps[:i]) for i in range(len(gaps) + 1)]
+    n = len(t)
+    pixels = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    pix = np.array(draw(pixels))
+    stream = EventStream.from_arrays(SensorGeometry(3, 2), np.array(t, dtype=np.uint64),
+                                     pix % 3, pix // 3,
+                                     draw(st.lists(st.sampled_from([-1, 1]), min_size=n,
+                                                   max_size=n)))
+    return tau_us, draw(st.integers(1, 5)), stream
+
+
+class TestMovingBase:
+    """The FIFO's uint32 offsets from a base that follows the newest stamp."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(recording=long_recordings(), data=st.data())
+    def test_volumes_are_brute_force_and_bulk_ingest_is_per_event(self, recording, data):
+        tau_us, k, s = recording
+        per_event = rep.ToreState(s.geometry, k, tau_us)
+        for e in s:
+            per_event.ingest(e)
+        bulk = rep.ToreState(s.geometry, k, tau_us)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(s)), max_size=4)))
+        piece = data.draw(st.integers(1, 5))
+        for i0, i1 in zip([0, *cuts], [*cuts, len(s)]):
+            with mock.patch.object(rep, "INGEST_PIECE_EVENTS", piece):
+                bulk.ingest_stream(s[i0:i1])
+            if i1:  # a query between this piece and the next event
+                bound = int(s.t[i1]) if i1 < len(s) else 2**64 - 1
+                t_query = data.draw(st.integers(bulk.last_t, bound))
+                assert (bulk.materialize(t_query).data.tobytes()
+                        == tore_brute_force(s[:i1], k, tau_us, t_query).tobytes())
+        assert bulk.fifo.tobytes() == per_event.fifo.tobytes()
+        assert bulk.base == per_event.base > 0 and bulk.last_t == per_event.last_t
+        for t_query in (bulk.last_t, 2**64 - 1):
+            assert (bulk.materialize(t_query).data.tobytes()
+                    == tore_brute_force(s, k, tau_us, t_query).tobytes())
+
+    # at tau = 9170 an age of exactly tau decays to 3.2e-16, not 0, so a stamp
+    # of that age stays: at the base itself, or 1us short of the multiple of
+    # 2^31 the base would move to
+    @pytest.mark.parametrize("t0, base", [(2**31, 2**31), (2**31 - 1, 0)])
+    def test_a_stamp_of_age_tau_is_kept(self, small_geometry, t0, base):
+        tau_us = 9170
+        s = one_pixel_stream(small_geometry, [t0, t0 + tau_us])
+        state = rep.ToreState(small_geometry, 2, tau_us).ingest_stream(s)
+        assert state.base == base
+        assert list(state.fifo[:2, 2, 3]) == [t0 + tau_us - base, t0 - base]
+        vol = state.materialize(state.last_t)
+        assert 0 < vol.data[1, 2, 3] < 1e-15
+        assert vol.data.tobytes() == tore_brute_force(s, 2, tau_us, state.last_t).tobytes()
+
+    def test_stamps_below_the_base_read_as_empty_slots(self, small_geometry):
+        s = one_pixel_stream(small_geometry, [5, 6, 2**31 + TAU + 7])
+        state = rep.ToreState(small_geometry, 3, TAU).ingest_stream(s)
+        assert state.base == 2**31
+        assert list(state.fifo[:3, 2, 3]) == [TAU + 7, rep.EMPTY_SLOT, rep.EMPTY_SLOT]
+
+    def test_no_step_holds_a_fifo_sized_temporary(self, rng, tmp_path):
+        # a step that held one byte a slot would peak at a quarter of the FIFO
+        state = rep.ToreState(DAVIS346, 4, TAU)
+        bound = state.fifo.nbytes // 4
+        t0 = 2**31 + TAU  # the base moves by 2^31, then by more than 2^32
+        pieces = [random_stream(rng, DAVIS346, rep.INGEST_PIECE_EVENTS, t_start=t)
+                  for t in (0, t0, 2**34)]
+        mask = rng.random((DAVIS346.height, DAVIS346.width)) < 0.5
+        steps = [lambda s=s: state.ingest_stream(s) for s in pieces] + [
+            lambda: state.ingest(Event(t=2**35, x=0, y=0, polarity=1)),
+            lambda: rep.WindowFrame(state, 2**35).activity,
+            lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "t.tore"),
+            lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "m.tore", mask)]
+        bases = []
+        for step in steps:
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (len(bases), peak)
+            bases.append(state.base)
+        assert bases[:4] == [0, 2**31, 2**34 - 2**31, 2**35 - 2**31]
 
 
 class TestStreamingBatchEquivalence:
@@ -482,22 +589,24 @@ class TestDecayOrdering:
 
 
 def filled_state(geometry, k, tau_us, fill, t_query, rng):
-    """A state whose FIFO holds, in each (polarity, pixel) column, a
-    newest-first run of stamps and then empty slots, a share `fill` of all
-    slots filled. Ages at t_query are 0, up to tau**0.3 (where decay
-    saturates at 1), tau or more (where it reads 0) or anywhere between."""
-    state = rep.ToreState(geometry, k=k, tau_us=tau_us)
+    """A state that ingested, in each (polarity, pixel) column, a run of
+    stamps, a share `fill` of all slots filled. Ages at t_query are 0, up
+    to tau**0.3 (where decay saturates at 1), tau or more (where it reads
+    0) or anywhere between."""
     shape = (2, k, geometry.num_pixels)  # polarity, slot, pixel
     kind = rng.integers(0, 4, shape)
     age = np.select([kind == 0, kind == 1, kind == 2],
                     [0, rng.integers(1, int(tau_us**0.3) + 1, shape),
                      rng.integers(tau_us, 3 * tau_us, shape)],
                     rng.integers(0, 3 * tau_us, shape))
-    stamps = (t_query - np.sort(age, axis=1)).astype(np.uint64)
-    counts = rng.binomial(k, fill, (2, 1, geometry.num_pixels))
-    stamps[np.arange(k)[None, :, None] >= counts] = rep.EMPTY_SLOT
-    state.fifo[...] = stamps.reshape(state.fifo.shape)
-    return state
+    filled = np.arange(k)[None, :, None] < rng.binomial(k, fill, (2, 1, geometry.num_pixels))
+    pol, _, pix = np.nonzero(filled)
+    t = np.uint64(t_query) - age[filled].astype(np.uint64)
+    order = np.argsort(t, kind="stable")
+    stream = EventStream.from_arrays(geometry, t[order], pix[order] % geometry.width,
+                                     pix[order] // geometry.width,
+                                     np.where(pol[order] == 0, 1, -1))
+    return rep.ToreState(geometry, k=k, tau_us=tau_us).ingest_stream(stream)
 
 
 class TestWindowFrame:
@@ -595,15 +704,19 @@ class TestWindowFrameWrite:
     TAU = 1_000
     T = 10**6
 
+    # at 2^63 + 1500 the base is 2^63, above the stamps older than 1500us
+    @pytest.mark.parametrize("t_query", [T, 2**63 + 1500])
     @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])  # the last is a whole channel
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
-    def test_bytes_are_the_collected_tensor(self, rng, monkeypatch, tmp_path, block, k, fill):
+    def test_bytes_are_the_collected_tensor(self, rng, monkeypatch, tmp_path, block, k, fill,
+                                            t_query):
         monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
-        state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
-        frame = rep.WindowFrame(state, self.T)
+        state = filled_state(self.GEO, k, self.TAU, fill, t_query, rng)
+        frame = rep.WindowFrame(state, t_query)
         data = frame.data
-        assert data.tobytes() == decay_fifo(state.fifo, self.TAU, self.T).tobytes()
+        assert data.tobytes() == decay_fifo(state.fifo, state.base, self.TAU,
+                                            t_query).tobytes()
         frame.write(tmp_path / "whole.tore")
         assert (tmp_path / "whole.tore").read_bytes() == rep.serialize_tensor(data)
         shape = (self.GEO.height, self.GEO.width)

@@ -227,6 +227,19 @@ class TestFramesToEvents:
         stream = sim.frames_to_events(const_frames(0.5, 20), quiet_params())
         assert len(stream) == 0
 
+    def test_frames_of_another_shape_fail_before_any_chunk(self, rng):
+        # on an 8-wide, 6-high sensor, (W, H) frames hold as many pixels
+        geometry = SensorGeometry(8, 6)
+        transposed = rng.uniform(0.05, 0.95, (3, 8, 6))
+        with pytest.raises(GeometryMismatch, match=r"^frame shape \(8, 6\) "):
+            sim.iter_events(iter(transposed), geometry, 100.0, quiet_params())
+        # a later frame of another shape fails when it is drawn
+        good = rng.uniform(0.05, 0.95, (2, 6, 8))
+        chunks = sim.iter_events([*good, transposed[2]], geometry, 100.0, quiet_params())
+        assert len(next(chunks)[0]) > 0
+        with pytest.raises(GeometryMismatch, match=r"^frame shape \(8, 6\) "):
+            next(chunks)
+
     def test_step_emits_threshold_count(self):
         theta = 0.2
         eps = 0.02
