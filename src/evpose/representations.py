@@ -16,12 +16,14 @@ computed in float64 and stored as float32.
 The FIFO is stored in the layout of the materialized volume: channels
 [0, K) hold positive polarity, [K, 2K) negative, ordered newest first
 within each polarity. Each slot is a uint32 offset t - base from a base
-that follows the newest timestamp, last_t: last_t - tau rounded down to
-a multiple of 2^31. A slot that was never filled, or whose stamp fell
-below the base, holds EMPTY_SLOT (2^32 - 1) and reads exactly 0: such a
-stamp is older than tau at every query the state allows. A tau below
-2^31 keeps every offset from the base to last_t below EMPTY_SLOT, and an
-age, (t_query - base) - offset, is the same integer as t_query - t.
+that follows the newest timestamp, last_t: last_t - tau - 1 rounded down
+to a multiple of 2^31, so -2^31 until last_t passes tau + 1. An empty
+slot is an ordinary stamp, the base itself: EMPTY_SLOT is 0, the FIFO
+starts at 0, and a stamp that falls to or below the base becomes 0. Its
+age at any query the state allows exceeds tau, so it decays to exactly 0
+like any other old stamp. A tau below 2^31 keeps every offset from the
+base to last_t below 2^32, and an age, (t_query - base) - offset, is the
+same integer as t_query - t.
 """
 
 from __future__ import annotations
@@ -49,14 +51,11 @@ from .events import Event, EventStream, SensorGeometry, freeze
 DEFAULT_K = 4
 DEFAULT_TAU_US = 5_000_000  # retain history up to five seconds
 
-# Content of a FIFO slot that reads 0: never filled, or below the base.
-EMPTY_SLOT = 2**32 - 1
-
-# The FIFO refuses events at this timestamp.
-RESERVED_US = 2**64 - 1
+# Content of a FIFO slot that reads 0: never filled, or at or below the base.
+EMPTY_SLOT = 0
 
 # The base is a multiple of BASE_STEP_US, and tau_us at most MAX_TAU_US:
-# last_t - base <= MAX_TAU_US + BASE_STEP_US - 1 = EMPTY_SLOT - 1.
+# last_t - base <= MAX_TAU_US + BASE_STEP_US = 2^32 - 1.
 BASE_STEP_US = 2**31
 MAX_TAU_US = 2**31 - 1
 
@@ -64,10 +63,10 @@ MAX_TAU_US = 2**31 - 1
 # temporaries takes 32 KiB, whatever the window's event count.
 INGEST_PIECE_EVENTS = 2**12
 
-# Slots of one channel decayed or rebased at once, in scratch arrays the
-# state owns (21 bytes a slot): a mostly filled block allocates nothing, a
-# mostly empty one at most 64 KiB a temporary, and the scratch stays small
-# beside one channel.
+# Slots of one channel decayed at once, in scratch arrays the state owns
+# (21 bytes a slot): a mostly filled block allocates nothing, a mostly
+# empty one at most 64 KiB a temporary, and the scratch stays small beside
+# one channel.
 DECAY_BLOCK_SLOTS = 2**14
 
 _POL_INDEX = {1: 0, -1: 1}
@@ -103,35 +102,29 @@ def _decay_into(out: np.ndarray, slots: np.ndarray, age0: int, tau_us, scratch,
                 index: np.ndarray | None = None) -> None:
     """Write the decay of each slot of the flat uint32 FIFO array slots, or
     of slots[index], at age age0 - slot to the same position of the flat
-    float32 array out; EMPTY_SLOT reads exactly 0. Given index, out must
+    float32 array out. age0, below 2^64, exceeds tau_us, so EMPTY_SLOT reads
+    exactly 0 as any stamp older than tau_us does. Given index, out must
     already read 0 at the positions of index, as only its filled slots may
     be written, and is left as it is elsewhere. scratch is a uint64, a
     float64, a bool and a uint32 array of at least that many slots, which
-    this overwrites."""
+    this overwrites; the bool array only picks the branch."""
     n = len(slots) if index is None else len(index)
-    age, value, filled, shifted = (a[:n] for a in scratch)
-    if index is None:
-        np.add(slots, np.uint32(1), out=shifted)
-    else:
-        np.take(slots, index, out=shifted, mode="clip")  # unbuffered; index is valid
-        shifted += np.uint32(1)
-    # slot + 1 wraps EMPTY_SLOT to 0, so an empty slot's age is age0 + 1, not
-    # a wrapped value near 2^64: uint64s at or above 2^63 convert to float64
-    # slowly, the more so mixed among small ones
-    np.not_equal(shifted, 0, out=filled)
-    top = np.uint64((age0 + 1) % 2**64)
+    age, value, filled, gathered = (a[:n] for a in scratch)
+    if index is not None:
+        slots = np.take(slots, index, out=gathered, mode="clip")  # unbuffered; index is valid
+    np.not_equal(slots, EMPTY_SLOT, out=filled)
+    top = np.uint64(age0)
     # ages are exact in the uint64 subtraction and rounded once into float64
     if 2 * np.count_nonzero(filled) < n:  # mostly empty: decay the filled slots alone
         live = filled.nonzero()[0]
         if index is None:
             out.fill(0)
-        value = np.subtract(top, shifted[live], dtype=np.uint64).astype(np.float64)
+        value = np.subtract(top, slots[live], dtype=np.uint64).astype(np.float64)
         out[live if index is None else index[live]] = _decay(value, tau_us)
         return
-    # an empty slot's decay, finite, times 0 is exactly 0
-    np.subtract(top, shifted, out=age, dtype=np.uint64)
+    np.subtract(top, slots, out=age, dtype=np.uint64)
     value[...] = age
-    np.multiply(_decay(value, tau_us), filled, out=value)
+    _decay(value, tau_us)
     if index is None:
         out[...] = value
     else:
@@ -145,9 +138,11 @@ class ToreState:
     Single-writer: ingest order is the event order. The fifo array is
     uint32 in the volume's own layout, shape (2K, H, W): channel p*K + slot
     holds polarity p (0 positive, 1 negative), slot 0 the newest timestamp,
-    each as its offset t - base. base is last_t - tau_us rounded down to a
-    multiple of BASE_STEP_US, or 0; it depends on last_t alone. Slots that
-    were never filled, or whose stamp lies below base, hold EMPTY_SLOT.
+    each as its offset t - base. base is last_t - tau_us - 1 rounded down
+    to a multiple of BASE_STEP_US, so -BASE_STEP_US until last_t passes
+    tau_us + 1; it depends on last_t alone. A slot that was never filled,
+    or whose stamp lies at or below base, holds EMPTY_SLOT, 0: the offset
+    of the base, which is older than tau_us at every allowed query.
     The state also owns the buffers its decays reuse: one channel of
     float32 values, which every decay writes and its reader streams to a
     file or copies out, and the scratch of one block.
@@ -158,7 +153,7 @@ class ToreState:
     tau_us: int = DEFAULT_TAU_US
     fifo: np.ndarray = field(init=False, repr=False)
     last_t: int = field(init=False, default=0)
-    base: int = field(init=False, default=0)
+    base: int = field(init=False, default=-BASE_STEP_US)
     _channel: np.ndarray = field(init=False, repr=False)
     _scratch: tuple = field(init=False, repr=False)
 
@@ -168,8 +163,8 @@ class ToreState:
         if not 1 < self.tau_us <= MAX_TAU_US:
             raise InvalidTau(f"tau_us must exceed 1us and lie below 2^31us, got {self.tau_us}")
         check_budget("k", self.k, 8 * self.k * self.geometry.num_pixels)
-        self.fifo = np.full((2 * self.k, self.geometry.height, self.geometry.width),
-                            EMPTY_SLOT, dtype=np.uint32)
+        self.fifo = np.zeros((2 * self.k, self.geometry.height, self.geometry.width),
+                             dtype=np.uint32)
         hw = self.geometry.num_pixels
         self._channel = np.empty(hw, dtype=np.float32)
         block = min(DECAY_BLOCK_SLOTS, hw)
@@ -182,8 +177,8 @@ class ToreState:
             raise OutOfBounds(f"event at ({e.x},{e.y}) outside geometry")
         if e.polarity not in _POL_INDEX:
             raise OutOfBounds(f"polarity {e.polarity} not in (+1, -1)")
-        if e.t >= RESERVED_US:
-            raise OutOfBounds(f"timestamp {e.t}us is reserved for empty FIFO slots")
+        if e.t >= 2**64:
+            raise OutOfBounds(f"timestamp {e.t}us lies past the u64 range")
         if e.t < self.last_t:
             raise TimeRegression(f"event at {e.t}us precedes latest {self.last_t}us")
         self._advance(int(e.t))
@@ -211,8 +206,6 @@ class ToreState:
         if int(s.t[0]) < self.last_t:
             raise TimeRegression(
                 f"stream starts at {int(s.t[0])}us, before latest {self.last_t}us")
-        if s.t[-1] == RESERVED_US:
-            raise OutOfBounds(f"timestamp {int(s.t[-1])}us is reserved for empty FIFO slots")
         for i0 in range(0, n, INGEST_PIECE_EVENTS):
             i1 = i0 + INGEST_PIECE_EVENTS
             self._advance(int(s.t[min(i1, n) - 1]))
@@ -221,25 +214,15 @@ class ToreState:
 
     def _advance(self, last_t: int) -> None:
         """Set last_t, and move base to its value for last_t: every offset
-        drops by the move, in blocks, and a stamp left below base becomes
+        drops by the move, in place, and one at or below the move becomes
         EMPTY_SLOT."""
-        base = max(last_t - self.tau_us, 0) // BASE_STEP_US * BASE_STEP_US
-        move = base - self.base
+        base = (last_t - self.tau_us - 1) // BASE_STEP_US * BASE_STEP_US
+        # a move of 2^32 or more empties every slot, as one of 2^32 - 1 does
+        move = np.uint32(min(base - self.base, 2**32 - 1))
         self.last_t, self.base = last_t, base
-        if not move:
-            return
-        fifo = self.fifo.reshape(-1)
-        if move >= EMPTY_SLOT:
-            fifo.fill(EMPTY_SLOT)
-            return
-        # offsets wrap: a stamp at or above base lands below EMPTY_SLOT - move,
-        # one below base or an empty slot at or above it
-        stale = self._scratch[2]
-        for i0 in range(0, len(fifo), len(stale)):
-            block = fifo[i0:i0 + len(stale)]
-            np.subtract(block, np.uint32(move), out=block)
-            np.greater_equal(block, EMPTY_SLOT - move, out=stale[:len(block)])
-            np.copyto(block, EMPTY_SLOT, where=stale[:len(block)])
+        if move:
+            np.maximum(self.fifo, move, out=self.fifo)
+            self.fifo -= move
 
     def _push_sorted(self, t, x, y, p) -> None:
         """Push time-sorted, validated event columns into the FIFO, whose
@@ -257,8 +240,9 @@ class ToreState:
         key <<= bits
         key |= np.arange(n)
         key.sort()
-        offsets = np.subtract(t, np.uint64(self.base)).astype(np.uint32)
-        offsets[:np.searchsorted(t, np.uint64(self.base))] = EMPTY_SLOT  # the stamps below base
+        offsets = np.subtract(t, np.uint64(self.base % 2**64)).astype(np.uint32)
+        # the stamps below a base of 0 or more; one at the base is already 0
+        offsets[:np.searchsorted(t, np.uint64(max(self.base, 0)))] = EMPTY_SLOT
         st = offsets[key & ((1 << bits) - 1)]
         key >>= bits
         last = np.flatnonzero(np.append(key[1:] != key[:-1], True))  # each column's newest
@@ -298,7 +282,9 @@ class ToreState:
         hw = self.geometry.num_pixels
         size = len(self._scratch[0])
         values = self._channel
-        age0 = t_query - self.base  # a slot's age is age0 - slot
+        # a slot's age is age0 - slot; past 2^64, every age of a negative base
+        # exceeds 2^64 - 2^32, so the clamp changes no value
+        age0 = min(t_query - self.base, 2**64 - 1)
         for slots in rows:
             if pixels is None:
                 for p0 in range(0, hw, size):
@@ -326,17 +312,15 @@ class ToreState:
 
 
 class _Newest:
-    """Each pixel's newest filled slot over both polarities (channels 0
-    and K) as a row of `ToreState._decay_channels`, or EMPTY_SLOT if neither
-    is filled; each slice is computed when it is taken."""
+    """Each pixel's newest slot over both polarities (channels 0 and K), the
+    larger offset, as a row of `ToreState._decay_channels`: EMPTY_SLOT, 0,
+    only if neither is filled. Each slice is computed when it is taken."""
 
     def __init__(self, state: ToreState):
         self.pos, self.neg = state.fifo[0].reshape(-1), state.fifo[state.k].reshape(-1)
 
     def __getitem__(self, pixels: slice) -> np.ndarray:
-        # EMPTY_SLOT + 1 wraps to 0, below every filled slot + 1
-        one = np.uint32(1)
-        return np.maximum(self.pos[pixels] + one, self.neg[pixels] + one) - one
+        return np.maximum(self.pos[pixels], self.neg[pixels])
 
 
 class WindowFrame:

@@ -49,9 +49,9 @@ def tore_brute_force(stream, k, tau_us, t_query):
 
 def decay_fifo(fifo, base, tau_us, t_query):
     """The volume of a FIFO array in the library's layout, uint32 offsets
-    from base with 2^32 - 1 for a slot that reads 0, in one pass over its
-    filled slots: each one's flipped log-age at t_query, the rest 0."""
-    filled = fifo != 2**32 - 1
+    from base with 0 for a slot that reads 0, in one pass over its filled
+    slots: each one's flipped log-age at t_query, the rest 0."""
+    filled = fifo != 0
     delta = np.array([float(t_query - (base + t)) for t in fifo[filled].tolist()],
                      dtype=np.float64)
     np.maximum(delta, 1.0, out=delta)

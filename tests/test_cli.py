@@ -1195,6 +1195,22 @@ class TestExitCodes:
         assert cli.main([command, "--events", str(events_path), "--out", str(tmp_path / "ok"),
                          "--tau-us", str(2**31 - 1)]) == 0
 
+    @pytest.mark.parametrize("command", ["tore", "filter"])
+    def test_event_at_top_of_u64_range_exits_3_before_output(self, tmp_path, small_geometry,
+                                                             capsys, command):
+        # the FIFO takes the stamp 2^64 - 1; a window that ends after it cannot
+        top = 2**64 - 1
+        events_path = tmp_path / "top.evt1"
+        ev.write_stream(events_path, ev.EventStream.from_arrays(
+            small_geometry, np.array([top - 15_000, top], dtype=np.uint64), [1, 2], [1, 2],
+            [1, -1]))
+        out = tmp_path / "o"
+        assert cli.main([command, "--events", str(events_path), "--out", str(out),
+                         "--window-us", "10000", "--origin-us", str(2**64 - 20_000)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: last window ends at {2**64}us, past the u64 timestamp range\n")
+        assert not out.exists()
+
     def test_bad_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.evt1"
         bad.write_bytes(b"not an event file")

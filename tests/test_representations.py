@@ -33,14 +33,20 @@ def one_pixel_stream(geometry, ts, x=3, y=2, p=1):
     return EventStream.from_arrays(geometry, ts, [x] * n, [y] * n, [p] * n)
 
 
+def column_stamps(state, x, y, p):
+    """The stamps in the FIFO column of pixel (x, y) and polarity p, newest
+    first: offset + base of each slot that is not empty."""
+    c0 = (0 if p > 0 else 1) * state.k
+    return [offset + state.base for offset in state.fifo[c0:c0 + state.k, y, x].tolist()
+            if offset != rep.EMPTY_SLOT]
+
+
 class TestIngest:
     def test_single_event(self, small_geometry):
         state = rep.ToreState(geometry=small_geometry)
         state.ingest(Event(t=100, x=3, y=2, polarity=1))
-        filled = state.fifo != rep.EMPTY_SLOT
-        assert filled[:state.k, 2, 3].sum() == 1
-        assert state.fifo[0, 2, 3] == 100
-        assert filled.sum() == 1
+        assert column_stamps(state, 3, 2, 1) == [100]
+        assert (state.fifo != rep.EMPTY_SLOT).sum() == 1
 
     def test_fifo_overflow_drops_oldest(self, small_geometry):
         k = 4
@@ -48,9 +54,7 @@ class TestIngest:
         ts = [10, 20, 30, 40, 50]
         for t in ts:
             state.ingest(Event(t=t, x=0, y=0, polarity=-1))
-        negative = state.fifo[k:, 0, 0]
-        assert (negative != rep.EMPTY_SLOT).sum() == k
-        assert list(negative) == [50, 40, 30, 20]
+        assert column_stamps(state, 0, 0, -1) == [50, 40, 30, 20]
 
     def test_random_stream_matches_replay(self, small_geometry, rng):
         k = 3
@@ -58,10 +62,7 @@ class TestIngest:
         state = rep.ToreState(s.geometry, k, TAU).ingest_stream(s)
         expected = fifo_replay(s, k)
         for (x, y, p), stamps in expected.items():
-            pi = 0 if p > 0 else 1
-            column = state.fifo[pi * k:(pi + 1) * k, y, x]
-            assert (column != rep.EMPTY_SLOT).sum() == len(stamps)
-            assert list(column[: len(stamps)]) == stamps
+            assert column_stamps(state, x, y, p) == stamps
         touched = sum(len(v) > 0 for v in expected.values())
         filled = (state.fifo != rep.EMPTY_SLOT).reshape(2, k, -1).any(axis=1)
         assert int(filled.sum()) == touched
@@ -89,15 +90,23 @@ class TestIngest:
         with pytest.raises(TimeRegression):
             state.ingest_stream(one_pixel_stream(small_geometry, [1, 2]))
 
-    def test_reserved_timestamp_rejected(self, small_geometry):
-        state = rep.ToreState(geometry=small_geometry)
-        with pytest.raises(OutOfBounds):
-            state.ingest(Event(t=rep.RESERVED_US, x=0, y=0, polarity=1))
-        with pytest.raises(OutOfBounds):
-            state.ingest_stream(one_pixel_stream(
-                small_geometry, np.array([5, rep.RESERVED_US], dtype=np.uint64)))
-        assert np.all(state.fifo == rep.EMPTY_SLOT)
-        assert state.last_t == 0
+    def test_top_of_u64_range_is_ingested(self, small_geometry):
+        top = 2**64 - 1
+        s = EventStream.from_arrays(small_geometry,
+                                    np.array([5, top - 3, top, top, top], dtype=np.uint64),
+                                    [3, 3, 3, 0, 3], [2, 2, 2, 0, 2], [1, 1, 1, -1, 1])
+        per_event = rep.ToreState(small_geometry, 3, TAU)
+        for e in s:
+            per_event.ingest(e)
+        bulk = rep.ToreState(small_geometry, 3, TAU).ingest_stream(s)
+        assert bulk.fifo.tobytes() == per_event.fifo.tobytes()
+        assert bulk.last_t == per_event.last_t == top
+        assert column_stamps(bulk, 3, 2, 1) == [top, top, top - 3]
+        assert (bulk.materialize(top).data.tobytes()
+                == tore_brute_force(s, 3, TAU, top).tobytes())
+        with pytest.raises(OutOfBounds, match="past the u64 range"):
+            per_event.ingest(Event(t=2**64, x=0, y=0, polarity=1))
+        assert per_event.fifo.tobytes() == bulk.fifo.tobytes()
 
 
 class TestMaterialize:
@@ -343,30 +352,36 @@ class TestMovingBase:
                     == tore_brute_force(s, k, tau_us, t_query).tobytes())
 
     # at tau = 9170 an age of exactly tau decays to 3.2e-16, not 0, so a stamp
-    # of that age stays: at the base itself, or 1us short of the multiple of
-    # 2^31 the base would move to
-    @pytest.mark.parametrize("t0, base", [(2**31, 2**31), (2**31 - 1, 0)])
+    # of that age stays: 1us above the base, or at a multiple of 2^31 the base
+    # would move to 1us later, from 0 or from -2^31
+    @pytest.mark.parametrize("t0, base", [(2**31 + 1, 2**31), (2**31, 0), (0, -2**31)])
     def test_a_stamp_of_age_tau_is_kept(self, small_geometry, t0, base):
         tau_us = 9170
         s = one_pixel_stream(small_geometry, [t0, t0 + tau_us])
         state = rep.ToreState(small_geometry, 2, tau_us).ingest_stream(s)
         assert state.base == base
-        assert list(state.fifo[:2, 2, 3]) == [t0 + tau_us - base, t0 - base]
+        assert column_stamps(state, 3, 2, 1) == [t0 + tau_us, t0]
         vol = state.materialize(state.last_t)
         assert 0 < vol.data[1, 2, 3] < 1e-15
         assert vol.data.tobytes() == tore_brute_force(s, 2, tau_us, state.last_t).tobytes()
 
-    def test_stamps_below_the_base_read_as_empty_slots(self, small_geometry):
-        s = one_pixel_stream(small_geometry, [5, 6, 2**31 + TAU + 7])
+    @pytest.mark.parametrize("ts, kept", [
+        ([5, 6, 2**31 + TAU + 7], [2**31 + TAU + 7]),
+        ([5, 2**31, 2**31 + 1, 2**31 + TAU + 1], [2**31 + TAU + 1, 2**31 + 1]),  # one at the base
+    ])
+    def test_stamps_at_or_below_the_base_read_as_empty_slots(self, small_geometry, ts, kept):
+        s = one_pixel_stream(small_geometry, ts)
         state = rep.ToreState(small_geometry, 3, TAU).ingest_stream(s)
         assert state.base == 2**31
-        assert list(state.fifo[:3, 2, 3]) == [TAU + 7, rep.EMPTY_SLOT, rep.EMPTY_SLOT]
+        assert column_stamps(state, 3, 2, 1) == kept
+        assert (state.materialize(state.last_t).data.tobytes()
+                == tore_brute_force(s, 3, TAU, state.last_t).tobytes())
 
     def test_no_step_holds_a_fifo_sized_temporary(self, rng, tmp_path):
         # a step that held one byte a slot would peak at a quarter of the FIFO
         state = rep.ToreState(DAVIS346, 4, TAU)
         bound = state.fifo.nbytes // 4
-        t0 = 2**31 + TAU  # the base moves by 2^31, then by more than 2^32
+        t0 = 2**31 + TAU  # the base moves from -2^31 by 2^32, then by more than 2^32
         pieces = [random_stream(rng, DAVIS346, rep.INGEST_PIECE_EVENTS, t_start=t)
                   for t in (0, t0, 2**34)]
         mask = rng.random((DAVIS346.height, DAVIS346.width)) < 0.5
@@ -385,7 +400,7 @@ class TestMovingBase:
                 tracemalloc.stop()
             assert peak < bound, (len(bases), peak)
             bases.append(state.base)
-        assert bases[:4] == [0, 2**31, 2**34 - 2**31, 2**35 - 2**31]
+        assert bases[:4] == [-2**31, 2**31, 2**34 - 2**31, 2**35 - 2**31]
 
 
 class TestStreamingBatchEquivalence:
@@ -728,8 +743,8 @@ class TestWindowFrameWrite:
 
     @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])
     def test_empty_slots_read_0_before_tau(self, rng, monkeypatch, tmp_path, block):
-        # an empty slot's age wraps to t_query + 1, here below tau: it alone
-        # would decay above 0
+        # before tau the base is -2^31: an empty slot reads 0 at its age,
+        # t_query + 2^31, and would decay above 0 at an age of t_query
         monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
         s = random_stream(rng, self.GEO, 2000, duration_us=100_000)
         t_query = int(s.t[-1]) + 10
