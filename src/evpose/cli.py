@@ -5,7 +5,9 @@ come from a ``key = value`` config file (--config), be overridden on the
 command line, and the fully resolved configuration can be emitted with
 --manifest for exact reruns. All randomness flows from explicit seeds.
 Each value in a config file, manifest or bench report is one JSON
-scalar: a number, true/false or a double-quoted string.
+scalar: a number, true/false or a double-quoted string. A subcommand's
+options, and the library modules their defaults and its run read, are
+loaded only when that subcommand is parsed.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 internal
 invariant violation.
@@ -16,20 +18,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import camera as cam_mod
-from . import events as ev
-from . import gating
-from . import metrics as met
-from . import representations as rep
-from . import simulator as sim
-from .errors import ConfigError, DataError, GeometryMismatch, check_range, from_file
+from .errors import ConfigError, DataError, GeometryMismatch, check_budget, check_range, from_file
+
+if TYPE_CHECKING:
+    from .events import EventStream
 
 
 # -- config file: `key = value` lines, each value a JSON scalar, # comments ---------
@@ -105,6 +106,22 @@ def _resolve(params: list[Param], args: argparse.Namespace) -> dict:
     return config
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its options when it first parses:
+    `params` imports the library modules their defaults come from, so only
+    the chosen subcommand's modules are loaded."""
+
+    def __init__(self, *args, params: Callable[[], list[Param]], **kwargs):
+        super().__init__(*args, **kwargs)
+        self._params = params
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._params is not None:
+            _add_params(self, self._params())
+            self._params = None
+        return super().parse_known_args(args, namespace)
+
+
 def _add_params(sub: argparse.ArgumentParser, params: list[Param]) -> None:
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--manifest", help="write the resolved config here")
@@ -131,23 +148,29 @@ def _write_config(config: dict, *paths, echo: bool = False) -> None:
 # the PixelModelParams fields simulate takes as options, with the library's defaults
 PIXEL_MODEL_OPTIONS = ("theta_pos", "theta_neg", "leak_rate_hz", "shot_noise_scale", "eps", "seed")
 
-SIMULATE_PARAMS = [
-    Param("frames", str, required=True, help="foreground frame directory"),
-    Param("masks", str, help="foreground mask directory (with background)"),
-    Param("background", str, help="background frame directory"),
-    Param("skeleton", str, help="skeleton label CSV (t_us,joint_name,x_mm,y_mm,z_mm)"),
-    Param("cam", str, help="camera text file (9 + 12 floats)"),
-    Param("out", str, required=True, help="output directory"),
-    Param("interpolate", int, 1, help="linear frame interpolation factor"),
-    *(Param(name, type(getattr(sim.PixelModelParams, name)), getattr(sim.PixelModelParams, name))
-      for name in PIXEL_MODEL_OPTIONS),
-    Param("heatmap_resolution", int, sim.HEATMAP_RESOLUTION),
-    Param("heatmap_sigma", float, sim.HEATMAP_SIGMA),
-]
+def simulate_params() -> list[Param]:
+    from . import simulator as sim
+
+    return [
+        Param("frames", str, required=True, help="foreground frame directory"),
+        Param("masks", str, help="foreground mask directory (with background)"),
+        Param("background", str, help="background frame directory"),
+        Param("skeleton", str, help="skeleton label CSV (t_us,joint_name,x_mm,y_mm,z_mm)"),
+        Param("cam", str, help="camera text file (9 + 12 floats)"),
+        Param("out", str, required=True, help="output directory"),
+        Param("interpolate", int, 1, help="linear frame interpolation factor"),
+        *(Param(name, type(getattr(sim.PixelModelParams, name)),
+                getattr(sim.PixelModelParams, name))
+          for name in PIXEL_MODEL_OPTIONS),
+        Param("heatmap_resolution", int, sim.HEATMAP_RESOLUTION),
+        Param("heatmap_sigma", float, sim.HEATMAP_SIGMA),
+    ]
 
 
 def cmd_simulate(args) -> int:
-    config = _resolve(SIMULATE_PARAMS, args)
+    from . import camera as cam_mod, events as ev, representations as rep, simulator as sim
+
+    config = _resolve(simulate_params(), args)
     for a, b in (("masks", "background"), ("skeleton", "cam")):
         if (a in config) != (b in config):
             raise ConfigError(f"{a} and {b} must be given together")
@@ -188,18 +211,23 @@ def cmd_simulate(args) -> int:
 # -- tore -------------------------------------------------------------------------
 
 # the event file, output directory and windowing: `tore`'s settings, all shared by `filter`
-WINDOW_PARAMS = [
-    Param("events", str, required=True, help="EVT1 input file"),
-    Param("out", str, required=True, help="output directory"),
-    Param("k", int, rep.DEFAULT_K, help="FIFO depth per pixel per polarity"),
-    Param("tau_us", int, rep.DEFAULT_TAU_US, help="max retained event age"),
-    Param("window_us", int, ev.DEFAULT_WINDOW_US),
-    Param("origin_us", int, 0),
-]
+def window_params() -> list[Param]:
+    from . import events as ev, representations as rep
+
+    return [
+        Param("events", str, required=True, help="EVT1 input file"),
+        Param("out", str, required=True, help="output directory"),
+        Param("k", int, rep.DEFAULT_K, help="FIFO depth per pixel per polarity"),
+        Param("tau_us", int, rep.DEFAULT_TAU_US, help="max retained event age"),
+        Param("window_us", int, ev.DEFAULT_WINDOW_US),
+        Param("origin_us", int, 0),
+    ]
 
 
 def cmd_tore(args) -> int:
-    config = _resolve(WINDOW_PARAMS, args)
+    from . import events as ev, representations as rep
+
+    config = _resolve(window_params(), args)
     stream = ev.EventFile(config["events"])
     frames = rep.window_frames(stream, config["k"], config["tau_us"],
                                config["window_us"], config["origin_us"])
@@ -216,18 +244,23 @@ def cmd_tore(args) -> int:
 
 # -- filter -----------------------------------------------------------------------
 
-FILTER_PARAMS = WINDOW_PARAMS + [
-    Param("beta", float, 0.95, help="mask reuse threshold"),
-    Param("horizon", int, gating.ReferenceMaskBackend.horizon,
-          help="masks per backend invocation"),
-    Param("activity_percentile", float, gating.ReferenceMaskBackend.activity_percentile),
-    Param("external_masks", str, help="MSK1 mask stack replacing the reference backend"),
-    Param("external_scores", str, help="CSV of per-frame plan scores for external masks"),
-]
+def filter_params() -> list[Param]:
+    from . import gating
+
+    return window_params() + [
+        Param("beta", float, 0.95, help="mask reuse threshold"),
+        Param("horizon", int, gating.ReferenceMaskBackend.horizon,
+              help="masks per backend invocation"),
+        Param("activity_percentile", float, gating.ReferenceMaskBackend.activity_percentile),
+        Param("external_masks", str, help="MSK1 mask stack replacing the reference backend"),
+        Param("external_scores", str, help="CSV of per-frame plan scores for external masks"),
+    ]
 
 
 def cmd_filter(args) -> int:
-    config = _resolve(FILTER_PARAMS, args)
+    from . import events as ev, gating, representations as rep
+
+    config = _resolve(filter_params(), args)
     if "external_scores" in config and "external_masks" not in config:
         raise ConfigError("external_scores needs external_masks")
     stream = ev.EventFile(config["events"])
@@ -269,16 +302,19 @@ def cmd_filter(args) -> int:
 
 # -- eval -------------------------------------------------------------------------
 
-EVAL_PARAMS = [
-    Param("manifest_json", str, required=True,
-          help="evaluation manifest listing pred/gt pose files and tags"),
-    Param("out", str, required=True, help="report CSV path"),
-    Param("group_by", str, "", help="comma-separated condition axes"),
-]
+def eval_params() -> list[Param]:
+    return [
+        Param("manifest_json", str, required=True,
+              help="evaluation manifest listing pred/gt pose files and tags"),
+        Param("out", str, required=True, help="report CSV path"),
+        Param("group_by", str, "", help="comma-separated condition axes"),
+    ]
 
 
 def cmd_eval(args) -> int:
-    config = _resolve(EVAL_PARAMS, args)
+    from . import metrics as met
+
+    config = _resolve(eval_params(), args)
     records = met.load_eval_manifest(config["manifest_json"])
     group_by = tuple(a for a in config["group_by"].split(",") if a)
     report = met.evaluate(records, group_by=group_by)
@@ -290,22 +326,33 @@ def cmd_eval(args) -> int:
 
 # -- bench ------------------------------------------------------------------------
 
-BENCH_PARAMS = [
-    Param("n_events", int, 2_000_000),
-    Param("duration_us", int, 1_000_000),
-    Param("seed", int, 0),
-    Param("k", int, rep.DEFAULT_K),
-    Param("tau_us", int, rep.DEFAULT_TAU_US),
-    Param("width", int, ev.DAVIS346.width),
-    Param("height", int, ev.DAVIS346.height),
-    Param("out", str, help="write the report as key = value text"),
-]
+def bench_params() -> list[Param]:
+    from . import events as ev, representations as rep
+
+    return [
+        Param("n_events", int, 2_000_000),
+        Param("duration_us", int, 1_000_000),
+        Param("seed", int, 0),
+        Param("k", int, rep.DEFAULT_K),
+        Param("tau_us", int, rep.DEFAULT_TAU_US),
+        Param("width", int, ev.DAVIS346.width),
+        Param("height", int, ev.DAVIS346.height),
+        Param("out", str, help="write the report as key = value text"),
+    ]
 
 
-def bench_fixture(config) -> ev.EventStream:
+def bench_fixture(config) -> EventStream:
+    """n_events uniform random events over [0, duration_us). Each setting
+    is checked before any array exists: the EVT1 records run_bench
+    serializes, RECORD_SIZE bytes an event, are the largest array."""
+    from . import events as ev
+
+    n = check_range("n_events", config["n_events"], 0, math.inf)
+    check_range("duration_us", config["duration_us"], 1, 2**63 - 1)  # numpy draws int64
+    check_range("seed", config["seed"], 0, math.inf)
+    check_budget("n_events", n, ev.RECORD_SIZE * n)
     geometry = ev.SensorGeometry(width=config["width"], height=config["height"])
     rng = np.random.default_rng(config["seed"])
-    n = config["n_events"]
     t = np.sort(rng.integers(0, config["duration_us"], n)).astype(np.uint64)
     return ev.EventStream.from_arrays(
         geometry, t,
@@ -315,6 +362,8 @@ def bench_fixture(config) -> ev.EventStream:
 
 
 def run_bench(config) -> dict:
+    from . import events as ev, representations as rep
+
     stream = bench_fixture(config)
     blob = ev.serialize_stream(stream)
 
@@ -340,7 +389,7 @@ def run_bench(config) -> dict:
 
 
 def cmd_bench(args) -> int:
-    config = _resolve(BENCH_PARAMS, args)
+    config = _resolve(bench_params(), args)
     _write_config(run_bench(config), config.get("out"), echo=True)
     _write_config(config, args.manifest)
     return 0
@@ -349,23 +398,22 @@ def cmd_bench(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 _COMMANDS = {
-    "simulate": (cmd_simulate, SIMULATE_PARAMS,
+    "simulate": (cmd_simulate, simulate_params,
                  "render frame sequences into events and paired labels"),
-    "tore": (cmd_tore, WINDOW_PARAMS, "build decay-volume tensors per time window"),
-    "filter": (cmd_filter, FILTER_PARAMS,
+    "tore": (cmd_tore, window_params, "build decay-volume tensors per time window"),
+    "filter": (cmd_filter, filter_params,
                "apply scheduled body masks to decay volumes"),
-    "eval": (cmd_eval, EVAL_PARAMS, "score predicted poses against ground truth"),
-    "bench": (cmd_bench, BENCH_PARAMS, "parse and ingest throughput"),
+    "eval": (cmd_eval, eval_params, "score predicted poses against ground truth"),
+    "bench": (cmd_bench, bench_params, "parse and ingest throughput"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evpose", description="event-camera pose pipeline toolkit")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, (_, params, help_text) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        _add_params(sub, params)
+        subs.add_parser(name, help=help_text, params=params)
     return parser
 
 

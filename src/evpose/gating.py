@@ -42,7 +42,6 @@ from .errors import (
 )
 from .events import (HEADER_SIZE, RecordFileWriter, SensorGeometry, freeze, pack_header,
                      parse_header, read_table, table_writer)
-from .pose_math import mask_errors
 from .representations import ToreVolume, WindowFrame
 
 
@@ -90,6 +89,8 @@ def apply_mask(vol: ToreVolume, mask: np.ndarray) -> ToreVolume:
 def mask_quality_ground_truth(pred: np.ndarray, gt: np.ndarray) -> float:
     """1 - MAE between binary masks, so identical masks score 1.0 and
     complementary masks score 0.0."""
+    from .pose_math import mask_errors  # here, so that importing gating loads no pose_math
+
     return 1.0 - float(mask_errors(np.asarray(pred)[None], np.asarray(gt)[None])[0])
 
 

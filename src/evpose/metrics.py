@@ -210,11 +210,18 @@ def _canonical_pose(path) -> Pose3D:
     return replace(pose, joints=pose.joints[[names.index(n) for n in JOINT_NAMES_13]])
 
 
+# the JSON type of each field a manifest record may hold
+_RECORD_FIELDS = {"frame": (int, "integer"), "pred": (str, "string"), "gt": (str, "string"),
+                  **dict.fromkeys(CONDITION_AXES, (str, "string"))}
+
+
 def load_eval_manifest(path) -> list[EvalRecord]:
     """Manifest JSON: {"records": [{"frame": i, "pred": path, "gt": path,
     "lighting"/"background"/"view": tag}, ...]}; pose paths are relative
-    to the manifest. Every pose file must name the 13 joints of
-    JOINT_NAMES_13, in any order, and its joints are put in that order."""
+    to the manifest. Paths and tags are strings and a frame an integer;
+    any other value is a DataError naming the record and the field. Every
+    pose file must name the 13 joints of JOINT_NAMES_13, in any order, and
+    its joints are put in that order."""
     path = Path(path)
     out = []
     with from_file(path):
@@ -224,8 +231,13 @@ def load_eval_manifest(path) -> list[EvalRecord]:
         for i, entry in enumerate(doc["records"]):
             if not isinstance(entry, dict) or not {"pred", "gt"} <= entry.keys():
                 raise DataError(f"record {i} lacks a 'pred' or 'gt' path")
+            for key, (kind, name) in _RECORD_FIELDS.items():
+                # exact types: a JSON true is no frame number, nor 1.5 frame 1
+                if key in entry and type(entry[key]) is not kind:
+                    raise DataError(f"record {i} field {key!r} must be a JSON {name}, "
+                                    f"got {json.dumps(entry[key])}")
             tags = {a: entry[a] for a in CONDITION_AXES if a in entry}
-            out.append(EvalRecord(frame_id=int(entry.get("frame", i)),
+            out.append(EvalRecord(frame_id=entry.get("frame", i),
                                   pred=_canonical_pose(path.parent / entry["pred"]),
                                   gt=_canonical_pose(path.parent / entry["gt"]), tags=tags))
     return out

@@ -48,17 +48,50 @@ def write_frame_dir(path, frames, fps, fmt="f32"):
 
 
 class TestStartup:
-    def test_cli_import_loads_no_scipy(self):
-        # a fresh interpreter, so modules the test session loaded do not count
+    # the library modules that tore and bench never run
+    LIBRARY = {"gating", "simulator", "metrics", "pose_math", "camera"}
+
+    def _run(self, code):
+        """What code prints in a fresh interpreter, so modules the test
+        session loaded do not count."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = ("import sys, evpose.cli; "
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    def _loaded(self, code):
+        """The evpose submodules loaded once code has run."""
+        probe = code + ("\nimport sys\n"
+                        "print(*(m[len('evpose.'):] for m in sys.modules "
+                        "if m.startswith('evpose.')))")
+        return set(self._run(probe).split())
+
+    def test_cli_import_loads_no_scipy(self):
+        probe = ("import sys, evpose.cli; from evpose import *; "
                  "print(sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert self._run(probe).strip() == "[]"
+
+    # of those, the ones each subcommand runs
+    RUNS = {"tore": set(), "bench": set(), "filter": {"gating"},
+            "simulate": {"simulator", "pose_math", "camera"}}
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_a_subcommand_loads_only_the_modules_it_runs(self, command):
+        loaded = self._loaded(
+            f"from evpose import cli; cli.build_parser().parse_args([{command!r}])")
+        assert loaded & self.LIBRARY == self.RUNS[command]
+
+    def test_package_import_loads_no_submodule(self):
+        assert self._loaded("import evpose") == set()
+        assert self._loaded("import evpose; evpose.gating.apply_mask") == {
+            "gating", "errors", "events", "representations"}
+
+    def test_star_import_binds_every_public_name(self):
+        unbound = self._run("import evpose; ns = {}; exec('from evpose import *', ns); "
+                            "print(*(n for n in evpose.__all__ if n not in ns))").split()
+        assert unbound == []
 
 
 # every value kind a config, manifest or bench report holds
@@ -172,9 +205,9 @@ class TestSimulateCommand:
         skeletons = [sim.SkeletonFrame(t_us=0, joints=joints, frame="camera")]
         sim.write_skeleton_csv(tmp_path / "skeleton.csv", skeletons)
         intrinsic = np.array([[300.0, 0, 8.0], [0, 300.0, 6.0], [0, 0, 1.0]])
-        cam = cli.cam_mod.CameraModel(intrinsic=intrinsic,
-                                      extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))]))
-        cli.cam_mod.save_camera(tmp_path / "camera.txt", cam)
+        cam = cam_mod.CameraModel(intrinsic=intrinsic,
+                                  extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))]))
+        cam_mod.save_camera(tmp_path / "camera.txt", cam)
         return ["--frames", str(tmp_path / "frames"), "--out", str(tmp_path / "out"),
                 "--skeleton", str(tmp_path / "skeleton.csv"),
                 "--cam", str(tmp_path / "camera.txt")]
@@ -224,7 +257,7 @@ class TestSimulateCommand:
             assert np.all(np.abs(pm.fuse_planes(heatmaps) - norm) <= 0.5 * 2.0 / resolution)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("name", [p.name for p in cli.SIMULATE_PARAMS if p.type is float])
+    @pytest.mark.parametrize("name", [p.name for p in cli.simulate_params() if p.type is float])
     def test_non_finite_float_option_exits_2(self, tmp_path, rng, capsys, name, value):
         argv = self._labelled_clip(tmp_path, rng) + ["--" + name.replace("_", "-"), value]
         assert self._run(argv) == 2
@@ -982,6 +1015,18 @@ class TestEvalCommand:
         assert err.count(str(tmp_path / "pred0.csv")) == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, field", [({"pred": 1, "gt": 2}, "'pred'"),
+                                               ({"frame": [1]}, "'frame'")],
+                             ids=["pred-int", "frame-list"])
+    def test_wrongly_typed_field_exits_3(self, tmp_path, capsys, fields, field):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": [{"pred": "p.csv", "gt": "g.csv", **fields}]}))
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--manifest-json", str(manifest), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: {manifest}: record 0 field {field} must be a JSON ")
+        assert not out.exists()
+
 
     def test_unknown_group_by_axis_is_config_error(self, tmp_path, rng, capsys):
         gt = rng.normal(size=(13, 3)) * 100
@@ -1023,6 +1068,29 @@ class TestBenchCommand:
     def test_geometry_beyond_u16_is_data_error(self, capsys):
         assert cli.main(["bench", "--n-events", "10", "--width", "70000"]) == 3
         assert "70000x260" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n-events", "-5"], "n_events must lie in [0, inf], got -5"),
+        (["--duration-us", "0"], "duration_us must lie in [1, "),
+        (["--duration-us", "-1"], "duration_us must lie in [1, "),
+        (["--duration-us", str(2**63)], "duration_us must lie in [1, "),
+        (["--seed", "-1"], "seed must lie in [0, inf], got -1"),
+        (["--n-events", "3000000000"], "n_events = 3000000000 asks for 48000000000 bytes"),
+    ], ids=["negative-n-events", "zero-duration", "negative-duration", "duration-past-int64",
+            "negative-seed", "n-events-over-budget"])
+    def test_bad_setting_is_config_error_before_allocation(self, capsys, argv, message):
+        tracemalloc.start()
+        try:
+            assert cli.main(["bench", *argv]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert peak < 1 << 20  # the default 2M-event fixture would take 32 MB
+
+    def test_zero_events_runs(self, capsys):
+        assert cli.main(["bench", "--n-events", "0"]) == 0
+        assert "events = 0\n" in capsys.readouterr().out
 
 
 class TestManifestRerun:

@@ -317,6 +317,31 @@ class TestEvaluate:
         path.write_text(json.dumps({"records": [{"pred": "pred.csv", "gt": "gt.csv"}]}))
         return path
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"pred": 1, "gt": 2}, "record 0 field 'pred' must be a JSON string, got 1"),
+        ({"gt": ["gt.csv"]}, "record 0 field 'gt' must be a JSON string, got [\"gt.csv\"]"),
+        ({"frame": [1]}, "record 0 field 'frame' must be a JSON integer, got [1]"),
+        ({"frame": 1.5}, "record 0 field 'frame' must be a JSON integer, got 1.5"),
+        ({"frame": True}, "record 0 field 'frame' must be a JSON integer, got true"),
+        ({"lighting": None}, "record 0 field 'lighting' must be a JSON string, got null"),
+        ({"view": 3}, "record 0 field 'view' must be a JSON string, got 3"),
+    ], ids=["pred-int", "gt-list", "frame-list", "frame-float", "frame-bool", "tag-null",
+            "tag-int"])
+    def test_wrongly_typed_field_is_data_error(self, tmp_path, rng, fields, message):
+        gt = rng.normal(size=(13, 3)) * 100
+        path = self._manifest(tmp_path, gt, list(JOINT_NAMES_13), gt, list(JOINT_NAMES_13))
+        path.write_text(json.dumps({"records": [{"pred": "pred.csv", "gt": "gt.csv", **fields}]}))
+        with pytest.raises(DataError) as info:
+            met.load_eval_manifest(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_frame_is_read_as_written(self, tmp_path, rng):
+        gt = rng.normal(size=(13, 3)) * 100
+        path = self._manifest(tmp_path, gt, list(JOINT_NAMES_13), gt, list(JOINT_NAMES_13))
+        record = {"pred": "pred.csv", "gt": "gt.csv"}
+        path.write_text(json.dumps({"records": [{**record, "frame": 7}, record]}))
+        assert [r.frame_id for r in met.load_eval_manifest(path)] == [7, 1]
+
     def test_prediction_aligned_by_joint_name(self, tmp_path, rng):
         gt = rng.normal(size=(13, 3)) * 100
         names = list(JOINT_NAMES_13)
