@@ -218,8 +218,9 @@ _RECORD_FIELDS = {"frame": (int, "integer"), "pred": (str, "string"), "gt": (str
 def load_eval_manifest(path) -> list[EvalRecord]:
     """Manifest JSON: {"records": [{"frame": i, "pred": path, "gt": path,
     "lighting"/"background"/"view": tag}, ...]}; pose paths are relative
-    to the manifest. Paths and tags are strings and a frame an integer;
-    any other value is a DataError naming the record and the field. Every
+    to the manifest. Paths and tags are strings, a tag one of its
+    CONDITION_AXES values, and a frame an integer; any other value is a
+    DataError naming the record and the field. Every
     pose file must name the 13 joints of JOINT_NAMES_13, in any order, and
     its joints are put in that order."""
     path = Path(path)
@@ -232,9 +233,16 @@ def load_eval_manifest(path) -> list[EvalRecord]:
             if not isinstance(entry, dict) or not {"pred", "gt"} <= entry.keys():
                 raise DataError(f"record {i} lacks a 'pred' or 'gt' path")
             for key, (kind, name) in _RECORD_FIELDS.items():
+                if key not in entry:
+                    continue
                 # exact types: a JSON true is no frame number, nor 1.5 frame 1
-                if key in entry and type(entry[key]) is not kind:
+                if type(entry[key]) is not kind:
                     raise DataError(f"record {i} field {key!r} must be a JSON {name}, "
+                                    f"got {json.dumps(entry[key])}")
+                allowed = CONDITION_AXES.get(key)
+                if allowed and entry[key] not in allowed:
+                    raise DataError(f"record {i} field {key!r} must be one of "
+                                    f"{', '.join(map(repr, allowed))}, "
                                     f"got {json.dumps(entry[key])}")
             tags = {a: entry[a] for a in CONDITION_AXES if a in entry}
             out.append(EvalRecord(frame_id=entry.get("frame", i),

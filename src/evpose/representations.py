@@ -73,9 +73,7 @@ _POL_INDEX = {1: 0, -1: 1}
 
 
 def _decay(delta: np.ndarray, tau_us) -> np.ndarray:
-    """Log-age transform of float64 ages, in place; returns `delta`."""
-    if tau_us <= 1:
-        raise InvalidTau(f"tau_us must exceed 1us, got {tau_us}")
+    """Log-age transform of float64 ages, in place, at tau_us > 1us; returns `delta`."""
     np.maximum(delta, 1.0, out=delta)
     np.log(delta, out=delta)
     np.divide(delta, math.log(tau_us), out=delta)
@@ -94,41 +92,33 @@ def decay_value(delta_us, tau_us):
     below the 1us floor map to exactly 1; the saturation edge sits at
     tau_us**0.3.
     """
+    if tau_us <= 1:
+        raise InvalidTau(f"tau_us must exceed 1us, got {tau_us}")
     vp = _decay(np.array(delta_us, dtype=np.float64), tau_us)
     return vp if vp.shape else float(vp)
 
 
-def _decay_into(out: np.ndarray, slots: np.ndarray, age0: int, tau_us, scratch,
-                index: np.ndarray | None = None) -> None:
-    """Write the decay of each slot of the flat uint32 FIFO array slots, or
-    of slots[index], at age age0 - slot to the same position of the flat
-    float32 array out. age0, below 2^64, exceeds tau_us, so EMPTY_SLOT reads
-    exactly 0 as any stamp older than tau_us does. Given index, out must
-    already read 0 at the positions of index, as only its filled slots may
-    be written, and is left as it is elsewhere. scratch is a uint64, a
-    float64, a bool and a uint32 array of at least that many slots, which
-    this overwrites; the bool array only picks the branch."""
-    n = len(slots) if index is None else len(index)
-    age, value, filled, gathered = (a[:n] for a in scratch)
-    if index is not None:
-        slots = np.take(slots, index, out=gathered, mode="clip")  # unbuffered; index is valid
+def _decay_into(out: np.ndarray, slots: np.ndarray, age0: int, tau_us, scratch) -> None:
+    """Write the decay of each slot of the uint32 block slots, at age
+    age0 - slot, to the same position of the float32 block out, of the same
+    length. age0, below 2^64, exceeds tau_us, so EMPTY_SLOT reads exactly 0
+    as any stamp older than tau_us does. scratch is a uint64, a float64 and
+    a bool array of at least that many slots, which this overwrites; the
+    bool array only picks the branch."""
+    n = len(slots)
+    age, value, filled = (a[:n] for a in scratch)
     np.not_equal(slots, EMPTY_SLOT, out=filled)
     top = np.uint64(age0)
     # ages are exact in the uint64 subtraction and rounded once into float64
     if 2 * np.count_nonzero(filled) < n:  # mostly empty: decay the filled slots alone
         live = filled.nonzero()[0]
-        if index is None:
-            out.fill(0)
+        out.fill(0)
         value = np.subtract(top, slots[live], dtype=np.uint64).astype(np.float64)
-        out[live if index is None else index[live]] = _decay(value, tau_us)
+        out[live] = _decay(value, tau_us)
         return
     np.subtract(top, slots, out=age, dtype=np.uint64)
     value[...] = age
-    _decay(value, tau_us)
-    if index is None:
-        out[...] = value
-    else:
-        out[index] = value
+    out[...] = _decay(value, tau_us)
 
 
 @dataclass
@@ -145,7 +135,9 @@ class ToreState:
     of the base, which is older than tau_us at every allowed query.
     The state also owns the buffers its decays reuse: one channel of
     float32 values, which every decay writes and its reader streams to a
-    file or copies out, and the scratch of one block.
+    file or copies out; the scratch of one block, a uint64, a float64 and
+    a bool array; and one float32 block, which a masked decay scatters
+    into the channel.
     """
 
     geometry: SensorGeometry
@@ -156,6 +148,7 @@ class ToreState:
     base: int = field(init=False, default=-BASE_STEP_US)
     _channel: np.ndarray = field(init=False, repr=False)
     _scratch: tuple = field(init=False, repr=False)
+    _block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k <= 0:
@@ -168,8 +161,8 @@ class ToreState:
         hw = self.geometry.num_pixels
         self._channel = np.empty(hw, dtype=np.float32)
         block = min(DECAY_BLOCK_SLOTS, hw)
-        self._scratch = tuple(np.empty(block, dtype)
-                              for dtype in (np.uint64, np.float64, bool, np.uint32))
+        self._scratch = tuple(np.empty(block, dtype) for dtype in (np.uint64, np.float64, bool))
+        self._block = np.empty(block, dtype=np.float32)
 
     def ingest(self, e: Event) -> "ToreState":
         """Push one event; the oldest timestamp falls off a full FIFO."""
@@ -271,30 +264,32 @@ class ToreState:
 
     def _decay_channels(self, t_query: int, rows=None, pixels: np.ndarray | None = None):
         """The decay at t_query of rows of H*W FIFO slots, by default the
-        FIFO's channels (the volume), one row at a time: yields each row's
-        float32 decay, computed in blocks of at most DECAY_BLOCK_SLOTS
-        slots. Every slot is decayed, or, given the sorted flat pixel
-        indices `pixels`, only those at these pixels, and the rest read 0.
-        Each row is the state's channel buffer, which the next row
-        overwrites."""
-        if rows is None:
-            rows = self.fifo.reshape(2 * self.k, -1)
+        FIFO's channels (the volume): yields each row's float32 decay in the
+        state's channel buffer, which the next row overwrites. A row maps a
+        slice, or a block of sorted flat pixel indices, to its uint32 slots
+        there. Each slice of DECAY_BLOCK_SLOTS slots decays straight into the
+        channel; given sorted flat pixel indices `pixels`, each block of them
+        decays into the state's float32 block, scattered into the zeroed channel."""
+        if rows is None:  # lazy: a list would hold 2K bound methods
+            rows = (channel.__getitem__ for channel in self.fifo.reshape(2 * self.k, -1))
         hw = self.geometry.num_pixels
-        size = len(self._scratch[0])
+        size = len(self._block)
         values = self._channel
         # a slot's age is age0 - slot; past 2^64, every age of a negative base
         # exceeds 2^64 - 2^32, so the clamp changes no value
         age0 = min(t_query - self.base, 2**64 - 1)
-        for slots in rows:
+        for row in rows:
             if pixels is None:
                 for p0 in range(0, hw, size):
-                    _decay_into(values[p0:p0 + size], slots[p0:p0 + size], age0,
-                                self.tau_us, self._scratch)
+                    at = slice(p0, p0 + size)
+                    _decay_into(values[at], row(at), age0, self.tau_us, self._scratch)
             else:
                 values.fill(0)
                 for i0 in range(0, len(pixels), size):
-                    _decay_into(values, slots, age0, self.tau_us, self._scratch,
-                                pixels[i0:i0 + size])
+                    at = pixels[i0:i0 + size]
+                    block = self._block[:len(at)]
+                    _decay_into(block, row(at), age0, self.tau_us, self._scratch)
+                    values[at] = block
             yield values
 
     def materialize(self, t_query: int) -> "ToreVolume":
@@ -311,18 +306,6 @@ class ToreState:
                           query_time_us=int(t_query))
 
 
-class _Newest:
-    """Each pixel's newest slot over both polarities (channels 0 and K), the
-    larger offset, as a row of `ToreState._decay_channels`: EMPTY_SLOT, 0,
-    only if neither is filled. Each slice is computed when it is taken."""
-
-    def __init__(self, state: ToreState):
-        self.pos, self.neg = state.fifo[0].reshape(-1), state.fifo[state.k].reshape(-1)
-
-    def __getitem__(self, pixels: slice) -> np.ndarray:
-        return np.maximum(self.pos[pixels], self.neg[pixels])
-
-
 class WindowFrame:
     """The state at the end of one window of `window_frames`, decayed only
     as far as a reader asks.
@@ -336,7 +319,8 @@ class WindowFrame:
     stamp over both polarities (channels 0 and K): float32 decay never
     rises with age. `write(path, mask)` writes the tensor of `data`, or of
     `gating.apply_mask` of that volume, one channel at a time, without
-    building the volume; given a mask, it decays only the mask's pixels.
+    building the volume; given a mask, it decays only the mask's pixels,
+    a block of them at a time, each scattered into the zeroed channel.
     """
 
     def __init__(self, state: ToreState, query_time_us: int):
@@ -359,7 +343,10 @@ class WindowFrame:
     def activity(self) -> np.ndarray:
         """(H, W) float32: the decay of each pixel's newest stamp."""
         state = self._live_state()
-        (values,) = state._decay_channels(self.query_time_us, [_Newest(state)])
+        pos, neg = (state.fifo[c].reshape(-1) for c in (0, state.k))
+        # the row of each pixel's larger offset: EMPTY_SLOT only if neither is filled
+        (values,) = state._decay_channels(self.query_time_us,
+                                          [lambda at: np.maximum(pos[at], neg[at])])
         return values.reshape(self.geometry.height, self.geometry.width).copy()
 
     def write(self, path, mask: np.ndarray | None = None) -> None:
@@ -372,7 +359,7 @@ class WindowFrame:
             pixels = np.flatnonzero(self.geometry.check_shape("mask", np.asarray(mask)))
         channels = state._decay_channels(self.query_time_us, None, pixels)
         with open(path, "wb") as f:
-            f.write(_TENSOR_HEADER.pack(TENSOR_MAGIC, *state.fifo.shape))
+            f.write(_tensor_header(state.fifo))
             for values in channels:
                 f.write(values)
 

@@ -651,6 +651,45 @@ class TestFilterCommand:
         assert np.array_equal(used, masks)
 
 
+def ci_recording(name):
+    """A recording whose FIFO base moves while `tore` and `filter` read it,
+    as the CI read-back step writes it, with the settings it runs at:
+    (stream, origin_us, window_us, tau_us, window ends)."""
+    geometry = ev.SensorGeometry(32, 24)
+    if name == "ci_tau":
+        # at tau = 30000 the base moves from -2^31 to 0 partway through
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.integers(0, 100_000, 5000))
+        origin, window, tau_us = 0, 10_000, 30_000
+    else:
+        # from 2^62, gaps that outlast tau: the base moves while stamps that
+        # still decay above 0 are kept, once
+        rng = np.random.default_rng(1)
+        t = 2**62 + np.concatenate([np.sort(rng.integers(0, 10**6, 200)) + at for at in
+                                    (0, 4_000_000_000, 5_900_000_000, 9_000_000_000)])
+        origin, window, tau_us = 2**62, 10**9, rep.MAX_TAU_US
+    n = t.size
+    s = ev.EventStream.from_arrays(geometry, t.astype(np.uint64), rng.integers(0, 32, n),
+                                   rng.integers(0, 24, n), rng.choice([-1, 1], n))
+    return s, origin, window, tau_us, [origin + (i + 1) * window for i in range(10)]
+
+
+def run_ci_recording(tmp_path, command, name):
+    """Run `command` on ci_recording(name) at its settings; returns each
+    window's brute-force volume and the output directory."""
+    s, origin, window, tau_us, ends = ci_recording(name)
+    ev.write_stream(tmp_path / "in.evt1", s)
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--events", str(tmp_path / "in.evt1"), "--out", str(out),
+                         "--origin-us", str(origin), "--window-us", str(window),
+                         "--tau-us", str(tau_us)]) == 0
+    volumes = [rep.ToreVolume(s.geometry, tore_brute_force(s[:np.searchsorted(s.t, end)],
+                                                           rep.DEFAULT_K, tau_us, end), end)
+               for end in ends]
+    return volumes, out
+
+
 class TestToreDifferential:
     """`tore` end to end against the oracle on tiny random inputs: one tensor
     per window from the origin to the last event, each the full-history
@@ -683,6 +722,14 @@ class TestToreDifferential:
                 i0, i1 = np.searchsorted(s.t, [origin, end])
                 assert (out / f"tore_{i:05d}.tore").read_bytes() == \
                     rep.serialize_tensor(tore_brute_force(s[i0:i1], k, tau_us, end))
+
+    @pytest.mark.parametrize("name", ["ci_tau", "ci_far"])
+    def test_moving_base_matches_oracle(self, tmp_path, name):
+        volumes, out = run_ci_recording(tmp_path, "tore", name)
+        paths = sorted(out.glob("tore_*.tore"))
+        assert len(paths) == len(volumes)
+        for path, vol in zip(paths, volumes):
+            assert path.read_bytes() == rep.serialize_tensor(vol.data), path.name
 
 
 class TestFilterDifferential:
@@ -754,6 +801,16 @@ class TestFilterDifferential:
         assert len(replayed) == len(used)
         for mask, want in zip(replayed, used):
             assert np.array_equal(mask, want)
+
+    @pytest.mark.parametrize("name", ["ci_tau", "ci_far"])
+    def test_moving_base_matches_oracles(self, tmp_path, name):
+        volumes, out = run_ci_recording(tmp_path, "filter", name)
+        _, masks = gating.read_masks(out / "masks.msk1")
+        paths = sorted(out.glob("masked_*.tore"))
+        assert len(paths) == len(masks) == len(volumes)
+        for path, vol, mask in zip(paths, volumes, masks):
+            assert path.read_bytes() == \
+                rep.serialize_tensor(gating.apply_mask(vol, mask).data), path.name
 
 
 class TestFilterStreaming:
@@ -1027,6 +1084,16 @@ class TestEvalCommand:
             f"data error: {manifest}: record 0 field {field} must be a JSON ")
         assert not out.exists()
 
+    def test_unknown_tag_value_exits_3(self, tmp_path, rng, capsys):
+        gt = rng.normal(size=(13, 3)) * 100
+        manifest = self._write_records(tmp_path, [(gt, gt, {"lighting": "high"}),
+                                                  (gt, gt, {"lighting": "dusk"})])
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "--manifest-json", str(manifest), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {manifest}: record 1 field 'lighting' must be one of "
+            "'high', 'medium', 'low', got \"dusk\"\n")
+        assert not out.exists()
 
     def test_unknown_group_by_axis_is_config_error(self, tmp_path, rng, capsys):
         gt = rng.normal(size=(13, 3)) * 100

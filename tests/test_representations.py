@@ -629,9 +629,11 @@ class TestWindowFrame:
     TAU = 1_000
     T = 10**6
 
+    @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])  # the last is a whole channel
     @pytest.mark.parametrize("k", [1, 5])  # at K = 1 channels 0 and K are adjacent
     @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
-    def test_activity_is_channel_maximum(self, rng, k, fill):
+    def test_activity_is_channel_maximum(self, rng, monkeypatch, block, k, fill):
+        monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
         state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
         want = state.materialize(self.T)
         got = rep.WindowFrame(state, self.T).activity
@@ -639,10 +641,12 @@ class TestWindowFrame:
         assert np.array_equal(got.view(np.uint32), want.data.max(axis=0).view(np.uint32))
         assert np.array_equal(want.activity.view(np.uint32), got.view(np.uint32))
 
+    @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("cover", ["empty", "full", "random"])
-    def test_masked_is_apply_mask(self, rng, tmp_path, k, fill, cover):
+    def test_masked_is_apply_mask(self, rng, monkeypatch, tmp_path, block, k, fill, cover):
+        monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
         state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
         mask = {"empty": np.zeros((self.GEO.height, self.GEO.width), bool),
                 "full": np.ones((self.GEO.height, self.GEO.width), bool),
@@ -766,7 +770,8 @@ class TestWindowFrameWrite:
         rep.WindowFrame(state, 3 * self.T).write(tmp_path / "u.tore")
         for a, b in zip(kept, copies):
             assert a.tobytes() == b.tobytes()
-            assert not any(np.shares_memory(a, buf) for buf in (state._channel, *state._scratch))
+            assert not any(np.shares_memory(a, buf)
+                           for buf in (state._channel, state._block, *state._scratch))
 
     def test_bad_mask_writes_no_file(self, rng, tmp_path):
         frame = rep.WindowFrame(filled_state(self.GEO, 2, self.TAU, 0.5, self.T, rng), self.T)
