@@ -44,8 +44,9 @@ def check_range(name: str, x, lo, hi, error=ConfigError):
 
 
 # Most bytes one array sized by a setting may take: the TORE FIFO (`k`), a
-# plan and a score table (`horizon`), a label's heatmaps (`heatmap_resolution`),
-# an interval's simulated events (thresholds, noise rates). Checked before
+# plan and a score table (`horizon`), the unpacked external mask stack
+# (`external_masks`), a label's heatmaps (`heatmap_resolution`), an
+# interval's simulated events (thresholds, noise rates). Checked before
 # the array exists and before any output is written.
 MAX_ARRAY_BYTES = 2**31
 

@@ -24,6 +24,8 @@ vectorised root hooking and pointer jumping.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -390,7 +392,17 @@ def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:
 
 
 def read_masks(path) -> tuple[SensorGeometry, np.ndarray]:
+    """The file's geometry and masks. The stack unpacks to a byte a pixel,
+    so its header is checked against the byte budget before the payload
+    is read, which needs the file's size: a pipe or device is refused."""
     with open(path, "rb") as f, from_file(path):
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise DataError("mask stack must be a regular file, not a pipe or device")
+        geometry, count = parse_header(f.read(HEADER_SIZE), MSK1_MAGIC, _mask_bytes, "mask",
+                                       st.st_size)
+        check_budget("external_masks", path, count * geometry.num_pixels)
+        f.seek(0)
         return parse_masks(f.read())
 
 

@@ -15,16 +15,17 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyInput, JointCountMismatch, check_range, from_file
 from .events import table_writer
-from .gating import MaskPredictorBackend, schedule_masks
-from .pose_math import Pose3D, mask_errors, read_pose_csv
-from .representations import ToreVolume
-from .simulator import JOINT_NAMES_13
+from .pose_math import JOINT_NAMES_13, Pose3D, mask_errors, read_pose_csv
+
+if TYPE_CHECKING:
+    from .gating import MaskPredictorBackend
+    from .representations import ToreVolume
 
 PCK_THRESHOLD_MM = 150.0
 AUC_MAX_MM = 500.0
@@ -272,6 +273,8 @@ def threshold_sweep(frames: Sequence[ToreVolume], backend: MaskPredictorBackend,
     MAE stands in for pose accuracy here since no trained pose backend
     is part of the toolkit.
     """
+    from .gating import schedule_masks
+
     frames = list(frames)
     betas = list(betas)
     if not frames or not betas:

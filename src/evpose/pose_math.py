@@ -38,6 +38,17 @@ from .events import freeze, read_table, table_writer
 BCE_CLIP = 1e-7
 DISTRIBUTION_ATOL = 1e-6
 
+# the 13 joints, in the order labels, heatmap stacks and evaluated poses hold them
+JOINT_NAMES_13 = (
+    "head",
+    "shoulder_r", "shoulder_l",
+    "elbow_r", "elbow_l",
+    "hand_r", "hand_l",
+    "hip_r", "hip_l",
+    "knee_r", "knee_l",
+    "foot_r", "foot_l",
+)
+
 
 def cell_centers(resolution: int) -> np.ndarray:
     """Normalized coordinates of grid cell centers, in [-1, 1]."""

@@ -60,17 +60,7 @@ from .errors import (
     from_file,
 )
 from .events import EventStream, SensorGeometry, freeze, read_table, table_writer
-from .pose_math import PLANE_COLS, PLANE_ROWS, PLANES, cell_centers
-
-JOINT_NAMES_13 = (
-    "head",
-    "shoulder_r", "shoulder_l",
-    "elbow_r", "elbow_l",
-    "hand_r", "hand_l",
-    "hip_r", "hip_l",
-    "knee_r", "knee_l",
-    "foot_r", "foot_l",
-)
+from .pose_math import JOINT_NAMES_13, PLANE_COLS, PLANE_ROWS, PLANES, cell_centers
 
 HEATMAP_RESOLUTION = 64  # grid cells per side
 HEATMAP_SIGMA = 2.0  # grid cells

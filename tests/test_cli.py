@@ -48,9 +48,6 @@ def write_frame_dir(path, frames, fps, fmt="f32"):
 
 
 class TestStartup:
-    # the library modules that tore and bench never run
-    LIBRARY = {"gating", "simulator", "metrics", "pose_math", "camera"}
-
     def _run(self, code):
         """What code prints in a fresh interpreter, so modules the test
         session loaded do not count."""
@@ -73,15 +70,20 @@ class TestStartup:
                  "if m == 'scipy' or m.startswith('scipy.')))")
         assert self._run(probe).strip() == "[]"
 
-    # of those, the ones each subcommand runs
-    RUNS = {"tore": set(), "bench": set(), "filter": {"gating"},
-            "simulate": {"simulator", "pose_math", "camera"}}
+    # the library modules each subcommand runs, besides errors and events
+    RUNS = {"tore": {"representations"}, "bench": {"representations"},
+            "filter": {"gating", "representations"},
+            "simulate": {"simulator", "pose_math", "camera", "representations"},
+            "eval": {"metrics", "pose_math", "camera"}}
 
     @pytest.mark.parametrize("command", RUNS)
-    def test_a_subcommand_loads_only_the_modules_it_runs(self, command):
+    def test_a_subcommand_loads_only_the_modules_it_runs(self, tmp_path, command):
+        # parsing adds the options, whose defaults import modules; the command
+        # imports the rest before it fails to read the missing config file
+        missing = str(tmp_path / "missing.cfg")
         loaded = self._loaded(
-            f"from evpose import cli; cli.build_parser().parse_args([{command!r}])")
-        assert loaded & self.LIBRARY == self.RUNS[command]
+            f"from evpose import cli; cli.main([{command!r}, '--config', {missing!r}])")
+        assert loaded - {"cli", "errors", "events"} == self.RUNS[command]
 
     def test_package_import_loads_no_submodule(self):
         assert self._loaded("import evpose") == set()
@@ -650,17 +652,36 @@ class TestFilterCommand:
         # with the externally supplied stack
         assert np.array_equal(used, masks)
 
+        # fed the masks a reference run used, filter writes the same masks and
+        # masked tensors
+        runs = {}
+        for name, extra in (("reference", []),
+                            ("fed_back", ["--external-masks",
+                                          str(tmp_path / "reference" / "masks.msk1")])):
+            runs[name] = tmp_path / name
+            assert cli.main(["filter", "--events", str(path), "--out", str(runs[name]),
+                             "--window-us", "10000"] + extra) == 0
+        names = sorted(p.name for p in runs["reference"].glob("masked_*.tore"))
+        assert len(names) == 10
+        assert sorted(p.name for p in runs["fed_back"].glob("masked_*.tore")) == names
+        for name in ["masks.msk1"] + names:
+            assert (runs["fed_back"] / name).read_bytes() == \
+                (runs["reference"] / name).read_bytes(), name
+
 
 def ci_recording(name):
-    """A recording whose FIFO base moves while `tore` and `filter` read it,
-    as the CI read-back step writes it, with the settings it runs at:
-    (stream, origin_us, window_us, tau_us, window ends)."""
+    """A 32x24 recording of ten windows and the settings `tore` and `filter`
+    read it at: (stream, origin_us, window_us, tau_us, window ends). In `ci`,
+    at the default tau, the FIFO base stays put; in `ci_tau` and `ci_far` it
+    moves while the recording is read."""
     geometry = ev.SensorGeometry(32, 24)
-    if name == "ci_tau":
-        # at tau = 30000 the base moves from -2^31 to 0 partway through
+    if name in ("ci", "ci_tau"):
+        # one set of events: at tau = 30000 the base moves from -2^31 to 0
+        # partway through, at the default it stays at -2^31
         rng = np.random.default_rng(0)
         t = np.sort(rng.integers(0, 100_000, 5000))
-        origin, window, tau_us = 0, 10_000, 30_000
+        origin, window = 0, 10_000
+        tau_us = rep.DEFAULT_TAU_US if name == "ci" else 30_000
     else:
         # from 2^62, gaps that outlast tau: the base moves while stamps that
         # still decay above 0 are kept, once
@@ -723,7 +744,8 @@ class TestToreDifferential:
                 assert (out / f"tore_{i:05d}.tore").read_bytes() == \
                     rep.serialize_tensor(tore_brute_force(s[i0:i1], k, tau_us, end))
 
-    @pytest.mark.parametrize("name", ["ci_tau", "ci_far"])
+    # ci, whose FIFO base stays, beside the two recordings whose base moves
+    @pytest.mark.parametrize("name", ["ci", "ci_tau", "ci_far"])
     def test_moving_base_matches_oracle(self, tmp_path, name):
         volumes, out = run_ci_recording(tmp_path, "tore", name)
         paths = sorted(out.glob("tore_*.tore"))
@@ -802,7 +824,8 @@ class TestFilterDifferential:
         for mask, want in zip(replayed, used):
             assert np.array_equal(mask, want)
 
-    @pytest.mark.parametrize("name", ["ci_tau", "ci_far"])
+    # ci, whose FIFO base stays, beside the two recordings whose base moves
+    @pytest.mark.parametrize("name", ["ci", "ci_tau", "ci_far"])
     def test_moving_base_matches_oracles(self, tmp_path, name):
         volumes, out = run_ci_recording(tmp_path, "filter", name)
         _, masks = gating.read_masks(out / "masks.msk1")
@@ -1163,9 +1186,11 @@ class TestBenchCommand:
 class TestManifestRerun:
     """A run's manifest, read back with --config, reruns it exactly."""
 
-    def _argv(self, tmp_path, rng, command):
-        """The arguments, all but --out, of a tiny run of command."""
-        if command == "simulate":
+    def _argv(self, tmp_path, rng, case):
+        """The arguments, all but --out, of a tiny run of case's command."""
+        if case == "bench":
+            return ["bench", "--n-events", "20000"]
+        if case.startswith("simulate"):
             write_frame_dir(tmp_path / "frames", rng.uniform(0.1, 0.9, (4, 12, 16)), fps=50.0)
             joints = np.column_stack([rng.uniform(-50, 50, 13), rng.uniform(-50, 50, 13),
                                       rng.uniform(900, 1100, 13)])
@@ -1174,32 +1199,45 @@ class TestManifestRerun:
             cam_mod.save_camera(tmp_path / "camera.txt", cam_mod.CameraModel(
                 intrinsic=np.array([[300.0, 0, 8.0], [0, 300.0, 6.0], [0, 0, 1.0]]),
                 extrinsic=np.hstack([np.eye(3), np.zeros((3, 1))])))
-            return ["simulate", "--frames", str(tmp_path / "frames"),
+            argv = ["simulate", "--frames", str(tmp_path / "frames"),
                     "--skeleton", str(tmp_path / "skeleton.csv"),
-                    "--cam", str(tmp_path / "camera.txt"), "--shot-noise-scale", "5.0",
-                    "--seed", "3", "--heatmap-resolution", "16"]
+                    "--cam", str(tmp_path / "camera.txt"), "--heatmap-resolution", "16"]
+            if case == "simulate":
+                return argv + ["--shot-noise-scale", "5.0", "--seed", "3"]
+            # noise-free at --interpolate 2: the f32 foreground beside a PGM mask
+            # and background
+            mask = np.zeros((4, 12, 16))
+            for i in range(4):
+                mask[i, 3:9, 2 + 3 * i:8 + 3 * i] = 1.0
+            write_frame_dir(tmp_path / "mask", mask, fps=50.0, fmt="pgm")
+            write_frame_dir(tmp_path / "bg", np.full((4, 12, 16), 0.3), fps=50.0, fmt="pgm")
+            return argv + ["--masks", str(tmp_path / "mask"),
+                           "--background", str(tmp_path / "bg"), "--interpolate", "2"]
         path = tmp_path / "events.evt1"
         ev.write_stream(path, random_stream(rng, ev.SensorGeometry(16, 12), 3000,
                                             duration_us=99_999))
-        extra = ["--beta", "0.85"] if command == "filter" else ["--window-us", "10000"]
-        return [command, "--events", str(path)] + extra
+        extra = ["--beta", "0.85"] if case == "filter" else ["--window-us", "10000"]
+        return [case, "--events", str(path)] + extra
 
-    @pytest.mark.parametrize("command", ["tore", "filter", "simulate"])
-    def test_manifest_reruns_its_run(self, tmp_path, rng, capsys, command):
-        argv = self._argv(tmp_path, rng, command)
+    @pytest.mark.parametrize("case", ["tore", "filter", "simulate", "simulate_composite",
+                                      "bench"])
+    def test_manifest_reruns_its_run(self, tmp_path, rng, capsys, case):
+        argv = self._argv(tmp_path, rng, case)
         first, second = tmp_path / "first", tmp_path / "second"
         m, m2 = tmp_path / "m.cfg", tmp_path / "m2.cfg"
         assert cli.main(argv + ["--out", str(first), "--manifest", str(m)]) == 0
-        assert cli.main([command, "--config", str(m), "--out", str(second),
+        assert cli.main([argv[0], "--config", str(m), "--out", str(second),
                          "--manifest", str(m2)]) == 0
-        names = sorted(p.name for p in first.iterdir())
-        assert sorted(p.name for p in second.iterdir()) == names
-        assert len(names) > 2  # outputs beside manifest.cfg
-        for name in names:
-            if name != "manifest.cfg":
-                assert (first / name).read_bytes() == (second / name).read_bytes(), name
-        assert (first / "manifest.cfg").read_bytes() == m.read_bytes()
-        assert (second / "manifest.cfg").read_bytes() == m2.read_bytes()
+        # bench's --out is its report, whose timings differ run to run
+        if case != "bench":
+            names = sorted(p.name for p in first.iterdir())
+            assert sorted(p.name for p in second.iterdir()) == names
+            assert len(names) > 2  # outputs beside manifest.cfg
+            for name in names:
+                if name != "manifest.cfg":
+                    assert (first / name).read_bytes() == (second / name).read_bytes(), name
+            assert (first / "manifest.cfg").read_bytes() == m.read_bytes()
+            assert (second / "manifest.cfg").read_bytes() == m2.read_bytes()
         out_line = f"out = {json.dumps(str(first))}\n"
         assert out_line in m.read_text()
         assert m2.read_text() == m.read_text().replace(
@@ -1252,6 +1290,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {setting} = {2**50} asks for ")
         assert "-byte budget" in err
+        assert not out.exists()
+
+    def test_mask_stack_over_the_byte_budget_leaves_no_output(self, tmp_path, small_geometry,
+                                                               rng, capsys, monkeypatch):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 500))
+        masks = tmp_path / "m.msk1"
+        gating.write_masks(masks, small_geometry, np.ones((3, 24, 32), bool))
+        # the stack unpacks to 3 * 24 * 32 bytes, one more than the budget
+        monkeypatch.setattr("evpose.errors.MAX_ARRAY_BYTES", 3 * 24 * 32 - 1)
+        out = tmp_path / "o"
+        assert cli.main(["filter", "--events", str(events_path), "--out", str(out),
+                         "--external-masks", str(masks)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: external_masks = {masks} asks for 2304 bytes, "
+            f"more than the 2303-byte budget")
         assert not out.exists()
 
     # ints past what numpy holds, past Python's 4,300-digit limit on int

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,18 @@ class TestMaskStackIO:
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
             gating.parse_masks(b"GARBAGE___________")
+
+    def test_pipe_is_refused_by_name(self, tmp_path):
+        blob = gating.serialize_masks(GEO, np.ones((2, GEO.height, GEO.width), bool))
+        r, w = os.pipe()
+        try:
+            os.write(w, blob)  # 88 bytes fit the pipe's buffer
+            path = f"/dev/fd/{r}"
+            with pytest.raises(DataError, match=f"{path}: mask stack must be a regular file"):
+                gating.read_masks(path)
+        finally:
+            os.close(r)
+            os.close(w)
 
     def test_truncated(self, rng):
         blob = gating.serialize_masks(GEO, rng.random((2, GEO.height, GEO.width)) > 0.5)

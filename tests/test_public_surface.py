@@ -3,27 +3,21 @@
 Each public module-level function and class of `src/evpose`, and each
 public method of such a class, counts as reached when its name is used
 outside its own body: in `src/evpose` or `benchmark/` (a name
-`benchmark/child.py` wraps by string counts), in the CI workflow or in
-the acceptance suite. The sources are read with `ast`, never run. The
-workflow's Python calls everything through a module (`rep.window_volumes`,
-`gating.read_masks`), so there a use is an attribute access, `.name`: a
-local variable or a shell word of the same name does not count. Matching
-is by bare name otherwise, so a name shared with another that is reached
-counts as reached too.
+`benchmark/child.py` wraps by string counts), or in the acceptance suite.
+The sources are read with `ast`, never run. Matching is by bare name, so
+a name shared with another that is reached counts as reached too.
 
 A name that joins the pinned set states why it stays; one that leaves it
 is either reached now or deleted.
 """
 
 import ast
-import re
 from pathlib import Path
 
 from test_traced_names import traced_targets
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "evpose"
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 READERS = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "benchmark").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 
@@ -41,10 +35,11 @@ TEST_ONLY = {
     "pose_math.write_pose_csv": "ROADMAP item 5: the writer of the pose CSVs eval reads",
     "representations.serialize_tensor": "the reference tensor bytes write_tensor is "
                                         "compared with",
-    "representations.window_volumes": "the whole-volume iterator of the library API; the "
-                                      "CI read-back checks tore and filter against the "
-                                      "oracles instead",
+    "representations.window_volumes": "the whole-volume iterator of the library API; "
+                                      "tore and filter write frame by frame instead",
     "simulator.FrameSequence.frame_time_us": "the frame clock of the simulator's oracles",
+    "simulator.write_pgm": "the writer of the PGM frames list_frames reads, with which "
+                           "tests build clips",
 }
 
 
@@ -75,11 +70,10 @@ def name_uses(path):
 def unreached():
     uses = {path: list(name_uses(path)) for path in READERS}
     wrapped = {attr for _, attr in traced_targets()[1]}
-    workflow = WORKFLOW.read_text()
     out = []
     for path, dotted, node in public_definitions():
         name = node.name
-        reached = (name in wrapped or re.search(rf"\.{name}\b", workflow)
+        reached = (name in wrapped
                    or any(used == name and not (reader == path
                                                 and node.lineno <= line <= node.end_lineno)
                           for reader in READERS for used, line in uses[reader]))

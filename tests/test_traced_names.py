@@ -76,7 +76,7 @@ NEVER_CALLED = {
     "gating.apply_mask",
     # tore and filter write each frame with `WindowFrame.write`, channel by
     # channel; materialize stays the collector behind WindowFrame.data and
-    # window_volumes, which tests and the CI readback call
+    # window_volumes, which tests call
     "rep.ToreState.materialize",
     "sim.load_frame_sequence", "sim.load_mask_sequence", "sim.composite",
     "sim.interpolate_linear", "sim.frames_to_events",
