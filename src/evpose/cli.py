@@ -192,6 +192,7 @@ def cmd_simulate(args) -> int:
     chunks = sim.iter_events(frames, fg.geometry, fg.fps * config["interpolate"], params)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_config(config, args.manifest, out_dir / "manifest.cfg", echo=True)
     # one frame interval at a time: frames are read, blended, interpolated,
     # turned into events and written before the next interval
     with ev.EventStreamWriter(out_dir / "events.evt1", fg.geometry) as events:
@@ -204,7 +205,6 @@ def cmd_simulate(args) -> int:
         for s, norm in zip(skeletons, labels):
             rep.write_tensor(out_dir / f"heatmaps_{s.t_us:012d}.tore",
                              sim.make_heatmaps(norm, *heatmap).astype(np.float32))
-    _write_config(config, args.manifest, out_dir / "manifest.cfg", echo=True)
     return 0
 
 
@@ -233,12 +233,12 @@ def cmd_tore(args) -> int:
                                config["window_us"], config["origin_us"])
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_config(config, args.manifest, out_dir / "manifest.cfg")
     written = 0
     for i, frame in enumerate(frames):
         frame.write(out_dir / f"tore_{i:05d}.tore")
         written += 1
     print(f"wrote {written} tensor(s) to {out_dir}")
-    _write_config(config, args.manifest, out_dir / "manifest.cfg")
     return 0
 
 
@@ -271,9 +271,14 @@ def cmd_filter(args) -> int:
                                    f"differs from the events' {stream.geometry}")
         settings = (masks, config["window_us"], config["origin_us"], config["horizon"])
         if "external_scores" in config:
-            with from_file(config["external_scores"]):
-                backend = gating.ExternalMaskBackend(
-                    *settings, np.loadtxt(config["external_scores"], delimiter=",", ndmin=2))
+            path = config["external_scores"]
+            with open(path) as f, from_file(path):
+                # the lines np.loadtxt would read; of none it warns and returns a (0, 1) table
+                rows = [line for line in f if line.partition("#")[0].strip()]
+                if not rows:
+                    raise DataError("scores table holds no row")
+                scores = np.loadtxt(rows, delimiter=",", ndmin=2)
+                backend = gating.ExternalMaskBackend(*settings, scores)
         else:
             backend = gating.ExternalMaskBackend(*settings)
     else:
@@ -286,6 +291,7 @@ def cmd_filter(args) -> int:
     # every setting is checked above, so a bad one leaves no output behind
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_config(config, args.manifest, out_dir / "manifest.cfg")
     calls = 0
     with gating.schedule_writer(out_dir / "schedule.csv") as schedule, \
             gating.MaskStackWriter(out_dir / "masks.msk1", stream.geometry) as masks_out:
@@ -296,7 +302,6 @@ def cmd_filter(args) -> int:
             masks_out.append(mask)
             calls += entry.recompute
     print(f"{masks_out.count} window(s), {calls} backend call(s)")
-    _write_config(config, args.manifest, out_dir / "manifest.cfg")
     return 0
 
 

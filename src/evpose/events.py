@@ -13,14 +13,16 @@ record_count fixed-size records. EVT1's record is one event:
               | record_count u64                              (18 bytes)
     record  = t u64 | x u16 | y u16 | polarity i8 | pad[3]    (16 bytes)
 
-`parse_stream` holds a whole EVT1 blob in memory. Files are read only by
-`EventFile`, in two passes over fixed chunks of READ_CHUNK_EVENTS records,
-into one reused buffer: the first checks every record, so a bad file
-fails before any event is used; the second checks them again as it
-yields them as sorted EventStream chunks, which `iter_window_pieces` cuts
-as it cuts one stream. A consumer of its windows holds one chunk and one
-window of input, whatever the file's length; `read_stream` collects the
-chunks into one stream.
+Both formats open a file with one shared opener, `read_header`, which
+checks the header against the file's size. `parse_stream` holds a whole
+EVT1 blob in memory; files are read only by `EventFile`, in two passes
+over fixed chunks of READ_CHUNK_EVENTS records, into one reused buffer:
+the first checks every record, so a bad file fails before any event is
+used; the second checks them again as it yields them as sorted
+EventStream chunks, which `iter_window_pieces` cuts as it cuts one
+stream. A consumer of its windows holds one chunk and one window of
+input, whatever the file's length; `read_stream` collects the chunks
+into one stream.
 
 Every CSV of the toolkit is a text table, a header line and then one
 comma-separated line per row, with one codec here: `table_writer` and
@@ -58,6 +60,7 @@ RECORD_DTYPE = np.dtype(
 )
 HEADER_SIZE = _HEADER.size  # 18
 RECORD_SIZE = RECORD_DTYPE.itemsize  # 16
+_EVT1 = (EVT1_MAGIC, lambda geometry: RECORD_SIZE, "event")  # parse_header's format arguments
 
 
 @dataclass(frozen=True)
@@ -240,6 +243,16 @@ def parse_header(blob: bytes, magic: bytes, record_size, noun: str,
     return geometry, count
 
 
+def read_header(f, magic: bytes, record_size, noun: str, what: str) -> tuple[SensorGeometry, int]:
+    """`parse_header` of the open counted-record file f, read from its start
+    and checked against the file's size, which only a regular file has: a
+    pipe or device is a DataError that calls the file `what`."""
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise DataError(f"{what} must be a regular file, not a pipe or device")
+    return parse_header(f.read(HEADER_SIZE), magic, record_size, noun, st.st_size)
+
+
 class RecordFileWriter:
     """Counted-record file written a batch of records at a time, as a
     context manager.
@@ -286,7 +299,7 @@ def parse_stream(blob: bytes, tolerance_us: int = 0) -> EventStream:
     order is preserved from the file only when the file is sorted by time;
     records that regress within tolerance_us are stably sorted.
     """
-    geometry, n = parse_header(blob, EVT1_MAGIC, lambda g: RECORD_SIZE, "event")
+    geometry, n = parse_header(blob, *_EVT1)
     rec = np.frombuffer(blob, dtype=RECORD_DTYPE, count=n, offset=HEADER_SIZE)
     return EventStream(geometry, rec["t"].copy(), rec["x"].copy(),
                        rec["y"].copy(), rec["p"].copy(), tolerance_us)
@@ -333,7 +346,7 @@ class EventFile:
     def __init__(self, path):
         self.path = path
         with open(path, "rb") as f, from_file(path):
-            self.geometry, self._count = self._header(f)
+            self.geometry, self._count = read_header(f, *_EVT1, "input")
         self.last_t = 0  # of the last event, once checked
         for t, *_ in self._chunks():
             self.last_t = int(t[-1])
@@ -348,18 +361,10 @@ class EventFile:
                 col.setflags(write=False)
             yield template._with_columns(*columns)
 
-    @staticmethod
-    def _header(f) -> tuple[SensorGeometry, int]:
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise DataError("input must be a regular file, read twice, not a pipe or device")
-        return parse_header(f.read(HEADER_SIZE), EVT1_MAGIC, lambda g: RECORD_SIZE, "event",
-                            st.st_size)
-
     def _chunks(self):
         """Each chunk's t, x, y and p columns, once checked."""
         with open(self.path, "rb") as f, from_file(self.path):
-            if self._header(f) != (self.geometry, self._count):
+            if read_header(f, *_EVT1, "input") != (self.geometry, self._count):
                 raise DataError("header changed since the file was checked")
             buf = np.empty(READ_CHUNK_EVENTS, dtype=RECORD_DTYPE)
             raw = buf.view(np.uint8)

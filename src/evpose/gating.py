@@ -24,8 +24,6 @@ vectorised root hooking and pointer jumping.
 from __future__ import annotations
 
 import math
-import os
-import stat
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -42,8 +40,8 @@ from .errors import (
     check_range,
     from_file,
 )
-from .events import (HEADER_SIZE, RecordFileWriter, SensorGeometry, freeze, pack_header,
-                     parse_header, read_table, table_writer)
+from .events import (RecordFileWriter, SensorGeometry, freeze, pack_header, read_header,
+                     read_table, table_writer)
 from .representations import ToreVolume, WindowFrame
 
 
@@ -376,15 +374,6 @@ def serialize_masks(geometry: SensorGeometry, masks: np.ndarray) -> bytes:
     return pack_header(MSK1_MAGIC, geometry, len(records)) + b"".join(records)
 
 
-def parse_masks(blob: bytes) -> tuple[SensorGeometry, np.ndarray]:
-    geometry, count = parse_header(blob, MSK1_MAGIC, _mask_bytes, "mask")
-    bits = np.frombuffer(blob, dtype=np.uint8, offset=HEADER_SIZE)
-    # 0/1 bytes unpacked once, then viewed as bool: the stack is held once
-    unpacked = np.unpackbits(bits.reshape(count, _mask_bytes(geometry)), axis=1,
-                             count=geometry.num_pixels)
-    return geometry, unpacked.view(bool).reshape(count, geometry.height, geometry.width)
-
-
 def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:
     with MaskStackWriter(path, geometry) as out:
         for mask in masks:
@@ -396,14 +385,13 @@ def read_masks(path) -> tuple[SensorGeometry, np.ndarray]:
     so its header is checked against the byte budget before the payload
     is read, which needs the file's size: a pipe or device is refused."""
     with open(path, "rb") as f, from_file(path):
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise DataError("mask stack must be a regular file, not a pipe or device")
-        geometry, count = parse_header(f.read(HEADER_SIZE), MSK1_MAGIC, _mask_bytes, "mask",
-                                       st.st_size)
+        geometry, count = read_header(f, MSK1_MAGIC, _mask_bytes, "mask", "mask stack")
         check_budget("external_masks", path, count * geometry.num_pixels)
-        f.seek(0)
-        return parse_masks(f.read())
+        size = _mask_bytes(geometry)
+        bits = np.fromfile(f, np.uint8, count * size).reshape(count, size)  # fails if it shrank
+    # 0/1 bytes unpacked once, then viewed as bool: the stack is held once
+    unpacked = np.unpackbits(bits, axis=1, count=geometry.num_pixels)
+    return geometry, unpacked.view(bool).reshape(count, geometry.height, geometry.width)
 
 
 class MaskStackWriter(RecordFileWriter):

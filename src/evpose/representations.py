@@ -431,18 +431,6 @@ def serialize_tensor(data: np.ndarray) -> bytes:
     return _tensor_header(a) + a.tobytes()
 
 
-def parse_tensor(blob: bytes) -> np.ndarray:
-    if len(blob) < _TENSOR_HEADER.size or blob[:4] != TENSOR_MAGIC:
-        raise BadMagic("not a TORE tensor blob")
-    _, c, h, w = _TENSOR_HEADER.unpack_from(blob, 0)
-    expect = c * h * w * 4
-    payload = len(blob) - _TENSOR_HEADER.size
-    if payload != expect:
-        raise TruncatedRecord(f"tensor payload {payload} bytes, expected {expect}")
-    a = np.frombuffer(blob, dtype="<f4", count=c * h * w, offset=_TENSOR_HEADER.size)
-    return a.reshape(c, h, w).copy()
-
-
 def write_tensor(path, data: np.ndarray) -> None:
     """Write the bytes of serialize_tensor straight from the array's buffer,
     without building a copy of the payload."""
@@ -454,6 +442,15 @@ def write_tensor(path, data: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """write_tensor's array, its C*H*W*4 bytes checked against the file before allocation."""
     with open(path, "rb") as f, from_file(path):
-        return parse_tensor(f.read())
+        header = f.read(_TENSOR_HEADER.size)
+        if len(header) < _TENSOR_HEADER.size or header[:4] != TENSOR_MAGIC:
+            raise BadMagic("not a TORE tensor file")
+        _, c, h, w = _TENSOR_HEADER.unpack(header)
+        payload = f.seek(0, 2) - _TENSOR_HEADER.size  # the file's end
+        if payload != c * h * w * 4:
+            raise TruncatedRecord(f"tensor payload {payload} bytes, expected {c * h * w * 4}")
+        f.seek(_TENSOR_HEADER.size)
+        return np.fromfile(f, "<f4", c * h * w).reshape(c, h, w)
 

@@ -152,6 +152,7 @@ class SkeletonFrame:
                 f"expected {len(JOINT_NAMES_13)} joints, got shape {j.shape}")
         if not np.all(np.isfinite(j)):
             raise DataError("joint coordinates must be finite")
+        check_range("label t_us", self.t_us, 0, 2**64 - 1, DataError)  # a u64 us count
 
     def head_index(self) -> int:
         return JOINT_NAMES_13.index("head")
@@ -537,6 +538,7 @@ def read_skeleton_csv(path) -> list[SkeletonFrame]:
             if rows.setdefault(t, {}).setdefault(name, i) != i:
                 raise DataError(f"line {line_nos[i]}: duplicate joint {name!r} at t={t}")
         for t, named in sorted(rows.items()):
+            check_range(f"line {line_nos[min(named.values())]}: t_us", t, 0, 2**64 - 1, DataError)
             if len(named) != len(known):
                 raise DataError(f"t={t} missing joints: {sorted(known - named.keys())}")
     times = sorted(rows)

@@ -1292,6 +1292,21 @@ class TestExitCodes:
         assert "-byte budget" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["tore", "filter", "simulate"])
+    def test_unwritable_manifest_fails_before_any_output(self, tmp_path, rng, capsys, command):
+        # the manifests are written as soon as the output directory exists
+        if command == "simulate":
+            write_frame_dir(tmp_path / "in", np.linspace(0.2, 0.8, 3)[:, None, None]
+                            * np.ones((3, 12, 16)), fps=30)
+            argv = ["simulate", "--frames", str(tmp_path / "in")]
+        else:
+            ev.write_stream(tmp_path / "in", random_stream(rng, ev.SensorGeometry(16, 12), 500))
+            argv = [command, "--events", str(tmp_path / "in")]
+        out, manifest = tmp_path / "o", tmp_path / "nodir" / "m.cfg"
+        assert cli.main(argv + ["--out", str(out), "--manifest", str(manifest)]) == 3
+        assert str(manifest) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_mask_stack_over_the_byte_budget_leaves_no_output(self, tmp_path, small_geometry,
                                                                rng, capsys, monkeypatch):
         events_path = tmp_path / "in.evt1"
@@ -1505,6 +1520,25 @@ class TestMalformedFiles:
                    "--horizon", "2"], bad, capsys)
         assert list(out.glob("masked_*.tore")) == []
 
+    # np.loadtxt would warn of such a table (an internal error under warnings
+    # as errors) and return a (0, 1) array
+    @pytest.mark.parametrize("text", ["", "\n\n", " \r\n\t\n", "# alone\n"],
+                             ids=["empty", "newlines", "whitespace", "comment"])
+    def test_external_scores_without_a_row(self, tmp_path, small_geometry, rng, capsys, text):
+        events_path = tmp_path / "in.evt1"
+        ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
+        masks = tmp_path / "m.msk1"
+        gating.write_masks(masks, small_geometry,
+                           np.ones((2, small_geometry.height, small_geometry.width), bool))
+        bad = tmp_path / "scores.csv"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["filter", "--events", str(events_path), "--out", str(out),
+                         "--external-masks", str(masks), "--external-scores", str(bad),
+                         "--horizon", "2"]) == 3
+        assert capsys.readouterr() == ("", f"data error: {bad}: scores table holds no row\n")
+        assert not out.exists()
+
     def test_frame_manifest(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         write_frame_dir(frames, np.zeros((2, 4, 5)), fps=30)
@@ -1587,6 +1621,14 @@ class TestMalformedFiles:
         cam_text = "1 0 0\n0 1 0\n0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 100\n"
         argv, _, skeleton = self._labelled_clip(tmp_path, cam_text, "0,head,1,2\n")
         self._run(argv, skeleton, capsys)
+
+    @pytest.mark.parametrize("t", [-5, 2**70])
+    def test_label_time_outside_u64(self, tmp_path, capsys, t):
+        cam_text = "300 0 2.5\n0 300 2\n0 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"  # labels it sees
+        rows = "".join(f"{t},{name},{i},{-i},1000\n" for i, name in enumerate(sim.JOINT_NAMES_13))
+        argv, _, skeleton = self._labelled_clip(tmp_path, cam_text, rows)
+        self._run(argv, skeleton, capsys)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_camera_entry_not_finite(self, tmp_path, capsys, value):

@@ -1,4 +1,6 @@
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +52,14 @@ class Msk1:
 
     writer = gating.MaskStackWriter
     serialize = staticmethod(gating.serialize_masks)
-    read = staticmethod(lambda blob: gating.parse_masks(blob)[1])
+
+    @staticmethod
+    def read(blob):
+        """The masks `gating.read_masks` reads from a file holding blob."""
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d, "masks.msk1")
+            path.write_bytes(blob)
+            return gating.read_masks(path)[1]
 
     @staticmethod
     def records(rng, geometry, n):

@@ -442,9 +442,11 @@ class TestMaskStackIO:
         assert geometry == GEO
         assert back.shape == empty.shape
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "masks.msk1"
+        path.write_bytes(b"GARBAGE___________")
         with pytest.raises(BadMagic):
-            gating.parse_masks(b"GARBAGE___________")
+            gating.read_masks(path)
 
     def test_pipe_is_refused_by_name(self, tmp_path):
         blob = gating.serialize_masks(GEO, np.ones((2, GEO.height, GEO.width), bool))
@@ -458,12 +460,14 @@ class TestMaskStackIO:
             os.close(r)
             os.close(w)
 
-    def test_truncated(self, rng):
+    def test_truncated(self, tmp_path, rng):
         blob = gating.serialize_masks(GEO, rng.random((2, GEO.height, GEO.width)) > 0.5)
+        path = tmp_path / "masks.msk1"
+        path.write_bytes(blob[:-1])
         from evpose.errors import TruncatedRecord
 
         with pytest.raises(TruncatedRecord):
-            gating.parse_masks(blob[:-1])
+            gating.read_masks(path)
 
     def test_read_holds_the_stack_once(self, tmp_path, rng):
         geometry = SensorGeometry(width=346, height=260)

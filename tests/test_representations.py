@@ -798,11 +798,24 @@ class TestTensorContainer:
         assert blob[:4] == b"TORE"
         assert len(blob) == 16 + 2 * 3 * 4 * 4
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "t.tore"
+        path.write_bytes(b"XXXX" + bytes(12))
         with pytest.raises(BadMagic):
-            rep.parse_tensor(b"XXXX" + bytes(12))
+            rep.read_tensor(path)
 
-    def test_truncated(self):
+    def test_truncated(self, tmp_path):
         blob = rep.serialize_tensor(np.zeros((1, 2, 2), dtype=np.float32))
+        path = tmp_path / "t.tore"
+        path.write_bytes(blob[:-4])
         with pytest.raises(TruncatedRecord):
-            rep.parse_tensor(blob[:-4])
+            rep.read_tensor(path)
+
+    def test_forged_dims_fail_before_allocating(self, tmp_path):
+        # 2^32 - 1 cubed float32s: were the payload not checked first, the
+        # allocation would fail as a MemoryError, not a data error
+        blob = rep.serialize_tensor(np.zeros((1, 2, 2), dtype=np.float32))
+        path = tmp_path / "t.tore"
+        path.write_bytes(blob[:4] + bytes([0xFF]) * 12 + blob[16:])
+        with pytest.raises(TruncatedRecord, match=f"{path}: tensor payload 16 bytes"):
+            rep.read_tensor(path)

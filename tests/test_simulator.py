@@ -791,12 +791,21 @@ class TestSkeletonIO:
         ("0.5,head,1,2,3\n", "line 2: .*'0.5'"),
         ("0,nose,1,2,3\n", "line 2: unknown joint name 'nose'"),
         ("0,head,1,2,3\n0,head,4,5,6\n", "line 3: duplicate joint 'head'"),
+        # a label time is a u64 us count; the line is the label's first
+        *((f"{t},hand_r,1,2,3\n{t},head,1,2,3\n",
+           rf"line 2: t_us must lie in \[0, {2**64 - 1}\], got {t}") for t in (-5, 2**64, 2**70)),
     ])
     def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
         path.write_text("t_us,joint_name,x_mm,y_mm,z_mm\n" + body)
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             sim.read_skeleton_csv(path)
+
+    @pytest.mark.parametrize("t", [-1, 2**64])
+    def test_frame_time_outside_u64_is_a_data_error(self, t):
+        with pytest.raises(DataError, match="t_us must lie in"):
+            sim.SkeletonFrame(t_us=t, joints=np.zeros((13, 3)))
+        sim.SkeletonFrame(t_us=2**64 - 1, joints=np.zeros((13, 3)))
 
 
 class TestCameraIO:
