@@ -295,7 +295,8 @@ def cmd_filter(args) -> int:
     calls = 0
     with gating.schedule_writer(out_dir / "schedule.csv") as schedule, \
             gating.MaskStackWriter(out_dir / "masks.msk1", stream.geometry) as masks_out:
-        # a frame decays only its mask's pixels, and its activity if the backend reads it
+        # a frame decays only its mask's pixels; the reference backend decays no
+        # image, only the few offsets it needs to threshold the newest ones
         for frame, entry, mask in scheduled:
             frame.write(out_dir / f"masked_{entry.frame:05d}.tore", mask)
             schedule([entry])
@@ -323,9 +324,9 @@ def cmd_eval(args) -> int:
     records = met.load_eval_manifest(config["manifest_json"])
     group_by = tuple(a for a in config["group_by"].split(",") if a)
     report = met.evaluate(records, group_by=group_by)
+    _write_config(config, args.manifest)  # the records are read, and nothing is written yet
     met.report_to_csv(report, config["out"])
     print(met.format_report(report))
-    _write_config(config, args.manifest)
     return 0
 
 
@@ -346,17 +347,24 @@ def bench_params() -> list[Param]:
     ]
 
 
-def bench_fixture(config) -> EventStream:
-    """n_events uniform random events over [0, duration_us). Each setting
-    is checked before any array exists: the EVT1 records run_bench
-    serializes, RECORD_SIZE bytes an event, are the largest array."""
+def _bench_settings(config):
+    """bench_fixture's event count and geometry, each setting checked before
+    any array exists: the EVT1 records run_bench serializes, RECORD_SIZE
+    bytes an event, are the largest array."""
     from . import events as ev
 
     n = check_range("n_events", config["n_events"], 0, math.inf)
     check_range("duration_us", config["duration_us"], 1, 2**63 - 1)  # numpy draws int64
     check_range("seed", config["seed"], 0, math.inf)
     check_budget("n_events", n, ev.RECORD_SIZE * n)
-    geometry = ev.SensorGeometry(width=config["width"], height=config["height"])
+    return n, ev.SensorGeometry(width=config["width"], height=config["height"])
+
+
+def bench_fixture(config) -> EventStream:
+    """n_events uniform random events over [0, duration_us), from checked settings."""
+    from . import events as ev
+
+    n, geometry = _bench_settings(config)
     rng = np.random.default_rng(config["seed"])
     t = np.sort(rng.integers(0, config["duration_us"], n)).astype(np.uint64)
     return ev.EventStream.from_arrays(
@@ -395,8 +403,9 @@ def run_bench(config) -> dict:
 
 def cmd_bench(args) -> int:
     config = _resolve(bench_params(), args)
-    _write_config(run_bench(config), config.get("out"), echo=True)
+    _bench_settings(config)  # every setting is checked, so a bad one leaves no output behind
     _write_config(config, args.manifest)
+    _write_config(run_bench(config), config.get("out"), echo=True)
     return 0
 
 

@@ -13,9 +13,11 @@ whose layout `SCHEDULE_HEADER` and `schedule_writer` hold.
 The trained predictor itself is a pluggable backend. A deterministic
 reference backend (activity percentile, morphological closing, largest
 connected component, dilated future masks with decaying scores) stands
-in so the pipeline runs end to end without a network. Its image kernels
-are numpy only: `_dilate` and `_erode` are 3x3 shifted ORs and ANDs on a
-zero-padded mask, and `_largest_component` is a run-based labeling in
+in so the pipeline runs end to end without a network. It reads a frame
+only through `above_percentile`, its seed mask. Its image kernels are
+numpy only: `_dilate` and `_erode` are 3x3 shifted ORs and ANDs, in
+place on copies of the mask, with the pixels outside the image left out
+(read as 0), and `_largest_component` is a run-based labeling in
 the spirit of He, Chao and Suzuki, "A run-based two-scan labeling
 algorithm" (IEEE TIP 2008), with the run equivalences resolved by
 vectorised root hooking and pointer jumping.
@@ -23,7 +25,6 @@ vectorised root hooking and pointer jumping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -73,7 +74,8 @@ class MaskPredictorBackend(Protocol):
 
     `vol` is a `ToreVolume` or a `representations.WindowFrame`, whose
     docstring states what a frame offers and how long it stays valid; a
-    backend must not keep it.
+    backend must not keep it. The reference backend reads only
+    `vol.above_percentile(q)`, which both types compute bit for bit alike.
     """
 
     def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan: ...
@@ -121,9 +123,12 @@ def iter_schedule(frames: Iterable[ToreVolume | WindowFrame], backend: MaskPredi
     plan's mask for k when that mask's score is >= beta; otherwise the
     backend runs on frame k and starts a new plan. The decision reads only
     the plan's scores, so a reused frame is never read here. Only the
-    newest plan is retained. Yields (frame, entry, mask) per frame and
-    draws the next frame only after the caller has taken the last one;
-    beta is checked when this is called, before the first frame is drawn.
+    newest plan is retained, during the backend's call too: the old plan is
+    dropped before it, and each yielded mask is a copy, so a caller that
+    keeps the last mask keeps no plan. Yields (frame, entry, mask) per
+    frame and draws the next frame only after the caller has taken the
+    last one; beta is checked when this is called, before the first frame
+    is drawn.
 
     Frames are `ToreVolume`s or the lazy `representations.WindowFrame`s,
     whose contract `WindowFrame` states.
@@ -139,6 +144,7 @@ def _schedule(frames, backend, beta):
         offset = k - plan_start
         reuse = plan is not None and offset < plan.horizon and plan.scores[offset] >= beta
         if not reuse:
+            plan = None  # freed before the backend builds the next
             plan = backend.predict(vol)
             if plan is None or plan.horizon < 1:
                 raise EmptyPlan("backend returned an empty plan")
@@ -146,7 +152,7 @@ def _schedule(frames, backend, beta):
             plan_start, offset = k, 0
         entry = ScheduleEntry(frame=k, recompute=not reuse,
                               score_used=float(plan.scores[offset]))
-        yield vol, entry, plan.masks[offset]
+        yield vol, entry, plan.masks[offset].copy()
 
 
 def schedule_masks(frames: Sequence[ToreVolume], backend: MaskPredictorBackend,
@@ -193,21 +199,31 @@ def read_schedule_csv(path) -> list[ScheduleEntry]:
 # -- deterministic reference backend --------------------------------------------
 
 
-# 3x3 morphology as shifted ORs / ANDs of a zero-padded mask, separable into
-# a row pass and a column pass.
+# 3x3 morphology as shifted ORs / ANDs, separable into a row pass and a
+# column pass, each in place on a copy; no pass reads outside the image.
+
+def _combine3x3(mask: np.ndarray, op) -> np.ndarray:
+    """op, a bitwise ufunc, of each pixel and its in-image 3x3 neighbours."""
+    rows = mask.copy()
+    op(rows[:, 1:], mask[:, :-1], out=rows[:, 1:])
+    op(rows[:, :-1], mask[:, 1:], out=rows[:, :-1])
+    out = rows.copy()
+    op(out[1:], rows[:-1], out=out[1:])
+    op(out[:-1], rows[1:], out=out[:-1])
+    return out
+
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
     """3x3 binary dilation; outside pixels are 0."""
-    p = np.pad(mask, 1)
-    rows = p[:, :-2] | p[:, 1:-1] | p[:, 2:]
-    return rows[:-2] | rows[1:-1] | rows[2:]
+    return _combine3x3(mask, np.bitwise_or)
 
 
 def _erode(mask: np.ndarray) -> np.ndarray:
     """3x3 binary erosion; outside pixels are 0, so it clears the image border."""
-    p = np.pad(mask, 1)
-    rows = p[:, :-2] & p[:, 1:-1] & p[:, 2:]
-    return rows[:-2] & rows[1:-1] & rows[2:]
+    out = _combine3x3(mask, np.bitwise_and)
+    out[[0, -1]] = False
+    out[:, [0, -1]] = False
+    return out
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray:
@@ -253,35 +269,15 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     return np.cumsum(marks, dtype=np.int8).view(bool)[:-1].reshape(h, stride)[:, 1:].copy()
 
 
-def _percentile(values: np.ndarray, q: float) -> np.float32:
-    """np.percentile(values, q) of a float32 array, bit for bit, from one
-    np.partition of a copy: numpy's linear interpolation between order
-    statistics (Hyndman and Fan's type 7), with numpy's float64 index and
-    weight and its float32 arithmetic. (np.percentile itself imports
-    numpy.ma on its first call.)"""
-    n = values.size
-    index = (n - 1) * (q / 100)
-    if index >= n - 1:  # numpy takes the top value twice, its weight from index -1
-        lo = hi = n - 1
-        gamma = index + 1
-    else:
-        lo = math.floor(index)
-        hi, gamma = lo + 1, index - lo
-    part = np.partition(values.reshape(-1), (lo, hi))
-    a, b = part[lo], part[hi]
-    if gamma >= 0.5:
-        return b - (b - a) * (1 - gamma)
-    return a + (b - a) * gamma
-
-
 @dataclass(frozen=True)
 class ReferenceMaskBackend:
     """Stand-in predictor: no training, pure image morphology.
 
     Foreground is the set of pixels whose activity, the maximum over the
-    channels, exceeds the configured percentile of the activity image,
-    cleaned by one 3x3 binary closing, reduced to the single largest
-    connected component (the toolkit is single-person). Future mask k
+    channels, exceeds the configured percentile of the activity image
+    (`vol.above_percentile`), cleaned by one 3x3 binary closing, reduced
+    to the single largest connected component (the toolkit is
+    single-person). Future mask k
     dilates mask k - 1 once to absorb plausible motion and scores
     max(0.2, 1 - 0.1 k); an empty mask scores 0.2 everywhere.
     """
@@ -301,9 +297,7 @@ class ReferenceMaskBackend:
 
     def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan:
         self.check_geometry(vol.geometry)
-        activity = vol.activity
-        threshold = float(_percentile(activity, self.activity_percentile))
-        fg = _largest_component(_erode(_dilate(activity > threshold)))
+        fg = _largest_component(_erode(_dilate(vol.above_percentile(self.activity_percentile))))
         masks = np.empty((self.horizon,) + fg.shape, dtype=bool)
         masks[0] = fg
         for k in range(1, self.horizon):

@@ -98,6 +98,13 @@ def decay_value(delta_us, tau_us):
     return vp if vp.shape else float(vp)
 
 
+def _decay_offsets(age0: int, slots: np.ndarray, tau_us) -> np.ndarray:
+    """float64 decay of uint32 slots at ages age0 - slot, exact in uint64 and
+    rounded once into float64."""
+    return _decay(np.subtract(np.uint64(age0), slots, dtype=np.uint64).astype(np.float64),
+                  tau_us)
+
+
 def _decay_into(out: np.ndarray, slots: np.ndarray, age0: int, tau_us, scratch) -> None:
     """Write the decay of each slot of the uint32 block slots, at age
     age0 - slot, to the same position of the float32 block out, of the same
@@ -108,17 +115,47 @@ def _decay_into(out: np.ndarray, slots: np.ndarray, age0: int, tau_us, scratch) 
     n = len(slots)
     age, value, filled = (a[:n] for a in scratch)
     np.not_equal(slots, EMPTY_SLOT, out=filled)
-    top = np.uint64(age0)
-    # ages are exact in the uint64 subtraction and rounded once into float64
     if 2 * np.count_nonzero(filled) < n:  # mostly empty: decay the filled slots alone
         live = filled.nonzero()[0]
         out.fill(0)
-        value = np.subtract(top, slots[live], dtype=np.uint64).astype(np.float64)
-        out[live] = _decay(value, tau_us)
+        out[live] = _decay_offsets(age0, slots[live], tau_us)
         return
-    np.subtract(top, slots, out=age, dtype=np.uint64)
+    np.subtract(np.uint64(age0), slots, out=age, dtype=np.uint64)
     value[...] = age
     out[...] = _decay(value, tau_us)
+
+
+def _type7(values: np.ndarray, q: float, image=np.asarray) -> np.float32:
+    """np.percentile(image(values), q) bit for bit, for a flat array values,
+    which this sorts in place, and a map image of an array of them to
+    float32 that never falls as a value grows (by default, values are
+    float32): numpy's linear interpolation between two order statistics
+    (Hyndman and Fan's type 7), with numpy's float64 index and weight and
+    its float32 arithmetic. Such a map keeps each value's rank, so only the
+    two order statistics are mapped. A sort, not a partition: numpy's
+    partition at one rank slows some 30-fold on an array mostly of one
+    value (a frame of mostly empty pixels), and at two ranks it is slower
+    than the sort."""
+    n = values.size
+    index = (n - 1) * (q / 100)
+    if index >= n - 1:  # numpy takes the top value twice, its weight from index -1
+        lo = hi = n - 1
+        gamma = index + 1
+    else:
+        lo = math.floor(index)
+        hi, gamma = lo + 1, index - lo
+    values.sort()
+    a, b = image(values[[lo, hi]])
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
+def _percentile(values: np.ndarray, q: float) -> np.float32:
+    """np.percentile(values, q) of a float32 array, bit for bit, from a
+    sorted copy. (np.percentile itself imports numpy.ma on its first
+    call.)"""
+    return _type7(values.flatten(), q)
 
 
 @dataclass
@@ -262,6 +299,12 @@ class ToreState:
             raise TimeRegression(
                 f"query at {t_query}us precedes latest ingested {self.last_t}us")
 
+    def _age0(self, t_query: int) -> int:
+        """The age at t_query of EMPTY_SLOT, the base: a slot's age is age0 -
+        slot. Past 2^64, every age of a negative base exceeds 2^64 - 2^32, so
+        the clamp changes no value."""
+        return min(t_query - self.base, 2**64 - 1)
+
     def _decay_channels(self, t_query: int, rows=None, pixels: np.ndarray | None = None):
         """The decay at t_query of rows of H*W FIFO slots, by default the
         FIFO's channels (the volume): yields each row's float32 decay in the
@@ -275,9 +318,7 @@ class ToreState:
         hw = self.geometry.num_pixels
         size = len(self._block)
         values = self._channel
-        # a slot's age is age0 - slot; past 2^64, every age of a negative base
-        # exceeds 2^64 - 2^32, so the clamp changes no value
-        age0 = min(t_query - self.base, 2**64 - 1)
+        age0 = self._age0(t_query)
         for row in rows:
             if pixels is None:
                 for p0 in range(0, hw, size):
@@ -317,10 +358,14 @@ class WindowFrame:
     (what a trained mask backend needs). `activity` equals
     `data.max(axis=0)` bit for bit, yet decays only each pixel's newest
     stamp over both polarities (channels 0 and K): float32 decay never
-    rises with age. `write(path, mask)` writes the tensor of `data`, or of
-    `gating.apply_mask` of that volume, one channel at a time, without
-    building the volume; given a mask, it decays only the mask's pixels,
-    a block of them at a time, each scattered into the zeroed channel.
+    rises with age. `above_percentile(q)`, all the reference mask backend
+    reads, is `ToreVolume.above_percentile` of that volume bit for bit, yet
+    builds no activity image: it thresholds the newest stamps' uint32
+    offsets, decaying only the few offsets it searches. `write(path, mask)`
+    writes the tensor of `data`, or of `gating.apply_mask` of that volume,
+    one channel at a time, without building the volume; given a mask, it
+    decays only the mask's pixels, a block of them at a time, each
+    scattered into the zeroed channel.
     """
 
     def __init__(self, state: ToreState, query_time_us: int):
@@ -348,6 +393,37 @@ class WindowFrame:
         (values,) = state._decay_channels(self.query_time_us,
                                           [lambda at: np.maximum(pos[at], neg[at])])
         return values.reshape(self.geometry.height, self.geometry.width).copy()
+
+    def above_percentile(self, q: float) -> np.ndarray:
+        """(H, W) bool: `activity > float(_percentile(activity, q))` bit for
+        bit, without the activity image. A pixel's activity is the decay of
+        its newest offset, max(fifo[0], fifo[K]), and never falls as that
+        offset grows, so the percentile comes from the offsets' order
+        statistics, sorted in a fresh array, and the pixels above it are
+        those whose offset exceeds a cut that a search over the offsets
+        finds."""
+        state = self._live_state()
+        pos, neg = state.fifo[0], state.fifo[state.k]
+        newest = np.maximum(pos, neg)  # fresh: the sort leaves the FIFO alone
+        age0 = state._age0(self.query_time_us)
+
+        def activity(offsets):
+            return _decay_offsets(age0, offsets, state.tau_us).astype(np.float32)
+
+        threshold = float(_type7(newest.reshape(-1), q, activity))
+        # the cut: activity(cut) <= threshold < activity(above). Offset 0, the
+        # base, reads 0, and no percentile of activities lies below 0; above
+        # starts past age0, the offset of age 0, as no stamp lies past the
+        # query (a larger offset's age would wrap). Each round decays at most
+        # 255 offsets spread over the bracket and keeps the step between two
+        # of them: 4 rounds span 2^32.
+        cut, above = 0, min(age0, 2**32 - 1) + 1
+        while above - cut > 1:
+            bounds = np.append(np.arange(cut, above, -(-(above - cut) // 256)), above)
+            probes = activity(bounds[1:-1].astype(np.uint32))
+            i = int(np.searchsorted(probes, threshold, side="right"))
+            cut, above = int(bounds[i]), int(bounds[i + 1])
+        return np.maximum(pos, neg, out=newest) > cut
 
     def write(self, path, mask: np.ndarray | None = None) -> None:
         """Write the bytes of `write_tensor(path, self.data)`, or, given a
@@ -411,6 +487,11 @@ class ToreVolume:
     def activity(self) -> np.ndarray:
         """(H, W) float32: each pixel's maximum over the channels."""
         return self.data.max(axis=0)
+
+    def above_percentile(self, q: float) -> np.ndarray:
+        """(H, W) bool: the pixels whose activity exceeds its percentile q."""
+        activity = self.activity
+        return activity > float(_percentile(activity, q))
 
 
 # -- tensor container -----------------------------------------------------------

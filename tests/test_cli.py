@@ -1307,6 +1307,22 @@ class TestExitCodes:
         assert str(manifest) in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["bench", "eval"])
+    def test_unwritable_manifest_fails_before_the_report(self, tmp_path, rng, capsys, command):
+        # written once the settings, and eval's records, are checked
+        if command == "bench":
+            argv = ["bench", "--n-events", "2000"]
+        else:
+            gt = rng.normal(size=(13, 3)) * 100
+            records = TestEvalCommand()._write_records(tmp_path, [(gt, gt, {})])
+            argv = ["eval", "--manifest-json", str(records)]
+        out, manifest = tmp_path / "report", tmp_path / "nodir" / "m.cfg"
+        assert cli.main(argv + ["--out", str(out), "--manifest", str(manifest)]) == 3
+        captured = capsys.readouterr()
+        assert str(manifest) in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_mask_stack_over_the_byte_budget_leaves_no_output(self, tmp_path, small_geometry,
                                                                rng, capsys, monkeypatch):
         events_path = tmp_path / "in.evt1"

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evpose import gating
+from evpose import representations as rep
 from evpose.errors import (
     BadMagic,
     ConfigError,
@@ -218,6 +220,34 @@ class TestScheduler:
         with pytest.raises(ProbabilityOutOfRange):
             gating.MaskPlan(masks=np.zeros((1, 4, 4), bool), scores=np.array([np.nan]))
 
+    def test_only_the_newest_plan_is_alive_when_the_backend_runs(self):
+        class WatchingBackend:
+            """Plans of two distinct random masks, scores 1.0 and 0.9; records,
+            at each call, which earlier plans' masks are still alive."""
+
+            def __init__(self):
+                self.refs, self.kept, self.alive = [], [], []
+
+            def predict(self, vol):
+                self.alive.append([ref() is not None for ref in self.refs])
+                masks = np.random.default_rng(len(self.refs)).random(
+                    (2, GEO.height, GEO.width)) < 0.5
+                self.refs.append(weakref.ref(masks))
+                self.kept.append(masks.copy())
+                return gating.MaskPlan(masks=masks, scores=np.array([1.0, 0.9]))
+
+        # beta 0.85 reuses each plan's second mask, then recomputes; the loop
+        # keeps what cmd_filter's keeps, the last frame, entry and mask
+        backend = WatchingBackend()
+        for frame, entry, mask in gating.iter_schedule(indexed_volumes(6), backend, 0.85):
+            pass
+        assert backend.alive == [[], [False], [False, False]]
+        backend = WatchingBackend()
+        result = gating.schedule_masks(indexed_volumes(6), backend, 0.85)
+        assert backend.alive == [[], [False], [False, False]]
+        assert [e.recompute for e in result.entries] == [True, False] * 3
+        assert np.array_equal(result.masks, np.concatenate(backend.kept))
+
 
 class TestReferenceBackend:
     def _volume_with_blobs(self, blobs, value=0.9):
@@ -301,7 +331,7 @@ class TestPercentile:
             st.sampled_from([0.0, 80.0, 100.0]), st.floats(0.0, 100.0),
             st.integers(0, max(n - 2, 0)).map(lambda i: min(100 * (i + 0.5) / max(n - 1, 1),
                                                             100.0))))
-        got = gating._percentile(image, q)
+        got = rep._percentile(image, q)
         assert type(got) is np.float32
         assert got.view(np.uint32) == np.float32(np.percentile(image, q)).view(np.uint32)
 
@@ -311,13 +341,13 @@ class TestPercentile:
             image = (rng.random(n) ** rng.choice([1, 8])).astype(np.float32)
             half = 100 * (int(rng.integers(0, n)) + 0.5) / max(n - 1, 1)
             q = min(float(rng.choice([rng.uniform(0, 100), half])), 100.0)
-            got = gating._percentile(image, q)
+            got = rep._percentile(image, q)
             assert got.view(np.uint32) == np.float32(np.percentile(image, q)).view(np.uint32)
 
     def test_reads_a_copy(self, rng):
         image = rng.random((14, 20)).astype(np.float32)
         kept = image.copy()
-        gating._percentile(image, 80.0)
+        rep._percentile(image, 80.0)
         assert image.tobytes() == kept.tobytes()
 
 

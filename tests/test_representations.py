@@ -388,6 +388,7 @@ class TestMovingBase:
         steps = [lambda s=s: state.ingest_stream(s) for s in pieces] + [
             lambda: state.ingest(Event(t=2**35, x=0, y=0, polarity=1)),
             lambda: rep.WindowFrame(state, 2**35).activity,
+            lambda: rep.WindowFrame(state, 2**35).above_percentile(80.0),
             lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "t.tore"),
             lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "m.tore", mask)]
         bases = []
@@ -778,6 +779,62 @@ class TestWindowFrameWrite:
         with pytest.raises(GeometryMismatch):
             frame.write(tmp_path / "t.tore", np.ones((self.GEO.width, self.GEO.height), bool))
         assert not (tmp_path / "t.tore").exists()
+
+
+def stamped_state(geometry, k, tau_us, fill, tied, t_last, rng):
+    """A state that ingested, in each (polarity, pixel) column, a run of
+    stamps, a share `fill` of all slots filled, the newest at t_last: every
+    stamp at t_last if tied, else at ages 0, up to tau**0.3, tau or more or
+    anywhere up to 3 tau, none before time 0."""
+    shape = (2, k, geometry.num_pixels)  # polarity, slot, pixel
+    kind = rng.integers(0, 4, shape)
+    age = np.select([kind == 0, kind == 1, kind == 2],
+                    [0, rng.integers(1, int(tau_us**0.3) + 1, shape),
+                     rng.integers(tau_us, 3 * tau_us, shape)],
+                    rng.integers(0, 3 * tau_us, shape))
+    filled = np.arange(k)[None, :, None] < rng.binomial(k, fill, (2, 1, geometry.num_pixels))
+    pol, _, pix = np.nonzero(filled)
+    t = np.uint64(t_last) - np.minimum(age[filled], 0 if tied else t_last).astype(np.uint64)
+    if t.size:
+        t[rng.integers(t.size)] = t_last
+    order = np.argsort(t, kind="stable")
+    stream = EventStream.from_arrays(geometry, t[order], pix[order] % geometry.width,
+                                     pix[order] // geometry.width,
+                                     np.where(pol[order] == 0, 1, -1))
+    return rep.ToreState(geometry, k=k, tau_us=tau_us).ingest_stream(stream)
+
+
+class TestAbovePercentile:
+    TAU = 1_000
+
+    # a last stamp at or below tau keeps the base at -2^31; one past
+    # 2^31 + tau moves it to 2^31, where a stamp 3 tau old sits at the base;
+    # a query at 2^64 - 1 clamps the age of the base
+    @settings(max_examples=300, deadline=None)
+    @given(geometry=st.sampled_from([SensorGeometry(1, 1), SensorGeometry(5, 1),
+                                     SensorGeometry(23, 17)]),
+           k=st.sampled_from([1, 4]), fill=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           tied=st.booleans(),
+           t_last=st.sampled_from([TAU // 2, TAU, 2**31 + 3 * TAU]),
+           lag=st.sampled_from([0, 1, TAU // 2, 2 * TAU, None]),
+           q=st.one_of(st.sampled_from([0.0, 80.0, 100.0]), st.floats(0.0, 100.0)),
+           seed=st.integers(0, 2**16))
+    def test_is_the_activity_threshold(self, geometry, k, fill, tied, t_last, lag, q, seed):
+        state = stamped_state(geometry, k, self.TAU, fill, tied, t_last,
+                              np.random.default_rng(seed))
+        assert state.last_t in (0, t_last)  # 0 if no slot is filled
+        assert state.base == (2**31 if state.last_t > 2**31 else -2**31)
+        t_query = 2**64 - 1 if lag is None else t_last + lag
+        frame = rep.WindowFrame(state, t_query)
+        fifo = state.fifo.tobytes()
+        activity = frame.activity
+        want = activity > float(rep._percentile(activity, q))
+        assert np.array_equal(want, activity > np.float32(np.percentile(activity, q)))
+        got = frame.above_percentile(q)
+        assert got.dtype == bool and got.shape == activity.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(state.materialize(t_query).above_percentile(q), want)
+        assert state.fifo.tobytes() == fifo  # the FIFO itself is never sorted
 
 
 class TestTensorContainer:
