@@ -80,14 +80,6 @@ def _check_depth(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def project_camera_points(cam: CameraModel, pts_cam: np.ndarray) -> np.ndarray:
-    """Pinhole projection of camera-frame points to (N, 2) pixels."""
-    pts = np.asarray(pts_cam, dtype=np.float64)
-    _check_depth(pts[:, 2])
-    uvw = pts @ cam.intrinsic.T
-    return uvw[:, :2] / uvw[:, 2:3]
-
-
 def view_half_extents(cam: CameraModel, z_ref: float) -> tuple[float, float]:
     """Half width/height of the viewed plane at depth z_ref (mm)."""
     if not 0 < z_ref < math.inf:

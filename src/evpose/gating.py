@@ -1,14 +1,18 @@
 """Human-body mask gating of decay volumes with early-exit reuse.
 
 A mask predictor returns, per invocation, a plan: masks for the current
-frame and a few future frames, each with a quality score in [0, 1]
-(higher is better; scores are oriented as 1 - MAE against ground truth).
-The scheduler reuses a planned future mask whenever its score clears the
-threshold beta, and only invokes the predictor again when the plan runs
-out or the score falls short. beta = 0 therefore minimizes predictor
-calls at ceil(F / horizon); beta = 1 with imperfect scores recomputes on
-every frame. A schedule is saved as schedule.csv, an `events` text table
-whose layout `SCHEDULE_HEADER` and `schedule_writer` hold.
+frame and a few future frames, each with a quality score in [0, 1],
+higher is better. A trained backend's score should estimate its mask's
+1 - MAE against ground truth (`mask_quality_ground_truth`). The
+reference backend's scores, max(0.2, 1 - 0.1k) for a plan's mask k, are
+fixed and estimate nothing, so at filter's default beta of 0.95 it
+recomputes on every window. The scheduler reuses a planned future mask
+whenever its score clears the threshold beta, and only invokes the
+predictor again when the plan runs out or the score falls short. beta =
+0 therefore minimizes predictor calls at ceil(F / horizon); beta = 1
+with imperfect scores recomputes on every frame. A schedule is saved as
+schedule.csv, an `events` text table whose layout `SCHEDULE_HEADER` and
+`schedule_writer` hold.
 
 The trained predictor itself is a pluggable backend. A deterministic
 reference backend (activity percentile, morphological closing, largest
@@ -41,8 +45,8 @@ from .errors import (
     check_range,
     from_file,
 )
-from .events import (RecordFileWriter, SensorGeometry, freeze, pack_header, read_header,
-                     read_table, table_writer)
+from .events import (RecordFileWriter, SensorGeometry, freeze, read_header, read_table,
+                     table_writer)
 from .representations import ToreVolume, WindowFrame
 
 
@@ -363,11 +367,6 @@ def _mask_record(geometry: SensorGeometry, mask: np.ndarray) -> bytes:
     return np.packbits(m.reshape(-1)).tobytes()
 
 
-def serialize_masks(geometry: SensorGeometry, masks: np.ndarray) -> bytes:
-    records = [_mask_record(geometry, m) for m in masks]
-    return pack_header(MSK1_MAGIC, geometry, len(records)) + b"".join(records)
-
-
 def write_masks(path, geometry: SensorGeometry, masks: np.ndarray) -> None:
     with MaskStackWriter(path, geometry) as out:
         for mask in masks:
@@ -390,8 +389,9 @@ def read_masks(path) -> tuple[SensorGeometry, np.ndarray]:
 
 class MaskStackWriter(RecordFileWriter):
     """MSK1 file written one mask at a time, as a context manager (see
-    `events.RecordFileWriter`). A completed file is byte-identical to
-    `serialize_masks`."""
+    `events.RecordFileWriter`): the counted-record header, then each mask
+    as one record, its pixels read as bool and bit-packed row-major, most
+    significant bit first, the last byte zero-padded."""
 
     def __init__(self, path, geometry: SensorGeometry):
         super().__init__(path, MSK1_MAGIC, geometry)

@@ -305,31 +305,28 @@ class ToreState:
         the clamp changes no value."""
         return min(t_query - self.base, 2**64 - 1)
 
-    def _decay_channels(self, t_query: int, rows=None, pixels: np.ndarray | None = None):
-        """The decay at t_query of rows of H*W FIFO slots, by default the
-        FIFO's channels (the volume): yields each row's float32 decay in the
-        state's channel buffer, which the next row overwrites. A row maps a
-        slice, or a block of sorted flat pixel indices, to its uint32 slots
-        there. Each slice of DECAY_BLOCK_SLOTS slots decays straight into the
-        channel; given sorted flat pixel indices `pixels`, each block of them
-        decays into the state's float32 block, scattered into the zeroed channel."""
-        if rows is None:  # lazy: a list would hold 2K bound methods
-            rows = (channel.__getitem__ for channel in self.fifo.reshape(2 * self.k, -1))
+    def _decay_channels(self, t_query: int, pixels: np.ndarray | None = None):
+        """The decay at t_query of the FIFO's channels (the volume): yields
+        each channel's float32 decay in the state's channel buffer, which
+        the next channel overwrites. Each slice of DECAY_BLOCK_SLOTS slots
+        decays straight into the buffer; given sorted flat pixel indices
+        `pixels`, each block of them decays into the state's float32 block,
+        scattered into the zeroed buffer."""
         hw = self.geometry.num_pixels
         size = len(self._block)
         values = self._channel
         age0 = self._age0(t_query)
-        for row in rows:
+        for row in self.fifo.reshape(2 * self.k, -1):
             if pixels is None:
                 for p0 in range(0, hw, size):
                     at = slice(p0, p0 + size)
-                    _decay_into(values[at], row(at), age0, self.tau_us, self._scratch)
+                    _decay_into(values[at], row[at], age0, self.tau_us, self._scratch)
             else:
                 values.fill(0)
                 for i0 in range(0, len(pixels), size):
                     at = pixels[i0:i0 + size]
                     block = self._block[:len(at)]
-                    _decay_into(block, row(at), age0, self.tau_us, self._scratch)
+                    _decay_into(block, row[at], age0, self.tau_us, self._scratch)
                     values[at] = block
             yield values
 
@@ -355,17 +352,15 @@ class WindowFrame:
     raises RuntimeError, so a frame never returns another window's values.
     Its query time is checked as `ToreState.materialize` checks it, when
     the frame is made. `data` materializes the whole 2K-channel volume
-    (what a trained mask backend needs). `activity` equals
-    `data.max(axis=0)` bit for bit, yet decays only each pixel's newest
-    stamp over both polarities (channels 0 and K): float32 decay never
-    rises with age. `above_percentile(q)`, all the reference mask backend
-    reads, is `ToreVolume.above_percentile` of that volume bit for bit, yet
-    builds no activity image: it thresholds the newest stamps' uint32
-    offsets, decaying only the few offsets it searches. `write(path, mask)`
-    writes the tensor of `data`, or of `gating.apply_mask` of that volume,
-    one channel at a time, without building the volume; given a mask, it
-    decays only the mask's pixels, a block of them at a time, each
-    scattered into the zeroed channel.
+    (what a trained mask backend needs). `above_percentile(q)`, all the
+    reference mask backend reads, is `ToreVolume.above_percentile` of that
+    volume bit for bit, yet builds no activity image: it thresholds each
+    pixel's newest uint32 offset over both polarities (channels 0 and K),
+    as float32 decay never rises with age, decaying only the few offsets
+    it searches. `write(path, mask)` writes the tensor of `data`, or of
+    `gating.apply_mask` of that volume, one channel at a time, without
+    building the volume; given a mask, it decays only the mask's pixels, a
+    block of them at a time, each scattered into the zeroed channel.
     """
 
     def __init__(self, state: ToreState, query_time_us: int):
@@ -383,16 +378,6 @@ class WindowFrame:
     @property
     def data(self) -> np.ndarray:
         return self._live_state().materialize(self.query_time_us).data
-
-    @property
-    def activity(self) -> np.ndarray:
-        """(H, W) float32: the decay of each pixel's newest stamp."""
-        state = self._live_state()
-        pos, neg = (state.fifo[c].reshape(-1) for c in (0, state.k))
-        # the row of each pixel's larger offset: EMPTY_SLOT only if neither is filled
-        (values,) = state._decay_channels(self.query_time_us,
-                                          [lambda at: np.maximum(pos[at], neg[at])])
-        return values.reshape(self.geometry.height, self.geometry.width).copy()
 
     def above_percentile(self, q: float) -> np.ndarray:
         """(H, W) bool: `activity > float(_percentile(activity, q))` bit for
@@ -433,7 +418,7 @@ class WindowFrame:
         pixels = None
         if mask is not None:
             pixels = np.flatnonzero(self.geometry.check_shape("mask", np.asarray(mask)))
-        channels = state._decay_channels(self.query_time_us, None, pixels)
+        channels = state._decay_channels(self.query_time_us, pixels)
         with open(path, "wb") as f:
             f.write(_tensor_header(state.fifo))
             for values in channels:
@@ -506,15 +491,11 @@ def _tensor_header(a: np.ndarray) -> bytes:
     return _TENSOR_HEADER.pack(TENSOR_MAGIC, *a.shape)
 
 
-def serialize_tensor(data: np.ndarray) -> bytes:
-    """Flat binary tensor: magic, dims C,H,W as u32, float32 row-major."""
-    a = np.ascontiguousarray(data, dtype=np.float32)
-    return _tensor_header(a) + a.tobytes()
-
-
 def write_tensor(path, data: np.ndarray) -> None:
-    """Write the bytes of serialize_tensor straight from the array's buffer,
-    without building a copy of the payload."""
+    """Write a 3-D array as a flat binary tensor: the magic b"TORE", its
+    dims C, H, W as little-endian u32, then its float32 values row-major,
+    straight from the array's buffer, without building a copy of the
+    payload."""
     a = np.ascontiguousarray(data, dtype=np.float32)
     header = _tensor_header(a)
     with open(path, "wb") as f:

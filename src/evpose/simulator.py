@@ -80,13 +80,6 @@ class FrameSequence:
     def __len__(self) -> int:
         return self.frames.shape[0]
 
-    def frame_time_us(self, index: int) -> int:
-        return _frame_time_us(index, self.fps)
-
-
-def _frame_time_us(index: int, fps: float) -> int:
-    return round(index * 1e6 / fps)
-
 
 def _check_frame_times(count: int, fps: float) -> None:
     """Raise FpsMismatch unless fps is positive and finite and the last of
@@ -379,7 +372,7 @@ def _synthesize(prev, cur, frames, geometry, fps, p, noise_rate):
         return parts
 
     for i in itertools.count():
-        t0, t1 = _frame_time_us(i, fps), _frame_time_us(i + 1, fps)
+        t0, t1 = round(i * 1e6 / fps), round((i + 1) * 1e6 / fps)
         parts = [] if rng is None else noise(t0, t1, prev)
         prev = cur
         parts = crossings(t0, t1, l_prev, _log_intensity(cur, p.eps, l_new)) + parts
@@ -554,14 +547,6 @@ _NUM_RE = re.compile(r"(\d+)")
 def _numeric_key(name: str):
     parts = _NUM_RE.split(name)
     return tuple(int(s) if s.isdigit() else s for s in parts)
-
-
-def write_pgm(path, image01: np.ndarray) -> None:
-    a = np.asarray(image01, dtype=np.float64)
-    b = np.rint(np.clip(a, 0.0, 1.0) * 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{b.shape[1]} {b.shape[0]}\n255\n".encode())
-        f.write(b.tobytes())
 
 
 def _unit(u8: np.ndarray) -> np.ndarray:

@@ -6,9 +6,12 @@ summation instead of algebraic shortcuts, per-pixel neighbourhood loops
 instead of shifted-array morphology, breadth-first search instead of
 run-based labeling, whole-clip arrays and one global sort instead of
 streaming one frame interval at a time. Slow but obviously correct.
+The reference file bytes are packed here from `struct` and `np.packbits`
+alone, sharing no header or record helper with the library's writers.
 """
 
 import math
+import struct
 from collections import defaultdict, deque
 
 import numpy as np
@@ -292,7 +295,7 @@ def frames_to_events_whole_clip(f, p):
     ref = l_prev.copy()
     parts = []  # (t, flat pixel, polarity) per source and interval
     for i in range(len(f) - 1):
-        t0, t1 = f.frame_time_us(i), f.frame_time_us(i + 1)
+        t0, t1 = frame_time_us(i, f.fps), frame_time_us(i + 1, f.fps)
         l_new = np.log(f.frames[i + 1] + p.eps).reshape(-1)
         d = l_new - ref
         n_pos = np.where(d > 0, np.floor(d / p.theta_pos), 0.0).astype(np.int64)
@@ -392,3 +395,44 @@ def fuse_triplet(xy, xz, zy):
     _, z_from_xz = soft_argmax(xz)
     z_from_zy, _ = soft_argmax(zy)
     return np.array([x, y, (z_from_xz + z_from_zy) / 2.0])
+
+
+def frame_time_us(index, fps):
+    """The time in us of frame index of a clip at fps."""
+    return round(index * 1e6 / fps)
+
+
+def project_camera_points(cam, pts_cam):
+    """Pinhole projection of camera-frame points to (N, 2) pixels, each
+    through the intrinsic and divided by its depth, which must be positive."""
+    pts = np.asarray(pts_cam, dtype=np.float64)
+    assert np.all(pts[:, 2] > 0), "a point lies at or behind the camera"
+    uvw = pts @ cam.intrinsic.T
+    return uvw[:, :2] / uvw[:, 2:3]
+
+
+def serialize_tensor(data):
+    """A TORE tensor file's bytes: b"TORE", C, H, W as little-endian u32,
+    then the values as little-endian float32, row-major."""
+    a = np.asarray(data, dtype="<f4")
+    c, h, w = a.shape
+    return struct.pack("<4sIII", b"TORE", c, h, w) + a.tobytes(order="C")
+
+
+def serialize_masks(geometry, masks):
+    """An MSK1 file's bytes: b"MSK1", version 1, width and height as
+    little-endian u16 and the mask count as u64, then each mask read as
+    bool, bit-packed row-major, most significant bit first."""
+    masks = np.asarray(masks)
+    assert masks.shape[1:] == (geometry.height, geometry.width), masks.shape
+    header = struct.pack("<4sHHHQ", b"MSK1", 1, geometry.width, geometry.height, len(masks))
+    return header + b"".join(np.packbits(m.astype(bool).reshape(-1)).tobytes() for m in masks)
+
+
+def write_pgm(path, image01):
+    """A binary PGM of maxval 255: each intensity clipped to [0, 1] and
+    rounded to the nearest of 256 levels."""
+    b = np.rint(np.clip(np.asarray(image01, dtype=np.float64), 0.0, 1.0) * 255).astype(np.uint8)
+    with open(path, "wb") as f:
+        f.write(f"P5\n{b.shape[1]} {b.shape[0]}\n255\n".encode())
+        f.write(b.tobytes())

@@ -32,6 +32,8 @@ from evpose.errors import (
 )
 from evpose.events import SensorGeometry
 
+from oracles import frame_time_us, write_pgm
+
 GEO = SensorGeometry(width=6, height=4)
 
 
@@ -167,10 +169,16 @@ def _transposed(ndim):
 
 def _pgm_directory():
     with tempfile.TemporaryDirectory() as d:
-        sim.write_pgm(Path(d) / "0000.pgm", _transposed(2))
+        write_pgm(Path(d) / "0000.pgm", _transposed(2))
         (Path(d) / "manifest.json").write_text(json.dumps(
             {"fps": 30, "width": GEO.width, "height": GEO.height}))
         sim.list_frames(d).read(0)
+
+
+def _mask_stack_append():
+    with (tempfile.TemporaryDirectory() as d,
+          gating.MaskStackWriter(Path(d) / "masks.msk1", GEO) as out):
+        out.append(_transposed(2))
 
 
 class _TransposedBackend:
@@ -182,7 +190,7 @@ SHAPE_SITES = {
     "ToreVolume": lambda: rep.ToreVolume(GEO, _transposed(3)),
     "apply_mask": lambda: gating.apply_mask(_volume(), _transposed(2)),
     "iter_schedule": lambda: list(gating.iter_schedule([_volume()], _TransposedBackend(), 0.5)),
-    "serialize_masks": lambda: gating.serialize_masks(GEO, _transposed(3)),
+    "MaskStackWriter.append": _mask_stack_append,
     "FrameSequence": lambda: sim.FrameSequence(GEO, 30.0, _transposed(3)),
     "MaskSequence": lambda: sim.MaskSequence(GEO, 30.0, _transposed(3) > 0),
     "FrameDirectory.read": _pgm_directory,
@@ -236,7 +244,7 @@ class TestNonFiniteSettings:
             sim.FrameSequence(GEO, edge, frames)
         # the next fps puts frame 1 at the last float below 2^64, and its events fit u64
         f = sim.FrameSequence(GEO, float(np.nextafter(edge, 1.0)), frames)
-        assert f.frame_time_us(1) == 2**64 - 2048
+        assert frame_time_us(1, f.fps) == 2**64 - 2048
         stream = sim.frames_to_events(f, sim.PixelModelParams())
         assert len(stream) and int(stream.t.max()) <= 2**64 - 2048
 

@@ -31,7 +31,10 @@ from oracles import (
     random_stream,
     replay_schedule,
     schedule_rule_problems,
+    serialize_masks,
+    serialize_tensor,
     tore_brute_force,
+    write_pgm,
 )
 
 
@@ -42,7 +45,7 @@ def write_frame_dir(path, frames, fps, fmt="f32"):
         if fmt == "f32":
             frame.astype("<f4").tofile(path / f"{i:04d}.f32")
         else:
-            sim.write_pgm(path / f"{i:04d}.pgm", frame)
+            write_pgm(path / f"{i:04d}.pgm", frame)
     (path / "manifest.json").write_text(json.dumps(
         {"fps": fps, "width": w, "height": h, "format": fmt}))
 
@@ -742,7 +745,7 @@ class TestToreDifferential:
             for i, end in enumerate(ends):
                 i0, i1 = np.searchsorted(s.t, [origin, end])
                 assert (out / f"tore_{i:05d}.tore").read_bytes() == \
-                    rep.serialize_tensor(tore_brute_force(s[i0:i1], k, tau_us, end))
+                    serialize_tensor(tore_brute_force(s[i0:i1], k, tau_us, end))
 
     # ci, whose FIFO base stays, beside the two recordings whose base moves
     @pytest.mark.parametrize("name", ["ci", "ci_tau", "ci_far"])
@@ -751,7 +754,7 @@ class TestToreDifferential:
         paths = sorted(out.glob("tore_*.tore"))
         assert len(paths) == len(volumes)
         for path, vol in zip(paths, volumes):
-            assert path.read_bytes() == rep.serialize_tensor(vol.data), path.name
+            assert path.read_bytes() == serialize_tensor(vol.data), path.name
 
 
 class TestFilterDifferential:
@@ -816,7 +819,7 @@ class TestFilterDifferential:
                 i0, i1 = np.searchsorted(s.t, [origin, end])
                 vol = rep.ToreVolume(self.GEO, tore_brute_force(s[i0:i1], k, tau_us, end), end)
                 assert (out / f"masked_{i:05d}.tore").read_bytes() == \
-                    rep.serialize_tensor(gating.apply_mask(vol, used[i]).data)
+                    serialize_tensor(gating.apply_mask(vol, used[i]).data)
                 volumes.append(vol)
         assert schedule_rule_problems(entries, beta, calls) == []
         replayed = replay_schedule(volumes, oracle_backend, entries, beta)
@@ -833,7 +836,7 @@ class TestFilterDifferential:
         assert len(paths) == len(masks) == len(volumes)
         for path, vol, mask in zip(paths, volumes, masks):
             assert path.read_bytes() == \
-                rep.serialize_tensor(gating.apply_mask(vol, mask).data), path.name
+                serialize_tensor(gating.apply_mask(vol, mask).data), path.name
 
 
 class TestFilterStreaming:
@@ -896,11 +899,11 @@ class TestFilterStreaming:
         for i, vol in enumerate(volumes):
             masked = gating.apply_mask(vol, result.masks[i])
             assert (out / f"masked_{i:05d}.tore").read_bytes() == \
-                rep.serialize_tensor(masked.data)
+                serialize_tensor(masked.data)
         gating.write_schedule_csv(tmp_path / "ref.csv", result.entries)
         assert (out / "schedule.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (out / "masks.msk1").read_bytes() == \
-            gating.serialize_masks(self.GEO, result.masks)
+            serialize_masks(self.GEO, result.masks)
 
     def test_empty_stream_writes_no_masks(self, tmp_path):
         path = tmp_path / "events.evt1"
@@ -908,7 +911,7 @@ class TestFilterStreaming:
         out = tmp_path / "out"
         assert cli.main(["filter", "--events", str(path), "--out", str(out)]) == 0
         assert (out / "schedule.csv").read_text() == gating.SCHEDULE_HEADER
-        assert (out / "masks.msk1").read_bytes() == gating.serialize_masks(
+        assert (out / "masks.msk1").read_bytes() == serialize_masks(
             self.GEO, np.zeros((0, self.GEO.height, self.GEO.width), dtype=bool))
         assert list(out.glob("masked_*.tore")) == []
 
@@ -1283,7 +1286,7 @@ class TestExitCodes:
         events_path = tmp_path / "in.evt1"
         ev.write_stream(events_path, random_stream(rng, small_geometry, 500))
         masks = tmp_path / "m.msk1"
-        masks.write_bytes(gating.serialize_masks(small_geometry, np.ones((3, 24, 32), bool)))
+        masks.write_bytes(serialize_masks(small_geometry, np.ones((3, 24, 32), bool)))
         out = tmp_path / "o"
         args = [str(masks) if a == "MASKS" else a for a in args]
         assert cli.main(args + ["--events", str(events_path), "--out", str(out)]) == 2
@@ -1463,7 +1466,7 @@ class TestExitCodes:
         events_path = tmp_path / "in.evt1"
         ev.write_stream(events_path, random_stream(rng, small_geometry, 100))
         mask_path = tmp_path / "cut.msk1"
-        mask_path.write_bytes(gating.serialize_masks(
+        mask_path.write_bytes(serialize_masks(
             small_geometry, np.ones((3, small_geometry.height, small_geometry.width),
                                     dtype=bool))[:-1])
         assert cli.main(["filter", "--events", str(events_path), "--out", str(tmp_path / "o"),
@@ -1730,7 +1733,7 @@ class TestBadInputFuzz:
         masks = rng.random((6, 7, 9)) > 0.5
         return {
             "events": ev.serialize_stream(random_stream(rng, self.GEO, 40, duration_us=32)),
-            "masks": gating.serialize_masks(self.GEO, masks),
+            "masks": serialize_masks(self.GEO, masks),
             "scores": "".join(f"{a:.3f},{b:.3f}\n" for a, b in rng.random((6, 2))).encode(),
         }
 

@@ -19,7 +19,7 @@ from evpose.errors import (
     ZeroWindow,
 )
 
-from oracles import random_stream
+from oracles import random_stream, serialize_masks
 
 
 def make_blob(width=346, height=260, records=()):
@@ -51,7 +51,7 @@ class Msk1:
     """MSK1 as a counted-record format: the records are masks."""
 
     writer = gating.MaskStackWriter
-    serialize = staticmethod(gating.serialize_masks)
+    serialize = staticmethod(serialize_masks)
 
     @staticmethod
     def read(blob):
@@ -154,7 +154,7 @@ class TestParse:
     def test_other_magic_is_bad_magic(self, small_geometry, rng):
         masks = Msk1.records(rng, small_geometry, 2)
         with pytest.raises(BadMagic):
-            ev.parse_stream(gating.serialize_masks(small_geometry, masks))
+            ev.parse_stream(serialize_masks(small_geometry, masks))
 
 
 class TestSerialize:

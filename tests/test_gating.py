@@ -21,7 +21,7 @@ from evpose.errors import (
 from evpose.events import SensorGeometry
 from evpose.representations import ToreVolume
 
-from oracles import connected_components, dilate3x3_direct, erode3x3_direct
+from oracles import connected_components, dilate3x3_direct, erode3x3_direct, serialize_masks
 
 GEO = SensorGeometry(width=20, height=14)
 
@@ -479,7 +479,7 @@ class TestMaskStackIO:
             gating.read_masks(path)
 
     def test_pipe_is_refused_by_name(self, tmp_path):
-        blob = gating.serialize_masks(GEO, np.ones((2, GEO.height, GEO.width), bool))
+        blob = serialize_masks(GEO, np.ones((2, GEO.height, GEO.width), bool))
         r, w = os.pipe()
         try:
             os.write(w, blob)  # 88 bytes fit the pipe's buffer
@@ -491,7 +491,7 @@ class TestMaskStackIO:
             os.close(w)
 
     def test_truncated(self, tmp_path, rng):
-        blob = gating.serialize_masks(GEO, rng.random((2, GEO.height, GEO.width)) > 0.5)
+        blob = serialize_masks(GEO, rng.random((2, GEO.height, GEO.width)) > 0.5)
         path = tmp_path / "masks.msk1"
         path.write_bytes(blob[:-1])
         from evpose.errors import TruncatedRecord

@@ -5,13 +5,17 @@ public method of such a class, counts as reached when its name is used
 outside its own body: in `src/evpose` or `benchmark/` (a name
 `benchmark/child.py` wraps by string counts), or in the acceptance suite.
 The sources are read with `ast`, never run. Matching is by bare name, so
-a name shared with another that is reached counts as reached too.
+a name shared with another that is reached counts as reached too. The
+method names more than one class defines are pinned as well, each a
+shared interface that is reached in its own right, so that no method
+hides behind another class's use of its name.
 
-A name that joins the pinned set states why it stays; one that leaves it
+A name that joins a pinned set states why it stays; one that leaves it
 is either reached now or deleted.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from test_traced_names import traced_targets
@@ -23,23 +27,25 @@ READERS = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "benchmark").glob("*.py"))
 
 # name: why it stays although only tests reach it
 TEST_ONLY = {
-    "camera.project_camera_points": "the pinhole projection the normalized cube is checked "
-                                    "against",
     "gating.mask_quality_ground_truth": "ROADMAP item 4: mask quality against ground truth",
     "gating.read_schedule_csv": "the reader of filter's schedule.csv",
-    "gating.serialize_masks": "the reference MSK1 bytes the streaming mask writer is "
-                              "compared with",
     "metrics.threshold_sweep": "ROADMAP item 4: the beta sweep, to become a streaming "
                                "subcommand",
     "pose_math.fuse_planes": "ROADMAP item 5: heatmap tensors to 3-D joints",
     "pose_math.write_pose_csv": "ROADMAP item 5: the writer of the pose CSVs eval reads",
-    "representations.serialize_tensor": "the reference tensor bytes write_tensor is "
-                                        "compared with",
     "representations.window_volumes": "the whole-volume iterator of the library API; "
                                       "tore and filter write frame by frame instead",
-    "simulator.FrameSequence.frame_time_us": "the frame clock of the simulator's oracles",
-    "simulator.write_pgm": "the writer of the PGM frames list_frames reads, with which "
-                           "tests build clips",
+}
+
+# method name defined by more than one class: the interface it names
+SHARED_METHODS = {
+    "above_percentile": "the reference backend's one read of a frame or a volume; "
+                        "ToreVolume's is the float reference of WindowFrame's",
+    "append": "one record into an open counted-record file: events for "
+              "EventStreamWriter, a mask for MaskStackWriter",
+    "predict": "the mask backend seam: MaskPredictorBackend and its reference and "
+               "external backends",
+    "write": "bytes to a file: RecordFileWriter's records, WindowFrame's tensor",
 }
 
 
@@ -86,3 +92,10 @@ def test_the_names_only_tests_reach_are_pinned_with_a_reason():
     assert sorted(unreached()) == sorted(TEST_ONLY)
     assert all(TEST_ONLY.values())
 
+
+
+def test_the_method_names_classes_share_are_pinned_with_a_reason():
+    owners = Counter(dotted.rpartition(".")[2] for _, dotted, _ in public_definitions()
+                     if dotted.count(".") == 2)
+    assert sorted(name for name, n in owners.items() if n > 1) == sorted(SHARED_METHODS)
+    assert all(SHARED_METHODS.values())

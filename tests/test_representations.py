@@ -1,3 +1,4 @@
+import struct
 import time
 import tracemalloc
 from unittest import mock
@@ -23,7 +24,7 @@ from evpose.errors import (
 )
 from evpose.events import DAVIS346, Event, EventStream, SensorGeometry
 
-from oracles import decay_fifo, fifo_replay, random_stream, tore_brute_force
+from oracles import decay_fifo, fifo_replay, random_stream, serialize_tensor, tore_brute_force
 
 TAU = 5_000_000
 
@@ -387,7 +388,6 @@ class TestMovingBase:
         mask = rng.random((DAVIS346.height, DAVIS346.width)) < 0.5
         steps = [lambda s=s: state.ingest_stream(s) for s in pieces] + [
             lambda: state.ingest(Event(t=2**35, x=0, y=0, polarity=1)),
-            lambda: rep.WindowFrame(state, 2**35).activity,
             lambda: rep.WindowFrame(state, 2**35).above_percentile(80.0),
             lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "t.tore"),
             lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "m.tore", mask)]
@@ -631,18 +631,6 @@ class TestWindowFrame:
     T = 10**6
 
     @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])  # the last is a whole channel
-    @pytest.mark.parametrize("k", [1, 5])  # at K = 1 channels 0 and K are adjacent
-    @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
-    def test_activity_is_channel_maximum(self, rng, monkeypatch, block, k, fill):
-        monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
-        state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
-        want = state.materialize(self.T)
-        got = rep.WindowFrame(state, self.T).activity
-        assert got.dtype == np.float32
-        assert np.array_equal(got.view(np.uint32), want.data.max(axis=0).view(np.uint32))
-        assert np.array_equal(want.activity.view(np.uint32), got.view(np.uint32))
-
-    @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("cover", ["empty", "full", "random"])
@@ -654,7 +642,7 @@ class TestWindowFrame:
                 "random": rng.random((self.GEO.height, self.GEO.width)) < 0.3}[cover]
         want = gating.apply_mask(state.materialize(self.T), mask)
         rep.WindowFrame(state, self.T).write(tmp_path / "m.tore", mask)
-        assert (tmp_path / "m.tore").read_bytes() == rep.serialize_tensor(want.data)
+        assert (tmp_path / "m.tore").read_bytes() == serialize_tensor(want.data)
 
     @pytest.mark.parametrize("value", [0.5, 2.0])
     def test_valued_mask_reads_as_bool(self, rng, tmp_path, value):
@@ -664,7 +652,7 @@ class TestWindowFrame:
         want = gating.apply_mask(state.materialize(self.T), mask)
         assert np.array_equal(want.data, gating.apply_mask(state.materialize(self.T), cover).data)
         rep.WindowFrame(state, self.T).write(tmp_path / "m.tore", mask)
-        assert (tmp_path / "m.tore").read_bytes() == rep.serialize_tensor(want.data)
+        assert (tmp_path / "m.tore").read_bytes() == serialize_tensor(want.data)
 
     def test_data_is_materialize(self, rng):
         state = filled_state(self.GEO, 3, self.TAU, 0.5, self.T, rng)
@@ -679,7 +667,7 @@ class TestWindowFrame:
                                                            2, TAU, 20_000))
         second = next(frames)
         mask = np.ones((small_geometry.height, small_geometry.width), bool)
-        for read in (lambda f: f.data, lambda f: f.activity,
+        for read in (lambda f: f.data, lambda f: f.above_percentile(80.0),
                      lambda f: f.write(tmp_path / "whole.tore"),
                      lambda f: f.write(tmp_path / "masked.tore", mask)):
             with pytest.raises(RuntimeError, match="read after the next frame was drawn"):
@@ -738,13 +726,13 @@ class TestWindowFrameWrite:
         assert data.tobytes() == decay_fifo(state.fifo, state.base, self.TAU,
                                             t_query).tobytes()
         frame.write(tmp_path / "whole.tore")
-        assert (tmp_path / "whole.tore").read_bytes() == rep.serialize_tensor(data)
+        assert (tmp_path / "whole.tore").read_bytes() == serialize_tensor(data)
         shape = (self.GEO.height, self.GEO.width)
         for cover, mask in (("empty", np.zeros(shape, bool)), ("full", np.ones(shape, bool)),
                             ("random", rng.random(shape) < 0.3)):
             frame.write(tmp_path / f"{cover}.tore", mask)
             assert ((tmp_path / f"{cover}.tore").read_bytes()
-                    == rep.serialize_tensor(data * mask)), cover
+                    == serialize_tensor(data * mask)), cover
 
     @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])
     def test_empty_slots_read_0_before_tau(self, rng, monkeypatch, tmp_path, block):
@@ -758,14 +746,14 @@ class TestWindowFrameWrite:
         mask = rng.random((self.GEO.height, self.GEO.width)) < 0.6
         frame.write(tmp_path / "whole.tore")
         frame.write(tmp_path / "masked.tore", mask)
-        assert (tmp_path / "whole.tore").read_bytes() == rep.serialize_tensor(want)
-        assert (tmp_path / "masked.tore").read_bytes() == rep.serialize_tensor(want * mask)
+        assert (tmp_path / "whole.tore").read_bytes() == serialize_tensor(want)
+        assert (tmp_path / "masked.tore").read_bytes() == serialize_tensor(want * mask)
 
     def test_collectors_do_not_alias_the_state_buffers(self, rng, tmp_path):
         state = filled_state(self.GEO, 2, self.TAU, 0.5, self.T, rng)
         frame = rep.WindowFrame(state, self.T)
         mask = rng.random((self.GEO.height, self.GEO.width)) < 0.5
-        kept = [frame.data, frame.activity, state.materialize(self.T).data]
+        kept = [frame.data, frame.above_percentile(80.0), state.materialize(self.T).data]
         copies = [a.copy() for a in kept]
         frame.write(tmp_path / "t.tore", mask)
         rep.WindowFrame(state, 3 * self.T).write(tmp_path / "u.tore")
@@ -827,13 +815,14 @@ class TestAbovePercentile:
         t_query = 2**64 - 1 if lag is None else t_last + lag
         frame = rep.WindowFrame(state, t_query)
         fifo = state.fifo.tobytes()
-        activity = frame.activity
+        vol = state.materialize(t_query)
+        activity = vol.activity
         want = activity > float(rep._percentile(activity, q))
         assert np.array_equal(want, activity > np.float32(np.percentile(activity, q)))
         got = frame.above_percentile(q)
         assert got.dtype == bool and got.shape == activity.shape
         assert np.array_equal(got, want)
-        assert np.array_equal(state.materialize(t_query).above_percentile(q), want)
+        assert np.array_equal(vol.above_percentile(q), want)
         assert state.fifo.tobytes() == fifo  # the FIFO itself is never sorted
 
 
@@ -848,11 +837,13 @@ class TestTensorContainer:
         data = rng.random((5, 7, 3)).transpose(2, 0, 1)  # float64, not contiguous
         path = tmp_path / "t.tore"
         rep.write_tensor(path, data)
-        assert path.read_bytes() == rep.serialize_tensor(data)
+        assert path.read_bytes() == serialize_tensor(data)
 
-    def test_header_contents(self):
-        blob = rep.serialize_tensor(np.zeros((2, 3, 4), dtype=np.float32))
-        assert blob[:4] == b"TORE"
+    def test_header_contents(self, tmp_path):
+        path = tmp_path / "t.tore"
+        rep.write_tensor(path, np.zeros((2, 3, 4), dtype=np.float32))
+        blob = path.read_bytes()
+        assert struct.unpack("<4sIII", blob[:16]) == (b"TORE", 2, 3, 4)
         assert len(blob) == 16 + 2 * 3 * 4 * 4
 
     def test_bad_magic(self, tmp_path):
@@ -862,7 +853,7 @@ class TestTensorContainer:
             rep.read_tensor(path)
 
     def test_truncated(self, tmp_path):
-        blob = rep.serialize_tensor(np.zeros((1, 2, 2), dtype=np.float32))
+        blob = serialize_tensor(np.zeros((1, 2, 2), dtype=np.float32))
         path = tmp_path / "t.tore"
         path.write_bytes(blob[:-4])
         with pytest.raises(TruncatedRecord):
@@ -871,7 +862,7 @@ class TestTensorContainer:
     def test_forged_dims_fail_before_allocating(self, tmp_path):
         # 2^32 - 1 cubed float32s: were the payload not checked first, the
         # allocation would fail as a MemoryError, not a data error
-        blob = rep.serialize_tensor(np.zeros((1, 2, 2), dtype=np.float32))
+        blob = serialize_tensor(np.zeros((1, 2, 2), dtype=np.float32))
         path = tmp_path / "t.tore"
         path.write_bytes(blob[:4] + bytes([0xFF]) * 12 + blob[16:])
         with pytest.raises(TruncatedRecord, match=f"{path}: tensor payload 16 bytes"):
