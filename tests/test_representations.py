@@ -386,11 +386,15 @@ class TestMovingBase:
         pieces = [random_stream(rng, DAVIS346, rep.INGEST_PIECE_EVENTS, t_start=t)
                   for t in (0, t0, 2**34)]
         mask = rng.random((DAVIS346.height, DAVIS346.width)) < 0.5
+        # paths are built before tracing: pathlib interns each part, and an
+        # intern can rebuild the interpreter's table of interned strings, a
+        # block of up to ~2 MB in this suite that no step holds
+        whole, masked = tmp_path / "t.tore", tmp_path / "m.tore"
         steps = [lambda s=s: state.ingest_stream(s) for s in pieces] + [
             lambda: state.ingest(Event(t=2**35, x=0, y=0, polarity=1)),
             lambda: rep.WindowFrame(state, 2**35).above_percentile(80.0),
-            lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "t.tore"),
-            lambda: rep.WindowFrame(state, 2**35).write(tmp_path / "m.tore", mask)]
+            lambda: rep.WindowFrame(state, 2**35).write(whole),
+            lambda: rep.WindowFrame(state, 2**35).write(masked, mask)]
         bases = []
         for step in steps:
             tracemalloc.start()
@@ -631,6 +635,22 @@ class TestWindowFrame:
     T = 10**6
 
     @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])  # the last is a whole channel
+    @pytest.mark.parametrize("k", [1, 5])  # at K = 1 channels 0 and K are adjacent
+    @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
+    def test_activity_is_channel_maximum(self, rng, monkeypatch, block, k, fill):
+        # above_percentile's premise: the activity is the decay of each
+        # pixel's newest offset, max(fifo[0], fifo[K])
+        monkeypatch.setattr(rep, "DECAY_BLOCK_SLOTS", block)
+        state = filled_state(self.GEO, k, self.TAU, fill, self.T, rng)
+        want = state.materialize(self.T)
+        got = want.activity
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.data.max(axis=0).view(np.uint32))
+        newest = np.maximum(state.fifo[0], state.fifo[k])
+        decayed = rep._decay_offsets(state._age0(self.T), newest, self.TAU).astype(np.float32)
+        assert np.array_equal(decayed.view(np.uint32), got.view(np.uint32))
+
+    @pytest.mark.parametrize("block", [1, 7, GEO.num_pixels])
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("cover", ["empty", "full", "random"])
@@ -686,9 +706,10 @@ class TestWindowFrame:
         for k in (4, 64):
             frame = rep.WindowFrame(filled_state(geometry, k, self.TAU, 0.5, self.T, rng),
                                     self.T)
+            path = tmp_path / f"k{k}.tore"  # built untraced, as in TestMovingBase
             tracemalloc.start()
             try:
-                frame.write(tmp_path / f"k{k}.tore", mask)
+                frame.write(path, mask)
                 peaks[k] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -537,6 +537,23 @@ class TestProjection:
             hom = intrinsic @ (extrinsic @ np.append(joints[j], 1.0))
             assert np.allclose(uv[j], hom[:2] / hom[2])
 
+    def test_behind_camera(self):
+        # the program projects camera-frame points only into the view cube
+        cam = simple_camera()
+        joints = np.tile([0.0, 0.0, 1000.0], (13, 1))
+        joints[4, 2] = -5.0
+        s = sim.SkeletonFrame(t_us=0, joints=joints, frame="camera")
+        with pytest.raises(BehindCamera) as info:
+            normalize_camera_points(cam, sim.skeleton_camera_joints(s, cam), 1000.0)
+        assert info.value.point == 4
+        # a label cannot hold NaN, but a camera-frame point can
+        joints[4, 2] = math.nan
+        with pytest.raises(BehindCamera) as info:
+            normalize_camera_points(cam, joints, 1000.0)
+        assert info.value.point == 4
+        with pytest.raises(AssertionError, match="behind the camera"):
+            project_camera_points(cam, joints)
+
 
 class TestNormalization:
     def test_head_depth_is_zero(self, rng):
