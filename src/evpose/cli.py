@@ -269,18 +269,18 @@ def cmd_filter(args) -> int:
         if geometry != stream.geometry:
             raise GeometryMismatch(f"{config['external_masks']}: mask geometry {geometry} "
                                    f"differs from the events' {stream.geometry}")
-        settings = (masks, config["window_us"], config["origin_us"], config["horizon"])
-        if "external_scores" in config:
-            path = config["external_scores"]
+        scores, path = None, config.get("external_scores")
+        if path is not None:
             with open(path) as f, from_file(path):
                 # the lines np.loadtxt would read; of none it warns and returns a (0, 1) table
                 rows = [line for line in f if line.partition("#")[0].strip()]
                 if not rows:
                     raise DataError("scores table holds no row")
                 scores = np.loadtxt(rows, delimiter=",", ndmin=2)
-                backend = gating.ExternalMaskBackend(*settings, scores)
-        else:
-            backend = gating.ExternalMaskBackend(*settings)
+        # a table of the wrong shape or range names its file
+        with from_file(path) if path is not None else contextlib.nullcontext():
+            backend = gating.ExternalMaskBackend(masks, config["window_us"], config["origin_us"],
+                                                 config["horizon"], scores)
     else:
         backend = gating.ReferenceMaskBackend(
             horizon=config["horizon"], activity_percentile=config["activity_percentile"])

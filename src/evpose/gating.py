@@ -79,7 +79,8 @@ class MaskPredictorBackend(Protocol):
     `vol` is a `ToreVolume` or a `representations.WindowFrame`, whose
     docstring states what a frame offers and how long it stays valid; a
     backend must not keep it. The reference backend reads only
-    `vol.above_percentile(q)`, which both types compute bit for bit alike.
+    `vol.above_percentile(q)`, `activity > np.percentile(activity, q)` of
+    the volume, which both types compute bit for bit alike.
     """
 
     def predict(self, vol: ToreVolume | WindowFrame) -> MaskPlan: ...

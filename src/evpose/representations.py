@@ -125,17 +125,16 @@ def _decay_into(out: np.ndarray, slots: np.ndarray, age0: int, tau_us, scratch) 
     out[...] = _decay(value, tau_us)
 
 
-def _type7(values: np.ndarray, q: float, image=np.asarray) -> np.float32:
+def _type7(values: np.ndarray, q: float, image) -> np.float32:
     """np.percentile(image(values), q) bit for bit, for a flat array values,
     which this sorts in place, and a map image of an array of them to
-    float32 that never falls as a value grows (by default, values are
-    float32): numpy's linear interpolation between two order statistics
-    (Hyndman and Fan's type 7), with numpy's float64 index and weight and
-    its float32 arithmetic. Such a map keeps each value's rank, so only the
-    two order statistics are mapped. A sort, not a partition: numpy's
-    partition at one rank slows some 30-fold on an array mostly of one
-    value (a frame of mostly empty pixels), and at two ranks it is slower
-    than the sort."""
+    float32 that never falls as a value grows: numpy's linear interpolation
+    between two order statistics (Hyndman and Fan's type 7), with numpy's
+    float64 index and weight and its float32 arithmetic. Such a map keeps
+    each value's rank, so only the two order statistics are mapped. A
+    sort, not a partition: numpy's partition at one rank slows some
+    30-fold on an array mostly of one value (a frame of mostly empty
+    pixels), and at two ranks it is slower than the sort."""
     n = values.size
     index = (n - 1) * (q / 100)
     if index >= n - 1:  # numpy takes the top value twice, its weight from index -1
@@ -149,13 +148,6 @@ def _type7(values: np.ndarray, q: float, image=np.asarray) -> np.float32:
     if gamma >= 0.5:
         return b - (b - a) * (1 - gamma)
     return a + (b - a) * gamma
-
-
-def _percentile(values: np.ndarray, q: float) -> np.float32:
-    """np.percentile(values, q) of a float32 array, bit for bit, from a
-    sorted copy. (np.percentile itself imports numpy.ma on its first
-    call.)"""
-    return _type7(values.flatten(), q)
 
 
 @dataclass
@@ -316,13 +308,14 @@ class ToreState:
         size = len(self._block)
         values = self._channel
         age0 = self._age0(t_query)
+        if pixels is not None:
+            values.fill(0)  # once: every channel scatters to the same pixels
         for row in self.fifo.reshape(2 * self.k, -1):
             if pixels is None:
                 for p0 in range(0, hw, size):
                     at = slice(p0, p0 + size)
                     _decay_into(values[at], row[at], age0, self.tau_us, self._scratch)
             else:
-                values.fill(0)
                 for i0 in range(0, len(pixels), size):
                     at = pixels[i0:i0 + size]
                     block = self._block[:len(at)]
@@ -353,11 +346,9 @@ class WindowFrame:
     Its query time is checked as `ToreState.materialize` checks it, when
     the frame is made. `data` materializes the whole 2K-channel volume
     (what a trained mask backend needs). `above_percentile(q)`, all the
-    reference mask backend reads, is `ToreVolume.above_percentile` of that
-    volume bit for bit, yet builds no activity image: it thresholds each
-    pixel's newest uint32 offset over both polarities (channels 0 and K),
-    as float32 decay never rises with age, decaying only the few offsets
-    it searches. `write(path, mask)` writes the tensor of `data`, or of
+    reference mask backend reads, is `activity > np.percentile(activity,
+    q)` of that volume bit for bit, yet builds no activity image.
+    `write(path, mask)` writes the tensor of `data`, or of
     `gating.apply_mask` of that volume, one channel at a time, without
     building the volume; given a mask, it decays only the mask's pixels, a
     block of them at a time, each scattered into the zeroed channel.
@@ -380,13 +371,13 @@ class WindowFrame:
         return self._live_state().materialize(self.query_time_us).data
 
     def above_percentile(self, q: float) -> np.ndarray:
-        """(H, W) bool: `activity > float(_percentile(activity, q))` bit for
-        bit, without the activity image. A pixel's activity is the decay of
-        its newest offset, max(fifo[0], fifo[K]), and never falls as that
-        offset grows, so the percentile comes from the offsets' order
-        statistics, sorted in a fresh array, and the pixels above it are
-        those whose offset exceeds a cut that a search over the offsets
-        finds."""
+        """(H, W) bool: `ToreVolume.above_percentile` of the frame's volume
+        bit for bit, without the activity image. A pixel's activity is the
+        decay of its newest offset over both polarities, max(fifo[0],
+        fifo[K]), and never falls as that offset grows, so the percentile
+        comes from the offsets' order statistics, sorted in a fresh array,
+        and the pixels above it are those whose offset exceeds a cut that a
+        search over the offsets finds."""
         state = self._live_state()
         pos, neg = state.fifo[0], state.fifo[state.k]
         newest = np.maximum(pos, neg)  # fresh: the sort leaves the FIFO alone
@@ -474,9 +465,9 @@ class ToreVolume:
         return self.data.max(axis=0)
 
     def above_percentile(self, q: float) -> np.ndarray:
-        """(H, W) bool: the pixels whose activity exceeds its percentile q."""
+        """(H, W) bool: `activity > np.percentile(activity, q)`."""
         activity = self.activity
-        return activity > float(_percentile(activity, q))
+        return activity > np.percentile(activity, q)
 
 
 # -- tensor container -----------------------------------------------------------

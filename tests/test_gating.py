@@ -320,35 +320,72 @@ def activity_images(draw):
                     np.float32).reshape(h, w)
 
 
+def decay_map(age0, tau_us):
+    """A frame's map of uint32 offsets to float32 activity, at a query
+    age0 past the base."""
+    return lambda offsets: rep._decay_offsets(age0, offsets, tau_us).astype(np.float32)
+
+
+@st.composite
+def decayed_offsets(draw):
+    """(uint32 FIFO offsets, the map a frame decays them with) at a query
+    age0 past tau, up to the 2^64 - 1 clamp: from one offset up, all empty
+    (0, the base), drawn from a few ages (ties), or of any age up to 3 tau
+    or the base's, the empty slot's."""
+    tau_us = draw(st.sampled_from([2, 1_000, rep.MAX_TAU_US]))
+    age0 = draw(st.sampled_from([tau_us + 1, 3 * tau_us, 2**32 - 1, 2**64 - 1]))
+    newest = min(age0, 2**32 - 1)  # the largest offset: no stamp lies past the query
+    n = draw(st.integers(1, 480))
+    kind = draw(st.sampled_from(["empty", "ties", "any"]))
+    span = min(3 * tau_us, newest)
+    age = {"empty": st.just(newest),
+           "ties": st.sampled_from([0, 1, tau_us // 2, span, newest]),
+           "any": st.one_of(st.integers(0, span), st.just(newest))}[kind]
+    offsets = np.array([newest - a for a in draw(st.lists(age, min_size=n, max_size=n))],
+                       np.uint32)
+    return offsets, decay_map(age0, tau_us)
+
+
+def assert_type7_is_np_percentile(values, q, image):
+    got = rep._type7(values.flatten(), q, image)  # on a copy, which it sorts
+    assert type(got) is np.float32
+    assert got.view(np.uint32) == np.float32(np.percentile(image(values), q)).view(np.uint32)
+
+
 class TestPercentile:
+    """`_type7`, the percentile of a frame's read, against numpy's on the
+    image its map makes: float32 values under the identity, and uint32
+    offsets under the decay."""
+
+    @pytest.mark.parametrize("values_and_map", [
+        activity_images().map(lambda image: (image, np.asarray)), decayed_offsets()],
+        ids=["identity", "decay"])
     @settings(max_examples=400, deadline=None)
-    @given(image=activity_images(), data=st.data())
-    def test_is_np_percentile_bit_for_bit(self, image, data):
+    @given(data=st.data())
+    def test_is_np_percentile_bit_for_bit(self, values_and_map, data):
+        values, image = data.draw(values_and_map)
         # q at random, at the backend's default and the ends, or halfway
         # between two order statistics, where numpy switches formula
-        n = image.size
+        n = values.size
         q = data.draw(st.one_of(
             st.sampled_from([0.0, 80.0, 100.0]), st.floats(0.0, 100.0),
             st.integers(0, max(n - 2, 0)).map(lambda i: min(100 * (i + 0.5) / max(n - 1, 1),
                                                             100.0))))
-        got = rep._percentile(image, q)
-        assert type(got) is np.float32
-        assert got.view(np.uint32) == np.float32(np.percentile(image, q)).view(np.uint32)
+        assert_type7_is_np_percentile(values, q, image)
 
     def test_sweep_is_np_percentile_bit_for_bit(self, rng):
+        tau_us = 1_000
         for _ in range(3000):
             n = int(rng.integers(1, 60))
-            image = (rng.random(n) ** rng.choice([1, 8])).astype(np.float32)
+            spread = rng.random(n) ** rng.choice([1, 8])
             half = 100 * (int(rng.integers(0, n)) + 0.5) / max(n - 1, 1)
             q = min(float(rng.choice([rng.uniform(0, 100), half])), 100.0)
-            got = rep._percentile(image, q)
-            assert got.view(np.uint32) == np.float32(np.percentile(image, q)).view(np.uint32)
-
-    def test_reads_a_copy(self, rng):
-        image = rng.random((14, 20)).astype(np.float32)
-        kept = image.copy()
-        rep._percentile(image, 80.0)
-        assert image.tobytes() == kept.tobytes()
+            assert_type7_is_np_percentile(spread.astype(np.float32), q, np.asarray)
+            # the same spread as ages: young stamps, many saturated at 1, and
+            # old ones that read 0
+            age0 = int(rng.integers(tau_us + 1, 2**32))
+            offsets = (age0 - spread * min(3 * tau_us, age0)).astype(np.uint32)
+            assert_type7_is_np_percentile(offsets, q, decay_map(age0, tau_us))
 
 
 @st.composite

@@ -40,7 +40,8 @@ TEST_ONLY = {
 # method name defined by more than one class: the interface it names
 SHARED_METHODS = {
     "above_percentile": "the reference backend's one read of a frame or a volume; "
-                        "ToreVolume's is the float reference of WindowFrame's",
+                        "ToreVolume's, its activity above np.percentile, is the "
+                        "float reference of WindowFrame's",
     "append": "one record into an open counted-record file: events for "
               "EventStreamWriter, a mask for MaskStackWriter",
     "predict": "the mask backend seam: MaskPredictorBackend and its reference and "
